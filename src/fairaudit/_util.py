@@ -1,26 +1,13 @@
-"""Small shared helpers: thread cap, canonical JSON, seed derivation."""
+"""Small shared helpers: canonical JSON files, float32 blobs, seed derivation."""
 
 from __future__ import annotations
 
+import base64
 import json
-import os
 
 import numpy as np
 
-THREADS_ENV = "FAIRAUDIT_THREADS"
-
-
-def thread_cap() -> int:
-    """Upper bound on internal parallelism, from FAIRAUDIT_THREADS (default 1).
-
-    Stages may use fewer threads than the cap; results never depend on it.
-    """
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+from .errors import ParseError
 
 
 def canonical_json(obj) -> str:
@@ -36,7 +23,31 @@ def write_json(path, obj) -> None:
 
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
+            raise ParseError(f"{path}: {exc}") from exc
+
+
+def typed(obj: dict, key: str, kind: type | tuple[type, ...]):
+    """``obj[key]``, raising TypeError unless it is a ``kind`` (never a bool)."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{key!r} has type {type(value).__name__}")
+    return value
+
+
+def encode_array(arr: np.ndarray) -> dict:
+    """Shape header plus base64 little-endian float32 data (lossy in the last bits)."""
+    return {
+        "shape": list(arr.shape),
+        "data": base64.b64encode(np.ascontiguousarray(arr, dtype="<f4").tobytes()).decode(),
+    }
+
+
+def decode_array(obj: dict) -> np.ndarray:
+    raw = base64.b64decode(typed(obj, "data", str), validate=True)
+    return np.frombuffer(raw, dtype="<f4").reshape(typed(obj, "shape", list)).astype(np.float64)
 
 
 def derive_seeds(master: int, names: tuple[str, ...]) -> dict[str, int]:

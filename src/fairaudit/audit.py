@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import datetime
 import hashlib
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Callable
 
 import numpy as np
 
@@ -45,15 +46,95 @@ from .embed import (
     save_embeddings,
 )
 from .errors import IntegrityError, StageError
-from .fairness import classification_metrics, consistency
-from .simindex import NeighborList, knn_exact, knn_feature_reranked, neighbors_to_dict
+from .fairness import AVERAGING_MODES, classification_metrics, consistency
+from .simindex import METRICS, NeighborList, knn_exact, knn_feature_reranked, neighbors_to_dict
+
+# The learner functions look up train_stumps, birnn_train, knn_predict and
+# random_search in this module's globals at call time, so wrapping those names
+# here (as the traced benchmark run does) reaches every training and prediction
+# call of both the audit pipeline and the CLI.
+
+
+@dataclass(frozen=True)
+class Learner:
+    """One classifier family: its report source, trainer and predictor.
+
+    ``train(train, y_train, val, y_val, config, k, metric)`` takes EmbeddingMatrix
+    rows and returns the model and the random-search trial log (None without a
+    search). ``predict(model, matrix)`` returns one decision per matrix row.
+    """
+
+    source: str
+    train: Callable
+    predict: Callable
+
+
+def _search(family: str, x_train, y_train, x_val, y_val, config: TrainConfig):
+    result = random_search(family, x_train, y_train, x_val, y_val, config)
+    return result.model, [asdict(t) for t in result.trials]
+
+
+def _train_knn(train, y_train, val, y_val, config, k, metric):
+    truth = DecisionVector("truth", y_train, train.index_order)
+    return KnnClassifier(k, metric).fit(train, truth), None
+
+
+def _train_stumps(train, y_train, val, y_val, config, k, metric):
+    if config.search_trials > 1:
+        return _search("stumps", train.data, y_train, val.data, y_val, config)
+    return train_stumps(train.data, y_train, config), None
+
+
+def _train_birnn(train, y_train, val, y_val, config, k, metric):
+    seq_train, seq_val = train.as_field_sequences(), val.as_field_sequences()
+    if config.search_trials > 1:
+        return _search("birnn", seq_train, y_train, seq_val, y_val, config)
+    model, _ = birnn_train(seq_train, y_train, seq_val, y_val, config)
+    return model, None
+
+
+LEARNERS = {
+    "knn": Learner("model:knn", _train_knn, lambda model, m: knn_predict(model, m).values),
+    "stumps": Learner("model:gbstumps", _train_stumps, lambda model, m: model.predict(m.data)),
+    "birnn": Learner(
+        "model:birnn", _train_birnn, lambda model, m: model.predict(m.as_field_sequences())
+    ),
+}
+
+
+def predict_decisions(model, matrix: EmbeddingMatrix) -> DecisionVector:
+    """Decisions of a trained model of any family for every row of ``matrix``."""
+    learner = LEARNERS[model.family]
+    return DecisionVector(learner.source, learner.predict(model, matrix), matrix.index_order)
+
 
 HUMAN_SOURCES = tuple(f"human:{stage}" for stage in STAGES)
-MODEL_SOURCES = ("model:knn", "model:gbstumps", "model:birnn")
+MODEL_SOURCES = tuple(learner.source for learner in LEARNERS.values())
 ALL_SOURCES = HUMAN_SOURCES + MODEL_SOURCES
 CONSISTENCY_STAGES = ("AR", "OF")
 
 _REPORT_COLUMNS = ("precision", "recall", "f1", "accuracy", "c_ar", "c_of")
+_SPLITS = ("train", "validation", "test", "full")
+
+# How the CLI exposes AuditConfig and TrainConfig fields: each field is a flag
+# named after it (``--reg-lambda``), except the legacy names in FLAG_NAMES and
+# the fields in NO_FLAG. CHOICES are the closed value lists; __post_init__
+# enforces them too.
+FLAG_NAMES = {
+    "max_epochs": "epochs",
+    "learning_rate": "lr",
+    "target_stage": "target",
+    "embeddings_path": "embeddings",
+}
+CHOICES = {
+    "embedder": ("hash", "ingest"),
+    "metric": METRICS,
+    "averaging": AVERAGING_MODES,
+    "metrics_split": _SPLITS,
+    "consistency_split": _SPLITS,
+    "consistency_cells": ("stage", "all"),
+}
+NO_FLAG = ("field_weights", "sources", "search_space")
 
 
 @dataclass(frozen=True)
@@ -67,7 +148,7 @@ class AuditConfig:
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
     stratify_on: str | None = None
     seed: int = 0
-    embedder: str = "hash"  # "hash" or "ingest"
+    embedder: str = "hash"
     embeddings_path: str | None = None
     max_tokens: int | None = None
     normalize: bool = True
@@ -75,7 +156,7 @@ class AuditConfig:
     candidate_pool: int | None = None
     field_weights: tuple[float, ...] | None = None
     target_stage: str = "Type"
-    metrics_split: str = "test"  # train | validation | test | full
+    metrics_split: str = "test"
     consistency_split: str = "full"
     consistency_cells: str = "stage"  # "stage": human rows get their own stage's C; "all": every cell
     sources: tuple[str, ...] = ALL_SOURCES
@@ -91,16 +172,11 @@ class AuditConfig:
     search_space: dict | None = None
 
     def __post_init__(self):
-        if self.embedder not in ("hash", "ingest"):
-            raise ValueError(f"unknown embedder {self.embedder!r}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         if self.embedder == "ingest" and not self.embeddings_path:
             raise ValueError("embedder 'ingest' requires embeddings_path")
-        if self.metrics_split not in ("train", "validation", "test", "full"):
-            raise ValueError(f"unknown metrics_split {self.metrics_split!r}")
-        if self.consistency_split not in ("train", "validation", "test", "full"):
-            raise ValueError(f"unknown consistency_split {self.consistency_split!r}")
-        if self.consistency_cells not in ("stage", "all"):
-            raise ValueError(f"unknown consistency_cells {self.consistency_cells!r}")
         unknown = [s for s in self.sources if s not in ALL_SOURCES]
         if unknown:
             raise ValueError(f"unknown sources {unknown}; expected among {ALL_SOURCES}")
@@ -150,12 +226,6 @@ def _stage(name: str, fn):
         raise
     except Exception as exc:
         raise StageError(name, exc) from exc
-
-
-def _restrict(vector: DecisionVector, ids: list[str]) -> DecisionVector:
-    position = {pid: i for i, pid in enumerate(vector.index_order)}
-    values = vector.values[[position[pid] for pid in ids]]
-    return DecisionVector(vector.source, values, tuple(ids))
 
 
 class _AuditRun:
@@ -211,72 +281,27 @@ class _AuditRun:
                 decisions[f"human:{stage}"] = binarize_labels(labeled, stage)
         return decisions
 
-    def _rows_for(self, ids: list[str]) -> EmbeddingMatrix:
-        position = {pid: i for i, pid in enumerate(self.matrix.index_order)}
-        data = self.matrix.data[[position[pid] for pid in ids]]
-        return EmbeddingMatrix(data, self.config.d, self.matrix.field_order, tuple(ids))
-
     def _train_models(self) -> None:
         config = self.config
-        train_ids = list(self.split.train)
-        val_ids = list(self.split.validation)
-        train_matrix = self._rows_for(train_ids)
-        y_train = _restrict(self.truth, train_ids).values
-        y_val = _restrict(self.truth, val_ids).values
-        x_train = train_matrix.data
-        x_val = self._rows_for(val_ids).data
-        if "model:knn" in config.sources:
-            clf = KnnClassifier(config.k, config.metric)
-            clf.fit(train_matrix, _restrict(self.truth, train_ids))
-            self.models["model:knn"] = clf
-        base = TrainConfig(
-            max_epochs=config.max_epochs,
-            patience=config.patience,
-            learning_rate=config.learning_rate,
-            batch_size=config.batch_size,
-            rounds=config.rounds,
-            reg_lambda=config.reg_lambda,
-            hidden_dim=config.hidden_dim,
-            head_dim=config.head_dim,
-            search_space=config.search_space,
-            search_trials=config.search_trials,
-        )
-        n_fields = len(self.matrix.field_order)
-        seq_train = x_train.reshape(len(train_ids), n_fields, config.d)
-        seq_val = x_val.reshape(len(val_ids), n_fields, config.d)
-        if "model:gbstumps" in config.sources:
-            cfg = replace(base, seed=self.seeds["stumps"])
-            if config.search_trials > 1:
-                result = random_search("stumps", x_train, y_train, x_val, y_val,
-                                       replace(cfg, seed=self.seeds["search"]))
-                self.models["model:gbstumps"] = result.model
-                self.search_logs["model:gbstumps"] = [asdict(t) for t in result.trials]
-            else:
-                self.models["model:gbstumps"] = train_stumps(x_train, y_train, cfg)
-        if "model:birnn" in config.sources:
-            cfg = replace(base, seed=self.seeds["birnn"])
-            if config.search_trials > 1:
-                result = random_search("birnn", seq_train, y_train, seq_val, y_val,
-                                       replace(cfg, seed=self.seeds["search"]))
-                self.models["model:birnn"] = result.model
-                self.search_logs["model:birnn"] = [asdict(t) for t in result.trials]
-            else:
-                model, _ = birnn_train(seq_train, y_train, seq_val, y_val, cfg)
-                self.models["model:birnn"] = model
+        train = self.matrix.take(self.split.train)
+        val = self.matrix.take(self.split.validation)
+        y_train = self.truth.take(self.split.train).values
+        y_val = self.truth.take(self.split.validation).values
+        base = TrainConfig(**{f.name: getattr(config, f.name) for f in fields(TrainConfig)})
+        for family, learner in LEARNERS.items():
+            if learner.source not in config.sources:
+                continue
+            seed = self.seeds["search"] if config.search_trials > 1 else self.seeds.get(family, 0)
+            model, trials = learner.train(
+                train, y_train, val, y_val, replace(base, seed=seed), config.k, config.metric
+            )
+            self.models[learner.source] = model
+            if trials is not None:
+                self.search_logs[learner.source] = trials
 
     def _predict_models(self) -> None:
-        config = self.config
-        ids = self.matrix.index_order
-        n_fields = len(self.matrix.field_order)
         for source, model in self.models.items():
-            if source == "model:knn":
-                vector = knn_predict(model, self.matrix)
-            elif source == "model:gbstumps":
-                vector = DecisionVector(source, model.predict(self.matrix.data), ids)
-            else:
-                seqs = self.matrix.data.reshape(len(ids), n_fields, config.d)
-                vector = DecisionVector(source, model.predict(seqs), ids)
-            self.decisions[source] = vector
+            self.decisions[source] = predict_decisions(model, self.matrix)
 
     # scoring ----------------------------------------------------------------
 
@@ -291,7 +316,7 @@ class _AuditRun:
             return self.structures[key]
         if len(ids) < self.config.k + 1:
             return None
-        submatrix = self._rows_for(ids)
+        submatrix = self.matrix.take(ids)
         if self.config.rerank:
             structure = knn_feature_reranked(
                 submatrix,
@@ -321,7 +346,7 @@ class _AuditRun:
             return None
         if source.startswith("model:"):
             self.stage_structures.setdefault(stage, structure)
-        result = consistency(_restrict(vector, stage_ids), structure)
+        result = consistency(vector.take(stage_ids), structure)
         return result.score
 
     def _metrics_cells(self, source: str) -> dict[str, float | None]:
@@ -335,7 +360,7 @@ class _AuditRun:
         if not ids:
             return absent
         metrics = classification_metrics(
-            _restrict(vector, ids), _restrict(self.truth, ids), self.config.averaging
+            vector.take(ids), self.truth.take(ids), self.config.averaging
         )
         return {
             "precision": metrics.precision,
@@ -384,15 +409,9 @@ class _AuditRun:
             "seed": self.config.seed,
             "derived_seeds": self.seeds,
             "train": {
-                "max_epochs": self.config.max_epochs,
-                "patience": self.config.patience,
-                "learning_rate": self.config.learning_rate,
-                "batch_size": self.config.batch_size,
-                "rounds": self.config.rounds,
-                "reg_lambda": self.config.reg_lambda,
-                "hidden_dim": self.config.hidden_dim,
-                "head_dim": self.config.head_dim,
-                "search_trials": self.config.search_trials,
+                f.name: getattr(self.config, f.name)
+                for f in fields(TrainConfig)
+                if f.name not in ("seed", "search_space")
             },
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         }

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._util import decode_array, encode_array, typed
 from ..errors import DimensionMismatchError, TrainingError
 
 _PARAM_SHAPES = (
@@ -43,6 +44,8 @@ class BiRnnClassifier:
     seed: int = 0
     params: dict[str, np.ndarray] = field(default=None, repr=False)
 
+    family = "birnn"
+
     def __post_init__(self):
         if self.params is None:
             rng = np.random.default_rng(self.seed)
@@ -56,15 +59,27 @@ class BiRnnClassifier:
                     params[name] = rng.uniform(-bound, bound, shape)
             self.params = params
 
-    def clone(self) -> "BiRnnClassifier":
-        return BiRnnClassifier(
-            self.input_dim,
-            self.hidden_dim,
-            self.head_dim,
-            self.steps,
-            self.seed,
-            copy.deepcopy(self.params),
-        )
+    def to_dict(self) -> dict:
+        return {
+            "input_dim": self.input_dim,
+            "hidden_dim": self.hidden_dim,
+            "head_dim": self.head_dim,
+            "steps": self.steps,
+            "seed": self.seed,
+            "weights": {name: encode_array(arr) for name, arr in self.params.items()},
+        }
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> "BiRnnClassifier":
+        dims = [typed(obj, key, int) for key in ("input_dim", "hidden_dim", "head_dim", "steps")]
+        if min(dims) < 1:
+            raise ValueError(f"model dimensions must be positive, got {dims}")
+        weights = typed(obj, "weights", dict)
+        params = {name: decode_array(typed(weights, name, dict)) for name, _ in _PARAM_SHAPES}
+        for name, shape_of in _PARAM_SHAPES:
+            if params[name].shape != shape_of(*dims[:3]):
+                raise ValueError(f"weight {name!r} has shape {params[name].shape}")
+        return cls(*dims, typed(obj, "seed", int), params)
 
     # forward / backward -----------------------------------------------------
 

@@ -1,113 +1,38 @@
-"""Versioned JSON serialization for trained models.
+"""Versioned JSON envelope for trained models.
 
-Stump ensembles are stored as an explicit rule list at full precision; dense
-weight tensors (recurrent net, kNN reference) are base64-encoded little-endian
-float32 blobs with shape headers, which is lossy in the last bits but keeps
-audit runs replayable from the run directory alone.
+Each model class serializes its own body (``to_dict``/``from_dict``): stump
+ensembles as an explicit rule list at full precision, dense weight tensors
+(recurrent net, kNN reference) as base64 little-endian float32 blobs with
+shape headers, which is lossy in the last bits but keeps audit runs
+replayable from the run directory alone.
 """
 
 from __future__ import annotations
 
-import base64
-import json
-
-import numpy as np
-
-from .._util import canonical_json
+from .._util import read_json, typed, write_json
 from ..errors import ParseError
 from .birnn import BiRnnClassifier
 from .knn import KnnClassifier
-from .stumps import BoostedStumps, Stump
+from .stumps import BoostedStumps
 
 _FORMAT = "fairaudit-model"
 _VERSION = 1
-
-
-def _encode_array(arr: np.ndarray) -> dict:
-    return {
-        "shape": list(arr.shape),
-        "data": base64.b64encode(np.ascontiguousarray(arr, dtype="<f4").tobytes()).decode(),
-    }
-
-
-def _decode_array(obj: dict) -> np.ndarray:
-    raw = base64.b64decode(obj["data"])
-    return np.frombuffer(raw, dtype="<f4").reshape(obj["shape"]).astype(np.float64)
-
-
-def model_to_dict(model) -> dict:
-    if isinstance(model, BoostedStumps):
-        body = {
-            "base_score": model.base_score,
-            "learning_rate": model.learning_rate,
-            "rounds": model.rounds,
-            "stumps": [
-                {"feature": s.feature, "threshold": s.threshold, "left": s.left, "right": s.right}
-                for s in model.stumps
-            ],
-        }
-        family = "stumps"
-    elif isinstance(model, BiRnnClassifier):
-        body = {
-            "input_dim": model.input_dim,
-            "hidden_dim": model.hidden_dim,
-            "head_dim": model.head_dim,
-            "steps": model.steps,
-            "seed": model.seed,
-            "weights": {name: _encode_array(arr) for name, arr in model.params.items()},
-        }
-        family = "birnn"
-    elif isinstance(model, KnnClassifier):
-        body = {
-            "k": model.k,
-            "metric": model.metric,
-            "reference": _encode_array(model.reference),
-            "labels": [int(v) for v in model.labels],
-            "reference_ids": list(model.reference_ids),
-        }
-        family = "knn"
-    else:
-        raise ValueError(f"cannot serialize model of type {type(model).__name__}")
-    return {"format": _FORMAT, "version": _VERSION, "family": family, "model": body}
-
-
-def model_from_dict(obj: dict):
-    if obj.get("format") != _FORMAT:
-        raise ParseError(f"not a model file (format={obj.get('format')!r})")
-    if obj.get("version") != _VERSION:
-        raise ParseError(f"unsupported model version {obj.get('version')!r}")
-    family = obj.get("family")
-    body = obj["model"]
-    if family == "stumps":
-        return BoostedStumps(
-            [Stump(s["feature"], s["threshold"], s["left"], s["right"]) for s in body["stumps"]],
-            body["learning_rate"],
-            body["base_score"],
-        )
-    if family == "birnn":
-        return BiRnnClassifier(
-            body["input_dim"],
-            body["hidden_dim"],
-            body["head_dim"],
-            body["steps"],
-            body["seed"],
-            {name: _decode_array(spec) for name, spec in body["weights"].items()},
-        )
-    if family == "knn":
-        clf = KnnClassifier(body["k"], body["metric"])
-        clf.reference = _decode_array(body["reference"])
-        clf.labels = np.asarray(body["labels"], dtype=np.int64)
-        clf.reference_ids = tuple(body["reference_ids"])
-        return clf
-    raise ParseError(f"unknown model family {family!r}")
+_CLASSES = {cls.family: cls for cls in (KnnClassifier, BoostedStumps, BiRnnClassifier)}
 
 
 def save_model(model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(model_to_dict(model)))
-        fh.write("\n")
+    envelope = {"format": _FORMAT, "version": _VERSION, "family": model.family}
+    write_json(path, {**envelope, "model": model.to_dict()})
 
 
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    obj = read_json(path)
+    try:
+        if typed(obj, "format", str) != _FORMAT or typed(obj, "version", int) != _VERSION:
+            raise ValueError(f"not a version-{_VERSION} {_FORMAT} file")
+        family = typed(obj, "family", str)
+        if family not in _CLASSES:
+            raise ValueError(f"unknown model family {family!r}")
+        return _CLASSES[family].from_dict(typed(obj, "model", dict))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed model: {type(exc).__name__}: {exc}") from exc

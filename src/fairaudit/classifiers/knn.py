@@ -6,10 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._util import decode_array, encode_array, typed
 from ..dataset import DecisionVector
 from ..embed import EmbeddingMatrix
 from ..errors import AlignmentError, DimensionMismatchError, SizeError
-from ..simindex import search_queries
+from ..simindex import METRICS, search_queries
 
 
 @dataclass
@@ -22,9 +23,33 @@ class KnnClassifier:
     labels: np.ndarray | None = field(default=None, repr=False)
     reference_ids: tuple[str, ...] = ()
 
+    family = "knn"
+
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.metric not in METRICS:
+            raise ValueError(f"unknown metric {self.metric!r}; expected one of {METRICS}")
+
+    def to_dict(self) -> dict:
+        return {
+            "k": self.k,
+            "metric": self.metric,
+            "reference": encode_array(self.reference),
+            "labels": [int(v) for v in self.labels],
+            "reference_ids": list(self.reference_ids),
+        }
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> "KnnClassifier":
+        clf = cls(typed(obj, "k", int), typed(obj, "metric", str))
+        ids = tuple(typed(obj, "reference_ids", list))
+        labels = DecisionVector("labels", typed(obj, "labels", list), ids)
+        reference = decode_array(typed(obj, "reference", dict))
+        if reference.ndim != 2 or len(reference) != len(ids):
+            raise ValueError(f"reference shape {reference.shape} does not match {len(ids)} ids")
+        clf.reference, clf.labels, clf.reference_ids = reference, labels.values, ids
+        return clf
 
     def fit(self, matrix: EmbeddingMatrix, decisions: DecisionVector) -> "KnnClassifier":
         if matrix.index_order != decisions.index_order:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._util import typed
 from ..errors import TrainingError
 
 _CLAMP = 1e-12
@@ -46,9 +47,33 @@ class BoostedStumps:
     base_score: float
     train_loss: list[float] = field(default_factory=list, repr=False)
 
+    family = "stumps"
+
     @property
     def rounds(self) -> int:
         return len(self.stumps)
+
+    def to_dict(self) -> dict:
+        return {
+            "base_score": self.base_score,
+            "learning_rate": self.learning_rate,
+            "rounds": self.rounds,
+            "stumps": [
+                {"feature": s.feature, "threshold": s.threshold, "left": s.left, "right": s.right}
+                for s in self.stumps
+            ],
+        }
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> "BoostedStumps":
+        def numbers(o, *keys):
+            return [float(typed(o, key, (int, float))) for key in keys]
+
+        stumps = [Stump(typed(s, "feature", int), *numbers(s, "threshold", "left", "right"))
+                  for s in typed(obj, "stumps", list)]
+        if typed(obj, "rounds", int) != len(stumps) or any(s.feature < 0 for s in stumps):
+            raise ValueError("stump list does not match its round count or has a negative feature")
+        return cls(stumps, *numbers(obj, "learning_rate", "base_score"))
 
     def predict_margin(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

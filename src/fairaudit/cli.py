@@ -11,23 +11,24 @@ from __future__ import annotations
 import argparse
 import difflib
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
 from ._util import read_json, write_json
-from .audit import AuditConfig, AuditReport, render_report, run_audit
-from .classifiers import (
-    KnnClassifier,
-    TrainConfig,
-    birnn_train,
-    knn_predict,
-    load_model,
-    random_search,
-    save_model,
-    train_stumps,
+from .audit import (
+    CHOICES,
+    FLAG_NAMES,
+    LEARNERS,
+    NO_FLAG,
+    AuditConfig,
+    AuditReport,
+    predict_decisions,
+    render_report,
+    run_audit,
 )
+from .classifiers import TrainConfig, load_model, save_model
 from .dataset import (
-    DecisionVector,
     RaterConfig,
     attach_stage_labels,
     binarize_labels,
@@ -54,12 +55,6 @@ from .embed import (
 from .errors import FairauditError
 from .fairness import classification_metrics, consistency
 from .simindex import knn_batched, knn_exact, knn_feature_reranked, load_neighbors, save_neighbors
-
-SUBCOMMANDS = (
-    "synth", "embed", "split", "train", "predict",
-    "consistency", "metrics", "audit", "report",
-)
-
 
 class UsageError(Exception):
     pass
@@ -116,6 +111,30 @@ def _bias_shift(entries: list[str]) -> dict[int, float]:
     return shifts
 
 
+_FLAG_TYPES = {"int": int, "float": float, "str": str, "tuple": _ratios}
+
+
+def _add_config_flags(p: _Parser, cls) -> None:
+    """One flag per field of the config dataclass ``cls`` (see the table by AuditConfig),
+    typed by the field's annotation and defaulting to the field's default."""
+    for f in fields(cls):
+        if f.name in NO_FLAG:
+            continue
+        flag = "--" + FLAG_NAMES.get(f.name, f.name).replace("_", "-")
+        kind = f.type.split(" |")[0].split("[")[0]
+        how = ({"action": argparse.BooleanOptionalAction} if kind == "bool"
+               else {"type": _FLAG_TYPES[kind], "choices": CHOICES.get(f.name)})
+        p.add_argument(flag, dest=f.name, default=f.default, **how)
+
+
+def _config(cls, args):
+    """The config dataclass ``cls`` built from its flags; a rejected value is a usage error."""
+    try:
+        return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if f.name not in NO_FLAG})
+    except ValueError as exc:
+        raise UsageError(f"fairaudit {args.command}: error: {exc}") from exc
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="fairaudit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -144,7 +163,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("embed",
                        help="embed a corpus to the binary matrix format")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--embedder", choices=("hash", "ingest"), default="hash")
+    p.add_argument("--embedder", choices=CHOICES["embedder"], default="hash")
     p.add_argument("--d", type=int, default=768, help="dimensions per field")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--embeddings", default=None, help="source matrix for --embedder ingest")
@@ -156,7 +175,7 @@ def build_parser() -> _Parser:
     p.add_argument("--neighbors-out", default=None,
                    help="also write a k-NN structure over the embedded corpus")
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--metric", choices=("cosine", "euclidean"), default="cosine")
+    p.add_argument("--metric", choices=CHOICES["metric"], default="cosine")
     p.add_argument("--rerank", action=argparse.BooleanOptionalAction, default=True,
                    help="feature-reranked retrieval for --neighbors-out (default on)")
     p.add_argument("--batch-size", type=int, default=None,
@@ -170,24 +189,15 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train one classifier family")
-    p.add_argument("--family", choices=("knn", "stumps", "birnn"), required=True)
+    p.add_argument("--family", choices=tuple(LEARNERS), required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--splits", required=True)
     p.add_argument("--target", default="Type", help="label stage to learn (default Type)")
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--metric", choices=("cosine", "euclidean"), default="cosine")
+    p.add_argument("--metric", choices=CHOICES["metric"], default="cosine")
     p.add_argument("--d", type=int, default=768)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--rounds", type=int, default=200)
-    p.add_argument("--reg-lambda", type=float, default=1.0)
-    p.add_argument("--hidden-dim", type=int, default=32)
-    p.add_argument("--head-dim", type=int, default=16)
-    p.add_argument("--search-trials", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, TrainConfig)
     p.add_argument("--out", required=True)
     p.add_argument("--trials-out", default=None, help="write the search trial log as JSON")
 
@@ -209,39 +219,12 @@ def build_parser() -> _Parser:
                        help="classification metrics of predictions against truth")
     p.add_argument("--predicted", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--averaging", choices=("binary", "macro", "weighted"), default="weighted")
+    p.add_argument("--averaging", choices=CHOICES["averaging"], default="weighted")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("audit", help="run the full pipeline")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--embedder", choices=("hash", "ingest"), default="hash")
-    p.add_argument("--embeddings", default=None)
-    p.add_argument("--d", type=int, default=768)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--metric", choices=("cosine", "euclidean"), default="cosine")
-    p.add_argument("--averaging", choices=("binary", "macro", "weighted"), default="weighted")
-    p.add_argument("--ratios", type=_ratios, default=(0.8, 0.1, 0.1), metavar="TR,VA,TE")
-    p.add_argument("--stratify-on", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-tokens", type=int, default=None)
-    p.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--rerank", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--candidate-pool", type=int, default=None)
-    p.add_argument("--target", default="Type")
-    p.add_argument("--metrics-split", choices=("train", "validation", "test", "full"),
-                   default="test")
-    p.add_argument("--consistency-split", choices=("train", "validation", "test", "full"),
-                   default="full")
-    p.add_argument("--consistency-cells", choices=("stage", "all"), default="stage")
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--rounds", type=int, default=200)
-    p.add_argument("--reg-lambda", type=float, default=1.0)
-    p.add_argument("--hidden-dim", type=int, default=32)
-    p.add_argument("--head-dim", type=int, default=16)
-    p.add_argument("--search-trials", type=int, default=1)
+    _add_config_flags(p, AuditConfig)
     p.add_argument("--out", required=True, help="run directory")
 
     p = sub.add_parser("report", help="render a stored report")
@@ -308,84 +291,31 @@ def _cmd_split(args) -> int:
     return 0
 
 
-def _load_xy(args):
+def _cmd_train(args) -> int:
+    config = _config(TrainConfig, args)
     profiles = load_corpus(args.corpus)
     matrix = ingest_embeddings(args.embeddings, [p.id for p in profiles], args.d)
     split = load_split(args.splits)
     truth = binarize_labels(profiles, args.target)
-    position = {pid: i for i, pid in enumerate(matrix.index_order)}
-
-    def rows(ids):
-        idx = [position[pid] for pid in ids]
-        return matrix.data[idx], truth.values[idx]
-
-    return matrix, split, rows
-
-
-def _cmd_train(args) -> int:
-    matrix, split, rows = _load_xy(args)
-    x_train, y_train = rows(split.train)
-    x_val, y_val = rows(split.validation)
-    config = TrainConfig(
-        max_epochs=args.epochs,
-        patience=args.patience,
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        rounds=args.rounds,
-        reg_lambda=args.reg_lambda,
-        hidden_dim=args.hidden_dim,
-        head_dim=args.head_dim,
-        search_trials=args.search_trials,
-    )
-    trials = None
-    if args.family == "knn":
-        clf = KnnClassifier(args.k, args.metric)
-        train_matrix = EmbeddingMatrix(
-            x_train, args.d, matrix.field_order, tuple(split.train)
-        )
-        clf.fit(train_matrix, DecisionVector(f"truth:{args.target}", y_train, tuple(split.train)))
-        model = clf
-    elif args.family == "stumps":
-        if args.search_trials > 1:
-            result = random_search("stumps", x_train, y_train, x_val, y_val, config)
-            model, trials = result.model, result.trials
-        else:
-            model = train_stumps(x_train, y_train, config)
-    else:
-        n_fields = len(matrix.field_order)
-        seq_train = x_train.reshape(len(x_train), n_fields, args.d)
-        seq_val = x_val.reshape(len(x_val), n_fields, args.d)
-        if args.search_trials > 1:
-            result = random_search("birnn", seq_train, y_train, seq_val, y_val, config)
-            model, trials = result.model, result.trials
-        else:
-            model, _ = birnn_train(seq_train, y_train, seq_val, y_val, config)
+    train, val = matrix.take(split.train), matrix.take(split.validation)
+    y_train, y_val = truth.take(split.train).values, truth.take(split.validation).values
+    learner = LEARNERS[args.family]
+    model, trials = learner.train(train, y_train, val, y_val, config, args.k, args.metric)
     save_model(model, args.out)
     print(f"wrote {args.family} model to {args.out}")
     if args.trials_out and trials is not None:
-        write_json(args.trials_out, [
-            {"index": t.index, "params": t.params, "val_accuracy": t.val_accuracy,
-             "error": t.error}
-            for t in trials
-        ])
+        write_json(args.trials_out, trials)
         print(f"wrote trial log to {args.trials_out}")
     return 0
 
 
 def _cmd_predict(args) -> int:
+    if args.d < 1:
+        raise UsageError("fairaudit predict: error: --d must be at least 1")
     model = load_model(args.model)
     ids, data = load_matrix_file(args.embeddings)
-    if isinstance(model, KnnClassifier):
-        matrix = EmbeddingMatrix(
-            data, args.d, tuple(f"f{i}" for i in range(data.shape[1] // args.d)), tuple(ids)
-        )
-        vector = knn_predict(model, matrix)
-    elif hasattr(model, "predict_margin"):
-        vector = DecisionVector("model:gbstumps", model.predict(data), tuple(ids))
-    else:
-        seqs = data.reshape(len(ids), model.steps, model.input_dim)
-        vector = DecisionVector("model:birnn", model.predict(seqs), tuple(ids))
+    field_order = tuple(f"f{i}" for i in range(data.shape[1] // args.d))
+    vector = predict_decisions(model, EmbeddingMatrix(data, args.d, field_order, tuple(ids)))
     save_decisions(vector, args.out)
     print(f"wrote {len(ids)} decisions to {args.out}")
     return 0
@@ -415,34 +345,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    config = AuditConfig(
-        d=args.d,
-        k=args.k,
-        metric=args.metric,
-        averaging=args.averaging,
-        ratios=args.ratios,
-        stratify_on=args.stratify_on,
-        seed=args.seed,
-        embedder=args.embedder,
-        embeddings_path=args.embeddings,
-        max_tokens=args.max_tokens,
-        normalize=args.normalize,
-        rerank=args.rerank,
-        candidate_pool=args.candidate_pool,
-        target_stage=args.target,
-        metrics_split=args.metrics_split,
-        consistency_split=args.consistency_split,
-        consistency_cells=args.consistency_cells,
-        max_epochs=args.epochs,
-        patience=args.patience,
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        rounds=args.rounds,
-        reg_lambda=args.reg_lambda,
-        hidden_dim=args.hidden_dim,
-        head_dim=args.head_dim,
-        search_trials=args.search_trials,
-    )
+    config = _config(AuditConfig, args)
     report = run_audit(args.corpus, config, out_dir=args.out)
     print(render_report(report, "markdown"), end="")
     print(f"run directory: {args.out}")
@@ -471,6 +374,7 @@ _HANDLERS = {
     "audit": _cmd_audit,
     "report": _cmd_report,
 }
+SUBCOMMANDS = tuple(_HANDLERS)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import canonical_json
+from ._util import canonical_json, read_json, write_json
 from .errors import (
     AlignmentError,
     IntegrityError,
@@ -112,6 +112,11 @@ class DecisionVector:
     @classmethod
     def from_dict(cls, obj: dict) -> "DecisionVector":
         return cls(obj["source"], np.asarray(obj["values"]), tuple(obj["index_order"]))
+
+    def take(self, ids) -> "DecisionVector":
+        """The decisions of ``ids``, in that order."""
+        position = {pid: i for i, pid in enumerate(self.index_order)}
+        return DecisionVector(self.source, self.values[[position[pid] for pid in ids]], tuple(ids))
 
 
 @dataclass(frozen=True)
@@ -458,14 +463,11 @@ def split_corpus(
 
 
 def save_split(split: SplitAssignment, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(split.to_dict()))
-        fh.write("\n")
+    write_json(path, split.to_dict())
 
 
 def load_split(path) -> SplitAssignment:
-    with open(path, "r", encoding="utf-8") as fh:
-        return SplitAssignment.from_dict(json.load(fh))
+    return SplitAssignment.from_dict(read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -599,11 +601,8 @@ def simulate_raters(
 
 
 def save_decisions(vector: DecisionVector, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(vector.to_dict()))
-        fh.write("\n")
+    write_json(path, vector.to_dict())
 
 
 def load_decisions(path) -> DecisionVector:
-    with open(path, "r", encoding="utf-8") as fh:
-        return DecisionVector.from_dict(json.load(fh))
+    return DecisionVector.from_dict(read_json(path))

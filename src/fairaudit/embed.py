@@ -19,12 +19,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import struct
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import thread_cap
 from .dataset import FIELD_ORDER, Profile
 from .errors import (
     DimensionMismatchError,
@@ -79,12 +78,22 @@ class EmbeddingMatrix:
         """Rows reshaped to (N, fields, dim_per_field) for sequence models."""
         return self.data.reshape(self.n, len(self.field_order), self.dim_per_field)
 
+    def take(self, ids) -> "EmbeddingMatrix":
+        """The rows of ``ids``, in that order."""
+        position = {pid: i for i, pid in enumerate(self.index_order)}
+        data = self.data[[position[pid] for pid in ids]]
+        return EmbeddingMatrix(data, self.dim_per_field, self.field_order, tuple(ids))
+
 
 def _hash_key(seed: int) -> bytes:
     return (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
 
 
-def _accumulate_grams(text: str, d: int, key: bytes, out: np.ndarray, cache: dict) -> None:
+def _embed_into(out: np.ndarray, text: str, key: bytes, cache: dict, max_tokens) -> None:
+    """Hash ``text`` into the zero vector ``out`` and L2-normalize it in place."""
+    if max_tokens is not None:
+        text = " ".join(text.lower().split()[:max_tokens])
+    d = len(out)
     tokens = text.lower().split()
     for gram in tokens + [f"{a} {b}" for a, b in zip(tokens, tokens[1:])]:
         slot = cache.get(gram)
@@ -94,6 +103,9 @@ def _accumulate_grams(text: str, d: int, key: bytes, out: np.ndarray, cache: dic
             slot = ((value >> 1) % d, 1.0 if value & 1 else -1.0)
             cache[gram] = slot
         out[slot[0]] += slot[1]
+    norm = np.linalg.norm(out)
+    if norm > 0:
+        out /= norm
 
 
 def hash_embed_field(
@@ -112,13 +124,8 @@ def hash_embed_field(
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    if max_tokens is not None:
-        text = " ".join(text.lower().split()[:max_tokens])
     vec = np.zeros(d)
-    _accumulate_grams(text, d, _hash_key(seed), vec, {})
-    norm = np.linalg.norm(vec)
-    if norm > 0:
-        vec /= norm
+    _embed_into(vec, text, _hash_key(seed), {}, max_tokens)
     return vec
 
 
@@ -135,25 +142,9 @@ def embed_corpus(
     data = np.zeros((len(profiles), d * n_fields))
     key = _hash_key(seed)
     cache: dict = {}
-
-    def embed_row(i: int) -> None:
+    for i, profile in enumerate(profiles):
         for f, name in enumerate(FIELD_ORDER):
-            text = profiles[i].fields[name]
-            if max_tokens is not None:
-                text = " ".join(text.lower().split()[:max_tokens])
-            block = data[i, f * d : (f + 1) * d]
-            _accumulate_grams(text, d, key, block, cache)
-            norm = np.linalg.norm(block)
-            if norm > 0:
-                block /= norm
-
-    cap = thread_cap()
-    if cap > 1 and len(profiles) > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            list(pool.map(embed_row, range(len(profiles))))
-    else:
-        for i in range(len(profiles)):
-            embed_row(i)
+            _embed_into(data[i, f * d : (f + 1) * d], profile.fields[name], key, cache, max_tokens)
     return EmbeddingMatrix(data, d, FIELD_ORDER, tuple(p.id for p in profiles))
 
 
@@ -190,22 +181,25 @@ def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
 
 def _read_faem(path) -> tuple[list[str], np.ndarray]:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ParseError(f"bad magic bytes {magic!r}; expected {_MAGIC!r}")
-        (version,) = struct.unpack("<H", fh.read(2))
+        buf = fh.read()
+    if buf[:4] != _MAGIC:
+        raise ParseError(f"bad magic bytes {buf[:4]!r}; expected {_MAGIC!r}")
+    try:
+        version, n, d_total = struct.unpack_from("<HQQ", buf, 4)
         if version != _VERSION:
             raise ParseError(f"unsupported format version {version}")
-        n, d_total = struct.unpack("<QQ", fh.read(16))
-        ids = []
+        offset, ids = 22, []
         for _ in range(n):
-            (length,) = struct.unpack("<I", fh.read(4))
-            ids.append(fh.read(length).decode("utf-8"))
-        raw = fh.read(n * d_total * 4)
-        if len(raw) != n * d_total * 4:
-            raise ParseError("truncated data section")
-        data = np.frombuffer(raw, dtype="<f4").reshape(n, d_total).astype(np.float64)
-    return ids, data
+            (length,) = struct.unpack_from("<I", buf, offset)
+            offset += 4 + length
+            if offset > len(buf):
+                raise ParseError("truncated id section")
+            ids.append(buf[offset - length : offset].decode("utf-8"))
+        data = np.frombuffer(buf, dtype="<f4", count=n * d_total, offset=offset)
+        data = data.reshape(n, d_total)
+    except (struct.error, UnicodeDecodeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"truncated or corrupt matrix file: {exc}") from exc
+    return ids, data.astype(np.float64)
 
 
 def _read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
@@ -222,7 +216,7 @@ def _read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
                     continue  # header row
                 raise ParseError("non-numeric value in matrix row", line_no)
             ids.append(row[0])
-    if not ids:
+    if not ids or not any(rows):
         raise ParseError("empty matrix file")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
@@ -251,14 +245,16 @@ def ingest_embeddings(path, expected_ids, d: int) -> EmbeddingMatrix:
     expected_dim = d * len(FIELD_ORDER)
     if data.shape[1] != expected_dim:
         raise DimensionMismatchError(expected_dim, data.shape[1], "embedding width")
-    if len(set(ids)) != len(ids):
-        dupes = sorted({pid for pid in ids if ids.count(pid) > 1})
+    counts = Counter(ids)
+    if len(counts) != len(ids):
+        dupes = sorted(pid for pid, count in counts.items() if count > 1)
         raise IntegrityError(f"duplicate ids in embedding file: {dupes[:10]}")
     if not np.isfinite(data).all():
         raise NonFiniteError("embedding file contains NaN or Inf")
     position = {pid: i for i, pid in enumerate(ids)}
+    expected = set(expected_ids)
     missing = [pid for pid in expected_ids if pid not in position]
-    extra = [pid for pid in ids if pid not in set(expected_ids)]
+    extra = [pid for pid in ids if pid not in expected]
     if missing or extra or len(ids) != len(expected_ids):
         raise IdMismatchError(
             f"embedding ids do not match corpus: missing {missing[:10]}, extra {extra[:10]}"

@@ -12,12 +12,11 @@ Metrics: ``cosine`` (zero vectors have similarity 0 to everything) and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import canonical_json
+from ._util import read_json, write_json
 from .embed import EmbeddingMatrix
 from .errors import AlignmentError, DimensionMismatchError, NonFiniteError, SizeError
 
@@ -260,9 +259,7 @@ def knn_feature_reranked(
 
 
 def save_neighbors(nl: NeighborList, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(neighbors_to_dict(nl)))
-        fh.write("\n")
+    write_json(path, neighbors_to_dict(nl))
 
 
 def neighbors_to_dict(nl: NeighborList) -> dict:
@@ -297,5 +294,4 @@ def neighbors_from_dict(obj: dict) -> NeighborList:
 
 
 def load_neighbors(path) -> NeighborList:
-    with open(path, "r", encoding="utf-8") as fh:
-        return neighbors_from_dict(json.load(fh))
+    return neighbors_from_dict(read_json(path))
