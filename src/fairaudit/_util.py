@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import base64
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import IntegrityError, ParseError
 
 
 def canonical_json(obj) -> str:
@@ -30,11 +31,37 @@ def read_json(path):
 
 
 def typed(obj: dict, key: str, kind: type | tuple[type, ...]):
-    """``obj[key]``, raising TypeError unless it is a ``kind`` (never a bool)."""
+    """``obj[key]``, raising TypeError unless it is a ``kind`` (a bool only if ``kind`` is bool)."""
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise TypeError(f"{key!r} has type {type(value).__name__}")
     return value
+
+
+def typed_list(obj: dict, key: str, kind: type | tuple[type, ...]) -> list:
+    """``obj[key]`` as a list whose every item is a ``kind`` (never a bool)."""
+    items = typed(obj, key, list)
+    if any(isinstance(item, bool) or not isinstance(item, kind) for item in items):
+        raise TypeError(f"{key!r} holds an item that is not {kind}")
+    return items
+
+
+def positions(index_order, ids) -> list[int]:
+    """Where each of ``ids`` sits in ``index_order``; IntegrityError names unknown ids."""
+    position = {pid: i for i, pid in enumerate(index_order)}
+    unknown = [pid for pid in ids if pid not in position]
+    if unknown:
+        raise IntegrityError(f"{len(unknown)} ids not found, e.g. {unknown[:10]}")
+    return [position[pid] for pid in ids]
+
+
+@contextmanager
+def parsing(what: str):
+    """Report a missing or mistyped key of an artifact as a ParseError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
 
 
 def encode_array(arr: np.ndarray) -> dict:

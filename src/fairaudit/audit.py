@@ -14,12 +14,16 @@ from __future__ import annotations
 
 import datetime
 import hashlib
+import os
+import shutil
+import tempfile
 from dataclasses import asdict, dataclass, fields, replace
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from ._util import canonical_json, derive_seeds, write_json
+from ._util import canonical_json, derive_seeds, parsing, typed, write_json
 from .classifiers import (
     KnnClassifier,
     TrainConfig,
@@ -213,10 +217,17 @@ class AuditReport:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "AuditReport":
-        rows = tuple(
-            ReportRow(r["source"], *[r.get(c) for c in _REPORT_COLUMNS]) for r in obj["rows"]
-        )
-        return cls(rows, obj["metadata"])
+        """Cells absent from a row, or null, are missing values."""
+
+        def cell(row: dict, column: str) -> float | None:
+            return None if row.get(column) is None else typed(row, column, (int, float))
+
+        with parsing("report"):
+            rows = tuple(
+                ReportRow(typed(r, "source", str), *[cell(r, c) for c in _REPORT_COLUMNS])
+                for r in typed(obj, "rows", list)
+            )
+            return cls(rows, typed(obj, "metadata", dict))
 
 
 def _stage(name: str, fn):
@@ -425,6 +436,11 @@ def run_audit(corpus_path, config: AuditConfig | None = None, out_dir=None) -> A
     splits.json, models/*.json, neighbors.json (the per-stage structures used
     for the consistency columns), and report.{json,csv,md}. Nothing is written
     until the whole pipeline has succeeded, so partial reports never appear.
+    The files are written into a hidden sibling directory first. When
+    ``out_dir`` is missing or empty, that directory then replaces it in one
+    rename; an existing non-empty ``out_dir`` has its files of the same names
+    overwritten and keeps the others. A failed write leaves ``out_dir`` as it
+    was and removes the sibling.
     """
     config = config or AuditConfig()
     run = _AuditRun(corpus_path, config)
@@ -435,10 +451,26 @@ def run_audit(corpus_path, config: AuditConfig | None = None, out_dir=None) -> A
 
 
 def _write_run_dir(run: _AuditRun, report: AuditReport, out_dir) -> None:
-    from pathlib import Path
-
     out = Path(out_dir)
-    (out / "models").mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
+    try:
+        tree = staging / "run"  # made by mkdir, so it gets the usual permissions
+        _write_run_files(run, report, tree)
+        if out.is_dir() and any(out.iterdir()):
+            for path in sorted(tree.rglob("*")):
+                if path.is_file():
+                    target = out / path.relative_to(tree)
+                    target.parent.mkdir(exist_ok=True)
+                    os.replace(path, target)
+        else:
+            os.replace(tree, out)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
+def _write_run_files(run: _AuditRun, report: AuditReport, out: Path) -> None:
+    (out / "models").mkdir(parents=True)
     config_obj = asdict(run.config)
     config_obj["derived_seeds"] = run.seeds
     write_json(out / "config.json", config_obj)

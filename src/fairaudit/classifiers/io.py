@@ -9,8 +9,7 @@ replayable from the run directory alone.
 
 from __future__ import annotations
 
-from .._util import read_json, typed, write_json
-from ..errors import ParseError
+from .._util import parsing, read_json, typed, write_json
 from .birnn import BiRnnClassifier
 from .knn import KnnClassifier
 from .stumps import BoostedStumps
@@ -27,12 +26,10 @@ def save_model(model, path) -> None:
 
 def load_model(path):
     obj = read_json(path)
-    try:
+    with parsing(f"model {path}"):
         if typed(obj, "format", str) != _FORMAT or typed(obj, "version", int) != _VERSION:
             raise ValueError(f"not a version-{_VERSION} {_FORMAT} file")
         family = typed(obj, "family", str)
         if family not in _CLASSES:
             raise ValueError(f"unknown model family {family!r}")
         return _CLASSES[family].from_dict(typed(obj, "model", dict))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed model: {type(exc).__name__}: {exc}") from exc

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import canonical_json, read_json, write_json
+from ._util import canonical_json, parsing, positions, read_json, typed, typed_list, write_json
 from .errors import (
     AlignmentError,
     IntegrityError,
@@ -111,12 +111,13 @@ class DecisionVector:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "DecisionVector":
-        return cls(obj["source"], np.asarray(obj["values"]), tuple(obj["index_order"]))
+        with parsing("decisions"):
+            values = np.array(typed_list(obj, "values", int), dtype=np.int64)
+            return cls(typed(obj, "source", str), values, tuple(typed_list(obj, "index_order", str)))
 
     def take(self, ids) -> "DecisionVector":
         """The decisions of ``ids``, in that order."""
-        position = {pid: i for i, pid in enumerate(self.index_order)}
-        return DecisionVector(self.source, self.values[[position[pid] for pid in ids]], tuple(ids))
+        return DecisionVector(self.source, self.values[positions(self.index_order, ids)], tuple(ids))
 
 
 @dataclass(frozen=True)
@@ -128,6 +129,11 @@ class SplitAssignment:
     test: tuple[str, ...]
     seed: int
     ratios: tuple[float, float, float]
+
+    def __post_init__(self):
+        ids = self.train + self.validation + self.test
+        if len(set(ids)) != len(ids):
+            raise IntegrityError("split parts overlap or repeat an id")
 
     def subsets(self) -> dict[str, tuple[str, ...]]:
         return {"train": self.train, "validation": self.validation, "test": self.test}
@@ -143,13 +149,10 @@ class SplitAssignment:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SplitAssignment":
-        return cls(
-            tuple(obj["train"]),
-            tuple(obj["validation"]),
-            tuple(obj["test"]),
-            int(obj["seed"]),
-            tuple(float(r) for r in obj["ratios"]),
-        )
+        with parsing("splits"):
+            parts = [tuple(typed_list(obj, key, str)) for key in ("train", "validation", "test")]
+            ratios = tuple(float(r) for r in typed_list(obj, "ratios", (int, float)))
+            return cls(*parts, typed(obj, "seed", int), ratios)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import positions
 from .dataset import FIELD_ORDER, Profile
 from .errors import (
     DimensionMismatchError,
@@ -80,8 +81,7 @@ class EmbeddingMatrix:
 
     def take(self, ids) -> "EmbeddingMatrix":
         """The rows of ``ids``, in that order."""
-        position = {pid: i for i, pid in enumerate(self.index_order)}
-        data = self.data[[position[pid] for pid in ids]]
+        data = self.data[positions(self.index_order, ids)]
         return EmbeddingMatrix(data, self.dim_per_field, self.field_order, tuple(ids))
 
 

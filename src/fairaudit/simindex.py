@@ -16,9 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import read_json, write_json
+from ._util import parsing, read_json, typed, typed_list, write_json
 from .embed import EmbeddingMatrix
-from .errors import AlignmentError, DimensionMismatchError, NonFiniteError, SizeError
+from .errors import (
+    AlignmentError,
+    DimensionMismatchError,
+    IntegrityError,
+    NonFiniteError,
+    SizeError,
+)
 
 METRICS = ("cosine", "euclidean")
 
@@ -280,17 +286,29 @@ def neighbors_to_dict(nl: NeighborList) -> dict:
 
 
 def neighbors_from_dict(obj: dict) -> NeighborList:
-    rows = obj["rows"]
-    ids = tuple(row["id"] for row in rows)
-    position = {pid: i for i, pid in enumerate(ids)}
-    if len(position) != len(ids):
-        raise AlignmentError("duplicate ids in neighbor rows")
-    k = int(obj["k"])
-    neighbors = np.array(
-        [[position[pid] for pid in row["neighbors"]] for row in rows], dtype=np.int64
-    ).reshape(len(rows), k)
-    scores = np.array([row["scores"] for row in rows], dtype=np.float64).reshape(len(rows), k)
-    return NeighborList(k, neighbors, scores, obj["metric"], bool(obj["excludes_self"]), ids)
+    with parsing("neighbors"):
+        rows = typed(obj, "rows", list)
+        ids = tuple(typed(row, "id", str) for row in rows)
+        named = [typed_list(row, "neighbors", str) for row in rows]
+        scores = [typed_list(row, "scores", (int, float)) for row in rows]
+        k = typed(obj, "k", int)
+        metric = typed(obj, "metric", str)
+        excludes_self = typed(obj, "excludes_self", bool)
+        position = {pid: i for i, pid in enumerate(ids)}
+        if len(position) != len(ids):
+            raise AlignmentError("duplicate ids in neighbor rows")
+        unknown = sorted({pid for names in named for pid in names} - position.keys())
+        if unknown:
+            raise IntegrityError(f"neighbor ids that name no row: {unknown[:10]}")
+        neighbors = np.array([[position[pid] for pid in names] for names in named], dtype=np.int64)
+        return NeighborList(
+            k,
+            neighbors.reshape(len(rows), k),
+            np.array(scores, dtype=np.float64).reshape(len(rows), k),
+            metric,
+            excludes_self,
+            ids,
+        )
 
 
 def load_neighbors(path) -> NeighborList:

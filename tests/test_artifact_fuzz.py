@@ -17,10 +17,21 @@ from fairaudit.classifiers import (
     save_model,
     train_stumps,
 )
+from fairaudit._util import read_json, write_json
+from fairaudit.audit import AuditReport, ReportRow
 from fairaudit.cli import main
-from fairaudit.dataset import FIELD_ORDER, DecisionVector
+from fairaudit.dataset import (
+    FIELD_ORDER,
+    DecisionVector,
+    binarize_labels,
+    load_corpus,
+    load_decisions,
+    load_split,
+    save_decisions,
+)
 from fairaudit.embed import EmbeddingMatrix, load_matrix_file, save_embeddings
-from fairaudit.errors import FairauditError
+from fairaudit.errors import FairauditError, IntegrityError
+from fairaudit.simindex import load_neighbors
 
 D = 2  # dimensions per field; rows are 5 * D wide
 
@@ -128,3 +139,118 @@ def test_dropped_or_retyped_key_is_a_parse_error(family, data):
         emb = Path(tmp) / "emb.faem"
         save_embeddings(small_matrix(), emb)
         assert predict_exit(model, emb, tmp) == 2
+
+
+# ---------------------------------------------------------------------------
+# splits, decisions, neighbors and reports, through their loaders and the CLI
+
+
+def load_report(path):
+    return AuditReport.from_dict(read_json(path))
+
+
+# kind -> (file name, loader, CLI command reading the file at ``path`` from ``root``)
+ARTIFACTS = {
+    "splits": ("splits.json", load_split, lambda root, path: [
+        "train", "--family", "knn", "--corpus", str(root / "corpus.jsonl"),
+        "--embeddings", str(root / "emb.faem"), "--splits", str(path), "--d", "4",
+        "--out", str(path.parent / "model.json")]),
+    "decisions": ("truth.json", load_decisions, lambda root, path: [
+        "metrics", "--predicted", str(path), "--truth", str(root / "truth.json")]),
+    "neighbors": ("nn.json", load_neighbors, lambda root, path: [
+        "consistency", "--decisions", str(root / "truth.json"), "--neighbors", str(path)]),
+    "report": ("report.json", load_report, lambda root, path: ["report", "--report", str(path)]),
+}
+REPORT_COLUMNS = ("precision", "recall", "f1", "accuracy", "c_ar", "c_of")
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """One intact file of each kind in ARTIFACTS, plus the corpus and embeddings beside them."""
+    root = tmp_path_factory.mktemp("artifacts")
+    corpus = root / "corpus.jsonl"
+    assert main(["synth", "--n", "30", "--seed", "3", "--out-corpus", str(corpus)]) == 0
+    assert main(["embed", "--corpus", str(corpus), "--d", "4", "--seed", "1",
+                 "--out", str(root / "emb.faem"), "--neighbors-out", str(root / "nn.json"),
+                 "--k", "3"]) == 0
+    assert main(["split", "--corpus", str(corpus), "--seed", "2",
+                 "--out", str(root / "splits.json")]) == 0
+    save_decisions(binarize_labels(load_corpus(corpus), "Type"), root / "truth.json")
+    rows = (ReportRow("human:AR", 0.5, 0.25, 1 / 3, 0.75, 0.9, 0.8), ReportRow("model:knn"))
+    write_json(root / "report.json", AuditReport(rows, {"seed": 1, "train": {"rounds": 3}}).to_dict())
+    return root
+
+
+def may_load(kind: str, path: tuple, dropped: bool, value) -> bool:
+    """Whether the change keeps the file valid: report metadata is free-form, cells may be absent."""
+    if kind != "report":
+        return False
+    if path[0] == "metadata" and len(path) > 1:
+        return True
+    return path[0] == "rows" and path[-1] in REPORT_COLUMNS and (dropped or value is None)
+
+
+@pytest.mark.parametrize("kind", sorted(ARTIFACTS))
+def test_intact_artifact_loads_and_its_command_succeeds(artifacts, kind, tmp_path, capsys):
+    name, loader, command = ARTIFACTS[kind]
+    loader(artifacts / name)
+    assert main(command(artifacts, artifacts / name)) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", sorted(ARTIFACTS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_dropped_or_retyped_artifact_key_is_an_error(artifacts, kind, data):
+    name, loader, command = ARTIFACTS[kind]
+    obj = json.loads((artifacts / name).read_text())
+    path = data.draw(st.sampled_from(sorted(key_paths(obj), key=str)))
+    parent = obj
+    for step in path[:-1]:
+        parent = parent[step]
+    old = parent[path[-1]]
+    dropped = data.draw(st.booleans())
+    value = None
+    if dropped:
+        del parent[path[-1]]
+    else:
+        value = data.draw(
+            st.sampled_from([v for v in REPLACEMENTS if json_kind(v) != json_kind(old)])
+        )
+        parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        damaged = Path(tmp) / name
+        damaged.write_text(json.dumps(obj))
+        try:
+            loader(damaged)
+            loaded = True
+        except FairauditError:
+            loaded = False
+        assert loaded == may_load(kind, path, dropped, value), path
+        assert main(command(artifacts, damaged)) == (0 if loaded else 2)
+
+
+def test_unknown_neighbor_id_is_an_integrity_error(artifacts, tmp_path, capsys):
+    obj = json.loads((artifacts / "nn.json").read_text())
+    obj["rows"][0]["neighbors"][0] = "nobody"
+    damaged = tmp_path / "nn.json"
+    damaged.write_text(json.dumps(obj))
+    with pytest.raises(IntegrityError):
+        load_neighbors(damaged)
+    assert main(ARTIFACTS["neighbors"][2](artifacts, damaged)) == 2
+    assert "nobody" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["unknown id", "shared id"])
+def test_split_naming_a_foreign_or_shared_id_is_an_integrity_error(artifacts, damage, tmp_path):
+    obj = json.loads((artifacts / "splits.json").read_text())
+    if damage == "unknown id":
+        obj["train"][0] = "nobody"
+    else:
+        obj["test"].append(obj["train"][0])
+    damaged = tmp_path / "splits.json"
+    damaged.write_text(json.dumps(obj))
+    if damage == "shared id":
+        with pytest.raises(IntegrityError):
+            load_split(damaged)
+    assert main(ARTIFACTS["splits"][2](artifacts, damaged)) == 2

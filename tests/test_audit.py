@@ -122,6 +122,49 @@ class TestRunAudit:
         neighbors = json.loads((out / "neighbors.json").read_text())
         assert set(neighbors["stages"]) == {"AR", "OF"}
 
+    def test_failed_write_leaves_no_run_dir(self, tmp_path, monkeypatch):
+        import fairaudit.audit as audit_module
+
+        corpus = make_corpus(tmp_path)
+        saved = []
+
+        def save_then_fail(model, path):
+            if saved:
+                raise OSError("disk full")
+            saved.append(path)
+            audit_module.write_json(path, {})
+
+        monkeypatch.setattr(audit_module, "save_model", save_then_fail)
+        out = tmp_path / "runs" / "run"
+        with pytest.raises(StageError, match=r"\[write\]"):
+            run_audit(corpus, small_config(), out_dir=out)
+        assert saved  # the failure came partway through the files
+        assert not out.exists()
+        assert list(out.parent.iterdir()) == []
+
+    def test_existing_run_dir(self, tmp_path, monkeypatch):
+        corpus = make_corpus(tmp_path)
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        run_audit(corpus, small_config(), out_dir=empty)
+        assert (empty / "models" / "gbstumps.json").exists()
+
+        kept = tmp_path / "kept"
+        (kept / "models").mkdir(parents=True)
+        (kept / "notes.txt").write_text("mine")
+        (kept / "report.md").write_text("old")
+        run_audit(corpus, small_config(), out_dir=kept)
+        assert (kept / "notes.txt").read_text() == "mine"
+        assert (kept / "report.md").read_text() == (empty / "report.md").read_text()
+        assert (kept / "models" / "gbstumps.json").exists()
+
+        (kept / "report.md").write_text("old")
+        monkeypatch.setattr("fairaudit.audit.render_report", lambda *a: 1 / 0)
+        with pytest.raises(StageError, match=r"\[write\]"):
+            run_audit(corpus, small_config(), out_dir=kept)
+        assert (kept / "report.md").read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".")) == []
+
     def test_metrics_split_scope_recorded_and_applied(self, tmp_path):
         corpus = make_corpus(tmp_path)
         full = run_audit(corpus, small_config(metrics_split="full"))
