@@ -169,7 +169,10 @@ def _best_split(blocks, gh: np.ndarray, lam: float, n_features: int):
             continue
         left, total = _left_sums(gh, order, split_at, counts)
         g_left, h_left, g_total, h_total = left.real, left.imag, total.real, total.imag
-        gain = g_left**2 / (h_left + lam) + (g_total - g_left) ** 2 / (h_total - h_left + lam)
+        # reg_lambda=0 with saturated probabilities divides by zero; the NaN
+        # or inf that results stops boosting below, as intended
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = g_left**2 / (h_left + lam) + (g_total - g_left) ** 2 / (h_total - h_left + lam)
         top = gain.max()
         if np.isnan(top):
             return None

@@ -353,7 +353,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = AuditReport.from_dict(read_json(args.report))
+    report = AuditReport.from_dict(read_json(args.report), f"report {args.report}")
     text = render_report(report, args.format)
     if args.out:
         Path(args.out).write_text(text)

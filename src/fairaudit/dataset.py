@@ -110,8 +110,8 @@ class DecisionVector:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "DecisionVector":
-        with parsing("decisions"):
+    def from_dict(cls, obj: dict, what: str = "decisions") -> "DecisionVector":
+        with parsing(what):
             values = np.array(typed_list(obj, "values", int), dtype=np.int64)
             return cls(typed(obj, "source", str), values, tuple(typed_list(obj, "index_order", str)))
 
@@ -148,8 +148,8 @@ class SplitAssignment:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "SplitAssignment":
-        with parsing("splits"):
+    def from_dict(cls, obj: dict, what: str = "splits") -> "SplitAssignment":
+        with parsing(what):
             parts = [tuple(typed_list(obj, key, str)) for key in ("train", "validation", "test")]
             ratios = tuple(float(r) for r in typed_list(obj, "ratios", (int, float)))
             return cls(*parts, typed(obj, "seed", int), ratios)
@@ -470,7 +470,7 @@ def save_split(split: SplitAssignment, path) -> None:
 
 
 def load_split(path) -> SplitAssignment:
-    return SplitAssignment.from_dict(read_json(path))
+    return SplitAssignment.from_dict(read_json(path), f"splits {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -608,4 +608,4 @@ def save_decisions(vector: DecisionVector, path) -> None:
 
 
 def load_decisions(path) -> DecisionVector:
-    return DecisionVector.from_dict(read_json(path))
+    return DecisionVector.from_dict(read_json(path), f"decisions {path}")

@@ -1,13 +1,24 @@
 """Similarity computation and exact k-nearest-neighbor retrieval.
 
-Scores for each query row are computed by one matrix-vector product against
-the full reference matrix, so results are bit-identical no matter how queries
-are batched; batching only bounds how many score rows are held in memory at
-once. Ranking is by descending score with ties broken by ascending row index,
-which makes every downstream number reproducible.
+:func:`search` scores a block of query rows against the whole reference with
+one GEMM (unit-row dot products for cosine, negated squared distances for
+euclidean, ``-inf`` on a query's own row when self is excluded), finds each
+row's k-th largest score ``t`` with ``np.partition``, rescores the columns
+scoring at least ``t - 2*delta`` (the band) with the pair kernel of
+:func:`_pair_scores`, and ranks them by descending score, ties by row index.
 
-Metrics: ``cosine`` (zero vectors have similarity 0 to everything) and
-``euclidean`` (similarity is the negated distance, so larger is closer).
+``delta`` bounds |GEMM - pair kernel|: both sum a length-D dot product within
+``gamma_D |q| |r| + D tiny/2`` of its exact value (``gamma_D = D u / (1 - D
+u)``, ``u = 2**-53``, ``tiny`` the least subnormal; Higham, *Accuracy and
+Stability of Numerical Algorithms*, sections 2.1 and 3.1), so they differ by at
+most ``gamma_D S + D tiny``, ``S = |q|^2 + max |r|^2``. Euclidean doubles that,
+adds ``7 u S`` rounding its sums and ties square roots of values up to ``8 u S``
+apart; ``delta = (D + 8) eps S + 2 D tiny`` (``eps = 2 u``) covers it all. As k
+columns score at least ``t``, the k-th exact score is at least ``t - delta``,
+and each exact top-k column scores at least ``t - 2*delta`` in the GEMM. So
+batch size and BLAS threads change memory use, never a result; by default no
+buffer grows as N x N. Metrics: ``cosine`` (zero vectors have similarity 0 to
+everything) and ``euclidean`` (similarity is the negated distance).
 """
 
 from __future__ import annotations
@@ -83,77 +94,89 @@ def pairwise_similarity(a, b, metric: str = "cosine") -> float:
     return float(-np.linalg.norm(a - b))
 
 
-def _normalize_rows(data: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(data, axis=1, keepdims=True)
-    out = data.copy()
-    np.divide(out, norms, out=out, where=norms > 0)
-    return out
+# Float64 entries in one query block's GEMM scores and in each gather buffer
+# of the pair kernel. They bound working memory; no result depends on them.
+_BLOCK_ELEMS = 1 << 18
+_GATHER_ELEMS = 1 << 17
 
 
-class _RowScorer:
-    """Scores one query row against a fixed reference matrix.
-
-    The per-row kernel is the unit of reproducibility: every search path uses
-    it unchanged, so batch boundaries cannot perturb scores.
-    """
-
-    def __init__(self, reference: np.ndarray, metric: str):
-        self.metric = metric
-        if metric == "cosine":
-            self.ref = _normalize_rows(reference)
-        else:
-            self.ref = reference
-            self.ref_sq = np.einsum("ij,ij->i", reference, reference)
-
-    def prepare_queries(self, queries: np.ndarray) -> np.ndarray:
-        return _normalize_rows(queries) if self.metric == "cosine" else queries
-
-    def score_row(self, query_row: np.ndarray) -> np.ndarray:
-        if self.metric == "cosine":
-            return self.ref @ query_row
-        sq = self.ref_sq + query_row @ query_row - 2.0 * (self.ref @ query_row)
-        return -np.sqrt(np.maximum(sq, 0.0))
+def _prepare(data: np.ndarray, metric: str) -> tuple[np.ndarray, np.ndarray]:
+    """Rows as scored (unit rows for cosine) and their squared norms."""
+    rows = np.array(data) if metric == "cosine" else np.ascontiguousarray(data)
+    if metric == "cosine":  # in chunks: norm squares a copy of its input
+        for chunk in np.array_split(rows, max(1, rows.size // _GATHER_ELEMS)):
+            norms = np.linalg.norm(chunk, axis=1, keepdims=True)
+            np.divide(chunk, norms, out=chunk, where=norms > 0)
+    return rows, np.einsum("ij,ij->i", rows, rows)
 
 
-def _top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    # stable sort on negated scores: descending score, ties by ascending index
-    order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    return order, np.take_along_axis(scores, order, axis=1)
+def _pair_scores(q, q_sq, ref, ref_sq, rows, cols, metric: str) -> np.ndarray:
+    """Scores of the pairs ``(q[rows[i]], ref[cols[i]])`` by the pair kernel, a
+    row-wise einsum: a score depends on its two rows alone, not on how many
+    pairs are scored, where they sit in memory or on BLAS."""
+    dots = np.empty(len(rows))
+    step = max(1, _GATHER_ELEMS // max(1, q.shape[1]))
+    a, b = np.empty((2, min(step, len(rows)), q.shape[1]))
+    for start in range(0, len(rows), step):
+        m = min(step, len(rows) - start)
+        # mode="clip" lets take write into the reused buffers without a copy
+        np.take(q, rows[start : start + m], axis=0, out=a[:m], mode="clip")
+        np.take(ref, cols[start : start + m], axis=0, out=b[:m], mode="clip")
+        dots[start : start + m] = np.einsum("ij,ij->i", a[:m], b[:m])
+    if metric == "cosine":
+        return dots
+    return -np.sqrt(np.maximum(ref_sq[cols] + q_sq[rows] - 2.0 * dots, 0.0))
 
 
-def _search(
+def _rank(rows, cols, scores, n_rows: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """First k ``cols`` of each of ``rows`` (sorted, from 0) by the tie rule."""
+    order = np.lexsort((cols, -scores, rows))
+    pick = order[np.searchsorted(rows, np.arange(n_rows))[:, None] + np.arange(k)]
+    return cols[pick], scores[pick]
+
+
+def search(
     queries: np.ndarray,
     reference: np.ndarray,
     k: int,
     metric: str,
     exclude_diagonal: bool,
-    batch_size: int | None,
+    block: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k reference rows of every query row, ``block`` rows per GEMM
+    (by default as many as fit in ``_BLOCK_ELEMS`` scores)."""
     _check_metric(metric)
+    queries = np.ascontiguousarray(queries, dtype=np.float64)
+    reference = np.ascontiguousarray(reference, dtype=np.float64)
     n_q, n_ref = queries.shape[0], reference.shape[0]
     if queries.shape[1] != reference.shape[1]:
         raise DimensionMismatchError(reference.shape[1], queries.shape[1], "embedding width")
     limit = n_ref - 1 if exclude_diagonal else n_ref
     if not 1 <= k <= limit:
         raise SizeError(f"k={k} out of range [1, {limit}] for {n_ref} reference rows")
-    if batch_size is None:
-        batch_size = n_q
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    scorer = _RowScorer(reference, metric)
-    queries = scorer.prepare_queries(queries)
+    if block is None:
+        block = max(1, _BLOCK_ELEMS // n_ref)
+    if block < 1:
+        raise ValueError(f"batch_size must be >= 1, got {block}")
+    if not (np.isfinite(queries).all() and np.isfinite(reference).all()):
+        raise NonFiniteError("search inputs must be finite")
+    ref, ref_sq = _prepare(reference, metric)
+    q, q_sq = (ref, ref_sq) if queries is reference else _prepare(queries, metric)
+    d, f64 = q.shape[1], np.finfo(np.float64)
+    band = 2.0 * ((d + 8) * f64.eps * (q_sq + ref_sq.max()) + 2 * d * f64.smallest_subnormal)
     neighbors = np.empty((n_q, k), dtype=np.int64)
     scores = np.empty((n_q, k), dtype=np.float64)
-    for start in range(0, n_q, batch_size):
-        stop = min(start + batch_size, n_q)
-        block = np.empty((stop - start, n_ref))
-        for i in range(start, stop):
-            block[i - start] = scorer.score_row(queries[i])
-            if exclude_diagonal:
-                block[i - start, i] = -np.inf
-        idx, val = _top_k(block, k)
-        neighbors[start:stop] = idx
-        scores[start:stop] = val
+    for start in range(0, n_q, block):
+        stop = min(start + block, n_q)
+        gemm = q[start:stop] @ ref.T
+        if metric == "euclidean":
+            gemm = 2.0 * gemm - ref_sq - q_sq[start:stop, None]
+        if exclude_diagonal:
+            gemm[np.arange(stop - start), np.arange(start, stop)] = -np.inf
+        kth = np.partition(gemm, n_ref - k, axis=1)[:, n_ref - k].copy()  # frees the rest
+        rows, cols = np.nonzero(gemm >= (kth - band[start:stop])[:, None])
+        found = _pair_scores(q, q_sq, ref, ref_sq, rows + start, cols, metric)
+        neighbors[start:stop], scores[start:stop] = _rank(rows, cols, found, stop - start, k)
     return neighbors, scores
 
 
@@ -164,7 +187,7 @@ def knn_exact(
     exclude_self: bool = True,
 ) -> NeighborList:
     """Exact top-k neighbors of every row against every other row."""
-    neighbors, scores = _search(matrix.data, matrix.data, k, metric, exclude_self, None)
+    neighbors, scores = search(matrix.data, matrix.data, k, metric, exclude_self)
     return NeighborList(k, neighbors, scores, metric, exclude_self, matrix.index_order)
 
 
@@ -175,12 +198,9 @@ def knn_batched(
     exclude_self: bool = True,
     batch_size: int = 128,
 ) -> NeighborList:
-    """Memory-bounded exact search: identical output to :func:`knn_exact`.
-
-    Peak working memory for scores is ``batch_size * N`` entries; the result
-    is bit-identical for every batch size because scoring is per-row.
-    """
-    neighbors, scores = _search(matrix.data, matrix.data, k, metric, exclude_self, batch_size)
+    """:func:`knn_exact` scoring ``batch_size`` query rows (``batch_size * N``
+    entries) per GEMM; bit-identical to it for every batch and thread count."""
+    neighbors, scores = search(matrix.data, matrix.data, k, metric, exclude_self, batch_size)
     return NeighborList(k, neighbors, scores, metric, exclude_self, matrix.index_order)
 
 
@@ -192,14 +212,7 @@ def search_queries(
     batch_size: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k reference rows for arbitrary query vectors (no self-exclusion)."""
-    return _search(
-        np.ascontiguousarray(queries, dtype=np.float64),
-        np.ascontiguousarray(reference, dtype=np.float64),
-        k,
-        metric,
-        False,
-        batch_size,
-    )
+    return search(queries, reference, k, metric, False, batch_size)
 
 
 def knn_feature_reranked(
@@ -214,10 +227,10 @@ def knn_feature_reranked(
 
     Stage 1 retrieves ``candidate_pool`` neighbors by whole-row similarity.
     Stage 2 rescores each candidate as the weighted mean of per-field-block
-    similarities and keeps the top k under the usual tie rule. The default
-    pool is ``max(4k, 50)``, capped at the number of available rows.
+    similarities (pair kernel, candidates only) and keeps the top k under the
+    usual tie rule. The default pool is ``max(4k, 50)``, capped at the number
+    of available rows.
     """
-    _check_metric(metric)
     n = matrix.n
     n_fields = len(matrix.field_order)
     if field_weights is None:
@@ -234,29 +247,15 @@ def knn_feature_reranked(
         raise SizeError(f"candidate_pool={candidate_pool} must be >= k={k}")
     candidate_pool = min(candidate_pool, limit)
 
-    stage1, _ = _search(matrix.data, matrix.data, candidate_pool, metric, exclude_self, None)
-    block_scorers = [
-        _RowScorer(np.ascontiguousarray(matrix.field_block(f)), metric)
-        for f in range(n_fields)
-    ]
-    block_queries = [
-        scorer.prepare_queries(np.ascontiguousarray(matrix.field_block(f)))
-        for f, scorer in enumerate(block_scorers)
-    ]
-    weight_sum = weights.sum()
-    neighbors = np.empty((n, k), dtype=np.int64)
-    scores = np.empty((n, k), dtype=np.float64)
-    for i in range(n):
-        cands = stage1[i]
-        rescored = np.zeros(len(cands))
-        for f, scorer in enumerate(block_scorers):
-            if weights[f] == 0.0:
-                continue
-            rescored += weights[f] * scorer.score_row(block_queries[f][i])[cands]
-        rescored /= weight_sum
-        order = np.lexsort((cands, -rescored))[:k]
-        neighbors[i] = cands[order]
-        scores[i] = rescored[order]
+    stage1, _ = search(matrix.data, matrix.data, candidate_pool, metric, exclude_self)
+    rows = np.repeat(np.arange(n), candidate_pool)
+    cols = stage1.ravel()
+    rescored = np.zeros(len(cols))
+    for f in np.flatnonzero(weights):
+        block, sq = _prepare(matrix.field_block(f), metric)
+        rescored += weights[f] * _pair_scores(block, sq, block, sq, rows, cols, metric)
+    rescored /= weights.sum()
+    neighbors, scores = _rank(rows, cols, rescored, n, k)
     return NeighborList(k, neighbors, scores, metric, exclude_self, matrix.index_order)
 
 
@@ -285,8 +284,8 @@ def neighbors_to_dict(nl: NeighborList) -> dict:
     }
 
 
-def neighbors_from_dict(obj: dict) -> NeighborList:
-    with parsing("neighbors"):
+def neighbors_from_dict(obj: dict, what: str = "neighbors") -> NeighborList:
+    with parsing(what):
         rows = typed(obj, "rows", list)
         ids = tuple(typed(row, "id", str) for row in rows)
         named = [typed_list(row, "neighbors", str) for row in rows]
@@ -312,4 +311,4 @@ def neighbors_from_dict(obj: dict) -> NeighborList:
 
 
 def load_neighbors(path) -> NeighborList:
-    return neighbors_from_dict(read_json(path))
+    return neighbors_from_dict(read_json(path), f"neighbors {path}")

@@ -1,5 +1,7 @@
 """Damaged artifacts raise FairauditError and make the CLI exit 2, never crash."""
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -227,7 +229,11 @@ def test_dropped_or_retyped_artifact_key_is_an_error(artifacts, kind, data):
         except FairauditError:
             loaded = False
         assert loaded == may_load(kind, path, dropped, value), path
-        assert main(command(artifacts, damaged)) == (0 if loaded else 2)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            assert main(command(artifacts, damaged)) == (0 if loaded else 2)
+        # the message names the file to fix
+        assert loaded or str(damaged) in stderr.getvalue(), stderr.getvalue()
 
 
 def test_unknown_neighbor_id_is_an_integrity_error(artifacts, tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairaudit.embed import EmbeddingMatrix
-from fairaudit.errors import DimensionMismatchError, SizeError
+from fairaudit.errors import DimensionMismatchError, NonFiniteError, SizeError
 from fairaudit.simindex import (
     NeighborList,
     knn_batched,
@@ -238,6 +238,13 @@ class TestSearchQueries:
         neighbors, scores = search_queries(reference[3:4], reference, k=1)
         assert neighbors[0, 0] == 3
         assert scores[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_non_finite_input_rejected(self):
+        # a damaged knn model file can carry NaN reference rows
+        reference = np.eye(3)
+        reference[1, 1] = np.nan
+        with pytest.raises(NonFiniteError):
+            search_queries(np.eye(3), reference, k=1)
 
 
 class TestNeighborListIO:

@@ -7,6 +7,7 @@ must produce the same stumps, losses and base score to the last bit.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,22 @@ def test_sparse_matrix_at_default_budget():
     y = (x[:, :40].sum(axis=1) + rng.normal(0.0, 0.3, 300) > 1.2).astype(np.int64)
     model = assert_same_model(x, y, TrainConfig(rounds=40, learning_rate=0.3))
     assert model.rounds == 40
+
+
+def test_saturated_probabilities_without_regularization_stop_silently():
+    # separable rows drive p to 0 or 1 and h to 0, so with reg_lambda=0 a gain
+    # divides 0 by 0; boosting stops there, and the library prints no warning
+    x = np.array([[0.0], [1.0], [2.0], [3.0]])
+    y = np.array([0, 0, 1, 1])
+    config = TrainConfig(rounds=60, learning_rate=1.0, reg_lambda=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = train_stumps(x, y, config)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        oracle = dense_train_stumps(x, y, config)
+    assert model.stumps == oracle.stumps
+    assert model.train_loss == oracle.train_loss
+    assert model.rounds < 60
 
 
 def test_search_memory_stays_near_the_input_size():
