@@ -2,8 +2,8 @@
 
 Each of the five text fields hashes to its own L2-normalized block; a profile
 row is the concatenation (5 x d wide). Exact search, memory-bounded batched
-search, and the two-stage feature-reranked search all honor the same
-deterministic tie rule, so neighbor lists are fully reproducible.
+search, and the field-weighted search all honor the same deterministic tie
+rule, so neighbor lists are fully reproducible.
 """
 
 import numpy as np
@@ -42,7 +42,7 @@ neighbor_gap = np.abs(q[exact.neighbors] - q[:, None]).mean()
 random_gap = np.abs(q[np.random.default_rng(0).permutation(len(q))] - q).mean()
 print(f"mean |q_i - q_neighbor| = {neighbor_gap:.3f} (random pairing {random_gap:.3f})")
 
-# rescoring by per-field similarity, weighting the leadership field 3x
+# ranking by per-field similarity, weighting the leadership field 3x
 reranked = knn_feature_reranked(matrix, k=5, field_weights=[1, 1, 1, 3, 1])
 changed = np.mean(np.any(reranked.neighbors != exact.neighbors, axis=1))
-print(f"rows whose top-5 changed under leadership-weighted rescoring: {changed:.1%}")
+print(f"rows whose top-5 changed under leadership-weighted ranking: {changed:.1%}")

@@ -157,7 +157,7 @@ class AuditConfig:
     max_tokens: int | None = None
     normalize: bool = True
     rerank: bool = True
-    candidate_pool: int | None = None
+    candidate_pool: int | None = None  # must be >= k if given; the exact rerank ignores it
     field_weights: tuple[float, ...] | None = None
     target_stage: str = "Type"
     metrics_split: str = "test"

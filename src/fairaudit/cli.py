@@ -35,7 +35,6 @@ from .dataset import (
     generate_synthetic_corpus,
     load_corpus,
     load_decisions,
-    load_latents,
     load_split,
     save_corpus,
     save_decisions,

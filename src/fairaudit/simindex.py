@@ -1,24 +1,27 @@
 """Similarity computation and exact k-nearest-neighbor retrieval.
 
-:func:`search` scores a block of query rows against the whole reference with
-one GEMM (unit-row dot products for cosine, negated squared distances for
-euclidean, ``-inf`` on a query's own row when self is excluded), finds each
-row's k-th largest score ``t`` with ``np.partition``, rescores the columns
-scoring at least ``t - 2*delta`` (the band) with the pair kernel of
-:func:`_pair_scores`, and ranks them by descending score, ties by row index.
+:func:`search` is the one neighbor search. Rows split into F equal field blocks
+weighted ``w_f`` (whole rows: one block, weight 1); a pair scores ``sum_f w_f s_f /
+W``, ``W = sum(w)``, added in field order over nonzero weights, with ``s_f`` the
+blocks' cosine (0 for a zero block) or negated euclidean distance. Per query block,
+one GEMM per field *screens* the whole reference alike (``-sqrt(max(|q|^2 + |r|^2 -
+2 q.r, 0))`` for euclidean, ``-inf`` on a query's own row if self is excluded).
+Columns screening at least ``t - 2*delta``, ``t`` the row's k-th screen score, are
+rescored by the pair kernel of :func:`_pair_scores` and ranked, ties by row index.
 
-``delta`` bounds |GEMM - pair kernel|: both sum a length-D dot product within
-``gamma_D |q| |r| + D tiny/2`` of its exact value (``gamma_D = D u / (1 - D
-u)``, ``u = 2**-53``, ``tiny`` the least subnormal; Higham, *Accuracy and
-Stability of Numerical Algorithms*, sections 2.1 and 3.1), so they differ by at
-most ``gamma_D S + D tiny``, ``S = |q|^2 + max |r|^2``. Euclidean doubles that,
-adds ``7 u S`` rounding its sums and ties square roots of values up to ``8 u S``
-apart; ``delta = (D + 8) eps S + 2 D tiny`` (``eps = 2 u``) covers it all. As k
-columns score at least ``t``, the k-th exact score is at least ``t - delta``,
-and each exact top-k column scores at least ``t - 2*delta`` in the GEMM. So
-batch size and BLAS threads change memory use, never a result; by default no
-buffer grows as N x N. Metrics: ``cosine`` (zero vectors have similarity 0 to
-everything) and ``euclidean`` (similarity is the negated distance).
+``delta`` bounds |screen - kernel|. Per field of width d let ``S = |q|^2 + max
+|r|^2``, ``eps = 2u = 2**-52``, ``tiny`` the least subnormal. Any order of a
+length-d dot product is within ``d u |q||r| / (1 - d u) + d tiny/2`` of exact
+(Higham, *Accuracy and Stability of Numerical Algorithms*, 2.1 and 3.1): GEMM and
+kernel cosines differ by ``e = (d + 8) eps S + 2 d tiny`` at most, size ``m = S +
+e``. Squared distances (GEMM form; the kernel's ``sum (q - r)^2``) differ by ``2e``;
+as ``|sqrt a - sqrt b| <= sqrt |a - b|`` and roots round, distances differ by ``e' =
+(1 + eps) sqrt(2e) + 2 eps sqrt(S)``, size ``m = 2 sqrt(S) + 2e'``. Weighting,
+adding and dividing by W add ``(F + 2) eps sum_f w_f m_f / W``, so ``delta = sum_f
+w_f (e_f + (F + 2) eps m_f) / W`` (the slack in ``e`` covers delta's own rounding).
+As k columns screen at least ``t``, the k-th exact score is at least ``t - delta``,
+and each exact top-k column screens at least ``t - 2*delta``. So block size, BLAS
+threads and k change no score, top-k is a prefix of top-K, and no buffer is N x N.
 """
 
 from __future__ import annotations
@@ -71,27 +74,15 @@ class NeighborList:
         return self.neighbors.shape[0]
 
 
-def _check_metric(metric: str) -> None:
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-
-
 def pairwise_similarity(a, b, metric: str = "cosine") -> float:
-    """Similarity of two vectors; symmetric, larger means more similar."""
-    _check_metric(metric)
+    """Similarity of two vectors as :func:`search` scores the pair; symmetric,
+    larger means more similar."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise DimensionMismatchError(a.shape, b.shape, "vector length")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise NonFiniteError("similarity inputs must be finite")
-    if metric == "cosine":
-        na = np.linalg.norm(a)
-        nb = np.linalg.norm(b)
-        if na == 0.0 or nb == 0.0:
-            return 0.0
-        return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
-    return float(-np.linalg.norm(a - b))
+    score = float(search(a[None], b[None], 1, metric, False)[1][0, 0])
+    return float(np.clip(score, -1.0, 1.0)) if metric == "cosine" else score
 
 
 # Float64 entries in one query block's GEMM scores and in each gather buffer
@@ -110,10 +101,22 @@ def _prepare(data: np.ndarray, metric: str) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.einsum("ij,ij->i", rows, rows)
 
 
-def _pair_scores(q, q_sq, ref, ref_sq, rows, cols, metric: str) -> np.ndarray:
-    """Scores of the pairs ``(q[rows[i]], ref[cols[i]])`` by the pair kernel, a
-    row-wise einsum: a score depends on its two rows alone, not on how many
-    pairs are scored, where they sit in memory or on BLAS."""
+def _screen(q, q_sq, ref, ref_sq, metric: str, weight: float) -> np.ndarray:
+    """One field's weighted GEMM scores of the rows ``q`` against every ``ref`` row."""
+    gemm = q @ ref.T
+    if metric == "euclidean":
+        gemm *= -2.0
+        gemm += ref_sq
+        gemm += q_sq[:, None]
+        np.negative(np.sqrt(np.maximum(gemm, 0.0, out=gemm), out=gemm), out=gemm)
+    gemm *= weight
+    return gemm
+
+
+def _pair_scores(q, ref, rows, cols, metric: str) -> np.ndarray:
+    """Pair-kernel scores of ``(q[rows[i]], ref[cols[i]])``, a row-wise einsum of ``q * r``
+    (cosine) or ``(q - r)**2`` (euclidean): a score depends on its two rows alone, not
+    on how many pairs are scored, where they sit in memory or on BLAS."""
     dots = np.empty(len(rows))
     step = max(1, _GATHER_ELEMS // max(1, q.shape[1]))
     a, b = np.empty((2, min(step, len(rows)), q.shape[1]))
@@ -122,10 +125,9 @@ def _pair_scores(q, q_sq, ref, ref_sq, rows, cols, metric: str) -> np.ndarray:
         # mode="clip" lets take write into the reused buffers without a copy
         np.take(q, rows[start : start + m], axis=0, out=a[:m], mode="clip")
         np.take(ref, cols[start : start + m], axis=0, out=b[:m], mode="clip")
-        dots[start : start + m] = np.einsum("ij,ij->i", a[:m], b[:m])
-    if metric == "cosine":
-        return dots
-    return -np.sqrt(np.maximum(ref_sq[cols] + q_sq[rows] - 2.0 * dots, 0.0))
+        left = a[:m] if metric == "cosine" else np.subtract(a[:m], b[:m], out=b[:m])
+        dots[start : start + m] = np.einsum("ij,ij->i", left, b[:m])
+    return dots if metric == "cosine" else -np.sqrt(dots)
 
 
 def _rank(rows, cols, scores, n_rows: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -142,10 +144,12 @@ def search(
     metric: str,
     exclude_diagonal: bool,
     block: int | None = None,
+    weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-k reference rows of every query row, ``block`` rows per GEMM
-    (by default as many as fit in ``_BLOCK_ELEMS`` scores)."""
-    _check_metric(metric)
+    """Exact top-k reference rows of every query row by the field ``weights`` (by
+    default one field), ``block`` rows per GEMM (default: ``_BLOCK_ELEMS`` scores)."""
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     reference = np.ascontiguousarray(reference, dtype=np.float64)
     n_q, n_ref = queries.shape[0], reference.shape[0]
@@ -160,22 +164,37 @@ def search(
         raise ValueError(f"batch_size must be >= 1, got {block}")
     if not (np.isfinite(queries).all() and np.isfinite(reference).all()):
         raise NonFiniteError("search inputs must be finite")
-    ref, ref_sq = _prepare(reference, metric)
-    q, q_sq = (ref, ref_sq) if queries is reference else _prepare(queries, metric)
-    d, f64 = q.shape[1], np.finfo(np.float64)
-    band = 2.0 * ((d + 8) * f64.eps * (q_sq + ref_sq.max()) + 2 * d * f64.smallest_subnormal)
+    weights = np.ones(1) if weights is None else weights
+    used, total, d = weights[weights > 0], weights.sum(), reference.shape[1] // len(weights)
+    fields = [slice(f * d, (f + 1) * d) for f in np.flatnonzero(weights)]
+    ref = [_prepare(reference[:, f], metric) for f in fields]
+    q = ref if queries is reference else [_prepare(queries[:, f], metric) for f in fields]
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_subnormal
+    delta = 0.0
+    for (_, q_sq), (_, ref_sq), w in zip(q, ref, used):
+        s = q_sq + ref_sq.max()
+        e = (d + 8) * eps * s + 2 * d * tiny
+        if metric == "euclidean":
+            e = (1 + eps) * np.sqrt(2 * e) + 2 * eps * np.sqrt(s)
+        m = s + e if metric == "cosine" else 2 * np.sqrt(s) + 2 * e
+        delta = delta + w * (e + (len(used) + 2) * eps * m)
+    band = 2.0 * delta / total
     neighbors = np.empty((n_q, k), dtype=np.int64)
     scores = np.empty((n_q, k), dtype=np.float64)
     for start in range(0, n_q, block):
         stop = min(start + block, n_q)
-        gemm = q[start:stop] @ ref.T
-        if metric == "euclidean":
-            gemm = 2.0 * gemm - ref_sq - q_sq[start:stop, None]
+        screen = np.zeros((stop - start, n_ref))
+        for (qf, q_sq), (rf, r_sq), w in zip(q, ref, used):
+            screen += _screen(qf[start:stop], q_sq[start:stop], rf, r_sq, metric, w)
+        screen /= total
         if exclude_diagonal:
-            gemm[np.arange(stop - start), np.arange(start, stop)] = -np.inf
-        kth = np.partition(gemm, n_ref - k, axis=1)[:, n_ref - k].copy()  # frees the rest
-        rows, cols = np.nonzero(gemm >= (kth - band[start:stop])[:, None])
-        found = _pair_scores(q, q_sq, ref, ref_sq, rows + start, cols, metric)
+            screen[np.arange(stop - start), np.arange(start, stop)] = -np.inf
+        kth = np.partition(screen, n_ref - k, axis=1)[:, n_ref - k].copy()  # frees the rest
+        rows, cols = np.nonzero(screen >= (kth - band[start:stop])[:, None])
+        found = np.zeros(len(rows))
+        for (qf, _), (rf, _), w in zip(q, ref, used):
+            found += w * _pair_scores(qf, rf, rows + start, cols, metric)
+        found /= total
         neighbors[start:stop], scores[start:stop] = _rank(rows, cols, found, stop - start, k)
     return neighbors, scores
 
@@ -187,8 +206,7 @@ def knn_exact(
     exclude_self: bool = True,
 ) -> NeighborList:
     """Exact top-k neighbors of every row against every other row."""
-    neighbors, scores = search(matrix.data, matrix.data, k, metric, exclude_self)
-    return NeighborList(k, neighbors, scores, metric, exclude_self, matrix.index_order)
+    return knn_batched(matrix, k, metric, exclude_self, batch_size=None)
 
 
 def knn_batched(
@@ -196,7 +214,7 @@ def knn_batched(
     k: int,
     metric: str = "cosine",
     exclude_self: bool = True,
-    batch_size: int = 128,
+    batch_size: int | None = 128,
 ) -> NeighborList:
     """:func:`knn_exact` scoring ``batch_size`` query rows (``batch_size * N``
     entries) per GEMM; bit-identical to it for every batch and thread count."""
@@ -223,39 +241,20 @@ def knn_feature_reranked(
     field_weights=None,
     exclude_self: bool = True,
 ) -> NeighborList:
-    """Two-stage retrieval: combined-row candidates, per-field rescoring.
-
-    Stage 1 retrieves ``candidate_pool`` neighbors by whole-row similarity.
-    Stage 2 rescores each candidate as the weighted mean of per-field-block
-    similarities (pair kernel, candidates only) and keeps the top k under the
-    usual tie rule. The default pool is ``max(4k, 50)``, capped at the number
-    of available rows.
-    """
-    n = matrix.n
+    """Exact top-k neighbors by the weighted mean of per-field-block similarities
+    (equal weights by default; nonnegative, not all zero, finite sum): one
+    :func:`search` over the field blocks. ``candidate_pool`` is ignored apart
+    from the check that it is at least k: an exact search needs no pool."""
     n_fields = len(matrix.field_order)
-    if field_weights is None:
-        field_weights = np.ones(n_fields)
-    weights = np.asarray(field_weights, dtype=np.float64)
+    weights = np.ones(n_fields) if field_weights is None else np.asarray(field_weights, float)
     if weights.shape != (n_fields,):
         raise DimensionMismatchError((n_fields,), weights.shape, "field weight count")
-    if (weights < 0).any() or not (weights > 0).any():
-        raise ValueError("field weights must be nonnegative and not all zero")
-    limit = n - 1 if exclude_self else n
-    if candidate_pool is None:
-        candidate_pool = min(max(4 * k, 50), limit)
-    if candidate_pool < k:
+    with np.errstate(over="ignore"):  # an overflowing sum is rejected, not warned about
+        if not np.isfinite(weights.sum()) or (weights < 0).any() or not (weights > 0).any():
+            raise ValueError("field weights must have a finite sum, be nonnegative, not all zero")
+    if candidate_pool is not None and candidate_pool < k:
         raise SizeError(f"candidate_pool={candidate_pool} must be >= k={k}")
-    candidate_pool = min(candidate_pool, limit)
-
-    stage1, _ = search(matrix.data, matrix.data, candidate_pool, metric, exclude_self)
-    rows = np.repeat(np.arange(n), candidate_pool)
-    cols = stage1.ravel()
-    rescored = np.zeros(len(cols))
-    for f in np.flatnonzero(weights):
-        block, sq = _prepare(matrix.field_block(f), metric)
-        rescored += weights[f] * _pair_scores(block, sq, block, sq, rows, cols, metric)
-    rescored /= weights.sum()
-    neighbors, scores = _rank(rows, cols, rescored, n, k)
+    neighbors, scores = search(matrix.data, matrix.data, k, metric, exclude_self, weights=weights)
     return NeighborList(k, neighbors, scores, metric, exclude_self, matrix.index_order)
 
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairaudit import simindex
+from fairaudit import embed_corpus, generate_synthetic_corpus, simindex
 from fairaudit.embed import EmbeddingMatrix
 from fairaudit.simindex import knn_batched, knn_exact, knn_feature_reranked, search_queries
 
@@ -28,13 +28,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def pair_kernel_scores(queries, reference, metric):
     """Every pair's score by the pair kernel, shape (len(queries), len(reference))."""
-    q, q_sq = simindex._prepare(np.asarray(queries, dtype=np.float64), metric)
-    r, r_sq = simindex._prepare(np.asarray(reference, dtype=np.float64), metric)
+    q, _ = simindex._prepare(np.asarray(queries, dtype=np.float64), metric)
+    r, _ = simindex._prepare(np.asarray(reference, dtype=np.float64), metric)
     rows, cols = np.divmod(np.arange(len(q) * len(r)), len(r))
-    dots = np.einsum("ij,ij->i", q[rows], r[cols])
-    if metric == "euclidean":
-        dots = -np.sqrt(np.maximum(r_sq[cols] + q_sq[rows] - 2.0 * dots, 0.0))
-    return dots.reshape(len(q), len(r))
+    if metric == "cosine":
+        return np.einsum("ij,ij->i", q[rows], r[cols]).reshape(len(q), len(r))
+    diff = q[rows] - r[cols]
+    return -np.sqrt(np.einsum("ij,ij->i", diff, diff)).reshape(len(q), len(r))
 
 
 def oracle(queries, reference, k, metric, exclude_diagonal):
@@ -103,37 +103,98 @@ def test_every_search_equals_the_oracle(data, metric, exclude_self, draw):
     assert np.array_equal(got_q[1], want_q[1])
 
 
+def rerank_oracle(matrix, k, metric, weights, exclude_self):
+    """Every pair scored by ``sum_f w_f * kernel_f / sum(w)`` in field order."""
+    total = 0.0
+    for f, w in enumerate(weights):
+        if w:
+            block = matrix.field_block(f)
+            total = total + w * pair_kernel_scores(block, block, metric)
+    total = total / sum(weights)
+    if exclude_self:
+        np.fill_diagonal(total, -np.inf)
+    order = np.argsort(-total, axis=1, kind="stable")[:, :k]
+    return order, np.take_along_axis(total, order, axis=1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     data=tie_heavy(n_fields=3),
     metric=st.sampled_from(["cosine", "euclidean"]),
-    weights=st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=3, max_size=3).filter(any),
+    weights=st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.floats(1e-3, 1e3)),
+                     min_size=3, max_size=3).filter(any),
     exclude_self=st.booleans(),
     draw=st.data(),
 )
 def test_rerank_equals_a_stage_two_oracle(data, metric, weights, exclude_self, draw):
+    """The oracle scores every pair, so no candidate pool can hide a neighbor."""
     n = len(data)
     limit = n - 1 if exclude_self else n
-    pool = draw.draw(st.integers(1, limit))
-    k = draw.draw(st.integers(1, pool))
+    k = draw.draw(st.integers(1, limit))
+    pool = draw.draw(st.one_of(st.none(), st.integers(k, n + 2)))
     matrix = matrix_of(data, n_fields=3)
-    stage1 = oracle(data, data, pool, metric, exclude_self)[0]
-    total = np.zeros(stage1.shape)
-    for f, w in enumerate(weights):
-        if w:
-            block = matrix.field_block(f)
-            total += w * np.take_along_axis(pair_kernel_scores(block, block, metric), stage1, 1)
-    total /= sum(weights)
-    want_ids = np.empty((n, k), dtype=np.int64)
-    want_scores = np.empty((n, k))
-    for i in range(n):
-        order = np.lexsort((stage1[i], -total[i]))[:k]
-        want_ids[i], want_scores[i] = stage1[i, order], total[i, order]
+    want_ids, want_scores = rerank_oracle(matrix, k, metric, weights, exclude_self)
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simindex, "_BLOCK_ELEMS", draw.draw(st.integers(1, 200)))
         patch.setattr(simindex, "_GATHER_ELEMS", draw.draw(st.integers(1, 40)))
         got = knn_feature_reranked(matrix, k, metric, pool, weights, exclude_self)
     assert np.array_equal(got.neighbors, want_ids)
     assert np.array_equal(got.scores, want_scores)
+
+
+def demo_matrix():
+    """The 400-row matrix of ``demos/02_embeddings_and_neighbors.py``."""
+    profiles, _ = generate_synthetic_corpus(n=400, vocab_size=300, seed=1)
+    return embed_corpus(profiles, d=96, seed=0)
+
+
+def astuple(nl):
+    return nl.neighbors, nl.scores
+
+
+def test_top_k_is_a_prefix_of_top_K_on_the_demo_matrix():
+    """Leadership weighting moves some true top-5 rows of this matrix out of
+    their whole-row top 50, so a search that rescored only those would differ."""
+    matrix = demo_matrix()
+    small = knn_feature_reranked(matrix, 5, field_weights=[1, 1, 1, 3, 1])
+    large = knn_feature_reranked(matrix, 20, field_weights=[1, 1, 1, 3, 1])
+    assert np.array_equal(large.neighbors[:, :5], small.neighbors)
+    assert np.array_equal(large.scores[:, :5], small.scores)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=tie_heavy(n_fields=3),
+    metric=st.sampled_from(["cosine", "euclidean"]),
+    weights=st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=3, max_size=3).filter(any),
+    draw=st.data(),
+)
+def test_top_k_is_a_prefix_of_top_K(data, metric, weights, draw):
+    n = len(data)
+    big = draw.draw(st.integers(1, n - 1))
+    k = draw.draw(st.integers(1, big))
+    matrix = matrix_of(data, n_fields=3)
+    for search in (
+        lambda k: astuple(knn_feature_reranked(matrix, k, metric, field_weights=weights)),
+        lambda k: astuple(knn_exact(matrix, k, metric)),
+        lambda k: search_queries(data[::-1], data, k, metric),
+    ):
+        for first_k, of_large in zip(search(k), search(big)):
+            assert np.array_equal(of_large[:, :k], first_k)
+
+
+def test_euclidean_near_duplicates_rank_by_their_true_distance():
+    """Rows one coordinate and a few 2**-30 apart: the kernel sums (q - r)**2
+    exactly, while the GEMM form |q|^2 + |r|^2 - 2 q.r cancels to rounding noise."""
+    base = np.round(np.random.default_rng(3).standard_normal(60) * 256) / 256
+    steps = np.array([3.0, 1.0, 4.0, 2.0, 0.0]) * 2.0**-30
+    reference = np.tile(base, (5, 1))
+    reference[np.arange(5), np.arange(5)] += steps
+    ids, scores = search_queries(base[None], reference, 5, "euclidean")
+    assert ids[0].tolist() == [4, 1, 3, 0, 2]
+    assert scores[0].tolist() == [0.0, -(2.0**-30), -2 * 2.0**-30, -3 * 2.0**-30, -4 * 2.0**-30]
+    nl = knn_exact(matrix_of(np.vstack([base, reference])), 5, "euclidean")
+    assert nl.scores[0].tolist() == scores[0].tolist()
 
 
 @pytest.mark.parametrize("call", ["knn_exact", "knn_feature_reranked", "search_queries"])

@@ -60,6 +60,14 @@ class TestPairwiseSimilarity:
         b = rng.uniform(-50, 50, len(a))
         assert pairwise_similarity(a, b, metric) == pairwise_similarity(b, a, metric)
 
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_equals_the_neighbor_search_score(self, metric):
+        x = np.random.default_rng(4).standard_normal((30, 7))
+        nl = knn_exact(matrix_of(x), k=3, metric=metric)
+        for i in range(30):
+            for j, score in zip(nl.neighbors[i], nl.scores[i]):
+                assert pairwise_similarity(x[i], x[j], metric) == score
+
     def test_cosine_bounded(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
@@ -208,12 +216,13 @@ class TestFeatureReranked:
         direct = knn_exact(block, k=5)
         assert np.array_equal(nl.neighbors, direct.neighbors)
 
-    def test_pool_equals_k_only_permutes_stage1(self):
+    def test_any_valid_pool_gives_the_default_result(self):
         m = self._matrix(n=20, seed=2)
-        stage1 = knn_exact(m, k=6)
-        nl = knn_feature_reranked(m, k=6, candidate_pool=6, field_weights=[1, 2, 3])
-        for i in range(20):
-            assert set(nl.neighbors[i]) == set(stage1.neighbors[i])
+        default = knn_feature_reranked(m, k=6, field_weights=[1, 2, 3])
+        for pool in (6, 7, 19, 50):
+            nl = knn_feature_reranked(m, k=6, candidate_pool=pool, field_weights=[1, 2, 3])
+            assert np.array_equal(nl.neighbors, default.neighbors)
+            assert np.array_equal(nl.scores, default.scores)
 
     def test_pool_smaller_than_k_rejected(self):
         m = self._matrix()
@@ -224,6 +233,12 @@ class TestFeatureReranked:
         m = self._matrix()
         with pytest.raises(ValueError):
             knn_feature_reranked(m, k=2, field_weights=[0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [[np.nan, 1, 1], [np.inf, 1, 1], [1e308, 1e308, 1]])
+    def test_non_finite_weights_rejected(self, bad):
+        m = self._matrix()
+        with pytest.raises(ValueError):
+            knn_feature_reranked(m, k=3, field_weights=bad)
 
     def test_rescored_rows_non_increasing(self):
         m = self._matrix(n=30, seed=5)
