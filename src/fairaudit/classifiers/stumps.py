@@ -6,21 +6,36 @@ current predictions, using second-order (Newton) leaf scores
     w = -sum(g) / (sum(h) + lambda),   g = p - y,   h = p (1 - p)
 
 scaled by the learning rate. Split search is exact: every midpoint between
-consecutive distinct sorted feature values is a candidate, and the best
+consecutive distinct sorted feature values is a candidate (the upper value
+where the midpoint rounds onto either of them or overflows), and the best
 (position, feature) pair wins with ties going to the earliest candidate in
 scan order, the smallest ``pos * D + feature``. Training is a pure function
 of the data and configuration.
 
-The search walks the features in blocks of at most ``_BLOCK_ELEMS`` entries.
-Each block is sorted once, feature-major, and keeps only the positions where
-the sorted value changes, the real split points. Each round gathers g and h
-(as the real and imaginary parts of one complex vector) into sort order,
-takes their prefix sums along each feature's contiguous row, and scores the
-real split points alone. The sums are sequential in sort order, as a dense
-column-wise cumsum would be, so every stump and loss is the same to the last
-bit. The sort orders (int64, the size of ``x``) and the split index (int32,
-at most half that) are kept for the whole fit; beyond them a round needs
-memory in proportion to one block, O(max(_BLOCK_ELEMS, N)).
+The search is sparsity-aware, as XGBoost's is for missing values (Chen and
+Guestrin, KDD 2016), and visits only the nonzero entries. Setup sorts each
+feature once, with the default (unstable) sort followed by putting the rows
+of each run of equal nonzero values back in ascending order, which gives the
+stable order without a stable sort. It drops the zero entries and keeps, per
+feature, its nonzero rows in that order with one slot standing for the
+whole zero run, and the real split points: the slots whose value is below
+the next one's, two of them on either side of the zero run. Features go
+into blocks of at most ``_BLOCK_ELEMS`` slots, longest first.
+
+Each round gathers g and h (as the real and imaginary parts of one complex
+vector) into slot order and takes their prefix sums along each feature's
+row; the zero slot adds nothing. A split at or after the zero run then adds
+the lump Z = sum(g + ih) - (the feature's nonzero sum) for the zero entries,
+and the feature's total is its nonzero sum plus Z. Its scan position is the
+slot index plus, at or after the zero run, the zero count less one. For a
+feature without zeros the sums are sequential in sort order, as a dense
+column-wise cumsum would be, so its stumps and losses are the same to the
+last bit as a dense search's; with zeros only the summation order of the
+zero entries differs, so leaf values can move in their last bits while the
+candidate thresholds and the tie rule stay the same. The slot orders (intp)
+and the split index (int32) cover the nonzero entries only and are kept for
+the whole fit; beyond them a round needs memory in proportion to one block,
+O(max(_BLOCK_ELEMS, N)).
 """
 
 from __future__ import annotations
@@ -33,8 +48,8 @@ from .._util import typed
 from ..errors import TrainingError
 
 _CLAMP = 1e-12
-# Entries (features x rows) per block of the split search. It bounds the scratch
-# memory of a round: the block's complex prefix sums take 16 bytes an entry, 512 KB.
+# Slots (features x longest feature) per block of the split search. It bounds the
+# scratch memory of a round: the block's complex prefix sums take 16 bytes a slot, 512 KB.
 _BLOCK_ELEMS = 1 << 15
 
 
@@ -118,73 +133,157 @@ def _logistic_loss(margin: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.logaddexp(0.0, margin) - y * margin))
 
 
-def _feature_blocks(x: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Per block of features: (first feature, sort order, split index, splits per feature).
+def _stable_argsort(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort order of each row of ``cols``, and the sorted rows.
 
-    A block holds at most ``_BLOCK_ELEMS`` entries (one feature at least). Its
-    sort order is feature-major, shape ``(b, N)``, so the per-round prefix sums
-    run along contiguous rows. The split index lists ``f * N + pos`` for every
-    position where ``x_sorted[pos, f] < x_sorted[pos + 1, f]``; the others can
-    never be a split, so their gains are never computed.
+    The default (unstable) sort leaves equal values in any order, so the rows
+    of each run of equal nonzero values are put back in ascending order
+    afterwards; NaNs, sorted last, count as one run. Zero runs are left as
+    they are: their entries are dropped.
     """
-    n, n_features = x.shape
-    width = max(1, _BLOCK_ELEMS // n)
+    order = np.argsort(cols, axis=1)
+    x_sorted = np.take_along_axis(cols, order, axis=1)
+    tie = np.zeros(cols.shape, dtype=bool)  # entry equals the one before it
+    np.equal(x_sorted[:, 1:], x_sorted[:, :-1], out=tie[:, 1:])
+    tie[:, 1:] |= np.isnan(x_sorted[:, :-1])
+    tie &= x_sorted != 0
+    tie = tie.reshape(-1)
+    member = tie.copy()
+    member[:-1] |= tie[1:]
+    at = np.flatnonzero(member)
+    if at.size:
+        # runs are contiguous and numbered in position order, so sorting the
+        # keys run * N + row puts each run's rows in ascending order in place
+        flat = order.reshape(-1)
+        run = np.cumsum(~tie[at]) * cols.shape[1]
+        keys = run + flat[at]
+        keys.sort()
+        flat[at] = keys - run
+    return order, x_sorted
+
+
+def _feature_blocks(x: np.ndarray) -> list[tuple]:
+    """The split search's blocks of features, as ``(features, order, split_at,
+    counts, zero_col, zero_skip)``.
+
+    Each feature keeps its nonzero rows in stable sort order, with one slot
+    for its zero run (row index N, whose g and h are 0) where the zeros
+    would sit. Features go into blocks longest first; a block's ``order`` is
+    ``(w, L)``, padded with N, at most ``_BLOCK_ELEMS`` slots or one
+    feature. ``split_at`` lists ``f * L + c`` for every slot ``c`` whose
+    value is below the next one's, the real split points, and ``counts``
+    how many of each feature's lie before and at or after its zero slot
+    ``zero_col`` (L when it has no zeros). A slot ``c`` at or after it
+    stands for the dense sort position ``c + zero_skip``.
+    """
+    n = x.shape[0]
+    nonzeros = np.count_nonzero(x, axis=0)
+    lengths = nonzeros + (nonzeros < n)
+    features = np.argsort(-lengths, kind="stable")
+    features = features[lengths[features] > 1]  # all-zero features never split
     blocks = []
-    for start in range(0, n_features, width):
-        cols = np.ascontiguousarray(x[:, start : start + width].T)
-        order = np.argsort(cols, axis=1, kind="stable")
-        x_sorted = np.take_along_axis(cols, order, axis=1)
-        valid = np.zeros(cols.shape, dtype=bool)
-        np.less(x_sorted[:, :-1], x_sorted[:, 1:], out=valid[:, :-1])
-        del cols, x_sorted
-        split_at = np.flatnonzero(valid).astype(np.int32)
-        blocks.append((start, order, split_at, valid.sum(axis=1)))
+    i = 0
+    while i < features.size:
+        length = int(lengths[features[i]])
+        width = max(1, _BLOCK_ELEMS // length)
+        block = features[i : i + width]
+        blocks.append(_feature_block(x, block, length, n - nonzeros[block]))
+        i += width
     return blocks
 
 
-def _left_sums(gh: np.ndarray, order: np.ndarray, split_at: np.ndarray, counts: np.ndarray):
-    """Prefix sums of ``gh`` in sort order at each split, and each split's feature total.
+def _feature_block(x: np.ndarray, features: np.ndarray, length: int, zeros: np.ndarray):
+    """One block of ``_feature_blocks``, sorted ``_BLOCK_ELEMS`` entries of ``x`` at a time."""
+    n = x.shape[0]
+    width = features.size
+    order = np.full((width, length), n, dtype=np.intp)
+    values = np.full((width, length), np.nan)  # NaN padding is never below the next slot
+    zero_col = np.full(width, length)
+    step = max(1, _BLOCK_ELEMS // n)
+    for s in range(0, width, step):
+        part = slice(s, s + step)
+        sorted_rows, x_sorted = _stable_argsort(np.ascontiguousarray(x[:, features[part]].T))
+        keep = x_sorted != 0
+        with_zeros = np.flatnonzero(zeros[part])
+        first_zero = np.count_nonzero(x_sorted[with_zeros] < 0, axis=1)
+        keep[with_zeros, first_zero] = True
+        sorted_rows[with_zeros, first_zero] = n
+        x_sorted[with_zeros, first_zero] = 0.0
+        zero_col[s + with_zeros] = first_zero
+        filled = np.arange(length) < np.count_nonzero(keep, axis=1)[:, None]
+        order[part][filled] = sorted_rows[keep]
+        values[part][filled] = x_sorted[keep]
+    valid = np.zeros((width, length), dtype=bool)
+    np.less(values[:, :-1], values[:, 1:], out=valid[:, :-1])
+    after = np.count_nonzero(valid & (np.arange(length) >= zero_col[:, None]), axis=1)
+    counts = np.stack([np.count_nonzero(valid, axis=1) - after, after], axis=1)
+    split_at = np.flatnonzero(valid).astype(np.int32)
+    return features, order, split_at, counts, zero_col, zeros - 1
 
-    The sums are sequential along each row, as a column-wise cumsum of the
-    dense ``gh[order]`` would be, so they are the same bits.
-    """
+
+def _split_gains(block, gh: np.ndarray, gh_total: complex, lam: float):
+    """Gain, left g+ih sum and total g+ih sum of each split of one block."""
+    _, order, split_at, counts, zero_col, _ = block
+    width, length = order.shape
     sums = gh[order]
     np.cumsum(sums, axis=1, out=sums)
-    return sums.reshape(-1)[split_at], np.repeat(sums[:, -1], counts)
+    # a feature's splits before its zero slot, then from it on; the latter
+    # lack the zero entries' sum, the lump gh_total - (nonzero sum)
+    lump_total = np.zeros((width, 2, 2), dtype=np.complex128)  # per side: (lump, total)
+    np.subtract(gh_total, sums[:, -1], out=lump_total[:, 1, 0], where=zero_col < length)
+    lump_total[:, :, 1] = (sums[:, -1] + lump_total[:, 1, 0])[:, None]
+    left = sums.reshape(-1)[split_at]
+    del sums  # before the per-split arrays, to keep a round's peak to one block's
+    per_split = np.repeat(lump_total.reshape(-1, 2), counts.reshape(-1), axis=0)
+    left += per_split[:, 0]
+    total = per_split[:, 1]
+    # g_left**2 / (h_left + lam) + (g_total - g_left)**2 / (h_total - h_left + lam),
+    # op for op, in place
+    g_left, h_left, g_total, h_total = left.real, left.imag, total.real, total.imag
+    denominator = h_left + lam
+    gain = np.square(g_left)
+    gain /= denominator
+    right = g_total - g_left
+    np.square(right, out=right)
+    np.subtract(h_total, h_left, out=denominator)
+    denominator += lam
+    right /= denominator
+    gain += right
+    return gain, left, total
 
 
-def _best_split(blocks, gh: np.ndarray, lam: float, n_features: int):
+def _best_split(blocks, gh: np.ndarray, gh_total: complex, lam: float, n_features: int):
     """(feature, the two sorted rows around the split, left g+ih sum, total g+ih sum).
 
-    The winner has the largest gain, ties going to the smallest scan key
-    ``pos * D + feature``, as an argmax over the dense (N-1, D) gain array
-    would pick. None when no split exists, when any gain is NaN, or when the
-    largest gain is not finite: the cases where that argmax lands on a
-    non-finite value.
+    ``gh`` holds g + ih for the N rows and a 0 at index N, the zero slot, so
+    a row of N in the result stands for a zero entry. The winner has the
+    largest gain, ties going to the smallest scan key ``pos * D + feature``,
+    as an argmax over the dense (N-1, D) gain array would pick. None when no
+    split exists, when any gain is NaN, or when the largest gain is not
+    finite: the cases where that argmax lands on a non-finite value.
     """
-    n = gh.shape[0]
     best = None  # (gain, scan key, rows, left sum, total)
-    for start, order, split_at, counts in blocks:
-        if not split_at.size:
-            continue
-        left, total = _left_sums(gh, order, split_at, counts)
-        g_left, h_left, g_total, h_total = left.real, left.imag, total.real, total.imag
-        # reg_lambda=0 with saturated probabilities divides by zero; the NaN
-        # or inf that results stops boosting below, as intended
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gain = g_left**2 / (h_left + lam) + (g_total - g_left) ** 2 / (h_total - h_left + lam)
-        top = gain.max()
-        if np.isnan(top):
-            return None
-        if best is not None and top < best[0]:
-            continue
-        hits = np.flatnonzero(gain == top)
-        feature, pos = np.divmod(split_at[hits].astype(np.int64), n)
-        keys = pos * n_features + (start + feature)
-        i = int(np.argmin(keys))
-        if best is None or top > best[0] or keys[i] < best[1]:
-            rows = order[feature[i], pos[i] : pos[i] + 2]
-            best = (top, int(keys[i]), rows, left[hits[i]], total[hits[i]])
+    # reg_lambda=0 with saturated probabilities divides by zero; the NaN or
+    # inf that results stops boosting, as intended
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for block in blocks:
+            features, order, split_at, _, zero_col, zero_skip = block
+            if not split_at.size:
+                continue
+            gain, left, total = _split_gains(block, gh, gh_total, lam)
+            top = gain.max()
+            if np.isnan(top):
+                return None
+            if best is None or top >= best[0]:
+                hits = np.flatnonzero(gain == top)
+                f, c = np.divmod(split_at[hits].astype(np.int64), order.shape[1])
+                pos = c + np.where(c >= zero_col[f], zero_skip[f], 0)
+                keys = pos * n_features + features[f]
+                i = int(np.argmin(keys))
+                if best is None or top > best[0] or keys[i] < best[1]:
+                    rows = order[f[i], c[i] : c[i] + 2]
+                    best = (top, int(keys[i]), rows, left[hits[i]], total[hits[i]])
+            del gain, left, total  # before the next block's arrays exist
     if best is None or not np.isfinite(best[0]):
         return None
     _, key, rows, left, total = best
@@ -212,21 +311,29 @@ def train_stumps(x: np.ndarray, y: np.ndarray, config) -> BoostedStumps:
     base = float(np.log(p0 / (1.0 - p0)))
 
     blocks = _feature_blocks(x)
-    gh = np.empty(n, dtype=np.complex128)  # gradient and hessian, summed in one pass
+    # gradient and hessian, summed in one pass; index n, the zero slot, stays 0
+    gh = np.zeros(n + 1, dtype=np.complex128)
 
     margin = np.full(n, base)
     stumps: list[Stump] = []
     losses: list[float] = []
     for _ in range(config.rounds):
         p = _sigmoid(margin)
-        gh.real = p - y
-        gh.imag = p * (1.0 - p)
-        split = _best_split(blocks, gh, lam, n_features)
+        g = p - y
+        h = p * (1.0 - p)
+        gh.real[:n] = g
+        gh.imag[:n] = h
+        split = _best_split(blocks, gh, complex(g.sum(), h.sum()), lam, n_features)
         if split is None:
             break  # every feature is constant, or a gain is not finite
         feat, rows, left_sum, total = split
         g_left, h_left, g_total, h_total = left_sum.real, left_sum.imag, total.real, total.imag
-        threshold = (x[rows[0], feat] + x[rows[1], feat]) / 2.0
+        below, above = (float(x[row, feat]) if row < n else 0.0 for row in rows)
+        threshold = (below + above) / 2.0
+        if not below < threshold <= above:
+            # the midpoint of adjacent floats rounds onto one of them, and
+            # near the float maximum it overflows; the upper value still splits
+            threshold = above
         left = -lr * g_left / (h_left + lam)
         right = -lr * (g_total - g_left) / (h_total - h_left + lam)
         stumps.append(Stump(int(feat), float(threshold), float(left), float(right)))

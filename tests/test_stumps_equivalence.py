@@ -1,9 +1,13 @@
-"""The blocked split search of ``train_stumps`` against the dense one it replaced.
+"""The sparsity-aware split search of ``train_stumps`` against dense ones.
 
 ``dense_train_stumps`` below is the former trainer, kept verbatim as the
-oracle: it sorts every feature column, takes prefix sums down axis 0 and
-scores all N-1 positions of every feature each round. The blocked trainer
-must produce the same stumps, losses and base score to the last bit.
+oracle but for the threshold rule: it sorts every feature column, takes
+prefix sums down axis 0 and scores all N-1 positions of every feature each
+round. On inputs without zero entries the trainer must produce the same
+stumps, losses and base score to the last bit. ``lump_train_stumps`` is a
+copy of it that sums each feature's zero entries as one lump, ``g.sum()``
+minus the nonzero sum, added to the prefix sums from the zero run on, as
+the trainer does; it must match that copy to the last bit on any input.
 """
 
 import tracemalloc
@@ -69,6 +73,8 @@ def dense_train_stumps(x: np.ndarray, y: np.ndarray, config) -> BoostedStumps:
             break  # every feature is constant; nothing left to split
         pos, feat = divmod(flat, n_features)
         threshold = (x_sorted[pos, feat] + x_sorted[pos + 1, feat]) / 2.0
+        if not x_sorted[pos, feat] < threshold <= x_sorted[pos + 1, feat]:
+            threshold = x_sorted[pos + 1, feat]
         left = -lr * g_left[pos, feat] / (h_left[pos, feat] + lam)
         right = -lr * (g_total[feat] - g_left[pos, feat]) / (
             h_total[feat] - h_left[pos, feat] + lam
@@ -79,9 +85,69 @@ def dense_train_stumps(x: np.ndarray, y: np.ndarray, config) -> BoostedStumps:
     return BoostedStumps(stumps, lr, base, losses)
 
 
-def assert_same_model(x, y, config):
+def lump_train_stumps(x: np.ndarray, y: np.ndarray, config) -> BoostedStumps:
+    """``dense_train_stumps`` with each feature's zero entries summed as one lump."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != y.shape[0]:
+        raise ValueError(f"x {x.shape} and y {y.shape} are not aligned")
+    n, n_features = x.shape
+    if n < 2:
+        raise TrainingError(f"need at least 2 training rows, got {n}")
+    positives = float(y.sum())
+    if positives == 0.0 or positives == n:
+        raise TrainingError(
+            "training labels contain a single class; no stumps can be fit, "
+            "use the base score (class prior log-odds) alone"
+        )
+    lam = config.reg_lambda
+    lr = config.learning_rate
+    p0 = min(max(positives / n, _CLAMP), 1.0 - _CLAMP)
+    base = float(np.log(p0 / (1.0 - p0)))
+
+    order = np.argsort(x, axis=0, kind="stable")
+    x_sorted = np.take_along_axis(x, order, axis=0)
+    valid = x_sorted[:-1] < x_sorted[1:]
+    nonzero = x_sorted != 0
+    from_zero_run = np.cumsum(~nonzero, axis=0) > 0
+
+    margin = np.full(n, base)
+    stumps: list[Stump] = []
+    losses: list[float] = []
+    for _ in range(config.rounds):
+        p = _sigmoid(margin)
+        g = p - y
+        h = p * (1.0 - p)
+        g_cum = np.cumsum(np.where(nonzero, g[order], 0.0), axis=0)
+        h_cum = np.cumsum(np.where(nonzero, h[order], 0.0), axis=0)
+        g_cum = g_cum + np.where(from_zero_run, g.sum() - g_cum[-1], 0.0)
+        h_cum = h_cum + np.where(from_zero_run, h.sum() - h_cum[-1], 0.0)
+        g_total = g_cum[-1]
+        h_total = h_cum[-1]
+        g_left = g_cum[:-1]
+        h_left = h_cum[:-1]
+        gain = g_left**2 / (h_left + lam) + (g_total - g_left) ** 2 / (h_total - h_left + lam)
+        gain = np.where(valid, gain, -np.inf)
+        flat = int(np.argmax(gain))
+        if not np.isfinite(gain.flat[flat]):
+            break  # every feature is constant; nothing left to split
+        pos, feat = divmod(flat, n_features)
+        threshold = (x_sorted[pos, feat] + x_sorted[pos + 1, feat]) / 2.0
+        if not x_sorted[pos, feat] < threshold <= x_sorted[pos + 1, feat]:
+            threshold = x_sorted[pos + 1, feat]
+        left = -lr * g_left[pos, feat] / (h_left[pos, feat] + lam)
+        right = -lr * (g_total[feat] - g_left[pos, feat]) / (
+            h_total[feat] - h_left[pos, feat] + lam
+        )
+        stumps.append(Stump(int(feat), float(threshold), float(left), float(right)))
+        margin = margin + np.where(x[:, feat] < threshold, left, right)
+        losses.append(_logistic_loss(margin, y))
+    return BoostedStumps(stumps, lr, base, losses)
+
+
+def assert_same_model(x, y, config, oracle=lump_train_stumps):
     new = train_stumps(x, y, config)
-    old = dense_train_stumps(x, y, config)
+    old = oracle(x, y, config)
     assert new.stumps == old.stumps
     assert new.train_loss == old.train_loss
     assert new.base_score == old.base_score
@@ -89,7 +155,7 @@ def assert_same_model(x, y, config):
 
 
 @st.composite
-def tie_heavy_problems(draw):
+def tie_heavy_problems(draw, values=st.integers(-2, 3)):
     """Small integer-valued columns, with constant and all-zero columns mixed in."""
     n = draw(st.integers(2, 24))
     d = draw(st.integers(1, 8))
@@ -97,29 +163,43 @@ def tie_heavy_problems(draw):
     for _ in range(d):
         kind = draw(st.sampled_from(["ints", "ints", "ints", "constant", "zero"]))
         if kind == "ints":
-            columns.append(draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n)))
+            columns.append(draw(st.lists(values, min_size=n, max_size=n)))
         elif kind == "constant":
-            columns.append([draw(st.integers(-2, 3))] * n)
+            columns.append([draw(values)] * n)
         else:
             columns.append([0] * n)
     y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(lambda v: 0 < sum(v) < n))
     return np.array(columns, dtype=np.float64).T, np.array(y)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    problem=tie_heavy_problems(),
+tie_heavy_knobs = dict(
     block_elems=st.integers(1, 200),
     reg_lambda=st.sampled_from([0.0, 1.0]),
     learning_rate=st.sampled_from([0.1, 0.3, 1.0, 4.0]),
     rounds=st.integers(1, 15),
 )
-def test_blocked_search_matches_dense_search(problem, block_elems, reg_lambda, learning_rate, rounds):
-    x, y = problem
+
+
+def assert_same_model_at_budget(x, y, block_elems, reg_lambda, learning_rate, rounds, oracle):
     config = TrainConfig(rounds=rounds, learning_rate=learning_rate, reg_lambda=reg_lambda)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stumps, "_BLOCK_ELEMS", block_elems)
-        assert_same_model(x, y, config)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert_same_model(x, y, config, oracle)
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=tie_heavy_problems(), **tie_heavy_knobs)
+def test_blocked_search_matches_dense_search(problem, **knobs):
+    assert_same_model_at_budget(*problem, **knobs, oracle=lump_train_stumps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=tie_heavy_problems(st.sampled_from([-2, -1, 1, 2, 3])), **tie_heavy_knobs)
+def test_zero_free_search_matches_the_verbatim_dense_search(problem, **knobs):
+    x, y = problem
+    x[x == 0] = 1.0  # the strategy's all-zero columns become constant ones
+    assert_same_model_at_budget(x, y, **knobs, oracle=dense_train_stumps)
 
 
 def test_sparse_matrix_at_default_budget():
@@ -140,10 +220,89 @@ def test_saturated_probabilities_without_regularization_stop_silently():
         warnings.simplefilter("error")
         model = train_stumps(x, y, config)
     with np.errstate(divide="ignore", invalid="ignore"):
-        oracle = dense_train_stumps(x, y, config)
+        oracle = lump_train_stumps(x, y, config)
     assert model.stumps == oracle.stumps
     assert model.train_loss == oracle.train_loss
     assert model.rounds < 60
+
+
+@pytest.mark.parametrize(
+    "low, high",
+    [(1.0, np.nextafter(1.0, 2.0)), (1e308, 1.7e308), (-np.nextafter(1.0, 2.0), -1.0)],
+)
+def test_threshold_splits_rows_as_the_search_did(low, high):
+    # the midpoint of adjacent floats rounds onto one of them, and near the
+    # float maximum it overflows; either way the threshold must keep the
+    # low rows below it and the high rows at or above it
+    x = np.array([[low], [low], [high], [high]])
+    y = np.array([0, 0, 1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = train_stumps(x, y, TrainConfig(rounds=3, learning_rate=0.3))
+    assert model.rounds == 3
+    assert all(low < s.threshold <= high for s in model.stumps)
+    assert np.array_equal(model.predict(x), y)
+    assert all(b < a for a, b in zip(model.train_loss, model.train_loss[1:]))
+    with np.errstate(over="ignore"):
+        assert_same_model(x, y, TrainConfig(rounds=3, learning_rate=0.3), dense_train_stumps)
+
+
+def presorted_features(x):
+    """Per feature: its kept rows in order (a zero slot reads N) and its zero slot."""
+    n = x.shape[0]
+    kept = {}
+    for features, order, split_at, counts, zero_col, zero_skip in stumps._feature_blocks(x):
+        for i, feature in enumerate(features):
+            row = order[i]
+            slots = np.flatnonzero(row < n)
+            if zero_col[i] < row.size:
+                slots = np.union1d(slots, [zero_col[i]])
+            kept[int(feature)] = (row[slots[0] : slots[-1] + 1], zero_col[i])
+    return kept
+
+
+@st.composite
+def presort_columns(draw):
+    """Tie-heavy columns: duplicates, -0.0, NaN, all-zero, all-nonzero and constant."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 10))
+    values = st.sampled_from([-1.5, -1.0, -0.0, 0.0, 0.0, 0.5, 0.5, 2.0, np.inf, np.nan])
+    nonzero = st.sampled_from([-1.5, -1.0, 0.5, 2.0, 2.0])
+    columns = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(["mixed", "mixed", "nonzero", "constant", "zero"]))
+        if kind == "mixed":
+            columns.append(draw(st.lists(values, min_size=n, max_size=n)))
+        elif kind == "nonzero":
+            columns.append(draw(st.lists(nonzero, min_size=n, max_size=n)))
+        elif kind == "constant":
+            columns.append([draw(values)] * n)
+        else:
+            columns.append([draw(st.sampled_from([0.0, -0.0]))] * n)
+    return np.array(columns, dtype=np.float64).T
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=presort_columns(), block_elems=st.integers(1, 200))
+def test_presort_keeps_the_stable_order_of_the_nonzero_rows(x, block_elems):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stumps, "_BLOCK_ELEMS", block_elems)
+        kept = presorted_features(x)
+    n = x.shape[0]
+    for feature in range(x.shape[1]):
+        column = x[:, feature]
+        stable = np.argsort(column, kind="stable")
+        nonzero = stable[column[stable] != 0]
+        if nonzero.size + (nonzero.size < n) < 2:
+            assert feature not in kept  # one row, or all zeros: never a split
+            continue
+        rows, zero_slot = kept[feature]
+        assert np.array_equal(rows[rows < n], nonzero)
+        negatives = np.count_nonzero(column < 0)
+        if nonzero.size < n:
+            assert zero_slot == negatives and rows[zero_slot] == n
+        else:
+            assert zero_slot == rows.size
 
 
 def test_search_memory_stays_near_the_input_size():
@@ -158,3 +317,20 @@ def test_search_memory_stays_near_the_input_size():
         tracemalloc.stop()
     assert model.rounds == 3
     assert peak < 2.5 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the input"
+
+
+def test_search_memory_of_a_sparse_matrix_follows_its_nonzeros():
+    # the per-entry state (a row index and a split index) covers the nonzero
+    # entries only; 16 bytes an entry would be a complex prefix sum of each
+    rng = np.random.default_rng(5)
+    x = rng.integers(1, 6, size=(2000, 4000)) * (rng.random((2000, 4000)) < 0.1) / 5.0
+    y = (x[:, :20].sum(axis=1) > 0.6).astype(np.int64)
+    nonzeros = np.count_nonzero(x)
+    tracemalloc.start()
+    try:
+        model = train_stumps(x, y, TrainConfig(rounds=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.rounds == 3
+    assert peak < 2.5 * 16 * nonzeros, f"peak {peak / (16 * nonzeros):.2f}x 16 bytes a nonzero"
