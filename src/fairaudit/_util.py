@@ -1,4 +1,4 @@
-"""Small shared helpers: canonical JSON files, float32 blobs, seed derivation."""
+"""Small shared helpers: canonical JSON and JSONL files, float32 blobs, seed derivation."""
 
 from __future__ import annotations
 
@@ -30,6 +30,28 @@ def read_json(path):
             raise ParseError(f"{path}: {exc}") from exc
 
 
+def write_jsonl(path, records) -> None:
+    """One canonical JSON value per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(canonical_json(record))
+            fh.write("\n")
+
+
+def read_jsonl(path):
+    """Yield ``(line number, value)`` for each nonblank line; invalid JSON is a
+    ParseError that names the line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON ({exc.msg})", line_no) from exc
+            yield line_no, value
+
+
 def typed(obj: dict, key: str, kind: type | tuple[type, ...]):
     """``obj[key]``, raising TypeError unless it is a ``kind`` (a bool only if ``kind`` is bool)."""
     value = obj[key]
@@ -56,12 +78,12 @@ def positions(index_order, ids) -> list[int]:
 
 
 @contextmanager
-def parsing(what: str):
-    """Report a missing or mistyped key of an artifact as a ParseError."""
+def parsing(what: str, line: int | None = None):
+    """Report a missing or mistyped key of an artifact (at ``line``) as a ParseError."""
     try:
         yield
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
+        raise ParseError(f"malformed {what}: {type(exc).__name__}: {exc}", line) from exc
 
 
 def encode_array(arr: np.ndarray) -> dict:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import datetime
 import hashlib
+import json
 import os
 import shutil
 import tempfile
@@ -142,8 +143,12 @@ NO_FLAG = ("field_weights", "sources", "search_space")
 
 
 @dataclass(frozen=True)
-class AuditConfig:
-    """Everything a run needs; defaults follow the documented pipeline."""
+class AuditConfig(TrainConfig):
+    """Everything a run needs; defaults follow the documented pipeline.
+
+    The learner fields and their checks come from TrainConfig. ``seed`` is the
+    master seed from which every stage's seed is derived.
+    """
 
     d: int = 768
     k: int = 5
@@ -151,7 +156,6 @@ class AuditConfig:
     averaging: str = "weighted"
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
     stratify_on: str | None = None
-    seed: int = 0
     embedder: str = "hash"
     embeddings_path: str | None = None
     max_tokens: int | None = None
@@ -164,18 +168,9 @@ class AuditConfig:
     consistency_split: str = "full"
     consistency_cells: str = "stage"  # "stage": human rows get their own stage's C; "all": every cell
     sources: tuple[str, ...] = ALL_SOURCES
-    max_epochs: int = 20
-    patience: int = 5
-    learning_rate: float = 0.1
-    batch_size: int = 32
-    rounds: int = 200
-    reg_lambda: float = 1.0
-    hidden_dim: int = 32
-    head_dim: int = 16
-    search_trials: int = 1
-    search_space: dict | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}")
@@ -299,13 +294,12 @@ class _AuditRun:
         val = self.matrix.take(self.split.validation)
         y_train = self.truth.take(self.split.train).values
         y_val = self.truth.take(self.split.validation).values
-        base = TrainConfig(**{f.name: getattr(config, f.name) for f in fields(TrainConfig)})
         for family, learner in LEARNERS.items():
             if learner.source not in config.sources:
                 continue
             seed = self.seeds["search"] if config.search_trials > 1 else self.seeds.get(family, 0)
             model, trials = learner.train(
-                train, y_train, val, y_val, replace(base, seed=seed), config.k, config.metric
+                train, y_train, val, y_val, replace(config, seed=seed), config.k, config.metric
             )
             self.models[learner.source] = model
             if trials is not None:
@@ -398,33 +392,18 @@ class _AuditRun:
                     else None
                 )
             rows.append(ReportRow(source, **cells))
+        # Every config field as report.json holds it, but the embeddings path: a
+        # location, like the corpus path. The learner fields but the master
+        # seed go under "train".
+        values = json.loads(canonical_json(asdict(self.config)))
+        del values["embeddings_path"]
+        train = {f.name: values.pop(f.name) for f in fields(TrainConfig) if f.name != "seed"}
         metadata = {
-            "k": self.config.k,
-            "metric": self.config.metric,
-            "averaging": self.config.averaging,
-            "d": self.config.d,
-            "embedder": self.config.embedder,
-            "normalize": self.config.normalize,
-            "rerank": self.config.rerank,
-            "candidate_pool": self.config.candidate_pool,
-            "field_weights": list(self.config.field_weights)
-            if self.config.field_weights
-            else None,
-            "ratios": list(self.config.ratios),
-            "stratify_on": self.config.stratify_on,
-            "metrics_split": self.config.metrics_split,
-            "consistency_split": self.config.consistency_split,
-            "consistency_cells": self.config.consistency_cells,
-            "target_stage": self.config.target_stage,
+            **values,
+            "train": train,
             "corpus_size": len(self.profiles),
             "corpus_sha256": self.corpus_sha256,
-            "seed": self.config.seed,
             "derived_seeds": self.seeds,
-            "train": {
-                f.name: getattr(self.config, f.name)
-                for f in fields(TrainConfig)
-                if f.name not in ("seed", "search_space")
-            },
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         }
         return AuditReport(tuple(rows), metadata)

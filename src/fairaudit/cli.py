@@ -2,8 +2,9 @@
 
 Every intermediate artifact (corpus, latents, embeddings, splits, models,
 decisions, neighbor lists, reports) is an inspectable file, so an audit can be
-reproduced or re-scored piece by piece. Exit codes: 0 success, 1 usage error,
-2 data or integrity error. All randomness is driven by explicit --seed flags.
+reproduced or re-scored piece by piece. Exit codes: 0 success, 1 usage error
+or rejected value, 2 data or integrity error. All randomness is driven by
+explicit --seed flags.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .embed import (
 )
 from .errors import FairauditError
 from .fairness import classification_metrics, consistency
-from .simindex import knn_batched, knn_exact, knn_feature_reranked, load_neighbors, save_neighbors
+from .simindex import knn_batched, knn_feature_reranked, load_neighbors, save_neighbors
 
 class UsageError(Exception):
     pass
@@ -85,17 +86,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}{suggestion}")
 
 
-def _ratios(text: str) -> tuple[float, float, float]:
+def _three_floats(text: str) -> tuple[float, float, float]:
     parts = [float(x) for x in text.split(",")]
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated fractions")
-    return tuple(parts)
-
-
-def _thresholds(text: str) -> tuple[float, float, float]:
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated thresholds")
+        raise argparse.ArgumentTypeError("expected three comma-separated numbers")
     return tuple(parts)
 
 
@@ -106,11 +100,11 @@ def _bias_shift(entries: list[str]) -> dict[int, float]:
             group, value = entry.split("=", 1)
             shifts[int(group)] = float(value)
         except ValueError:
-            raise UsageError(f"--bias-shift expects GROUP=SHIFT, got {entry!r}")
+            raise ValueError(f"--bias-shift expects GROUP=SHIFT, got {entry!r}") from None
     return shifts
 
 
-_FLAG_TYPES = {"int": int, "float": float, "str": str, "tuple": _ratios}
+_FLAG_TYPES = {"int": int, "float": float, "str": str, "tuple": _three_floats}
 
 
 def _add_config_flags(p: _Parser, cls) -> None:
@@ -127,11 +121,8 @@ def _add_config_flags(p: _Parser, cls) -> None:
 
 
 def _config(cls, args):
-    """The config dataclass ``cls`` built from its flags; a rejected value is a usage error."""
-    try:
-        return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if f.name not in NO_FLAG})
-    except ValueError as exc:
-        raise UsageError(f"fairaudit {args.command}: error: {exc}") from exc
+    """The config dataclass ``cls`` built from its flags."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if f.name not in NO_FLAG})
 
 
 def build_parser() -> _Parser:
@@ -149,7 +140,7 @@ def build_parser() -> _Parser:
     p.add_argument("--noise-sigma", type=float, default=0.25, help="rater judgment noise")
     p.add_argument("--bias-shift", action="append", default=[], metavar="GROUP=SHIFT",
                    help="per-group threshold shift, e.g. 1=0.2 (repeatable)")
-    p.add_argument("--thresholds", type=_thresholds, default=(0.4, 0.5, 0.6),
+    p.add_argument("--thresholds", type=_three_floats, default=(0.4, 0.5, 0.6),
                    metavar="SL,AR,OF", help="stage thresholds (default 0.4,0.5,0.6)")
     p.add_argument("--rater-seed", type=int, default=None,
                    help="rater panel seed (default: --seed + 1)")
@@ -182,7 +173,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("split", help="deterministic corpus split")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--ratios", type=_ratios, default=(0.8, 0.1, 0.1), metavar="TR,VA,TE")
+    p.add_argument("--ratios", type=_three_floats, default=(0.8, 0.1, 0.1), metavar="TR,VA,TE")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stratify-on", default=None)
     p.add_argument("--out", required=True)
@@ -262,7 +253,7 @@ def _cmd_embed(args) -> int:
         matrix = embed_corpus(profiles, args.d, args.seed, args.max_tokens)
     else:
         if not args.embeddings:
-            raise UsageError("--embedder ingest requires --embeddings")
+            raise ValueError("--embedder ingest requires --embeddings")
         matrix = ingest_embeddings(args.embeddings, [p.id for p in profiles], args.d)
     if args.normalize:
         matrix = normalize_field_blocks(matrix)
@@ -271,10 +262,8 @@ def _cmd_embed(args) -> int:
     if args.neighbors_out:
         if args.rerank:
             nl = knn_feature_reranked(matrix, args.k, args.metric)
-        elif args.batch_size:
-            nl = knn_batched(matrix, args.k, args.metric, batch_size=args.batch_size)
         else:
-            nl = knn_exact(matrix, args.k, args.metric)
+            nl = knn_batched(matrix, args.k, args.metric, batch_size=args.batch_size)
         save_neighbors(nl, args.neighbors_out)
         print(f"wrote k={args.k} neighbors to {args.neighbors_out}")
     return 0
@@ -310,7 +299,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     if args.d < 1:
-        raise UsageError("fairaudit predict: error: --d must be at least 1")
+        raise ValueError("--d must be at least 1")
     model = load_model(args.model)
     ids, data = load_matrix_file(args.embeddings)
     field_order = tuple(f"f{i}" for i in range(data.shape[1] // args.d))
@@ -386,12 +375,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except SystemExit as exc:  # argparse --help / --version
         return int(exc.code or 0)
-    except FairauditError as exc:
+    except (FairauditError, OSError, UnicodeDecodeError) as exc:  # bad or missing data
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:  # plain argument misuse, as errors.py defines it
+        print(f"fairaudit {args.command}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -20,13 +20,21 @@ File formats
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import canonical_json, parsing, positions, read_json, typed, typed_list, write_json
+from ._util import (
+    parsing,
+    positions,
+    read_json,
+    read_jsonl,
+    typed,
+    typed_list,
+    write_json,
+    write_jsonl,
+)
 from .errors import (
     AlignmentError,
     IntegrityError,
@@ -256,15 +264,8 @@ def load_corpus(path, format: str | None = None) -> list[Profile]:
         raise ValueError(f"unknown corpus format {format!r}")
     profiles: list[Profile] = []
     if format == "jsonl":
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"invalid JSON ({exc.msg})", line_no) from exc
-                profiles.append(_profile_from_record(obj, line_no))
+        for line_no, obj in read_jsonl(path):
+            profiles.append(_profile_from_record(obj, line_no))
     else:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
@@ -312,10 +313,7 @@ def save_corpus(profiles: list[Profile], path, format: str | None = None) -> Non
     if format is None:
         format = "csv" if path.endswith(".csv") else "jsonl"
     if format == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
-            for p in profiles:
-                fh.write(canonical_json(_profile_to_record(p)))
-                fh.write("\n")
+        write_jsonl(path, (_profile_to_record(p) for p in profiles))
     elif format == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -533,26 +531,19 @@ def generate_synthetic_corpus(
 
 
 def save_latents(latents: dict[str, LatentRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for pid, rec in latents.items():
-            fh.write(
-                canonical_json(
-                    {"id": pid, "q": rec.q, "group": rec.group, "field_q": rec.field_q}
-                )
-            )
-            fh.write("\n")
+    write_jsonl(
+        path,
+        (
+            {"id": pid, "q": rec.q, "group": rec.group, "field_q": rec.field_q}
+            for pid, rec in latents.items()
+        ),
+    )
 
 
 def load_latents(path) -> dict[str, LatentRecord]:
     latents: dict[str, LatentRecord] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", line_no) from exc
+    for line_no, obj in read_jsonl(path):
+        with parsing(f"latents {path}", line_no):
             latents[obj["id"]] = LatentRecord(
                 float(obj["q"]), int(obj["group"]), dict(obj.get("field_q", {}))
             )

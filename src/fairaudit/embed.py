@@ -85,6 +85,13 @@ class EmbeddingMatrix:
         return EmbeddingMatrix(data, self.dim_per_field, self.field_order, tuple(ids))
 
 
+def _check_sizes(d: int, max_tokens: int | None) -> None:
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
+    if max_tokens is not None and max_tokens < 1:
+        raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
+
+
 def _hash_key(seed: int) -> bytes:
     return (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
 
@@ -119,11 +126,10 @@ def hash_embed_field(
     normalized to unit length; empty or whitespace-only text gives the zero
     vector. Deterministic in (text, d, seed) across processes.
 
-    ``max_tokens`` truncates the token sequence first, for parity with
-    embedding pipelines that cap input length.
+    ``max_tokens`` (at least 1) truncates the token sequence first, for parity
+    with embedding pipelines that cap input length.
     """
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    _check_sizes(d, max_tokens)
     vec = np.zeros(d)
     _embed_into(vec, text, _hash_key(seed), {}, max_tokens)
     return vec
@@ -136,8 +142,7 @@ def embed_corpus(
     max_tokens: int | None = None,
 ) -> EmbeddingMatrix:
     """Embed every profile with the hashing embedder, one block per field."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    _check_sizes(d, max_tokens)
     n_fields = len(FIELD_ORDER)
     data = np.zeros((len(profiles), d * n_fields))
     key = _hash_key(seed)

@@ -2,7 +2,7 @@
 
 Everything data-related derives from :class:`FairauditError` so callers (and
 the CLI, which maps these to exit code 2) can catch one base class. Plain
-argument misuse raises ``ValueError`` as usual.
+argument misuse raises ``ValueError`` as usual (the CLI's exit code 1).
 """
 
 

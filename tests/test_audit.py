@@ -1,6 +1,7 @@
 """End-to-end audit orchestration, comparison, and report rendering."""
 
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fairaudit.audit import (
     render_report,
     run_audit,
 )
+from fairaudit.classifiers import TrainConfig
 from fairaudit.dataset import (
     RaterConfig,
     attach_stage_labels,
@@ -57,6 +59,23 @@ class TestRunAudit:
             assert report.metadata[key] is not None
         assert report.metadata["corpus_size"] == 120
         assert report.metadata["k"] == 5
+
+    def test_metadata_records_every_config_field_but_the_embeddings_path(self, tmp_path):
+        corpus = make_corpus(tmp_path)
+        config = small_config(sources=("human:AR",))
+        report = run_audit(corpus, config)
+        metadata = report.metadata
+        train = {f.name for f in fields(TrainConfig)} - {"seed"}
+        top = {f.name for f in fields(AuditConfig)} - train - {"embeddings_path"}
+        assert set(metadata) == top | {"train", "corpus_size", "corpus_sha256",
+                                       "derived_seeds", "timestamp"}
+        assert set(metadata["train"]) == train
+        as_json = json.loads(json.dumps(asdict(config)))
+        assert {name: metadata[name] for name in top} == {name: as_json[name] for name in top}
+        assert metadata["train"] == {name: as_json[name] for name in train}
+        truncated = run_audit(corpus, small_config(sources=("human:AR",), max_tokens=20))
+        assert truncated.row("human:AR") != report.row("human:AR")
+        assert truncated.metadata["max_tokens"] == 20 and metadata["max_tokens"] is None
 
     def test_noise_free_raters_score_perfectly(self, tmp_path):
         corpus = make_corpus(tmp_path, noise_sigma=0.0, thresholds=(0.5, 0.5, 0.5))

@@ -65,6 +65,45 @@ class TestExitCodes:
         assert "error" in err.lower()
 
 
+    def test_undecodable_corpus_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"id": "P1", "gcea": "a \xff b"}\n')
+        code, _, err = run(capsys, "split", "--corpus", str(bad),
+                           "--out", str(tmp_path / "s.json"))
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+
+
+class TestRejectedValues:
+    """A value the library rejects is a one-line usage error on every subcommand."""
+
+    @pytest.mark.parametrize("argv", [
+        "synth --n -1 --out-corpus {tmp}/c.jsonl",
+        "synth --n 5 --noise-sigma -1 --out-corpus {tmp}/c.jsonl",
+        "synth --n 5 --vocab-size 3 --out-corpus {tmp}/c.jsonl",
+        "synth --n 5 --thresholds 0.6,0.5,0.4 --out-corpus {tmp}/c.jsonl",
+        "split --corpus {corpus} --ratios 0.5,0.6,0.1 --out {tmp}/s.json",
+        "embed --corpus {corpus} --d 1 --out {tmp}/e.faem",
+        "embed --corpus {corpus} --d 8 --max-tokens 0 --out {tmp}/e.faem",
+        "embed --corpus {corpus} --d 8 --out {tmp}/e.faem --neighbors-out {tmp}/n.json"
+        " --no-rerank --batch-size 0",
+    ])
+    def test_rejected_value_exits_one(self, tmp_path, corpus, capsys, argv):
+        code, _, err = run(capsys, *argv.format(tmp=tmp_path, corpus=corpus).split())
+        assert code == 1, err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"fairaudit {argv.split()[0]}: error: ")
+
+    @pytest.mark.parametrize("flags", [
+        ["--epochs", "2", "--patience", "5"], ["--search-trials", "0"], ["--batch-size", "0"],
+    ])
+    def test_audit_rejects_its_config_before_reading_the_corpus(self, tmp_path, capsys, flags):
+        code, _, err = run(capsys, "audit", "--corpus", str(tmp_path / "missing.jsonl"),
+                           "--out", str(tmp_path / "run"), *flags)
+        assert code == 1, err
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestPipelineChain:
     def test_full_chain(self, tmp_path, corpus, capsys):
         emb = tmp_path / "emb.faem"

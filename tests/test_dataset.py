@@ -270,6 +270,13 @@ class TestSyntheticCorpus:
         save_latents(latents, tmp_path / "l.jsonl")
         assert load_latents(tmp_path / "l.jsonl") == latents
 
+    def test_malformed_latent_record_is_a_parse_error_naming_its_line(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        write_jsonl(path, [{"id": "P0", "q": 0.5, "group": 1, "field_q": {}},
+                           {"id": "P1", "q": 0.5}])
+        with pytest.raises(ParseError, match="line 2.*'group'"):
+            load_latents(path)
+
     def test_group_absent_from_text(self):
         # flipping only the group draw cannot change the text, by construction:
         # the generator never consults the group when sampling tokens

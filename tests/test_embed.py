@@ -86,6 +86,15 @@ class TestHashEmbedField:
         with pytest.raises(ValueError):
             hash_embed_field("x", 1, 0)
 
+    @pytest.mark.parametrize("max_tokens", [0, -1])
+    def test_max_tokens_below_one_is_rejected(self, max_tokens):
+        # -1 used to slice off each field's last token
+        with pytest.raises(ValueError, match="max_tokens"):
+            hash_embed_field("a b c d", 16, 0, max_tokens=max_tokens)
+        profile = Profile("A", {name: "a b c d" for name in FIELD_ORDER[:4]})
+        with pytest.raises(ValueError, match="max_tokens"):
+            embed_corpus([profile], 16, 0, max_tokens)
+
     @settings(max_examples=50, deadline=None)
     @given(st.text(alphabet=st.characters(codec="utf-8"), max_size=80), st.integers(2, 256))
     def test_norm_property(self, text, d):
