@@ -86,6 +86,15 @@ def parsing(what: str, line: int | None = None):
         raise ParseError(f"malformed {what}: {type(exc).__name__}: {exc}", line) from exc
 
 
+def normalize_rows(rows: np.ndarray, chunk_elems: int) -> None:
+    """L2-normalize ``rows`` along the last axis in place; zero vectors stay zero.
+    At most about ``chunk_elems`` entries at a time, as norm squares a copy of its
+    input; a vector's norm does not depend on the chunking."""
+    for chunk in np.array_split(rows, max(1, rows.size // chunk_elems)):
+        norms = np.linalg.norm(chunk, axis=-1, keepdims=True)
+        np.divide(chunk, norms, out=chunk, where=norms > 0)
+
+
 def encode_array(arr: np.ndarray) -> dict:
     """Shape header plus base64 little-endian float32 data (lossy in the last bits)."""
     return {

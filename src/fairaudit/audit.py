@@ -35,16 +35,19 @@ from .classifiers import (
     train_stumps,
 )
 from .dataset import (
+    FIELD_ORDER,
     STAGES,
     DecisionVector,
     Profile,
     binarize_labels,
+    check_ratios,
     load_corpus,
     save_split,
     split_corpus,
 )
 from .embed import (
     EmbeddingMatrix,
+    check_sizes,
     embed_corpus,
     ingest_embeddings,
     normalize_field_blocks,
@@ -52,7 +55,15 @@ from .embed import (
 )
 from .errors import IntegrityError, StageError
 from .fairness import AVERAGING_MODES, classification_metrics, consistency
-from .simindex import METRICS, NeighborList, knn_exact, knn_feature_reranked, neighbors_to_dict
+from .simindex import (
+    METRICS,
+    NeighborList,
+    check_field_weights,
+    check_k,
+    knn_exact,
+    knn_feature_reranked,
+    neighbors_to_dict,
+)
 
 # The learner functions look up train_stumps, birnn_train, knn_predict and
 # random_search in this module's globals at call time, so wrapping those names
@@ -179,6 +190,13 @@ class AuditConfig(TrainConfig):
         unknown = [s for s in self.sources if s not in ALL_SOURCES]
         if unknown:
             raise ValueError(f"unknown sources {unknown}; expected among {ALL_SOURCES}")
+        # what the pipeline stages check, by their own checks, before any data is read
+        if self.embedder == "hash":
+            check_sizes(self.d, self.max_tokens)
+        check_ratios(self.ratios)
+        check_k(self.k, self.candidate_pool if self.rerank else None)
+        if self.rerank:
+            check_field_weights(self.field_weights, len(FIELD_ORDER))
 
 
 @dataclass(frozen=True)

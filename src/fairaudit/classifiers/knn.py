@@ -10,7 +10,7 @@ from .._util import decode_array, encode_array, typed
 from ..dataset import DecisionVector
 from ..embed import EmbeddingMatrix
 from ..errors import AlignmentError, DimensionMismatchError, SizeError
-from ..simindex import METRICS, search_queries
+from ..simindex import METRICS, check_k, search_queries
 
 
 @dataclass
@@ -26,8 +26,7 @@ class KnnClassifier:
     family = "knn"
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        check_k(self.k)
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}; expected one of {METRICS}")
 

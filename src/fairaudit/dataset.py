@@ -406,6 +406,14 @@ def _largest_remainder(total: int, quotas: list[float]) -> list[int]:
     return base
 
 
+def check_ratios(ratios) -> None:
+    """Reject split ratios that are not three nonnegative fractions summing to 1."""
+    if len(ratios) != 3 or any(r < 0 for r in ratios):
+        raise ValueError("ratios must be three nonnegative fractions")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(f"ratios must sum to 1, got {sum(ratios)!r}")
+
+
 def split_corpus(
     profiles: list[Profile],
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
@@ -419,10 +427,7 @@ def split_corpus(
     set, positives of that stage are apportioned by largest remainder so each
     split's positive rate stays within ``1/|split|`` of the corpus rate.
     """
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise ValueError("ratios must be three nonnegative fractions")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {sum(ratios)!r}")
+    check_ratios(ratios)
     n = len(profiles)
     if n < 3:
         raise SizeError(f"need at least 3 profiles to split, got {n}")

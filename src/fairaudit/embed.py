@@ -21,10 +21,11 @@ import hashlib
 import struct
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from ._util import positions
+from ._util import normalize_rows, positions
 from .dataset import FIELD_ORDER, Profile
 from .errors import (
     DimensionMismatchError,
@@ -36,6 +37,8 @@ from .errors import (
 
 _MAGIC = b"FAEM"
 _VERSION = 1
+_CHUNK_TOKENS = 1 << 15  # tokens hashed and scattered at a time; bounds the working memory
+_NORM_ELEMS = 1 << 17  # entries whose norms are taken at a time; bounds the working memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,12 +83,16 @@ class EmbeddingMatrix:
         return self.data.reshape(self.n, len(self.field_order), self.dim_per_field)
 
     def take(self, ids) -> "EmbeddingMatrix":
-        """The rows of ``ids``, in that order."""
+        """The rows of ``ids``, in that order: the matrix itself if that is its order
+        (it is immutable)."""
+        if tuple(ids) == self.index_order:
+            return self
         data = self.data[positions(self.index_order, ids)]
         return EmbeddingMatrix(data, self.dim_per_field, self.field_order, tuple(ids))
 
 
-def _check_sizes(d: int, max_tokens: int | None) -> None:
+def check_sizes(d: int, max_tokens: int | None) -> None:
+    """Reject a hashing-embedder size: ``d`` below 2 or ``max_tokens`` below 1."""
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     if max_tokens is not None and max_tokens < 1:
@@ -96,23 +103,81 @@ def _hash_key(seed: int) -> bytes:
     return (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
 
 
-def _embed_into(out: np.ndarray, text: str, key: bytes, cache: dict, max_tokens) -> None:
-    """Hash ``text`` into the zero vector ``out`` and L2-normalize it in place."""
-    if max_tokens is not None:
-        text = " ".join(text.lower().split()[:max_tokens])
-    d = len(out)
-    tokens = text.lower().split()
-    for gram in tokens + [f"{a} {b}" for a, b in zip(tokens, tokens[1:])]:
-        slot = cache.get(gram)
-        if slot is None:
-            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, key=key).digest()
-            value = int.from_bytes(digest, "little")
-            slot = ((value >> 1) % d, 1.0 if value & 1 else -1.0)
-            cache[gram] = slot
-        out[slot[0]] += slot[1]
-    norm = np.linalg.norm(out)
-    if norm > 0:
-        out /= norm
+def _hash_codes(grams: list[str], key: bytes, d: int) -> np.ndarray:
+    """``2 * bucket + sign bit`` of each gram, from its keyed 64-bit blake2b digest."""
+    keyed = hashlib.blake2b(digest_size=8, key=key)  # the key block, compressed once
+
+    def digest(gram: str) -> bytes:
+        h = keyed.copy()
+        h.update(gram.encode("utf-8"))
+        return h.digest()
+
+    values = np.frombuffer(b"".join(map(digest, grams)), dtype="<u8")
+    return ((values >> 1) % d * 2 + (values & 1)).astype(np.int64)
+
+
+def _token_chunks(texts, max_tokens: int | None):
+    """The lowercased, split and truncated tokens of each text, in lists holding at
+    most ``_CHUNK_TOKENS`` tokens (a longer text makes a list of its own)."""
+    chunk, size = [], 0
+    for text in texts:
+        tokens = text.lower().split()[:max_tokens]
+        if chunk and size + len(tokens) > _CHUNK_TOKENS:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(tokens)
+        size += len(tokens)
+    if chunk:
+        yield chunk
+
+
+def _hash_embed(texts, n: int, d: int, seed: int, max_tokens: int | None) -> np.ndarray:
+    """The (n, d) hashed, L2-normalized vectors of the n ``texts``.
+
+    Each distinct gram is hashed once per call. Tokens map to ids through one
+    dict and their codes sit in an array by id; bigrams are keyed by their id
+    pair, looked up in a sorted table of the pairs hashed so far. Every bucket
+    and every squared norm is a small integer sum, exact in any order, so the
+    chunking changes no bit.
+    """
+    check_sizes(d, max_tokens)
+    key = _hash_key(seed)
+    out = np.zeros((n, d))
+    ids: dict[str, int] = {}
+    words: list[str] = []
+    unigrams = np.empty(0, np.int64)  # code of each token id
+    pairs = np.empty(0, np.int64)  # sorted (id << 32 | id) keys of the hashed bigrams
+    pair_codes = np.empty(0, np.int64)
+    start = 0
+    for chunk in _token_chunks(texts, max_tokens):
+        new = sorted(set().union(*chunk).difference(ids))
+        ids.update(zip(new, range(len(words), len(words) + len(new))))
+        words += new
+        unigrams = np.concatenate([unigrams, _hash_codes(new, key, d)])
+        lengths = [len(tokens) for tokens in chunk]
+        tokens = np.fromiter(map(ids.__getitem__, chain.from_iterable(chunk)), np.int64,
+                             sum(lengths))
+        rows = np.repeat(np.arange(start, start + len(chunk)), lengths)
+        inner = rows[1:] == rows[:-1]  # the bigrams: token pairs within one text
+        distinct, inverse = np.unique(tokens[:-1][inner] << 32 | tokens[1:][inner],
+                                      return_inverse=True)
+        at = np.searchsorted(pairs, distinct)
+        known = at < len(pairs)
+        known[known] = pairs[at[known]] == distinct[known]
+        fresh = distinct[~known]
+        grams = [f"{words[pair >> 32]} {words[pair & 0xFFFFFFFF]}" for pair in fresh.tolist()]
+        at = np.searchsorted(pairs, fresh)
+        pairs = np.insert(pairs, at, fresh)
+        pair_codes = np.insert(pair_codes, at, _hash_codes(grams, key, d))
+        codes = np.concatenate(
+            [unigrams[tokens], pair_codes[np.searchsorted(pairs, distinct)][inverse]]
+        )
+        where = np.concatenate([rows, rows[1:][inner]])
+        np.add.at(out.reshape(-1), where * d + (codes >> 1), (codes & 1) * 2.0 - 1.0)
+        start += len(chunk)
+    norms = np.sqrt(np.einsum("ij,ij->i", out, out))[:, None]
+    np.divide(out, norms, out=out, where=norms > 0)
+    return out
 
 
 def hash_embed_field(
@@ -129,10 +194,7 @@ def hash_embed_field(
     ``max_tokens`` (at least 1) truncates the token sequence first, for parity
     with embedding pipelines that cap input length.
     """
-    _check_sizes(d, max_tokens)
-    vec = np.zeros(d)
-    _embed_into(vec, text, _hash_key(seed), {}, max_tokens)
-    return vec
+    return _hash_embed([text], 1, d, seed, max_tokens)[0]
 
 
 def embed_corpus(
@@ -141,24 +203,20 @@ def embed_corpus(
     seed: int = 0,
     max_tokens: int | None = None,
 ) -> EmbeddingMatrix:
-    """Embed every profile with the hashing embedder, one block per field."""
-    _check_sizes(d, max_tokens)
-    n_fields = len(FIELD_ORDER)
-    data = np.zeros((len(profiles), d * n_fields))
-    key = _hash_key(seed)
-    cache: dict = {}
-    for i, profile in enumerate(profiles):
-        for f, name in enumerate(FIELD_ORDER):
-            _embed_into(data[i, f * d : (f + 1) * d], profile.fields[name], key, cache, max_tokens)
-    return EmbeddingMatrix(data, d, FIELD_ORDER, tuple(p.id for p in profiles))
+    """Embed every profile with the hashing embedder, one block per field:
+    :func:`hash_embed_field` of each field, with each distinct gram hashed once."""
+    texts = (profile.fields[name] for profile in profiles for name in FIELD_ORDER)
+    data = _hash_embed(texts, len(profiles) * len(FIELD_ORDER), d, seed, max_tokens)
+    return EmbeddingMatrix(
+        data.reshape(len(profiles), d * len(FIELD_ORDER)), d, FIELD_ORDER,
+        tuple(p.id for p in profiles),
+    )
 
 
 def normalize_field_blocks(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
     """L2-normalize each field block of each row; zero blocks stay zero."""
-    n_fields = len(matrix.field_order)
-    blocks = matrix.data.reshape(matrix.n, n_fields, matrix.dim_per_field).copy()
-    norms = np.linalg.norm(blocks, axis=2, keepdims=True)
-    np.divide(blocks, norms, out=blocks, where=norms > 0)
+    blocks = matrix.data.reshape(matrix.n, len(matrix.field_order), matrix.dim_per_field).copy()
+    normalize_rows(blocks, _NORM_ELEMS)
     return EmbeddingMatrix(
         blocks.reshape(matrix.n, matrix.dim),
         matrix.dim_per_field,

@@ -4,33 +4,55 @@
 weighted ``w_f`` (whole rows: one block, weight 1); a pair scores ``sum_f w_f s_f /
 W``, ``W = sum(w)``, added in field order over nonzero weights, with ``s_f`` the
 blocks' cosine (0 for a zero block) or negated euclidean distance. Per query block,
-one GEMM per field *screens* the whole reference alike (``-sqrt(max(|q|^2 + |r|^2 -
-2 q.r, 0))`` for euclidean, ``-inf`` on a query's own row if self is excluded).
-Columns screening at least ``t - 2*delta``, ``t`` the row's k-th screen score, are
-rescored by the pair kernel of :func:`_pair_scores` and ranked, ties by row index.
+one float32 GEMM per field *screens* the whole reference alike (``-sqrt(max(|q|^2 +
+|r|^2 - 2 q.r, 0))`` for euclidean). The float64 pair kernel of :func:`_pair_scores`
+rescores every column the screen cannot rule out and decides every score and rank,
+ties by row index: the screen's precision changes no result.
 
-``delta`` bounds |screen - kernel|. Per field of width d let ``S = |q|^2 + max
-|r|^2``, ``eps = 2u = 2**-52``, ``tiny`` the least subnormal. Any order of a
-length-d dot product is within ``d u |q||r| / (1 - d u) + d tiny/2`` of exact
-(Higham, *Accuracy and Stability of Numerical Algorithms*, 2.1 and 3.1): GEMM and
-kernel cosines differ by ``e = (d + 8) eps S + 2 d tiny`` at most, size ``m = S +
-e``. Squared distances (GEMM form; the kernel's ``sum (q - r)^2``) differ by ``2e``;
-as ``|sqrt a - sqrt b| <= sqrt |a - b|`` and roots round, distances differ by ``e' =
-(1 + eps) sqrt(2e) + 2 eps sqrt(S)``, size ``m = 2 sqrt(S) + 2e'``. Weighting,
-adding and dividing by W add ``(F + 2) eps sum_f w_f m_f / W``, so ``delta = sum_f
-w_f (e_f + (F + 2) eps m_f) / W`` (the slack in ``e`` covers delta's own rounding).
-As k columns screen at least ``t``, the k-th exact score is at least ``t - delta``,
-and each exact top-k column screens at least ``t - 2*delta``. So block size, BLAS
-threads and k change no score, top-k is a prefix of top-K, and no buffer is N x N.
+Screen error. The screen reads float32 copies of the rows the kernel scores: unit
+rows for cosine, and for euclidean each field's rows times the power of two ``c``
+(exact) that brings its largest magnitude into [1/2, 1), so nothing overflows
+(cosine: c = 1). Per field of width d < 2**22, let ``S = |q|^2 + max |r|^2`` of the
+copies, ``u = 2**-24``, ``eps = 2u``, ``t = 2**-149`` the least float32 subnormal.
+Rounding to float32 moves an entry x by at most ``u|x| + t``, so a dot product of
+the copies moves by at most about ``u S + (d + S) t``; a float32 dot product of
+length d, any order, is within ``d u |q||r| / (1 - d u) + d t / 2`` of exact
+(Higham, *Accuracy and Stability of Numerical Algorithms*, 2.1 and 3.1), and the
+float64 kernel's own error is 2**29 times smaller. So, with room to spare:
+
+- cosine: ``|screen - kernel| <= e = (d + 8) eps S + 8 d t``, magnitude ``m = S + e``.
+- euclidean: the GEMM form is within ``E = (d + 8) eps S + 4 d t`` of ``|q - r|^2`` of
+  the copies. As ``|sqrt a - sqrt b| <= |a - b| / (sqrt a + sqrt b)``, a screened
+  distance D is within ``r(D) = (1 + u) E / max(D, sqrt E)`` plus ``e = 2 eps sqrt S +
+  eps sqrt E + 2 sqrt(d) t + c sqrt(2 d 2**-1074)`` (input and root rounding, the
+  kernel's rounding and underflow) of c times the kernel's, ``m = 2 sqrt S + 2 (e +
+  sqrt E)``. A row whose ``sqrt(2 S) / c`` reaches 2**500, where the kernel's sum
+  may overflow to inf, gets ``e = inf``.
+
+Fields add in units of ``1 / C``, ``C = min_f c_f``, with float32 weights ``fl(w_f C /
+(c_f W))``. Weighting and adding in float32 and in the kernel's float64, and the
+float32 steps below, add at most ``(F + 2) eps m_f`` per field, and underflow ``2 t
+(1 + m_f)`` per field and ``2 F C 2**-1074``: so each query row has ``delta =
+sum_f w_f C / (c_f W) (e_f + (F + 2) eps m_f) + ...`` and each euclidean entry a
+radius ``R = sum_f fl(w_f C / (c_f W)) r_f(D_f)``, computed in float32 from E raised
+by ``(F + 8) eps`` (cosine: R = 0). A bound that cannot be evaluated is infinite.
+
+Selection. Every column's exact score lies within ``screen +- (R + delta)``. With
+``s_k`` the k-th largest ``screen - R`` of a row (``-inf`` on its own column if self
+is excluded), k columns score at least ``s_k - delta`` exactly, so the k-th exact
+score does too, and every exact top-k column has ``screen + R >= s_k - 2 delta``; those
+columns are rescored and ranked. So block size, BLAS threads and k change no score,
+top-k is a prefix of top-K, and no buffer is N x N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ._util import parsing, read_json, typed, typed_list, write_json
+from ._util import normalize_rows, parsing, read_json, typed, typed_list, write_json
 from .embed import EmbeddingMatrix
 from .errors import (
     AlignmentError,
@@ -85,32 +107,140 @@ def pairwise_similarity(a, b, metric: str = "cosine") -> float:
     return float(np.clip(score, -1.0, 1.0)) if metric == "cosine" else score
 
 
-# Float64 entries in one query block's GEMM scores and in each gather buffer
-# of the pair kernel. They bound working memory; no result depends on them.
+# Bytes of one query block's scores, counted in float64 entries (the float32
+# screen holds twice as many; the block's query copies may take four times as
+# much), and float64 entries in each gather buffer of the pair kernel. They bound
+# working memory; no result depends on them.
 _BLOCK_ELEMS = 1 << 18
 _GATHER_ELEMS = 1 << 17
 
-
-def _prepare(data: np.ndarray, metric: str) -> tuple[np.ndarray, np.ndarray]:
-    """Rows as scored (unit rows for cosine) and their squared norms."""
-    rows = np.array(data) if metric == "cosine" else np.ascontiguousarray(data)
-    if metric == "cosine":  # in chunks: norm squares a copy of its input
-        for chunk in np.array_split(rows, max(1, rows.size // _GATHER_ELEMS)):
-            norms = np.linalg.norm(chunk, axis=1, keepdims=True)
-            np.divide(chunk, norms, out=chunk, where=norms > 0)
-    return rows, np.einsum("ij,ij->i", rows, rows)
+# float32's eps and least subnormal, float64's least subnormal (module docstring)
+_EPS, _TINY = float(np.finfo(np.float32).eps), float(np.finfo(np.float32).smallest_subnormal)
+_TINY64 = float(np.finfo(np.float64).smallest_subnormal)
 
 
-def _screen(q, q_sq, ref, ref_sq, metric: str, weight: float) -> np.ndarray:
-    """One field's weighted GEMM scores of the rows ``q`` against every ``ref`` row."""
-    gemm = q @ ref.T
+def _prepare(data: np.ndarray, metric: str) -> np.ndarray:
+    """Rows as the pair kernel scores them: unit rows for cosine."""
     if metric == "euclidean":
-        gemm *= -2.0
-        gemm += ref_sq
-        gemm += q_sq[:, None]
-        np.negative(np.sqrt(np.maximum(gemm, 0.0, out=gemm), out=gemm), out=gemm)
-    gemm *= weight
-    return gemm
+        return np.ascontiguousarray(data)
+    rows = np.array(data)
+    normalize_rows(rows, _GATHER_ELEMS)
+    return rows
+
+
+def _scale(metric: str, *blocks: np.ndarray) -> float:
+    """The power of two, at most 2**1000, that brings a euclidean field's largest
+    magnitude into [1/2, 1) or below; 1 for cosine, whose rows are unit rows."""
+    if metric == "cosine":
+        return 1.0
+    top = max((max(b.max(), -b.min()) for b in blocks if b.size), default=0.0)
+    return float(np.ldexp(1.0, -max(int(np.frexp(top)[1]), -1000)))
+
+
+class _Rows(NamedTuple):
+    """One field's rows as the pair kernel scores them, their float32 screen copy
+    and the copy's squared norms, summed in float64."""
+
+    kernel: np.ndarray
+    low: np.ndarray
+    sq: np.ndarray
+
+
+def _field(data: np.ndarray, metric: str, scale: float) -> _Rows:
+    """The rows of one field, the screen copy times ``scale``."""
+    rows = _prepare(data, metric)
+    low = np.multiply(rows, scale, out=np.empty(rows.shape, np.float32), casting="same_kind")
+    return _Rows(rows, low, np.einsum("ij,ij->i", low, low, dtype=np.float64))
+
+
+def _screen(q: _Rows, ref: _Rows, metric: str, coef: np.float32, sq_error):
+    """One field's weighted float32 GEMM scores of the rows ``q`` against every ``ref``
+    row and, for euclidean, each score's weighted radius ``coef * r(D)`` (module
+    docstring) from the squared-distance error ``(E, sqrt(E))`` of each query row."""
+    gemm = q.low @ ref.low.T
+    if metric == "cosine":
+        gemm *= coef
+        return gemm, None
+    gemm *= -2.0
+    gemm += ref.sq.astype(np.float32)
+    gemm += q.sq.astype(np.float32)[:, None]
+    np.sqrt(np.maximum(gemm, 0.0, out=gemm), out=gemm)
+    e_sq, root = sq_error
+    radius = np.maximum(gemm, root[:, None])
+    np.divide(e_sq[:, None], radius, out=radius)
+    radius *= coef
+    gemm *= -coef
+    return gemm, radius
+
+
+def _field_error(q_sq, ref_sq_max, metric: str, d: int, scale: float, n_fields: int):
+    """Per query row, one field's error terms (module docstring): the constant
+    bound ``e``, the magnitude ``m`` and, for euclidean, float32 ``(E, sqrt(E))``
+    with E raised and sqrt(E) lowered so that the float32 radius stays a bound."""
+    s = q_sq + ref_sq_max
+    if metric == "cosine":
+        e = (d + 8) * _EPS * s + 8 * d * _TINY
+        return e, s + e, None
+    e_sq = (d + 8) * _EPS * s + 4 * d * _TINY
+    e = 2 * _EPS * np.sqrt(s) + _EPS * np.sqrt(e_sq) + 2 * np.sqrt(d) * _TINY
+    e += scale * np.sqrt(2 * d * _TINY64)
+    e[np.sqrt(2 * s) / scale >= 2.0**500] = np.inf  # the kernel's sum may overflow
+    sq_error = (
+        (e_sq * (1 + (n_fields + 8) * _EPS)).astype(np.float32),
+        (np.sqrt(e_sq) * (1 - 8 * _EPS)).astype(np.float32),
+    )
+    return e, 2 * np.sqrt(s) + 2 * (e + np.sqrt(e_sq)), sq_error
+
+
+def _bounds(q, ref, weights, scales, total, metric: str, d: int):
+    """Per query row of a block, delta, and per field the euclidean ``(E, sqrt(E))``
+    (module docstring)."""
+    common, n_fields = min(scales), len(weights)
+    delta, sq_errors = 2 * n_fields * common * _TINY64, []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for qf, rf, w, c in zip(q, ref, weights, scales):
+            e, m, sq_error = _field_error(qf.sq, rf.sq.max(), metric, d, c, n_fields)
+            delta = delta + w * (common / c) / total * (e + (n_fields + 2) * _EPS * m)
+            delta = delta + 2 * _TINY * (1 + m)
+            sq_errors.append(sq_error)
+    return np.where(np.isnan(delta), np.inf, delta), sq_errors  # nan: cannot be evaluated
+
+
+def _block_screen(q, ref, coefs, sq_errors, metric: str):
+    """The block's screen, summed over fields, and for euclidean its radii."""
+    screen = radius = None
+    for qf, rf, coef, sq_error in zip(q, ref, coefs, sq_errors):
+        part, part_radius = _screen(qf, rf, metric, coef, sq_error)
+        screen = part if screen is None else np.add(screen, part, out=screen)
+        if part_radius is not None:
+            radius = part_radius if radius is None else np.add(radius, part_radius, out=radius)
+        del part, part_radius  # before the next field's GEMM
+    return screen, radius
+
+
+def _candidates(screen, radius, delta, k: int, diagonal) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the block's entries that the screen cannot rule out of
+    their row's exact top k (module docstring, "Selection"); ``diagonal`` holds the
+    excluded entries, if any. Consumes ``screen`` and ``radius``."""
+    n_ref = screen.shape[1]
+    if radius is not None:
+        screen -= radius  # lower bounds, but for delta
+    if diagonal is not None:
+        screen[diagonal] = -np.inf
+    kth = np.empty(len(screen), np.float32)
+    step = max(1, _GATHER_ELEMS // n_ref)
+    for at in range(0, len(screen), step):  # partition copies its input: in chunks
+        kth[at : at + step] = np.partition(screen[at : at + step], n_ref - k, axis=1)[
+            :, n_ref - k
+        ]
+    if radius is not None:  # upper bounds, but for delta
+        screen += np.multiply(radius, 2.0, out=radius)
+        del radius
+    keep = screen >= (kth - 2.0 * delta)[:, None]
+    del screen
+    if diagonal is not None:  # an infinite delta reaches the excluded entries too
+        keep[diagonal] = False
+    return np.nonzero(keep)
 
 
 def _pair_scores(q, ref, rows, cols, metric: str) -> np.ndarray:
@@ -147,7 +277,7 @@ def search(
     weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k reference rows of every query row by the field ``weights`` (by
-    default one field), ``block`` rows per GEMM (default: ``_BLOCK_ELEMS`` scores)."""
+    default one field), ``block`` rows per GEMM (default: as ``_BLOCK_ELEMS`` allows)."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
     queries = np.ascontiguousarray(queries, dtype=np.float64)
@@ -158,45 +288,61 @@ def search(
     limit = n_ref - 1 if exclude_diagonal else n_ref
     if not 1 <= k <= limit:
         raise SizeError(f"k={k} out of range [1, {limit}] for {n_ref} reference rows")
-    if block is None:
-        block = max(1, _BLOCK_ELEMS // n_ref)
-    if block < 1:
+    if block is not None and block < 1:
         raise ValueError(f"batch_size must be >= 1, got {block}")
     if not (np.isfinite(queries).all() and np.isfinite(reference).all()):
         raise NonFiniteError("search inputs must be finite")
     weights = np.ones(1) if weights is None else weights
     used, total, d = weights[weights > 0], weights.sum(), reference.shape[1] // len(weights)
+    if block is None:  # float32 scores alive per query row: the screen, one field's part
+        # of it if there are two, and for euclidean the radii of both
+        live = min(len(used), 2) * (1 if metric == "cosine" else 2)
+        block = max(1, 2 * _BLOCK_ELEMS // (n_ref * live))
+        if queries is not reference:  # and the block's float64 and float32 query copies
+            block = min(block, max(1, 32 * _BLOCK_ELEMS // (12 * queries.shape[1])))
     fields = [slice(f * d, (f + 1) * d) for f in np.flatnonzero(weights)]
-    ref = [_prepare(reference[:, f], metric) for f in fields]
-    q = ref if queries is reference else [_prepare(queries[:, f], metric) for f in fields]
-    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_subnormal
-    delta = 0.0
-    for (_, q_sq), (_, ref_sq), w in zip(q, ref, used):
-        s = q_sq + ref_sq.max()
-        e = (d + 8) * eps * s + 2 * d * tiny
-        if metric == "euclidean":
-            e = (1 + eps) * np.sqrt(2 * e) + 2 * eps * np.sqrt(s)
-        m = s + e if metric == "cosine" else 2 * np.sqrt(s) + 2 * e
-        delta = delta + w * (e + (len(used) + 2) * eps * m)
-    band = 2.0 * delta / total
+    scales = [_scale(metric, queries[:, f], reference[:, f]) for f in fields]
+    ref = [_field(reference[:, f], metric, c) for f, c in zip(fields, scales)]
+    # field weights of the screen, which is in units of 1 / min(scales)
+    coefs = [np.float32(w * (min(scales) / c) / total) for w, c in zip(used, scales)]
     neighbors = np.empty((n_q, k), dtype=np.int64)
     scores = np.empty((n_q, k), dtype=np.float64)
     for start in range(0, n_q, block):
         stop = min(start + block, n_q)
-        screen = np.zeros((stop - start, n_ref))
-        for (qf, q_sq), (rf, r_sq), w in zip(q, ref, used):
-            screen += _screen(qf[start:stop], q_sq[start:stop], rf, r_sq, metric, w)
-        screen /= total
-        if exclude_diagonal:
-            screen[np.arange(stop - start), np.arange(start, stop)] = -np.inf
-        kth = np.partition(screen, n_ref - k, axis=1)[:, n_ref - k].copy()  # frees the rest
-        rows, cols = np.nonzero(screen >= (kth - band[start:stop])[:, None])
+        if queries is reference:
+            q = [_Rows(*(a[start:stop] for a in field)) for field in ref]
+        else:
+            q = [_field(queries[start:stop, f], metric, c) for f, c in zip(fields, scales)]
+        delta, sq_errors = _bounds(q, ref, used, scales, total, metric, d)
+        diagonal = (np.arange(stop - start), np.arange(start, stop)) if exclude_diagonal else None
+        rows, cols = _candidates(*_block_screen(q, ref, coefs, sq_errors, metric), delta, k,
+                                 diagonal)
         found = np.zeros(len(rows))
-        for (qf, _), (rf, _), w in zip(q, ref, used):
-            found += w * _pair_scores(qf, rf, rows + start, cols, metric)
+        for qf, rf, w in zip(q, ref, used):
+            found += w * _pair_scores(qf.kernel, rf.kernel, rows, cols, metric)
         found /= total
         neighbors[start:stop], scores[start:stop] = _rank(rows, cols, found, stop - start, k)
     return neighbors, scores
+
+
+def check_k(k: int, candidate_pool: int | None = None) -> None:
+    """Reject a neighbor count below 1, or a candidate pool smaller than it."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if candidate_pool is not None and candidate_pool < k:
+        raise ValueError(f"candidate_pool={candidate_pool} must be >= k={k}")
+
+
+def check_field_weights(field_weights, n_fields: int) -> np.ndarray:
+    """``field_weights`` as floats (equal weights if None), rejected unless there is
+    one per field and they are nonnegative, not all zero, with a finite sum."""
+    weights = np.ones(n_fields) if field_weights is None else np.asarray(field_weights, float)
+    if weights.shape != (n_fields,):
+        raise ValueError(f"expected {n_fields} field weights, got shape {weights.shape}")
+    with np.errstate(over="ignore"):  # an overflowing sum is rejected, not warned about
+        if not np.isfinite(weights.sum()) or (weights < 0).any() or not (weights > 0).any():
+            raise ValueError("field weights must have a finite sum, be nonnegative, not all zero")
+    return weights
 
 
 def knn_exact(
@@ -245,15 +391,8 @@ def knn_feature_reranked(
     (equal weights by default; nonnegative, not all zero, finite sum): one
     :func:`search` over the field blocks. ``candidate_pool`` is ignored apart
     from the check that it is at least k: an exact search needs no pool."""
-    n_fields = len(matrix.field_order)
-    weights = np.ones(n_fields) if field_weights is None else np.asarray(field_weights, float)
-    if weights.shape != (n_fields,):
-        raise DimensionMismatchError((n_fields,), weights.shape, "field weight count")
-    with np.errstate(over="ignore"):  # an overflowing sum is rejected, not warned about
-        if not np.isfinite(weights.sum()) or (weights < 0).any() or not (weights > 0).any():
-            raise ValueError("field weights must have a finite sum, be nonnegative, not all zero")
-    if candidate_pool is not None and candidate_pool < k:
-        raise SizeError(f"candidate_pool={candidate_pool} must be >= k={k}")
+    check_k(k, candidate_pool)
+    weights = check_field_weights(field_weights, len(matrix.field_order))
     neighbors, scores = search(matrix.data, matrix.data, k, metric, exclude_self, weights=weights)
     return NeighborList(k, neighbors, scores, metric, exclude_self, matrix.index_order)
 

@@ -227,6 +227,29 @@ class TestRunAudit:
         assert len(log["model:gbstumps"]) == 2
 
 
+class TestAuditConfig:
+    @pytest.mark.parametrize("values, message", [
+        ({"d": 1}, "d must be >= 2"),
+        ({"max_tokens": 0}, "max_tokens must be >= 1"),
+        ({"k": 0}, "k must be >= 1"),
+        ({"ratios": (0.5, 0.6, 0.1)}, "ratios must sum to 1"),
+        ({"candidate_pool": 4}, "candidate_pool=4 must be >= k=5"),
+        ({"field_weights": (1.0, 1.0)}, "expected 5 field weights"),
+        ({"field_weights": (1.0, -1.0, 1.0, 1.0, 1.0)}, "field weights must"),
+        ({"field_weights": (0.0,) * 5}, "field weights must"),
+        ({"field_weights": (1e308, 1e308, 1.0, 1.0, 1.0)}, "field weights must"),
+    ])
+    def test_stage_checks_run_at_construction(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            AuditConfig(**values)
+
+    def test_values_a_stage_ignores_are_not_checked(self):
+        # ingested vectors are neither hashed nor truncated, and only the rerank
+        # takes a candidate pool and field weights
+        AuditConfig(embedder="ingest", embeddings_path="e.faem", d=1, max_tokens=0)
+        AuditConfig(rerank=False, candidate_pool=4, field_weights=(1.0,))
+
+
 class TestCompareSources:
     def _fixture_report(self):
         rows = (

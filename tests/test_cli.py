@@ -87,6 +87,7 @@ class TestRejectedValues:
         "embed --corpus {corpus} --d 8 --max-tokens 0 --out {tmp}/e.faem",
         "embed --corpus {corpus} --d 8 --out {tmp}/e.faem --neighbors-out {tmp}/n.json"
         " --no-rerank --batch-size 0",
+        "embed --corpus {corpus} --d 8 --out {tmp}/e.faem --neighbors-out {tmp}/n.json --k 0",
     ])
     def test_rejected_value_exits_one(self, tmp_path, corpus, capsys, argv):
         code, _, err = run(capsys, *argv.format(tmp=tmp_path, corpus=corpus).split())
@@ -94,8 +95,20 @@ class TestRejectedValues:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith(f"fairaudit {argv.split()[0]}: error: ")
 
+    @pytest.mark.parametrize("rerank", ["--rerank", "--no-rerank"])
+    def test_embed_rejects_k_before_writing_the_matrix(self, tmp_path, corpus, capsys, rerank):
+        code, _, err = run(capsys, "embed", "--corpus", str(corpus), "--d", "8", "--out",
+                           str(tmp_path / "e.faem"), "--neighbors-out", str(tmp_path / "n.json"),
+                           "--k", "0", rerank)
+        assert code == 1, err
+        assert "k must be >= 1" in err
+        assert not (tmp_path / "e.faem").exists()
+
     @pytest.mark.parametrize("flags", [
         ["--epochs", "2", "--patience", "5"], ["--search-trials", "0"], ["--batch-size", "0"],
+        # values a pipeline stage checks, by the stage's own check function
+        ["--d", "1"], ["--k", "0"], ["--max-tokens", "0"], ["--ratios", "0.5,0.6,0.1"],
+        ["--ratios", "1.2,-0.1,-0.1"], ["--candidate-pool", "1"],
     ])
     def test_audit_rejects_its_config_before_reading_the_corpus(self, tmp_path, capsys, flags):
         code, _, err = run(capsys, "audit", "--corpus", str(tmp_path / "missing.jsonl"),

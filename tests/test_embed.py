@@ -2,12 +2,14 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairaudit import embed
 from fairaudit.dataset import FIELD_ORDER, Profile, generate_synthetic_corpus
 from fairaudit.embed import (
     EmbeddingMatrix,
@@ -144,12 +146,64 @@ class TestEmbedCorpus:
         for f in range(5):
             assert np.array_equal(seqs[:, f], matrix.field_block(f))
 
-    def test_thread_cap_does_not_change_result(self, monkeypatch):
+    def test_empty_corpus(self):
+        assert embed_corpus([], d=8, seed=0).data.shape == (0, 40)
+
+    def test_chunk_size_does_not_change_result(self, monkeypatch):
+        # where the texts are cut into chunks is the one thing that could move a bit
         profiles, _ = generate_synthetic_corpus(12, 40, seed=2)
-        serial = embed_corpus(profiles, d=16, seed=0)
-        monkeypatch.setenv("FAIRAUDIT_THREADS", "4")
-        threaded = embed_corpus(profiles, d=16, seed=0)
-        assert np.array_equal(serial.data, threaded.data)
+        profiles.append(Profile("empty", {}))
+        default = embed_corpus(profiles, d=16, seed=0)
+        for size in (1, 7, 100):
+            monkeypatch.setattr(embed, "_CHUNK_TOKENS", size)
+            assert np.array_equal(embed_corpus(profiles, d=16, seed=0).data, default.data)
+
+    def test_working_memory_is_bounded(self):
+        # the whole corpus tokenised and scattered at once would take about 60 MB
+        profiles, _ = generate_synthetic_corpus(1000, 400, seed=3)
+        tracemalloc.start()
+        try:
+            matrix = embed_corpus(profiles, d=768, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - matrix.data.nbytes < 32 * 2**20
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.data(),
+        st.integers(2, 256),
+        st.none() | st.integers(1, 8),
+        st.integers(0, 2**64 + 8),
+        st.sampled_from([1, 3, 7, embed._CHUNK_TOKENS]),
+    )
+    def test_matches_the_reference_bit_for_bit(self, data, d, max_tokens, seed, chunk):
+        text = st.text(st.characters(codec="utf-8"), max_size=12)
+        # words shared by every field, so grams repeat within and across profiles
+        words = data.draw(st.lists(text, min_size=1, max_size=5))
+        field = text | st.lists(st.sampled_from(words), max_size=10).map(" ".join)
+        n = data.draw(st.integers(1, 4))
+        profiles = [Profile(f"P{i}", dict(zip(FIELD_ORDER[:4], data.draw(st.lists(
+            field, min_size=4, max_size=4))))) for i in range(n)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(embed, "_CHUNK_TOKENS", chunk)
+            got = embed_corpus(profiles, d, seed, max_tokens).data
+            one = hash_embed_field(profiles[0].fields["GCEA"], d, seed, max_tokens)
+        expected = np.array([
+            np.concatenate([
+                reference_hash_embed(" ".join(p.fields[name].lower().split()[:max_tokens]), d, seed)
+                for name in FIELD_ORDER
+            ])
+            for p in profiles
+        ])
+        assert got.tobytes() == expected.tobytes()
+        assert one.tobytes() == expected[0, :d].tobytes()
+
+    def test_take_of_the_whole_order_is_the_matrix_itself(self):
+        matrix = embed_corpus(self._profiles(), d=8, seed=1)
+        assert matrix.take(list(matrix.index_order)) is matrix
+        swapped = matrix.take(["B", "A"])
+        assert np.array_equal(swapped.data, matrix.data[::-1])
 
 
 class TestNormalizeFieldBlocks:
@@ -158,6 +212,31 @@ class TestNormalizeFieldBlocks:
                                              "Leadership": "e"})], d=8, seed=0)
         normalized = normalize_field_blocks(matrix)
         assert np.allclose(normalized.data, matrix.data, atol=1e-12)
+
+    def test_chunked_norms_keep_every_bit(self, monkeypatch):
+        column_scales = 10.0 ** np.arange(-6, 6, 0.1)
+        data = np.random.default_rng(4).standard_normal((50, 5 * 24)) * column_scales
+        data[3, :24] = 0.0
+        matrix = EmbeddingMatrix(data, 24, FIELD_ORDER, tuple(f"P{i}" for i in range(50)))
+        blocks = data.reshape(50, 5, 24)
+        norms = np.linalg.norm(blocks, axis=2, keepdims=True)  # one pass over everything
+        want = np.divide(blocks, norms, out=blocks.copy(), where=norms > 0).reshape(50, -1)
+        for elems in (1, 7, 24, 1000, embed._NORM_ELEMS):
+            monkeypatch.setattr(embed, "_NORM_ELEMS", elems)
+            assert normalize_field_blocks(matrix).data.tobytes() == want.tobytes()
+
+    def test_working_memory_is_a_few_chunks(self):
+        matrix = EmbeddingMatrix(np.random.default_rng(5).standard_normal((1000, 3840)), 768,
+                                 FIELD_ORDER, tuple(f"P{i}" for i in range(1000)))
+        tracemalloc.start()
+        try:
+            normalized = normalize_field_blocks(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output, plus chunk temporaries far below it (norm over all rows at
+        # once squared a full-size copy: 2.0x the output beyond it)
+        assert peak - normalized.data.nbytes < normalized.data.nbytes / 4
 
     def test_scales_each_block(self):
         data = np.zeros((1, 10))

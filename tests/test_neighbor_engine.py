@@ -28,8 +28,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def pair_kernel_scores(queries, reference, metric):
     """Every pair's score by the pair kernel, shape (len(queries), len(reference))."""
-    q, _ = simindex._prepare(np.asarray(queries, dtype=np.float64), metric)
-    r, _ = simindex._prepare(np.asarray(reference, dtype=np.float64), metric)
+    q = simindex._prepare(np.asarray(queries, dtype=np.float64), metric)
+    r = simindex._prepare(np.asarray(reference, dtype=np.float64), metric)
     rows, cols = np.divmod(np.arange(len(q) * len(r)), len(r))
     if metric == "cosine":
         return np.einsum("ij,ij->i", q[rows], r[cols]).reshape(len(q), len(r))
@@ -37,31 +37,48 @@ def pair_kernel_scores(queries, reference, metric):
     return -np.sqrt(np.einsum("ij,ij->i", diff, diff)).reshape(len(q), len(r))
 
 
-def oracle(queries, reference, k, metric, exclude_diagonal):
-    scores = pair_kernel_scores(queries, reference, metric)
+def top_k(scores, k, exclude_diagonal):
+    """Stable descending order, the diagonal left out (not scored -inf: an
+    overflowing euclidean kernel scores other columns -inf too)."""
+    order = np.argsort(-scores, axis=1, kind="stable")
     if exclude_diagonal:
-        np.fill_diagonal(scores, -np.inf)
-    order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    return order, np.take_along_axis(scores, order, axis=1)
+        n = len(scores)
+        order = order[order != np.arange(n)[:, None]].reshape(n, n - 1)
+    return order[:, :k], np.take_along_axis(scores, order[:, :k], axis=1)
+
+
+def oracle(queries, reference, k, metric, exclude_diagonal):
+    return top_k(pair_kernel_scores(queries, reference, metric), k, exclude_diagonal)
 
 
 @st.composite
-def tie_heavy(draw, n_fields=1):
+def tie_heavy(draw, n_fields=1, extreme=False):
     """Small integer rows plus duplicates, zero rows, rows scaled by powers of
-    two and rows one ulp from another."""
+    two and rows one float64 ulp from another, which float32 cannot tell apart.
+    ``extreme`` adds rows scaled to near +-1e300 and to subnormals, and rows a few
+    float32 ulps or less from another, so that rounding to float32 reorders scores."""
     n = draw(st.integers(2, 14))
     d = draw(st.integers(1, 4)) * n_fields
+    kinds = ["ints", "ints", "copy", "zero", "scaled", "ulp"]
+    kinds += ["huge", "tiny", "near", "near"] * extreme
     rows = []
     for i in range(n):
-        kind = draw(st.sampled_from(["ints", "ints", "copy", "zero", "scaled", "ulp"]))
-        if kind == "ints" or not rows:
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("ints", "huge", "tiny") or not rows:
             row = np.array(draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d)), float)
+            if kind == "huge":  # 2**997 is about 1.3e300
+                row *= 2.0 ** draw(st.integers(990, 1018))
+            elif kind == "tiny":  # 2**-1074 is the least subnormal
+                row = row / 2.0**537 / 2.0 ** draw(st.integers(480, 537))
         elif kind == "zero":
             row = np.zeros(d)
         else:
             row = rows[draw(st.integers(0, i - 1))].copy()
             if kind == "scaled":
                 row *= 2.0 ** draw(st.integers(-3, 3))
+            elif kind == "near":
+                noise = draw(st.lists(st.floats(-1, 1), min_size=d, max_size=d))
+                row += np.array(noise) * 2.0 ** -draw(st.integers(18, 30))
             elif kind == "ulp":
                 j = draw(st.integers(0, d - 1))
                 row[j] = np.nextafter(row[j], draw(st.sampled_from([np.inf, -np.inf])))
@@ -110,11 +127,7 @@ def rerank_oracle(matrix, k, metric, weights, exclude_self):
         if w:
             block = matrix.field_block(f)
             total = total + w * pair_kernel_scores(block, block, metric)
-    total = total / sum(weights)
-    if exclude_self:
-        np.fill_diagonal(total, -np.inf)
-    order = np.argsort(-total, axis=1, kind="stable")[:, :k]
-    return order, np.take_along_axis(total, order, axis=1)
+    return top_k(total / sum(weights), k, exclude_self)
 
 
 @settings(max_examples=150, deadline=None)
@@ -140,6 +153,39 @@ def test_rerank_equals_a_stage_two_oracle(data, metric, weights, exclude_self, d
         got = knn_feature_reranked(matrix, k, metric, pool, weights, exclude_self)
     assert np.array_equal(got.neighbors, want_ids)
     assert np.array_equal(got.scores, want_scores)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=tie_heavy(n_fields=3, extreme=True),
+    metric=st.sampled_from(["cosine", "euclidean"]),
+    weights=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-3, 1e3)),
+                     min_size=3, max_size=3).filter(any),
+    exclude_self=st.booleans(),
+    draw=st.data(),
+)
+def test_extreme_rows_equal_the_oracle(data, metric, weights, exclude_self, draw):
+    """Rows near +-1e300 (whose euclidean kernel sums overflow to inf), subnormal
+    rows and rows one ulp apart, whole rows and weighted fields: the float32
+    screen's bound covers rounding, scaling and underflow, so the float64 kernel
+    still decides every score."""
+    n = len(data)
+    k = draw.draw(st.integers(1, n - 1 if exclude_self else n))
+    picks = draw.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as patch:
+        want = oracle(data, data, k, metric, exclude_self)
+        want_q = oracle(data[picks], data, k, metric, False)
+        want_rerank = rerank_oracle(matrix_of(data, n_fields=3), k, metric, weights, exclude_self)
+        patch.setattr(simindex, "_BLOCK_ELEMS", draw.draw(st.integers(1, 200)))
+        got = knn_exact(matrix_of(data), k, metric, exclude_self)
+        got_q = search_queries(data[picks], data, k, metric)
+        got_rerank = knn_feature_reranked(matrix_of(data, n_fields=3), k, metric, None, weights,
+                                          exclude_self)
+    for (ids, scores), (want_ids, want_scores) in zip(
+        [astuple(got), got_q, astuple(got_rerank)], [want, want_q, want_rerank]
+    ):
+        assert np.array_equal(ids, want_ids)
+        assert np.array_equal(scores, want_scores)
 
 
 def demo_matrix():

@@ -225,8 +225,9 @@ class TestFeatureReranked:
             assert np.array_equal(nl.scores, default.scores)
 
     def test_pool_smaller_than_k_rejected(self):
+        # a rejected argument, checked before any data is touched: ValueError
         m = self._matrix()
-        with pytest.raises(SizeError):
+        with pytest.raises(ValueError, match="candidate_pool=4 must be >= k=5"):
             knn_feature_reranked(m, k=5, candidate_pool=4)
 
     def test_all_zero_weights_rejected(self):
