@@ -10,6 +10,11 @@ import numpy as np
 
 from .errors import IntegrityError, ParseError
 
+_TINY = float(np.finfo(np.float64).tiny)  # the least normal float64
+# float32 entries base64-encoded at a time by write_json: 4 bytes each and a
+# multiple of 3 entries, so a piece encodes without padding
+_PIECE_ELEMS = 3 << 14
+
 
 def canonical_json(obj) -> str:
     """Stable JSON encoding: sorted keys, compact separators, UTF-8 text."""
@@ -17,9 +22,29 @@ def canonical_json(obj) -> str:
 
 
 def write_json(path, obj) -> None:
+    """``canonical_json(obj)`` and a newline. The data of a ``stream_array`` value is
+    encoded and written in pieces, so its text never exists whole."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(obj))
+        for piece in _json_pieces(obj):
+            fh.write(piece)
         fh.write("\n")
+
+
+def _json_pieces(obj):
+    """``canonical_json(obj)`` in pieces: dicts with string keys are walked (in the
+    sorted key order of ``sort_keys``) down to their ``stream_array`` data."""
+    if isinstance(obj, _Float32Data):
+        yield '"'
+        yield from obj.pieces()
+        yield '"'
+    elif isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
+        yield "{"
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            yield f"{',' if i else ''}{canonical_json(key)}:"
+            yield from _json_pieces(value)
+        yield "}"
+    else:
+        yield canonical_json(obj)
 
 
 def read_json(path):
@@ -89,9 +114,22 @@ def parsing(what: str, line: int | None = None):
 def normalize_rows(rows: np.ndarray, chunk_elems: int) -> None:
     """L2-normalize ``rows`` along the last axis in place; zero vectors stay zero.
     At most about ``chunk_elems`` entries at a time, as norm squares a copy of its
-    input; a vector's norm does not depend on the chunking."""
+    input; a vector's norm does not depend on the chunking.
+
+    A vector whose squares overflow (its norm is inf, from entries above about
+    1e154) or underflow (its norm is 0 or subnormal, from entries below about
+    1e-162) is first scaled by the power of two that brings its largest
+    magnitude into [1/2, 1), which is exact. Every other vector is divided by
+    its plain norm and keeps every bit."""
     for chunk in np.array_split(rows, max(1, rows.size // chunk_elems)):
-        norms = np.linalg.norm(chunk, axis=-1, keepdims=True)
+        with np.errstate(over="ignore"):  # an overflowing norm is mended below
+            norms = np.linalg.norm(chunk, axis=-1, keepdims=True)
+        odd = (norms[..., 0] == np.inf) | (norms[..., 0] < _TINY)  # zero vectors too
+        if odd.any():
+            scaled = chunk[odd]
+            scaled = np.ldexp(scaled, -np.frexp(np.abs(scaled).max(axis=-1, keepdims=True))[1])
+            chunk[odd] = scaled
+            norms[odd] = np.linalg.norm(scaled, axis=-1, keepdims=True)
         np.divide(chunk, norms, out=chunk, where=norms > 0)
 
 
@@ -101,6 +139,25 @@ def encode_array(arr: np.ndarray) -> dict:
         "shape": list(arr.shape),
         "data": base64.b64encode(np.ascontiguousarray(arr, dtype="<f4").tobytes()).decode(),
     }
+
+
+class _Float32Data:
+    """``encode_array``'s base64 data, encoded ``_PIECE_ELEMS`` entries at a time.
+    Each piece but the last holds a multiple of 3 bytes, so it encodes without
+    padding and the pieces join to the text of the whole."""
+
+    def __init__(self, arr: np.ndarray):
+        self.flat = np.ravel(arr)
+
+    def pieces(self):
+        for start in range(0, self.flat.size, _PIECE_ELEMS):
+            raw = self.flat[start : start + _PIECE_ELEMS].astype("<f4").tobytes()
+            yield base64.b64encode(raw).decode("ascii")
+
+
+def stream_array(arr: np.ndarray) -> dict:
+    """``encode_array(arr)``, but ``write_json`` encodes and writes the data in pieces."""
+    return {"shape": list(arr.shape), "data": _Float32Data(arr)}
 
 
 def decode_array(obj: dict) -> np.ndarray:

@@ -59,14 +59,14 @@ class BiRnnClassifier:
                     params[name] = rng.uniform(-bound, bound, shape)
             self.params = params
 
-    def to_dict(self) -> dict:
+    def to_dict(self, encode=encode_array) -> dict:
         return {
             "input_dim": self.input_dim,
             "hidden_dim": self.hidden_dim,
             "head_dim": self.head_dim,
             "steps": self.steps,
             "seed": self.seed,
-            "weights": {name: encode_array(arr) for name, arr in self.params.items()},
+            "weights": {name: encode(arr) for name, arr in self.params.items()},
         }
 
     @classmethod

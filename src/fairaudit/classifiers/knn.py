@@ -30,11 +30,11 @@ class KnnClassifier:
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}; expected one of {METRICS}")
 
-    def to_dict(self) -> dict:
+    def to_dict(self, encode=encode_array) -> dict:
         return {
             "k": self.k,
             "metric": self.metric,
-            "reference": encode_array(self.reference),
+            "reference": encode(self.reference),
             "labels": [int(v) for v in self.labels],
             "reference_ids": list(self.reference_ids),
         }

@@ -5,20 +5,28 @@ current predictions, using second-order (Newton) leaf scores
 
     w = -sum(g) / (sum(h) + lambda),   g = p - y,   h = p (1 - p)
 
-scaled by the learning rate. Split search is exact: every midpoint between
-consecutive distinct sorted feature values is a candidate (the upper value
-where the midpoint rounds onto either of them or overflows), and the best
-(position, feature) pair wins with ties going to the earliest candidate in
-scan order, the smallest ``pos * D + feature``. Training is a pure function
-of the data and configuration.
+scaled by the learning rate. The candidate thresholds are midpoints between
+consecutive distinct sorted feature values (the upper value where the
+midpoint rounds onto either of them or overflows), at most ``_MAX_SPLITS``
+(255) per feature, as in the histogram methods of XGBoost (Chen and
+Guestrin, KDD 2016) and LightGBM (Ke et al., NeurIPS 2017). A feature with
+more real split points keeps those nearest its 255 equal-count quantiles:
+for j = 1..255, the split with the number of rows at or below it nearest
+j * N / 256, the lower one on a tie, where the zero run counts all its rows.
+The choice is made once at setup from the feature's sorted values alone, so
+the row order and the block layout do not change it, and a feature with at
+most 256 distinct values keeps every split point. Over the candidates the
+search is exact: the best (position, feature) pair wins with ties going to
+the earliest candidate in scan order, the smallest ``pos * D + feature``.
+Training is a pure function of the data and configuration.
 
-The search is sparsity-aware, as XGBoost's is for missing values (Chen and
-Guestrin, KDD 2016), and visits only the nonzero entries. Setup sorts each
-feature once, with the default (unstable) sort followed by putting the rows
-of each run of equal nonzero values back in ascending order, which gives the
-stable order without a stable sort. It drops the zero entries and keeps, per
-feature, its nonzero rows in that order with one slot standing for the
-whole zero run, and the real split points: the slots whose value is below
+The search is sparsity-aware, as XGBoost's is for missing values, and
+visits only the nonzero entries. Setup sorts each feature once, with the
+default (unstable) sort followed by putting the rows of each run of equal
+nonzero values back in ascending order, which gives the stable order without
+a stable sort. It drops the zero entries and keeps, per feature, its nonzero
+rows in that order with one slot standing for the whole zero run, and the
+candidate split points among its real ones: the slots whose value is below
 the next one's, two of them on either side of the zero run. Features go
 into blocks of at most ``_BLOCK_ELEMS`` slots, longest first.
 
@@ -30,11 +38,12 @@ and the feature's total is its nonzero sum plus Z. Its scan position is the
 slot index plus, at or after the zero run, the zero count less one. For a
 feature without zeros the sums are sequential in sort order, as a dense
 column-wise cumsum would be, so its stumps and losses are the same to the
-last bit as a dense search's; with zeros only the summation order of the
-zero entries differs, so leaf values can move in their last bits while the
-candidate thresholds and the tie rule stay the same. The slot orders (intp)
-and the split index (int32) cover the nonzero entries only and are kept for
-the whole fit; beyond them a round needs memory in proportion to one block,
+last bit as a dense search's over the same candidates; with zeros only the
+summation order of the zero entries differs, so leaf values can move in
+their last bits while the candidate thresholds and the tie rule stay the
+same. The slot orders (intp) cover the nonzero entries only and are kept
+for the whole fit, as is the split index (int32, at most 255 entries a
+feature); beyond them a round needs memory in proportion to one block,
 O(max(_BLOCK_ELEMS, N)).
 """
 
@@ -51,6 +60,10 @@ _CLAMP = 1e-12
 # Slots (features x longest feature) per block of the split search. It bounds the
 # scratch memory of a round: the block's complex prefix sums take 16 bytes a slot, 512 KB.
 _BLOCK_ELEMS = 1 << 15
+# Candidate split points per feature at most: 256 quantile bins, as XGBoost's `hist`.
+_MAX_SPLITS = 255
+# Rows of x whose features of a block are copied out at a time, a cache-sized tile.
+_TILE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -83,7 +96,8 @@ class BoostedStumps:
     def rounds(self) -> int:
         return len(self.stumps)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, encode=None) -> dict:
+        """The rule list; ``encode``, which encodes the other families' arrays, is unused."""
         return {
             "base_score": self.base_score,
             "learning_rate": self.learning_rate,
@@ -170,9 +184,10 @@ def _feature_blocks(x: np.ndarray) -> list[tuple]:
     for its zero run (row index N, whose g and h are 0) where the zeros
     would sit. Features go into blocks longest first; a block's ``order`` is
     ``(w, L)``, padded with N, at most ``_BLOCK_ELEMS`` slots or one
-    feature. ``split_at`` lists ``f * L + c`` for every slot ``c`` whose
-    value is below the next one's, the real split points, and ``counts``
-    how many of each feature's lie before and at or after its zero slot
+    feature. ``split_at`` lists ``f * L + c`` for the candidate split points,
+    the slots ``c`` whose value is below the next one's that
+    ``_quantile_splits`` keeps, and ``counts`` how many of each feature's
+    lie before and at or after its zero slot
     ``zero_col`` (L when it has no zeros). A slot ``c`` at or after it
     stands for the dense sort position ``c + zero_skip``.
     """
@@ -196,29 +211,77 @@ def _feature_block(x: np.ndarray, features: np.ndarray, length: int, zeros: np.n
     """One block of ``_feature_blocks``, sorted ``_BLOCK_ELEMS`` entries of ``x`` at a time."""
     n = x.shape[0]
     width = features.size
-    order = np.full((width, length), n, dtype=np.intp)
-    values = np.full((width, length), np.nan)  # NaN padding is never below the next slot
-    zero_col = np.full(width, length)
     step = max(1, _BLOCK_ELEMS // n)
-    for s in range(0, width, step):
-        part = slice(s, s + step)
-        sorted_rows, x_sorted = _stable_argsort(np.ascontiguousarray(x[:, features[part]].T))
-        keep = x_sorted != 0
-        with_zeros = np.flatnonzero(zeros[part])
-        first_zero = np.count_nonzero(x_sorted[with_zeros] < 0, axis=1)
-        keep[with_zeros, first_zero] = True
-        sorted_rows[with_zeros, first_zero] = n
-        x_sorted[with_zeros, first_zero] = 0.0
-        zero_col[s + with_zeros] = first_zero
-        filled = np.arange(length) < np.count_nonzero(keep, axis=1)[:, None]
-        order[part][filled] = sorted_rows[keep]
-        values[part][filled] = x_sorted[keep]
+    parts = [_sorted_part(x, features[s : s + step], length, zeros[s : s + step])
+             for s in range(0, width, step)]
+    order, values, zero_col = (np.concatenate(a) if len(a) > 1 else a[0] for a in zip(*parts))
     valid = np.zeros((width, length), dtype=bool)
     np.less(values[:, :-1], values[:, 1:], out=valid[:, :-1])
-    after = np.count_nonzero(valid & (np.arange(length) >= zero_col[:, None]), axis=1)
-    counts = np.stack([np.count_nonzero(valid, axis=1) - after, after], axis=1)
-    split_at = np.flatnonzero(valid).astype(np.int32)
-    return features, order, split_at, counts, zero_col, zeros - 1
+    split_at = _quantile_splits(np.flatnonzero(valid), length, zero_col, zeros - 1, n)
+    # where each feature's splits start, reach its zero slot and end
+    first = np.arange(width) * length
+    start, zero, end = np.searchsorted(split_at, [first, first + zero_col, first + length])
+    counts = np.stack([zero - start, end - zero], axis=1)
+    return features, order, split_at.astype(np.int32), counts, zero_col, zeros - 1
+
+
+def _sorted_part(x: np.ndarray, features: np.ndarray, length: int, zeros: np.ndarray):
+    """``(order, values, zero_col)`` of some features of a block: the kept rows of
+    each and their values, padded to ``length`` with N and NaN (which is never
+    below the next slot), and the zero slot."""
+    n = x.shape[0]
+    cols = np.empty((features.size, n))
+    for r in range(0, n, _TILE_ROWS):  # each tile of rows is transposed while in cache
+        cols[:, r : r + _TILE_ROWS] = x[r : r + _TILE_ROWS, features].T
+    sorted_rows, x_sorted = _stable_argsort(cols)
+    zero_col = np.full(features.size, length)
+    with_zeros = np.flatnonzero(zeros)
+    if not with_zeros.size:  # every entry is kept where it is, and length is n
+        return sorted_rows, x_sorted, zero_col
+    keep = x_sorted != 0
+    first_zero = np.count_nonzero(x_sorted[with_zeros] < 0, axis=1)
+    keep[with_zeros, first_zero] = True
+    sorted_rows[with_zeros, first_zero] = n
+    x_sorted[with_zeros, first_zero] = 0.0
+    zero_col[with_zeros] = first_zero
+    filled = np.arange(length) < np.count_nonzero(keep, axis=1)[:, None]
+    order = np.full((features.size, length), n, dtype=np.intp)
+    values = np.full((features.size, length), np.nan)
+    order[filled] = sorted_rows[keep]
+    values[filled] = x_sorted[keep]
+    return order, values, zero_col
+
+
+def _quantile_splits(split_at, length: int, zero_col, zero_skip, n: int) -> np.ndarray:
+    """The entries of ``split_at`` (ascending ``f * length + c``) that stay: all of
+    a feature with at most ``_MAX_SPLITS``, and of one with more those nearest its
+    quantiles.
+
+    A split's rank is the number of rows at or before it in the dense sort
+    order, the zero run counting all its rows: slot ``c`` has rank ``c + 1``,
+    plus ``zero_skip`` from the zero slot on. For each j in 1.._MAX_SPLITS the
+    split whose rank is nearest ``j * n / (_MAX_SPLITS + 1)`` stays, the lower
+    one on a tie. Only the two splits around each quantile are looked at, and
+    distances are compared in integers scaled by the bin count.
+    """
+    bounds = np.searchsorted(split_at, np.arange(zero_col.size + 1) * length)
+    per_feature = np.diff(bounds)
+    wide = np.flatnonzero(per_feature > _MAX_SPLITS)
+    if not wide.size:
+        return split_at
+    bins = _MAX_SPLITS + 1
+    scaled = np.arange(1, bins) * n  # bins * quantile
+    reach = (scaled + bins - 1) // bins - 1  # the least whole rank >= each quantile, less 1
+    # (wide features, quantiles): the first slot whose rank reaches the quantile
+    zc, zs, first = zero_col[wide, None], zero_skip[wide, None], wide[:, None] * length
+    at = np.searchsorted(split_at, first + np.where(reach < zc, reach, np.maximum(zc, reach - zs)))
+    around = np.stack([np.maximum(at - 1, bounds[wide, None]),
+                       np.minimum(at, bounds[wide + 1, None] - 1)])
+    c = split_at[around] - first
+    off = np.abs(bins * (c + 1 + np.where(c >= zc, zs, 0)) - scaled)
+    keep = np.repeat(per_feature <= _MAX_SPLITS, per_feature)
+    keep[np.where(off[1] < off[0], around[1], around[0])] = True
+    return split_at[keep]
 
 
 def _split_gains(block, gh: np.ndarray, gh_total: complex, lam: float):

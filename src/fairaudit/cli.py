@@ -54,7 +54,14 @@ from .embed import (
 )
 from .errors import FairauditError
 from .fairness import classification_metrics, consistency
-from .simindex import check_k, knn_batched, knn_feature_reranked, load_neighbors, save_neighbors
+from .simindex import (
+    check_batch_size,
+    check_k,
+    knn_batched,
+    knn_feature_reranked,
+    load_neighbors,
+    save_neighbors,
+)
 
 class UsageError(Exception):
     pass
@@ -248,8 +255,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    if args.neighbors_out:
-        check_k(args.k)  # a rejected value exits 1 before --out is written
+    if args.neighbors_out:  # a rejected value exits 1 before --out is written
+        check_k(args.k)
+        if not args.rerank:
+            check_batch_size(args.batch_size)
     profiles = load_corpus(args.corpus)
     if args.embedder == "hash":
         matrix = embed_corpus(profiles, args.d, args.seed, args.max_tokens)

@@ -39,6 +39,7 @@ _MAGIC = b"FAEM"
 _VERSION = 1
 _CHUNK_TOKENS = 1 << 15  # tokens hashed and scattered at a time; bounds the working memory
 _NORM_ELEMS = 1 << 17  # entries whose norms are taken at a time; bounds the working memory
+_WRITE_ELEMS = 1 << 17  # entries converted to float32 and written at a time, likewise
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +231,8 @@ def normalize_field_blocks(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
 
 
 def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
-    """Write the binary matrix format (float32, little-endian)."""
+    """Write the binary matrix format (float32, little-endian), converting about
+    ``_WRITE_ELEMS`` entries at a time."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<H", _VERSION))
@@ -239,7 +241,9 @@ def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
             raw = pid.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
-        fh.write(matrix.data.astype("<f4").tobytes())
+        rows = max(1, _WRITE_ELEMS // max(1, matrix.dim))
+        for start in range(0, matrix.n, rows):
+            fh.write(matrix.data[start : start + rows].astype("<f4"))
 
 
 def _read_faem(path) -> tuple[list[str], np.ndarray]:

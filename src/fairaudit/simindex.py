@@ -288,8 +288,7 @@ def search(
     limit = n_ref - 1 if exclude_diagonal else n_ref
     if not 1 <= k <= limit:
         raise SizeError(f"k={k} out of range [1, {limit}] for {n_ref} reference rows")
-    if block is not None and block < 1:
-        raise ValueError(f"batch_size must be >= 1, got {block}")
+    check_batch_size(block)
     if not (np.isfinite(queries).all() and np.isfinite(reference).all()):
         raise NonFiniteError("search inputs must be finite")
     weights = np.ones(1) if weights is None else weights
@@ -331,6 +330,12 @@ def check_k(k: int, candidate_pool: int | None = None) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
     if candidate_pool is not None and candidate_pool < k:
         raise ValueError(f"candidate_pool={candidate_pool} must be >= k={k}")
+
+
+def check_batch_size(batch_size: int | None) -> None:
+    """Reject a query batch size below 1 (None lets the search choose it)."""
+    if batch_size is not None and batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
 
 
 def check_field_weights(field_weights, n_fields: int) -> np.ndarray:

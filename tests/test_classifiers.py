@@ -1,8 +1,12 @@
 """Retrieval kNN and boosted stumps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fairaudit import _util
+from fairaudit._util import canonical_json
 from fairaudit.classifiers import (
     KnnClassifier,
     TrainConfig,
@@ -158,3 +162,35 @@ class TestKnnSerialization:
         assert np.array_equal(knn_predict(loaded, queries).values,
                               knn_predict(clf, queries).values)
         assert loaded.reference_ids == clf.reference_ids
+
+
+class TestStreamedModelFile:
+    """``save_model`` writes array data in pieces; the file keeps the bytes of
+    the one-shot encoding."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 12])
+    @pytest.mark.parametrize("piece_elems", [3, 6, 3 << 14])
+    def test_file_equals_the_canonical_json(self, tmp_path, monkeypatch, n, piece_elems):
+        # n rows of width 4 hold 16 n bytes, which is 0, 1 or 2 mod 3 as n is
+        monkeypatch.setattr(_util, "_PIECE_ELEMS", piece_elems)
+        rng = np.random.default_rng(n)
+        clf = fit_knn(rng.standard_normal((n, 4)), rng.integers(0, 2, n), k=1)
+        save_model(clf, tmp_path / "knn.json")
+        envelope = {"format": "fairaudit-model", "version": 1, "family": "knn"}
+        want = canonical_json({**envelope, "model": clf.to_dict()}) + "\n"
+        assert (tmp_path / "knn.json").read_bytes() == want.encode("utf-8")
+        assert np.array_equal(load_model(tmp_path / "knn.json").reference,
+                              clf.reference.astype(np.float32))
+
+    def test_save_model_memory_stays_below_the_blob_size(self, tmp_path):
+        rng = np.random.default_rng(0)
+        n, d = 1200, 1024
+        clf = fit_knn(rng.standard_normal((n, d)), rng.integers(0, 2, n), k=5)
+        text_bytes = n * d * 4 * 4 // 3  # base64 of the float32 reference
+        tracemalloc.start()
+        try:
+            save_model(clf, tmp_path / "knn.json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < text_bytes / 2, f"peak {peak / text_bytes:.2f}x the base64 text"

@@ -95,13 +95,18 @@ class TestRejectedValues:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith(f"fairaudit {argv.split()[0]}: error: ")
 
-    @pytest.mark.parametrize("rerank", ["--rerank", "--no-rerank"])
-    def test_embed_rejects_k_before_writing_the_matrix(self, tmp_path, corpus, capsys, rerank):
+    @pytest.mark.parametrize("flags, message", [
+        (["--k", "0", "--rerank"], "k must be >= 1"),
+        (["--k", "0", "--no-rerank"], "k must be >= 1"),
+        (["--no-rerank", "--batch-size", "0"], "batch_size must be >= 1"),
+    ], ids=["--rerank", "--no-rerank", "--batch-size"])
+    def test_embed_rejects_k_before_writing_the_matrix(self, tmp_path, corpus, capsys, flags,
+                                                       message):
         code, _, err = run(capsys, "embed", "--corpus", str(corpus), "--d", "8", "--out",
                            str(tmp_path / "e.faem"), "--neighbors-out", str(tmp_path / "n.json"),
-                           "--k", "0", rerank)
+                           *flags)
         assert code == 1, err
-        assert "k must be >= 1" in err
+        assert message in err
         assert not (tmp_path / "e.faem").exists()
 
     @pytest.mark.parametrize("flags", [

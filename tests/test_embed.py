@@ -261,6 +261,15 @@ class TestPersistence:
         # float32 storage
         assert np.array_equal(data, matrix.data.astype(np.float32).astype(np.float64))
 
+    @pytest.mark.parametrize("write_elems", [1, 20, 50, 1 << 17])
+    def test_rows_written_in_pieces_keep_the_bytes(self, tmp_path, monkeypatch, write_elems):
+        monkeypatch.setattr(embed, "_WRITE_ELEMS", write_elems)
+        matrix = self._matrix(n=7)
+        save_embeddings(matrix, tmp_path / "m.faem")
+        raw = (tmp_path / "m.faem").read_bytes()
+        assert raw.endswith(matrix.data.astype("<f4").tobytes())
+        assert len(raw) == 22 + 7 * (4 + 2) + matrix.data.size * 4  # header, ids "Pi", data
+
     def test_ingest_identity(self, tmp_path):
         matrix = self._matrix()
         save_embeddings(matrix, tmp_path / "m.faem")

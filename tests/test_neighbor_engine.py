@@ -1,13 +1,15 @@
 """The blocked-GEMM neighbor engine ranks exactly as a brute-force oracle.
 
 The oracle scores every (query, reference) pair with the pair kernel (a
-row-wise einsum over the rows as ``_prepare`` scores them) and takes a stable
-argsort, so it shares no GEMM, band, block or gather code with the engine.
+row-wise einsum over unit rows for cosine, normalized by its own code) and
+takes a stable argsort, so it shares no norm, GEMM, band, block or gather
+code with the engine.
 Results must be equal with ``==``, for any block size, gather size and BLAS
 thread count.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -26,10 +28,25 @@ from fairaudit.simindex import knn_batched, knn_exact, knn_feature_reranked, sea
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def unit_rows(data):
+    """Each row over its L2 norm, one row at a time, after scaling it by the power
+    of two that brings its largest magnitude into [1/2, 1), so that no square
+    overflows or underflows; zero rows stay zero. The scaling is exact, so an
+    ordinary row gets the bits of its plain division by its norm."""
+    rows = np.array(data, dtype=np.float64)
+    for row in rows:
+        top = np.abs(row).max(initial=0.0)
+        if top:
+            row[:] = np.ldexp(row, -math.frexp(top)[1])
+            row /= np.sqrt(np.sum(row * row))
+    return rows
+
+
 def pair_kernel_scores(queries, reference, metric):
     """Every pair's score by the pair kernel, shape (len(queries), len(reference))."""
-    q = simindex._prepare(np.asarray(queries, dtype=np.float64), metric)
-    r = simindex._prepare(np.asarray(reference, dtype=np.float64), metric)
+    prepare = np.asarray if metric == "euclidean" else unit_rows
+    q = prepare(np.asarray(queries, dtype=np.float64))
+    r = prepare(np.asarray(reference, dtype=np.float64))
     rows, cols = np.divmod(np.arange(len(q) * len(r)), len(r))
     if metric == "cosine":
         return np.einsum("ij,ij->i", q[rows], r[cols]).reshape(len(q), len(r))

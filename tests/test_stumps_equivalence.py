@@ -8,10 +8,14 @@ stumps, losses and base score to the last bit. ``lump_train_stumps`` is a
 copy of it that sums each feature's zero entries as one lump, ``g.sum()``
 minus the nonzero sum, added to the prefix sums from the zero run on, as
 the trainer does; it must match that copy to the last bit on any input.
+Both take the rule that picks the candidate splits from the sorted columns:
+every real split point (``exact_splits``), or at most 255 per feature
+(``quantile_splits``, the trainer's rule written one column at a time).
 """
 
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,7 +33,30 @@ from fairaudit.classifiers.stumps import (
 )
 
 
-def dense_train_stumps(x: np.ndarray, y: np.ndarray, config) -> BoostedStumps:
+def exact_splits(x_sorted: np.ndarray) -> np.ndarray:
+    """Every real split point of each sorted column."""
+    return x_sorted[:-1] < x_sorted[1:]
+
+
+def quantile_splits(x_sorted: np.ndarray) -> np.ndarray:
+    """``exact_splits`` of each column with more than 255 of them thinned, one
+    column at a time, to those nearest its quantiles j * n / 256, j = 1..255,
+    where a split's rank is the number of rows at or before it and a tie goes
+    to the lower split."""
+    valid = exact_splits(x_sorted)
+    n = x_sorted.shape[0]
+    for feature in range(valid.shape[1]):
+        at = np.flatnonzero(valid[:, feature])
+        if at.size > 255:
+            nearest = [at[np.argmin(np.abs(256 * (at + 1) - j * n))] for j in range(1, 256)]
+            valid[:, feature] = False
+            valid[nearest, feature] = True
+    return valid
+
+
+def dense_train_stumps(
+    x: np.ndarray, y: np.ndarray, config, splits=exact_splits
+) -> BoostedStumps:
     """Fit ``config.rounds`` stumps greedily to logistic-loss residuals."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -51,7 +78,7 @@ def dense_train_stumps(x: np.ndarray, y: np.ndarray, config) -> BoostedStumps:
 
     order = np.argsort(x, axis=0, kind="stable")
     x_sorted = np.take_along_axis(x, order, axis=0)
-    valid = x_sorted[:-1] < x_sorted[1:]
+    valid = splits(x_sorted)
 
     margin = np.full(n, base)
     stumps: list[Stump] = []
@@ -85,7 +112,9 @@ def dense_train_stumps(x: np.ndarray, y: np.ndarray, config) -> BoostedStumps:
     return BoostedStumps(stumps, lr, base, losses)
 
 
-def lump_train_stumps(x: np.ndarray, y: np.ndarray, config) -> BoostedStumps:
+def lump_train_stumps(
+    x: np.ndarray, y: np.ndarray, config, splits=exact_splits
+) -> BoostedStumps:
     """``dense_train_stumps`` with each feature's zero entries summed as one lump."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -107,7 +136,7 @@ def lump_train_stumps(x: np.ndarray, y: np.ndarray, config) -> BoostedStumps:
 
     order = np.argsort(x, axis=0, kind="stable")
     x_sorted = np.take_along_axis(x, order, axis=0)
-    valid = x_sorted[:-1] < x_sorted[1:]
+    valid = splits(x_sorted)
     nonzero = x_sorted != 0
     from_zero_run = np.cumsum(~nonzero, axis=0) > 0
 
@@ -334,3 +363,101 @@ def test_search_memory_of_a_sparse_matrix_follows_its_nonzeros():
         tracemalloc.stop()
     assert model.rounds == 3
     assert peak < 2.5 * 16 * nonzeros, f"peak {peak / (16 * nonzeros):.2f}x 16 bytes a nonzero"
+
+
+binned_train_stumps = partial(lump_train_stumps, splits=quantile_splits)
+
+
+@st.composite
+def wide_problems(draw):
+    """Up to 600 rows, so that columns with many distinct values exceed 255 split
+    points: rounded normals (ties), zero runs, negatives, few-valued, constant
+    and all-zero columns."""
+    n = draw(st.integers(2, 600))
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(["many", "many", "many", "few", "constant", "zero"]))
+        if kind == "many":
+            column = np.round(rng.standard_normal(n) * draw(st.sampled_from([30, 300, 1e6])))
+            column[rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.6]))] = 0.0
+        elif kind == "few":
+            column = rng.integers(-2, 4, n).astype(np.float64)
+        else:
+            column = np.full(n, float(kind == "constant") * 1.5)
+        columns.append(column)
+    y = rng.integers(0, 2, n)
+    y[:2] = [0, 1]
+    return np.array(columns).T, y
+
+
+@settings(max_examples=120, deadline=None)
+@given(problem=wide_problems(), **tie_heavy_knobs)
+def test_binned_search_matches_the_dense_search_on_the_same_candidates(problem, **knobs):
+    assert_same_model_at_budget(*problem, **knobs, oracle=binned_train_stumps)
+
+
+def offered_splits(x):
+    """Per feature: its candidate splits, as (value below, value above) pairs."""
+    n = x.shape[0]
+    offered = {}
+    for features, order, split_at, _, _, _ in stumps._feature_blocks(x):
+        f, c = np.divmod(split_at.astype(np.int64), order.shape[1])
+        for i, feature in enumerate(features):
+            rows = order[i, np.stack([c[f == i], c[f == i] + 1])]
+            values = np.where(rows < n, x[np.minimum(rows, n - 1), feature], 0.0)
+            offered[int(feature)] = sorted(zip(*values.tolist()))
+    return offered
+
+
+def wide_matrix(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((1500, 6))
+    x[:, 1] = np.round(x[:, 1] * 40)  # about 250 distinct values, some of them zero
+    x[rng.random(1500) < 0.5, 2] = 0.0
+    x[:, 3] = np.round(x[:, 3] * 50)
+    y = (x[:, 0] + x[:, 2] + rng.normal(0.0, 1.0, 1500) > 0).astype(np.int64)
+    return x, y
+
+
+def test_no_feature_offers_more_than_255_splits():
+    x, _ = wide_matrix(11)
+    offered = offered_splits(x)
+    assert set(offered) == set(range(x.shape[1]))
+    for feature, splits in offered.items():
+        column = np.sort(x[:, feature])
+        exact = sorted(zip(column[:-1][column[:-1] < column[1:]].tolist(),
+                           column[1:][column[:-1] < column[1:]].tolist()))
+        assert len(splits) <= 255
+        if len(exact) <= 255:
+            assert splits == exact
+        else:  # quantiles that fall in one run of equal values share a split
+            assert set(splits) < set(exact)
+    assert [len(offered[f]) for f in (0, 2)] == [255, 126]  # 2 is half zeros
+
+
+def test_candidates_do_not_depend_on_the_block_budget_or_the_row_order():
+    x, y = wide_matrix(12)
+    config = TrainConfig(rounds=12, learning_rate=0.3)
+    want_offered, want_model = offered_splits(x), train_stumps(x, y, config)
+    shuffled = np.random.default_rng(0).permutation(x.shape[0])
+    assert offered_splits(x[shuffled]) == want_offered
+    for block_elems in (1, 1000, 1 << 20):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stumps, "_BLOCK_ELEMS", block_elems)
+            assert offered_splits(x) == want_offered
+            model = train_stumps(x, y, config)
+        assert model.stumps == want_model.stumps
+        assert model.train_loss == want_model.train_loss
+
+
+def test_at_most_255_distinct_values_train_as_the_exact_search():
+    rng = np.random.default_rng(13)
+    levels = (np.arange(255) - 127.5) / 40.0  # none of them zero
+    x = levels[rng.integers(0, 255, size=(2000, 5))]
+    y = (x[:, 0] - x[:, 3] + rng.normal(0.0, 1.0, 2000) > 0).astype(np.int64)
+    config = TrainConfig(rounds=20, learning_rate=0.3)
+    assert_same_model(x, y, config, dense_train_stumps)
+    x[x < -1.0] = 0.0  # zero runs too: still at most 255 distinct values
+    assert_same_model(x, y, config, lump_train_stumps)
