@@ -29,16 +29,21 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def unit_rows(data):
-    """Each row over its L2 norm, one row at a time, after scaling it by the power
-    of two that brings its largest magnitude into [1/2, 1), so that no square
-    overflows or underflows; zero rows stay zero. The scaling is exact, so an
-    ordinary row gets the bits of its plain division by its norm."""
+    """Each row over its L2 norm, one row at a time; zero rows stay zero. A row
+    whose squares overflow or underflow (its norm is inf, or 0 or subnormal
+    though an entry is not 0) is first scaled by the power of two that brings
+    its largest magnitude into [1/2, 1)."""
     rows = np.array(data, dtype=np.float64)
     for row in rows:
-        top = np.abs(row).max(initial=0.0)
-        if top:
+        with np.errstate(over="ignore"):
+            norm = np.sqrt(np.sum(row * row))
+        if not sys.float_info.min <= norm < math.inf:
+            top = np.abs(row).max(initial=0.0)
+            if not top:
+                continue
             row[:] = np.ldexp(row, -math.frexp(top)[1])
-            row /= np.sqrt(np.sum(row * row))
+            norm = np.sqrt(np.sum(row * row))
+        row /= norm
     return rows
 
 
