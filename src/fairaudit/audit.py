@@ -60,24 +60,25 @@ from .simindex import (
     NeighborList,
     check_field_weights,
     check_k,
-    knn_exact,
+    knn_batched,
     knn_feature_reranked,
     neighbors_to_dict,
 )
 
-# The learner functions look up train_stumps, birnn_train, knn_predict and
-# random_search in this module's globals at call time, so wrapping those names
-# here (as the traced benchmark run does) reaches every training and prediction
-# call of both the audit pipeline and the CLI.
+# The stage functions below look up their layer calls (embed_corpus,
+# train_stumps, knn_feature_reranked, ...) in this module's globals at call
+# time, so wrapping those names here (as the traced benchmark run does) reaches
+# every such call of both the audit pipeline and the CLI.
 
 
 @dataclass(frozen=True)
 class Learner:
     """One classifier family: its report source, trainer and predictor.
 
-    ``train(train, y_train, val, y_val, config, k, metric)`` takes EmbeddingMatrix
-    rows and returns the model and the random-search trial log (None without a
-    search). ``predict(model, matrix)`` returns one decision per matrix row.
+    ``train(train, y_train, val, y_val, config)`` takes EmbeddingMatrix rows and
+    an AuditConfig (kNN reads its ``k`` and ``metric``) and returns the model and
+    the random-search trial log (None without a search). ``predict(model,
+    matrix)`` returns one decision per matrix row.
     """
 
     source: str
@@ -90,18 +91,18 @@ def _search(family: str, x_train, y_train, x_val, y_val, config: TrainConfig):
     return result.model, [asdict(t) for t in result.trials]
 
 
-def _train_knn(train, y_train, val, y_val, config, k, metric):
+def _train_knn(train, y_train, val, y_val, config):
     truth = DecisionVector("truth", y_train, train.index_order)
-    return KnnClassifier(k, metric).fit(train, truth), None
+    return KnnClassifier(config.k, config.metric).fit(train, truth), None
 
 
-def _train_stumps(train, y_train, val, y_val, config, k, metric):
+def _train_stumps(train, y_train, val, y_val, config):
     if config.search_trials > 1:
         return _search("stumps", train.data, y_train, val.data, y_val, config)
     return train_stumps(train.data, y_train, config), None
 
 
-def _train_birnn(train, y_train, val, y_val, config, k, metric):
+def _train_birnn(train, y_train, val, y_val, config):
     seq_train, seq_val = train.as_field_sequences(), val.as_field_sequences()
     if config.search_trials > 1:
         return _search("birnn", seq_train, y_train, seq_val, y_val, config)
@@ -134,13 +135,21 @@ _SPLITS = ("train", "validation", "test", "full")
 
 # How the CLI exposes AuditConfig and TrainConfig fields: each field is a flag
 # named after it (``--reg-lambda``), except the legacy names in FLAG_NAMES and
-# the fields in NO_FLAG. CHOICES are the closed value lists; __post_init__
-# enforces them too.
+# the fields in NO_FLAG, with the help text in FLAG_HELP. CHOICES are the
+# closed value lists; __post_init__ enforces them too.
 FLAG_NAMES = {
     "max_epochs": "epochs",
     "learning_rate": "lr",
     "target_stage": "target",
     "embeddings_path": "embeddings",
+}
+FLAG_HELP = {
+    "d": "dimensions per field",
+    "embeddings_path": "source matrix for --embedder ingest",
+    "max_tokens": "truncate each field to this many tokens first",
+    "normalize": "L2-normalize each field block (default on)",
+    "rerank": "feature-reranked neighbor retrieval (default on)",
+    "target_stage": "label stage to learn (default Type)",
 }
 CHOICES = {
     "embedder": ("hash", "ingest"),
@@ -244,6 +253,44 @@ class AuditReport:
             return cls(rows, typed(obj, "metadata", dict))
 
 
+# ---------------------------------------------------------------------------
+# stages shared by run_audit and the CLI
+
+
+def embed_profiles(profiles: list[Profile], config: AuditConfig, seed: int) -> EmbeddingMatrix:
+    """The matrix ``config`` asks for: hashed with the stage seed ``seed``, or
+    ingested from ``config.embeddings_path``; field blocks normalized if asked."""
+    if config.embedder == "hash":
+        matrix = embed_corpus(profiles, config.d, seed, config.max_tokens)
+    else:
+        matrix = ingest_embeddings(config.embeddings_path, [p.id for p in profiles], config.d)
+    return normalize_field_blocks(matrix) if config.normalize else matrix
+
+
+def neighbor_structure(
+    matrix: EmbeddingMatrix, config: AuditConfig, batch_size: int | None = None
+) -> NeighborList:
+    """The k-NN structure ``config`` asks for over every row of ``matrix``;
+    ``batch_size`` bounds the query rows per block of the whole-row search."""
+    if config.rerank:
+        return knn_feature_reranked(
+            matrix, config.k, config.metric, config.candidate_pool, config.field_weights
+        )
+    return knn_batched(matrix, config.k, config.metric, batch_size=batch_size)
+
+
+def training_rows(matrix: EmbeddingMatrix, truth: DecisionVector, split) -> tuple:
+    """``(train, y_train, val, y_val)``: the split's train and validation rows of
+    ``matrix`` and their ``truth`` values, the first arguments of ``Learner.train``.
+    Taken once for every family, since the kNN model keeps its train rows."""
+    return (
+        matrix.take(split.train),
+        truth.take(split.train).values,
+        matrix.take(split.validation),
+        truth.take(split.validation).values,
+    )
+
+
 def _stage(name: str, fn):
     try:
         return fn()
@@ -268,7 +315,9 @@ class _AuditRun:
     def execute(self) -> "AuditReport":
         config = self.config
         self.profiles = _stage("load", self._load)
-        self.matrix = _stage("embed", self._embed)
+        self.matrix = _stage(
+            "embed", lambda: embed_profiles(self.profiles, config, self.seeds["embed"])
+        )
         self.split = _stage(
             "split",
             lambda: split_corpus(
@@ -285,18 +334,6 @@ class _AuditRun:
             self.corpus_sha256 = hashlib.sha256(fh.read()).hexdigest()
         return load_corpus(self.corpus_path)
 
-    def _embed(self) -> EmbeddingMatrix:
-        config = self.config
-        if config.embedder == "hash":
-            matrix = embed_corpus(
-                self.profiles, config.d, self.seeds["embed"], config.max_tokens
-            )
-        else:
-            matrix = ingest_embeddings(
-                config.embeddings_path, [p.id for p in self.profiles], config.d
-            )
-        return normalize_field_blocks(matrix) if config.normalize else matrix
-
     def _collect_decisions(self) -> dict[str, DecisionVector]:
         decisions: dict[str, DecisionVector] = {}
         self.truth = binarize_labels(self.profiles, self.config.target_stage)
@@ -308,17 +345,12 @@ class _AuditRun:
 
     def _train_models(self) -> None:
         config = self.config
-        train = self.matrix.take(self.split.train)
-        val = self.matrix.take(self.split.validation)
-        y_train = self.truth.take(self.split.train).values
-        y_val = self.truth.take(self.split.validation).values
+        rows = training_rows(self.matrix, self.truth, self.split)
         for family, learner in LEARNERS.items():
             if learner.source not in config.sources:
                 continue
             seed = self.seeds["search"] if config.search_trials > 1 else self.seeds.get(family, 0)
-            model, trials = learner.train(
-                train, y_train, val, y_val, replace(config, seed=seed), config.k, config.metric
-            )
+            model, trials = learner.train(*rows, replace(config, seed=seed))
             self.models[learner.source] = model
             if trials is not None:
                 self.search_logs[learner.source] = trials
@@ -340,17 +372,7 @@ class _AuditRun:
             return self.structures[key]
         if len(ids) < self.config.k + 1:
             return None
-        submatrix = self.matrix.take(ids)
-        if self.config.rerank:
-            structure = knn_feature_reranked(
-                submatrix,
-                self.config.k,
-                self.config.metric,
-                self.config.candidate_pool,
-                self.config.field_weights,
-            )
-        else:
-            structure = knn_exact(submatrix, self.config.k, self.config.metric)
+        structure = neighbor_structure(self.matrix.take(ids), self.config)
         self.structures[key] = structure
         return structure
 

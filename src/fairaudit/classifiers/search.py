@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -59,6 +60,13 @@ class TrainConfig:
             raise ValueError("search_trials must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.rounds < 1:
+            raise ValueError("rounds must be >= 1")
+        if self.hidden_dim < 1 or self.head_dim < 1:
+            raise ValueError("hidden_dim and head_dim must be >= 1")
+        for name in ("learning_rate", "reg_lambda"):
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails both comparisons
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

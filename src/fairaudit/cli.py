@@ -19,14 +19,18 @@ from . import __version__
 from ._util import read_json, write_json
 from .audit import (
     CHOICES,
+    FLAG_HELP,
     FLAG_NAMES,
     LEARNERS,
     NO_FLAG,
     AuditConfig,
     AuditReport,
+    embed_profiles,
+    neighbor_structure,
     predict_decisions,
     render_report,
     run_audit,
+    training_rows,
 )
 from .classifiers import TrainConfig, load_model, save_model
 from .dataset import (
@@ -44,24 +48,10 @@ from .dataset import (
     simulate_raters,
     split_corpus,
 )
-from .embed import (
-    EmbeddingMatrix,
-    embed_corpus,
-    ingest_embeddings,
-    load_matrix_file,
-    normalize_field_blocks,
-    save_embeddings,
-)
+from .embed import EmbeddingMatrix, load_matrix_file, save_embeddings
 from .errors import FairauditError
 from .fairness import classification_metrics, consistency
-from .simindex import (
-    check_batch_size,
-    check_k,
-    knn_batched,
-    knn_feature_reranked,
-    load_neighbors,
-    save_neighbors,
-)
+from .simindex import check_batch_size, load_neighbors, save_neighbors
 
 class UsageError(Exception):
     pass
@@ -112,24 +102,28 @@ def _bias_shift(entries: list[str]) -> dict[int, float]:
 
 
 _FLAG_TYPES = {"int": int, "float": float, "str": str, "tuple": _three_floats}
+_AUDIT_FIELDS = {f.name: f for f in fields(AuditConfig)}
+_TRAIN_FIELDS = [f.name for f in fields(TrainConfig) if f.name not in NO_FLAG + ("seed",)]
 
 
-def _add_config_flags(p: _Parser, cls) -> None:
-    """One flag per field of the config dataclass ``cls`` (see the table by AuditConfig),
+def _add_config_flags(p: _Parser, names) -> None:
+    """One flag per AuditConfig field in ``names`` (see the tables by AuditConfig),
     typed by the field's annotation and defaulting to the field's default."""
-    for f in fields(cls):
-        if f.name in NO_FLAG:
-            continue
-        flag = "--" + FLAG_NAMES.get(f.name, f.name).replace("_", "-")
+    for name in names:
+        f = _AUDIT_FIELDS[name]
+        flag = "--" + FLAG_NAMES.get(name, name).replace("_", "-")
         kind = f.type.split(" |")[0].split("[")[0]
         how = ({"action": argparse.BooleanOptionalAction} if kind == "bool"
-               else {"type": _FLAG_TYPES[kind], "choices": CHOICES.get(f.name)})
-        p.add_argument(flag, dest=f.name, default=f.default, **how)
+               else {"type": _FLAG_TYPES[kind], "choices": CHOICES.get(name),
+                     "metavar": "TR,VA,TE" if kind == "tuple" else None})
+        p.add_argument(flag, dest=name, default=f.default, help=FLAG_HELP.get(name), **how)
 
 
-def _config(cls, args):
-    """The config dataclass ``cls`` built from its flags."""
-    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if f.name not in NO_FLAG})
+def _config(cls, args, **fixed):
+    """The config dataclass ``cls`` built from the flags ``args`` has for its
+    fields, and from ``fixed``."""
+    flags = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+    return cls(**{**flags, **fixed})
 
 
 def build_parser() -> _Parser:
@@ -160,41 +154,28 @@ def build_parser() -> _Parser:
     p = sub.add_parser("embed",
                        help="embed a corpus to the binary matrix format")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--embedder", choices=CHOICES["embedder"], default="hash")
-    p.add_argument("--d", type=int, default=768, help="dimensions per field")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--embeddings", default=None, help="source matrix for --embedder ingest")
-    p.add_argument("--max-tokens", type=int, default=None,
-                   help="truncate each field to this many tokens first")
-    p.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=True,
-                   help="L2-normalize each field block (default on)")
+    p.add_argument("--seed", type=int, default=0, help="embedder seed")
+    _add_config_flags(p, ("embedder", "d", "embeddings_path", "max_tokens", "normalize"))
     p.add_argument("--out", required=True)
     p.add_argument("--neighbors-out", default=None,
                    help="also write a k-NN structure over the embedded corpus")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--metric", choices=CHOICES["metric"], default="cosine")
-    p.add_argument("--rerank", action=argparse.BooleanOptionalAction, default=True,
-                   help="feature-reranked retrieval for --neighbors-out (default on)")
-    p.add_argument("--batch-size", type=int, default=None,
-                   help="memory-bounded batched search for --neighbors-out")
+    _add_config_flags(p, ("k", "metric", "rerank"))
+    p.add_argument("--batch-size", dest="query_batch", type=int, default=None,
+                   help="memory-bounded batched --no-rerank search for --neighbors-out")
 
     p = sub.add_parser("split", help="deterministic corpus split")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--ratios", type=_three_floats, default=(0.8, 0.1, 0.1), metavar="TR,VA,TE")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stratify-on", default=None)
+    p.add_argument("--seed", type=int, default=0, help="split seed")
+    _add_config_flags(p, ("ratios", "stratify_on"))
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train one classifier family")
     p.add_argument("--family", choices=tuple(LEARNERS), required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--embeddings", required=True)
+    p.add_argument("--embeddings", dest="embeddings_path", required=True)
     p.add_argument("--splits", required=True)
-    p.add_argument("--target", default="Type", help="label stage to learn (default Type)")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--metric", choices=CHOICES["metric"], default="cosine")
-    p.add_argument("--d", type=int, default=768)
-    _add_config_flags(p, TrainConfig)
+    p.add_argument("--seed", type=int, default=0, help="training or search seed")
+    _add_config_flags(p, ("target_stage", "k", "metric", "d", *_TRAIN_FIELDS))
     p.add_argument("--out", required=True)
     p.add_argument("--trials-out", default=None, help="write the search trial log as JSON")
 
@@ -202,7 +183,7 @@ def build_parser() -> _Parser:
                        help="predict decisions for every row of an embedding file")
     p.add_argument("--model", required=True)
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--d", type=int, default=768)
+    _add_config_flags(p, ("d",))
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("consistency",
@@ -216,12 +197,12 @@ def build_parser() -> _Parser:
                        help="classification metrics of predictions against truth")
     p.add_argument("--predicted", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--averaging", choices=CHOICES["averaging"], default="weighted")
+    _add_config_flags(p, ("averaging",))
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("audit", help="run the full pipeline")
     p.add_argument("--corpus", required=True)
-    _add_config_flags(p, AuditConfig)
+    _add_config_flags(p, [name for name in _AUDIT_FIELDS if name not in NO_FLAG])
     p.add_argument("--out", required=True, help="run directory")
 
     p = sub.add_parser("report", help="render a stored report")
@@ -255,28 +236,15 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    if args.neighbors_out:  # a rejected value exits 1 before --out is written
-        check_k(args.k)
-        if not args.rerank:
-            check_batch_size(args.batch_size)
+    config = _config(AuditConfig, args)  # a rejected value exits 1 before --out is written
+    check_batch_size(args.query_batch)
     profiles = load_corpus(args.corpus)
-    if args.embedder == "hash":
-        matrix = embed_corpus(profiles, args.d, args.seed, args.max_tokens)
-    else:
-        if not args.embeddings:
-            raise ValueError("--embedder ingest requires --embeddings")
-        matrix = ingest_embeddings(args.embeddings, [p.id for p in profiles], args.d)
-    if args.normalize:
-        matrix = normalize_field_blocks(matrix)
+    matrix = embed_profiles(profiles, config, args.seed)
     save_embeddings(matrix, args.out)
     print(f"wrote {matrix.n}x{matrix.dim} matrix to {args.out}")
     if args.neighbors_out:
-        if args.rerank:
-            nl = knn_feature_reranked(matrix, args.k, args.metric)
-        else:
-            nl = knn_batched(matrix, args.k, args.metric, batch_size=args.batch_size)
-        save_neighbors(nl, args.neighbors_out)
-        print(f"wrote k={args.k} neighbors to {args.neighbors_out}")
+        save_neighbors(neighbor_structure(matrix, config, args.query_batch), args.neighbors_out)
+        print(f"wrote k={config.k} neighbors to {args.neighbors_out}")
     return 0
 
 
@@ -291,15 +259,12 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = _config(TrainConfig, args)
+    config = _config(AuditConfig, args, embedder="ingest", normalize=False)
     profiles = load_corpus(args.corpus)
-    matrix = ingest_embeddings(args.embeddings, [p.id for p in profiles], args.d)
+    matrix = embed_profiles(profiles, config, config.seed)
     split = load_split(args.splits)
-    truth = binarize_labels(profiles, args.target)
-    train, val = matrix.take(split.train), matrix.take(split.validation)
-    y_train, y_val = truth.take(split.train).values, truth.take(split.validation).values
-    learner = LEARNERS[args.family]
-    model, trials = learner.train(train, y_train, val, y_val, config, args.k, args.metric)
+    truth = binarize_labels(profiles, config.target_stage)
+    model, trials = LEARNERS[args.family].train(*training_rows(matrix, truth, split), config)
     save_model(model, args.out)
     print(f"wrote {args.family} model to {args.out}")
     if args.trials_out and trials is not None:

@@ -190,8 +190,8 @@ class RaterConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         sl, ar, of = self.stage_thresholds
         if not (sl <= ar <= of):
             raise ValueError("stage thresholds must be nondecreasing (SL <= AR <= OF)")
@@ -408,7 +408,7 @@ def _largest_remainder(total: int, quotas: list[float]) -> list[int]:
 
 def check_ratios(ratios) -> None:
     """Reject split ratios that are not three nonnegative fractions summing to 1."""
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
+    if len(ratios) != 3 or not all(r >= 0 for r in ratios):  # NaN is not >= 0
         raise ValueError("ratios must be three nonnegative fractions")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {sum(ratios)!r}")

@@ -1,12 +1,15 @@
 """Command-line surface: subcommands, exit codes, artifact chaining."""
 
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from fairaudit._util import write_json
-from fairaudit.cli import SUBCOMMANDS, main
+from fairaudit.audit import AuditConfig, run_audit
+from fairaudit.classifiers import TrainConfig
+from fairaudit.cli import SUBCOMMANDS, _config, build_parser, main
 
 
 def run(capsys, *argv):
@@ -88,6 +91,14 @@ class TestRejectedValues:
         "embed --corpus {corpus} --d 8 --out {tmp}/e.faem --neighbors-out {tmp}/n.json"
         " --no-rerank --batch-size 0",
         "embed --corpus {corpus} --d 8 --out {tmp}/e.faem --neighbors-out {tmp}/n.json --k 0",
+        "synth --n 5 --noise-sigma nan --out-corpus {tmp}/c.jsonl",
+        # --k is a config field on every subcommand that takes it, so it is checked
+        # without --neighbors-out and for a family that does not use it
+        "embed --corpus {corpus} --d 8 --k 0 --out {tmp}/e.faem",
+        "train --family stumps --corpus {corpus} --embeddings {tmp}/e.faem --splits {tmp}/s.json"
+        " --k 0 --out {tmp}/m.json",
+        "train --family birnn --corpus {corpus} --embeddings {tmp}/e.faem --splits {tmp}/s.json"
+        " --lr nan --out {tmp}/m.json",
     ])
     def test_rejected_value_exits_one(self, tmp_path, corpus, capsys, argv):
         code, _, err = run(capsys, *argv.format(tmp=tmp_path, corpus=corpus).split())
@@ -99,7 +110,8 @@ class TestRejectedValues:
         (["--k", "0", "--rerank"], "k must be >= 1"),
         (["--k", "0", "--no-rerank"], "k must be >= 1"),
         (["--no-rerank", "--batch-size", "0"], "batch_size must be >= 1"),
-    ], ids=["--rerank", "--no-rerank", "--batch-size"])
+        (["--rerank", "--batch-size", "0"], "batch_size must be >= 1"),
+    ], ids=["--rerank", "--no-rerank", "--batch-size", "--rerank --batch-size"])
     def test_embed_rejects_k_before_writing_the_matrix(self, tmp_path, corpus, capsys, flags,
                                                        message):
         code, _, err = run(capsys, "embed", "--corpus", str(corpus), "--d", "8", "--out",
@@ -114,6 +126,10 @@ class TestRejectedValues:
         # values a pipeline stage checks, by the stage's own check function
         ["--d", "1"], ["--k", "0"], ["--max-tokens", "0"], ["--ratios", "0.5,0.6,0.1"],
         ["--ratios", "1.2,-0.1,-0.1"], ["--candidate-pool", "1"],
+        # NaN, infinite or negative learner rates, learner sizes below 1, NaN ratios
+        ["--lr", "nan"], ["--lr", "inf"], ["--lr", "-0.1"], ["--reg-lambda", "-1"],
+        ["--reg-lambda", "nan"], ["--rounds", "-1"], ["--rounds", "0"], ["--hidden-dim", "0"],
+        ["--head-dim", "0"], ["--ratios", "nan,0.5,0.5"],
     ])
     def test_audit_rejects_its_config_before_reading_the_corpus(self, tmp_path, capsys, flags):
         code, _, err = run(capsys, "audit", "--corpus", str(tmp_path / "missing.jsonl"),
@@ -204,6 +220,51 @@ class TestPipelineChain:
         assert code == 0, err
         log = json.loads(trials.read_text())
         assert len(log) == 3
+
+
+class TestStageFlags:
+    """The embed, split, train, predict and metrics flags that set a config field."""
+
+    TRAIN_FIELDS = {f.name for f in fields(TrainConfig)} - {"search_space"}
+
+    @pytest.mark.parametrize("argv, carried", [
+        (["embed", "--corpus", "c", "--out", "e"],
+         {"seed", "embedder", "d", "embeddings_path", "max_tokens", "normalize", "k", "metric",
+          "rerank"}),
+        (["split", "--corpus", "c", "--out", "s"], {"seed", "ratios", "stratify_on"}),
+        (["train", "--family", "knn", "--corpus", "c", "--embeddings", "e", "--splits", "s",
+          "--out", "m"], {"embeddings_path", "target_stage", "k", "metric", "d", *TRAIN_FIELDS}),
+        (["predict", "--model", "m", "--embeddings", "e", "--out", "p"], {"d"}),
+        (["metrics", "--predicted", "p", "--truth", "t"], {"averaging"}),
+    ], ids=["embed", "split", "train", "predict", "metrics"])
+    def test_defaults_are_config_defaults(self, argv, carried):
+        args = build_parser().parse_args(argv)
+        assert {f.name for f in fields(AuditConfig) if hasattr(args, f.name)} == carried
+        expected = replace(AuditConfig(), embeddings_path=getattr(args, "embeddings_path", None))
+        assert _config(AuditConfig, args) == expected
+
+
+class TestFrontEndsAgree:
+    def test_cli_stages_reproduce_the_audit(self, tmp_path, corpus, capsys):
+        """CLI embed and split with the audit's derived seeds write the audit's
+        embeddings, split and AR neighbor structure."""
+        config = AuditConfig(d=8, seed=11, max_epochs=2, patience=2, rounds=10, hidden_dim=4,
+                             head_dim=4)
+        run_dir = tmp_path / "run"
+        report = run_audit(corpus, config, run_dir)
+        seeds = report.metadata["derived_seeds"]
+        emb, neighbors, splits = (tmp_path / n for n in ("e.faem", "n.json", "s.json"))
+        code, _, err = run(capsys, "embed", "--corpus", str(corpus), "--d", "8",
+                           "--seed", str(seeds["embed"]), "--out", str(emb),
+                           "--neighbors-out", str(neighbors))
+        assert code == 0, err
+        assert emb.read_bytes() == (run_dir / "embeddings.faem").read_bytes()
+        stages = json.loads((run_dir / "neighbors.json").read_text())["stages"]
+        assert json.loads(neighbors.read_text()) == stages["AR"]
+        code, _, err = run(capsys, "split", "--corpus", str(corpus),
+                           "--seed", str(seeds["split"]), "--out", str(splits))
+        assert code == 0, err
+        assert json.loads(splits.read_text()) == json.loads((run_dir / "splits.json").read_text())
 
 
 class TestConsistencyFixture:
