@@ -22,8 +22,6 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from ._util import canonical_json, derive_seeds, parsing, typed, write_json
 from .classifiers import (
     KnnClassifier,
@@ -86,36 +84,32 @@ class Learner:
     predict: Callable
 
 
-def _search(family: str, x_train, y_train, x_val, y_val, config: TrainConfig):
-    result = random_search(family, x_train, y_train, x_val, y_val, config)
-    return result.model, [asdict(t) for t in result.trials]
-
-
 def _train_knn(train, y_train, val, y_val, config):
     truth = DecisionVector("truth", y_train, train.index_order)
     return KnnClassifier(config.k, config.metric).fit(train, truth), None
 
 
-def _train_stumps(train, y_train, val, y_val, config):
-    if config.search_trials > 1:
-        return _search("stumps", train.data, y_train, val.data, y_val, config)
-    return train_stumps(train.data, y_train, config), None
+def _searchable(source: str, family: str, view: Callable, fit: Callable) -> Learner:
+    """The Learner of a family ``random_search`` can tune. Train and predict read
+    the rows through ``view``; ``fit(x_train, y_train, x_val, y_val, config)``
+    trains one model, and with ``search_trials > 1`` the search trains them."""
 
+    def train(train, y_train, val, y_val, config):
+        rows = (view(train), y_train, view(val), y_val, config)
+        if config.search_trials > 1:
+            result = random_search(family, *rows)
+            return result.model, [asdict(t) for t in result.trials]
+        return fit(*rows), None
 
-def _train_birnn(train, y_train, val, y_val, config):
-    seq_train, seq_val = train.as_field_sequences(), val.as_field_sequences()
-    if config.search_trials > 1:
-        return _search("birnn", seq_train, y_train, seq_val, y_val, config)
-    model, _ = birnn_train(seq_train, y_train, seq_val, y_val, config)
-    return model, None
+    return Learner(source, train, lambda model, matrix: model.predict(view(matrix)))
 
 
 LEARNERS = {
     "knn": Learner("model:knn", _train_knn, lambda model, m: knn_predict(model, m).values),
-    "stumps": Learner("model:gbstumps", _train_stumps, lambda model, m: model.predict(m.data)),
-    "birnn": Learner(
-        "model:birnn", _train_birnn, lambda model, m: model.predict(m.as_field_sequences())
-    ),
+    "stumps": _searchable("model:gbstumps", "stumps", lambda m: m.data,
+                          lambda x, y, x_val, y_val, config: train_stumps(x, y, config)),
+    "birnn": _searchable("model:birnn", "birnn", EmbeddingMatrix.as_field_sequences,
+                         lambda *rows: birnn_train(*rows)[0]),
 }
 
 

@@ -96,22 +96,21 @@ class BiRnnClassifier:
         x = self._check_batch(x)
         p = self.params
         batch = x.shape[0]
-        h_fwd = [np.zeros((batch, self.hidden_dim))]
-        for t in range(self.steps):
-            pre = x[:, t] @ p["w_xf"] + h_fwd[-1] @ p["w_hf"] + p["b_f"]
-            h_fwd.append(np.tanh(pre))
-        h_bwd = [np.zeros((batch, self.hidden_dim))]
-        for s in range(self.steps):
-            pre = x[:, self.steps - 1 - s] @ p["w_xb"] + h_bwd[-1] @ p["w_hb"] + p["b_b"]
-            h_bwd.append(np.tanh(pre))
-        z = np.concatenate([h_fwd[-1], h_bwd[-1]], axis=1)
+        states = {}  # xs[:, step] of the reversed view is x[:, steps - 1 - step], the same array
+        for direction, xs in (("f", x), ("b", x[:, ::-1])):
+            h = [np.zeros((batch, self.hidden_dim))]
+            for step in range(self.steps):
+                pre = xs[:, step] @ p[f"w_x{direction}"] + h[-1] @ p[f"w_h{direction}"]
+                h.append(np.tanh(pre + p[f"b_{direction}"]))
+            states[direction] = h
+        z = np.concatenate([states["f"][-1], states["b"][-1]], axis=1)
         a_pre = z @ p["w_1"] + p["b_1"]
         a = np.maximum(a_pre, 0.0)
         logits = a @ p["w_2"] + p["b_2"]
         shift = logits - logits.max(axis=1, keepdims=True)
         log_prob = shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
         cache = {
-            "x": x, "h_fwd": h_fwd, "h_bwd": h_bwd, "z": z,
+            "x": x, "states": states, "z": z,
             "a_pre": a_pre, "a": a, "log_prob": log_prob,
         }
         return log_prob, cache
@@ -135,15 +134,14 @@ class BiRnnClassifier:
         grads["b_1"] = d_a_pre.sum(axis=0)
         d_z = d_a_pre @ p["w_1"].T
         h = self.hidden_dim
-        for direction, d_h in (("f", d_z[:, :h]), ("b", d_z[:, h:])):
-            states = cache["h_fwd"] if direction == "f" else cache["h_bwd"]
+        for direction, d_h, xs in (("f", d_z[:, :h], x), ("b", d_z[:, h:], x[:, ::-1])):
+            states = cache["states"][direction]
             gw_x = np.zeros_like(p[f"w_x{direction}"])
             gw_h = np.zeros_like(p[f"w_h{direction}"])
             gb = np.zeros_like(p[f"b_{direction}"])
             for step in range(self.steps - 1, -1, -1):
-                x_t = x[:, step] if direction == "f" else x[:, self.steps - 1 - step]
                 d_pre = d_h * (1.0 - states[step + 1] ** 2)
-                gw_x += x_t.T @ d_pre
+                gw_x += xs[:, step].T @ d_pre
                 gw_h += states[step].T @ d_pre
                 gb += d_pre.sum(axis=0)
                 d_h = d_pre @ p[f"w_h{direction}"].T
@@ -163,12 +161,7 @@ class BiRnnClassifier:
 
 def birnn_forward(clf: BiRnnClassifier, sequence: np.ndarray) -> np.ndarray:
     """Log-probabilities (length 2) for one field-embedding sequence."""
-    sequence = np.asarray(sequence, dtype=np.float64)
-    if sequence.shape != (clf.steps, clf.input_dim):
-        raise DimensionMismatchError(
-            (clf.steps, clf.input_dim), sequence.shape, "sequence shape"
-        )
-    log_prob, _ = clf.forward_batch(sequence[None])
+    log_prob, _ = clf.forward_batch(np.asarray(sequence)[None])
     return log_prob[0]
 
 

@@ -9,7 +9,7 @@ import numpy as np
 from .._util import decode_array, encode_array, typed
 from ..dataset import DecisionVector
 from ..embed import EmbeddingMatrix
-from ..errors import AlignmentError, DimensionMismatchError, SizeError
+from ..errors import AlignmentError, SizeError
 from ..simindex import METRICS, check_k, search_queries
 
 
@@ -68,12 +68,6 @@ def knn_predict(clf: KnnClassifier, queries: EmbeddingMatrix) -> DecisionVector:
     """
     if clf.reference is None or clf.labels is None:
         raise SizeError("classifier has no reference data; call fit first")
-    if queries.dim != clf.reference.shape[1]:
-        raise DimensionMismatchError(clf.reference.shape[1], queries.dim, "embedding width")
-    if clf.reference.shape[0] < clf.k:
-        raise SizeError(
-            f"need at least k={clf.k} training rows, have {clf.reference.shape[0]}"
-        )
     neighbors, _ = search_queries(queries.data, clf.reference, clf.k, clf.metric)
     votes = clf.labels[neighbors]
     ones = votes.sum(axis=1)

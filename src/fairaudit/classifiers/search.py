@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..errors import TrainingError
 from .birnn import birnn_train
 from .stumps import train_stumps
-
-FAMILIES = ("stumps", "birnn")
 
 # Sampling rules: a list is a uniform choice over its entries; a (lo, hi)
 # tuple is uniform over the range, integer-valued when both ends are ints.
@@ -121,8 +119,10 @@ def random_search(
     error message and do not abort the search. Deterministic in
     ``config.seed``: the same seed yields the same trial sequence and winner.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if family not in DEFAULT_SEARCH_SPACES:
+        raise ValueError(
+            f"unknown family {family!r}; expected one of {tuple(DEFAULT_SEARCH_SPACES)}"
+        )
     space = config.search_space if config.search_space is not None else DEFAULT_SEARCH_SPACES[family]
     if not space:
         raise ValueError("search space must be nonempty")

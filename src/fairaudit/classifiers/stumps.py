@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._util import typed
-from ..errors import TrainingError
+from ..errors import DimensionMismatchError, TrainingError
 
 _CLAMP = 1e-12
 # Slots (features x longest feature) per block of the split search. It bounds the
@@ -121,6 +121,9 @@ class BoostedStumps:
 
     def predict_margin(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
+        width = 1 + max((s.feature for s in self.stumps), default=-1)
+        if x.shape[1] < width:
+            raise DimensionMismatchError(f"at least {width}", x.shape[1], "feature count")
         margin = np.full(x.shape[0], self.base_score)
         for stump in self.stumps:
             margin += np.where(x[:, stump.feature] < stump.threshold, stump.left, stump.right)

@@ -44,7 +44,7 @@ _WRITE_ELEMS = 1 << 17  # entries converted to float32 and written at a time, li
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingMatrix:
-    """Dense N x D matrix of profile vectors with field-wise block structure."""
+    """Dense N x D matrix of profile vectors with field-wise block structure and unique ids."""
 
     data: np.ndarray
     dim_per_field: int
@@ -61,6 +61,9 @@ class EmbeddingMatrix:
             raise DimensionMismatchError(len(self.index_order), n, "row count")
         if not np.isfinite(data).all():
             raise NonFiniteError("embedding matrix contains NaN or Inf")
+        if len(set(self.index_order)) != n:
+            dupes = sorted(pid for pid, count in Counter(self.index_order).items() if count > 1)
+            raise IntegrityError(f"duplicate ids in embedding matrix: {dupes[:10]}")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "field_order", tuple(self.field_order))
@@ -301,30 +304,17 @@ def load_matrix_file(path) -> tuple[list[str], np.ndarray]:
 
 
 def ingest_embeddings(path, expected_ids, d: int) -> EmbeddingMatrix:
-    """Load externally computed embeddings, validated and reordered.
-
-    Rows are permuted to match ``expected_ids``; the stored width must equal
-    ``d`` per field times the canonical field count. Values are ingested as-is
-    (use :func:`normalize_field_blocks` to normalize afterwards).
-    """
-    expected_ids = list(expected_ids)
+    """Load externally computed embeddings in the order of ``expected_ids``.
+    EmbeddingMatrix checks the width (``d`` per canonical field), the values and
+    the ids. Values are ingested as-is; :func:`normalize_field_blocks` normalizes."""
+    expected_ids = tuple(expected_ids)
     ids, data = load_matrix_file(path)
-    expected_dim = d * len(FIELD_ORDER)
-    if data.shape[1] != expected_dim:
-        raise DimensionMismatchError(expected_dim, data.shape[1], "embedding width")
-    counts = Counter(ids)
-    if len(counts) != len(ids):
-        dupes = sorted(pid for pid, count in counts.items() if count > 1)
-        raise IntegrityError(f"duplicate ids in embedding file: {dupes[:10]}")
-    if not np.isfinite(data).all():
-        raise NonFiniteError("embedding file contains NaN or Inf")
-    position = {pid: i for i, pid in enumerate(ids)}
-    expected = set(expected_ids)
-    missing = [pid for pid in expected_ids if pid not in position]
-    extra = [pid for pid in ids if pid not in expected]
-    if missing or extra or len(ids) != len(expected_ids):
+    matrix = EmbeddingMatrix(data, d, FIELD_ORDER, ids)
+    stored, expected = set(ids), set(expected_ids)
+    if stored != expected:
+        missing = [pid for pid in expected_ids if pid not in stored]
+        extra = [pid for pid in ids if pid not in expected]
         raise IdMismatchError(
             f"embedding ids do not match corpus: missing {missing[:10]}, extra {extra[:10]}"
         )
-    order = [position[pid] for pid in expected_ids]
-    return EmbeddingMatrix(data[order], d, FIELD_ORDER, tuple(expected_ids))
+    return matrix.take(expected_ids)

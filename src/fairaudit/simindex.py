@@ -52,12 +52,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import normalize_rows, parsing, read_json, typed, typed_list, write_json
+from ._util import normalize_rows, parsing, positions, read_json, typed, typed_list, write_json
 from .embed import EmbeddingMatrix
 from .errors import (
     AlignmentError,
     DimensionMismatchError,
-    IntegrityError,
     NonFiniteError,
     SizeError,
 )
@@ -77,6 +76,8 @@ class NeighborList:
     index_order: tuple[str, ...]
 
     def __post_init__(self):
+        if self.k < 1:
+            raise SizeError(f"neighbor lists need k >= 1, got {self.k}")
         neighbors = np.ascontiguousarray(self.neighbors, dtype=np.int64)
         scores = np.ascontiguousarray(self.scores, dtype=np.float64)
         if neighbors.shape != scores.shape or neighbors.ndim != 2:
@@ -436,13 +437,11 @@ def neighbors_from_dict(obj: dict, what: str = "neighbors") -> NeighborList:
         k = typed(obj, "k", int)
         metric = typed(obj, "metric", str)
         excludes_self = typed(obj, "excludes_self", bool)
-        position = {pid: i for i, pid in enumerate(ids)}
-        if len(position) != len(ids):
+        if len(set(ids)) != len(ids):
             raise AlignmentError("duplicate ids in neighbor rows")
-        unknown = sorted({pid for names in named for pid in names} - position.keys())
-        if unknown:
-            raise IntegrityError(f"neighbor ids that name no row: {unknown[:10]}")
-        neighbors = np.array([[position[pid] for pid in names] for names in named], dtype=np.int64)
+        if any(len(names) != k for names in named):
+            raise ValueError(f"every row must hold k={k} neighbors")
+        neighbors = np.array(positions(ids, [pid for names in named for pid in names]))
         return NeighborList(
             k,
             neighbors.reshape(len(rows), k),

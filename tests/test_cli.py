@@ -8,8 +8,10 @@ import pytest
 
 from fairaudit._util import write_json
 from fairaudit.audit import AuditConfig, run_audit
-from fairaudit.classifiers import TrainConfig
+from fairaudit.classifiers import BoostedStumps, Stump, TrainConfig, save_model
 from fairaudit.cli import SUBCOMMANDS, _config, build_parser, main
+from fairaudit.dataset import FIELD_ORDER
+from fairaudit.embed import EmbeddingMatrix, save_embeddings
 
 
 def run(capsys, *argv):
@@ -245,13 +247,14 @@ class TestStageFlags:
 
 
 class TestFrontEndsAgree:
+    CONFIG = AuditConfig(d=8, seed=11, max_epochs=2, patience=2, rounds=10, hidden_dim=4,
+                         head_dim=4)
+
     def test_cli_stages_reproduce_the_audit(self, tmp_path, corpus, capsys):
         """CLI embed and split with the audit's derived seeds write the audit's
         embeddings, split and AR neighbor structure."""
-        config = AuditConfig(d=8, seed=11, max_epochs=2, patience=2, rounds=10, hidden_dim=4,
-                             head_dim=4)
         run_dir = tmp_path / "run"
-        report = run_audit(corpus, config, run_dir)
+        report = run_audit(corpus, self.CONFIG, run_dir)
         seeds = report.metadata["derived_seeds"]
         emb, neighbors, splits = (tmp_path / n for n in ("e.faem", "n.json", "s.json"))
         code, _, err = run(capsys, "embed", "--corpus", str(corpus), "--d", "8",
@@ -265,6 +268,53 @@ class TestFrontEndsAgree:
                            "--seed", str(seeds["split"]), "--out", str(splits))
         assert code == 0, err
         assert json.loads(splits.read_text()) == json.loads((run_dir / "splits.json").read_text())
+
+    def test_cli_replays_the_run_directory(self, tmp_path, corpus, capsys):
+        """CLI predict from the run's models and embeddings writes the run's model
+        decisions; CLI train --family knn on the run's embeddings and split writes
+        the run's kNN model. (Stumps and BiRNN train on the file's float32 rows, so
+        their models differ from the audit's.)"""
+        run_dir = tmp_path / "run"
+        run_audit(corpus, self.CONFIG, run_dir)
+        emb = run_dir / "embeddings.faem"
+        for name in ("knn", "gbstumps", "birnn"):
+            model, out = run_dir / "models" / f"{name}.json", tmp_path / f"{name}.json"
+            code, _, err = run(capsys, "predict", "--model", str(model), "--embeddings", str(emb),
+                               "--d", "8", "--out", str(out))
+            assert code == 0, err
+            expected = json.loads((run_dir / f"decisions_model_{name}.json").read_text())
+            assert json.loads(out.read_text()) == expected, name
+        model = tmp_path / "knn_model.json"
+        code, _, err = run(capsys, "train", "--family", "knn", "--corpus", str(corpus),
+                           "--embeddings", str(emb), "--splits", str(run_dir / "splits.json"),
+                           "--d", "8", "--out", str(model))
+        assert code == 0, err
+        assert model.read_bytes() == (run_dir / "models" / "knn.json").read_bytes()
+
+
+class TestMalformedArtifacts:
+    """Artifacts that pass the loaders' type checks but cannot be used exit 2."""
+
+    def test_stumps_model_wider_than_the_matrix(self, tmp_path, capsys):
+        model, emb = tmp_path / "m.json", tmp_path / "e.faem"
+        save_model(BoostedStumps([Stump(34, 0.0, -1.0, 1.0)], 0.1, 0.0), model)
+        rows = np.random.default_rng(0).standard_normal((3, 20))
+        save_embeddings(EmbeddingMatrix(rows, 4, FIELD_ORDER, ("a", "b", "c")), emb)
+        code, _, err = run(capsys, "predict", "--model", str(model), "--embeddings", str(emb),
+                           "--d", "4", "--out", str(tmp_path / "p.json"))
+        assert code == 2, err
+        assert err == "error: feature count mismatch: expected at least 35, got 20\n"
+
+    def test_neighbor_file_with_k_zero(self, tmp_path, capsys):
+        ids = ["a", "b"]
+        write_json(tmp_path / "d.json", {"source": "x", "index_order": ids, "values": [1, 0]})
+        write_json(tmp_path / "n.json",
+                   {"k": 0, "metric": "cosine", "excludes_self": True,
+                    "rows": [{"id": pid, "neighbors": [], "scores": []} for pid in ids]})
+        code, out, err = run(capsys, "consistency", "--decisions", str(tmp_path / "d.json"),
+                             "--neighbors", str(tmp_path / "n.json"))
+        assert (code, out) == (2, "")
+        assert err == "error: neighbor lists need k >= 1, got 0\n"
 
 
 class TestConsistencyFixture:

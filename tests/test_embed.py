@@ -23,6 +23,7 @@ from fairaudit.embed import (
 from fairaudit.errors import (
     DimensionMismatchError,
     IdMismatchError,
+    IntegrityError,
     NonFiniteError,
 )
 
@@ -318,3 +319,13 @@ class TestPersistence:
         data[0, 0] = np.inf
         with pytest.raises(NonFiniteError):
             EmbeddingMatrix(data, 2, FIELD_ORDER, ("A",))
+
+    def test_matrix_rejects_duplicate_ids(self):
+        with pytest.raises(IntegrityError, match=r"\['A'\]"):
+            EmbeddingMatrix(np.zeros((3, 10)), 2, FIELD_ORDER, ("A", "B", "A"))
+
+    def test_ingest_rejects_duplicate_ids(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("".join(f"{pid}," + ",".join(["0.5"] * 10) + "\n" for pid in "ABA"))
+        with pytest.raises(IntegrityError, match=r"\['A'\]"):
+            ingest_embeddings(path, ("A", "B"), 2)
