@@ -8,7 +8,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import IntegrityError, ParseError
+from .errors import FairauditError, IntegrityError, ParseError
 
 _TINY = float(np.finfo(np.float64).tiny)  # the least normal float64
 # float32 entries base64-encoded at a time by write_json: 4 bytes each and a
@@ -94,9 +94,10 @@ def typed_list(obj: dict, key: str, kind: type | tuple[type, ...]) -> list:
 
 
 def positions(index_order, ids) -> list[int]:
-    """Where each of ``ids`` sits in ``index_order``; IntegrityError names unknown ids."""
+    """Where each of ``ids`` sits in ``index_order``; IntegrityError names each
+    unknown id once."""
     position = {pid: i for i, pid in enumerate(index_order)}
-    unknown = [pid for pid in ids if pid not in position]
+    unknown = list(dict.fromkeys(pid for pid in ids if pid not in position))
     if unknown:
         raise IntegrityError(f"{len(unknown)} ids not found, e.g. {unknown[:10]}")
     return [position[pid] for pid in ids]
@@ -111,26 +112,58 @@ def parsing(what: str, line: int | None = None):
         raise ParseError(f"malformed {what}: {type(exc).__name__}: {exc}", line) from exc
 
 
-def normalize_rows(rows: np.ndarray, chunk_elems: int) -> None:
-    """L2-normalize ``rows`` along the last axis in place; zero vectors stay zero.
+@contextmanager
+def naming(path):
+    """Name ``path`` in a data error that its content raises (parse errors name it
+    already); the error keeps its type."""
+    try:
+        yield
+    except FairauditError as exc:
+        if not isinstance(exc, ParseError):
+            exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def row_scales(rows: np.ndarray, chunk_elems: int) -> tuple[np.ndarray, np.ndarray]:
+    """What makes each vector along the last axis of ``rows`` a unit vector: a
+    power-of-two shift and a norm, one of each per vector, for :func:`scale_rows`.
     At most about ``chunk_elems`` entries at a time, as norm squares a copy of its
     input; a vector's norm does not depend on the chunking.
 
     A vector whose squares overflow (its norm is inf, from entries above about
     1e154) or underflow (its norm is 0 or subnormal, from entries below about
-    1e-162) is first scaled by the power of two that brings its largest
-    magnitude into [1/2, 1), which is exact. Every other vector is divided by
-    its plain norm and keeps every bit."""
-    for chunk in np.array_split(rows, max(1, rows.size // chunk_elems)):
+    1e-162) is first shifted by the power of two that brings its largest
+    magnitude into [1/2, 1), which is exact. Every other vector has shift 0 and
+    its plain norm, so it keeps every bit. A zero vector gets norm 1."""
+    shifts = np.zeros(rows.shape[:-1], np.int32)
+    norms = np.empty(rows.shape[:-1])
+    step = max(1, chunk_elems * len(rows) // max(1, rows.size))
+    for at in range(0, len(rows), step):
+        chunk = rows[at : at + step]
         with np.errstate(over="ignore"):  # an overflowing norm is mended below
-            norms = np.linalg.norm(chunk, axis=-1, keepdims=True)
-        odd = (norms[..., 0] == np.inf) | (norms[..., 0] < _TINY)  # zero vectors too
+            part = np.linalg.norm(chunk, axis=-1)
+        odd = (part == np.inf) | (part < _TINY)  # zero vectors too
         if odd.any():
-            scaled = chunk[odd]
-            scaled = np.ldexp(scaled, -np.frexp(np.abs(scaled).max(axis=-1, keepdims=True))[1])
-            chunk[odd] = scaled
-            norms[odd] = np.linalg.norm(scaled, axis=-1, keepdims=True)
-        np.divide(chunk, norms, out=chunk, where=norms > 0)
+            shifted = chunk[odd]
+            shift = -np.frexp(np.abs(shifted).max(axis=-1))[1]
+            shifts[at : at + step][odd] = shift
+            part[odd] = np.linalg.norm(np.ldexp(shifted, shift[:, None]), axis=-1)
+        part[part == 0] = 1.0
+        norms[at : at + step] = part
+    return shifts, norms
+
+
+def scale_rows(rows: np.ndarray, shifts: np.ndarray, norms: np.ndarray) -> None:
+    """Scale ``rows`` in place by their :func:`row_scales`: each vector times two to
+    its shift, over its norm. A norm of exactly 1 skips the divide, as ``x / 1 == x``."""
+    odd = shifts != 0
+    if odd.any():
+        rows[odd] = np.ldexp(rows[odd], shifts[odd][:, None])
+    divide = norms != 1.0
+    if divide.all():
+        rows /= norms[..., None]
+    elif divide.any():
+        rows[divide] /= norms[divide][:, None]
 
 
 def encode_array(arr: np.ndarray) -> dict:

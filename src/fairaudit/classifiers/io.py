@@ -11,7 +11,7 @@ written to the file in pieces and its text never exists whole.
 
 from __future__ import annotations
 
-from .._util import parsing, read_json, stream_array, typed, write_json
+from .._util import naming, parsing, read_json, stream_array, typed, write_json
 from .birnn import BiRnnClassifier
 from .knn import KnnClassifier
 from .stumps import BoostedStumps
@@ -28,7 +28,7 @@ def save_model(model, path) -> None:
 
 def load_model(path):
     obj = read_json(path)
-    with parsing(f"model {path}"):
+    with naming(path), parsing(f"model {path}"):
         if typed(obj, "format", str) != _FORMAT or typed(obj, "version", int) != _VERSION:
             raise ValueError(f"not a version-{_VERSION} {_FORMAT} file")
         family = typed(obj, "family", str)

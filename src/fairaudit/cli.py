@@ -16,7 +16,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from ._util import read_json, write_json
+from ._util import naming, read_json, write_json
 from .audit import (
     CHOICES,
     FLAG_HELP,
@@ -264,7 +264,9 @@ def _cmd_train(args) -> int:
     matrix = embed_profiles(profiles, config, config.seed)
     split = load_split(args.splits)
     truth = binarize_labels(profiles, config.target_stage)
-    model, trials = LEARNERS[args.family].train(*training_rows(matrix, truth, split), config)
+    with naming(args.splits):  # a split id that the corpus lacks
+        rows = training_rows(matrix, truth, split)
+    model, trials = LEARNERS[args.family].train(*rows, config)
     save_model(model, args.out)
     print(f"wrote {args.family} model to {args.out}")
     if args.trials_out and trials is not None:
@@ -279,7 +281,9 @@ def _cmd_predict(args) -> int:
     model = load_model(args.model)
     ids, data = load_matrix_file(args.embeddings)
     field_order = tuple(f"f{i}" for i in range(data.shape[1] // args.d))
-    vector = predict_decisions(model, EmbeddingMatrix(data, args.d, field_order, tuple(ids)))
+    with naming(args.embeddings):
+        matrix = EmbeddingMatrix(data, args.d, field_order, tuple(ids))
+    vector = predict_decisions(model, matrix)
     save_decisions(vector, args.out)
     print(f"wrote {len(ids)} decisions to {args.out}")
     return 0

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import (
+    naming,
     parsing,
     positions,
     read_json,
@@ -473,7 +474,8 @@ def save_split(split: SplitAssignment, path) -> None:
 
 
 def load_split(path) -> SplitAssignment:
-    return SplitAssignment.from_dict(read_json(path), f"splits {path}")
+    with naming(path):
+        return SplitAssignment.from_dict(read_json(path), f"splits {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -604,4 +606,5 @@ def save_decisions(vector: DecisionVector, path) -> None:
 
 
 def load_decisions(path) -> DecisionVector:
-    return DecisionVector.from_dict(read_json(path), f"decisions {path}")
+    with naming(path):
+        return DecisionVector.from_dict(read_json(path), f"decisions {path}")

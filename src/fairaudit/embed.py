@@ -25,7 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._util import normalize_rows, positions
+from ._util import naming, positions, row_scales, scale_rows
 from .dataset import FIELD_ORDER, Profile
 from .errors import (
     DimensionMismatchError,
@@ -220,7 +220,7 @@ def embed_corpus(
 def normalize_field_blocks(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
     """L2-normalize each field block of each row; zero blocks stay zero."""
     blocks = matrix.data.reshape(matrix.n, len(matrix.field_order), matrix.dim_per_field).copy()
-    normalize_rows(blocks, _NORM_ELEMS)
+    scale_rows(blocks, *row_scales(blocks, _NORM_ELEMS))
     return EmbeddingMatrix(
         blocks.reshape(matrix.n, matrix.dim),
         matrix.dim_per_field,
@@ -309,12 +309,13 @@ def ingest_embeddings(path, expected_ids, d: int) -> EmbeddingMatrix:
     the ids. Values are ingested as-is; :func:`normalize_field_blocks` normalizes."""
     expected_ids = tuple(expected_ids)
     ids, data = load_matrix_file(path)
-    matrix = EmbeddingMatrix(data, d, FIELD_ORDER, ids)
-    stored, expected = set(ids), set(expected_ids)
-    if stored != expected:
-        missing = [pid for pid in expected_ids if pid not in stored]
-        extra = [pid for pid in ids if pid not in expected]
-        raise IdMismatchError(
-            f"embedding ids do not match corpus: missing {missing[:10]}, extra {extra[:10]}"
-        )
+    with naming(path):
+        matrix = EmbeddingMatrix(data, d, FIELD_ORDER, ids)
+        stored, expected = set(ids), set(expected_ids)
+        if stored != expected:
+            missing = [pid for pid in expected_ids if pid not in stored]
+            extra = [pid for pid in ids if pid not in expected]
+            raise IdMismatchError(
+                f"embedding ids do not match corpus: missing {missing[:10]}, extra {extra[:10]}"
+            )
     return matrix.take(expected_ids)

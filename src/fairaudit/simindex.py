@@ -9,6 +9,13 @@ one float32 GEMM per field *screens* the whole reference alike (``-sqrt(max(|q|^
 rescores every column the screen cannot rule out and decides every score and rank,
 ties by row index: the screen's precision changes no result.
 
+Memory. No float64 copy of the rows is made. The kernel gathers the caller's rows
+of the pairs it scores and, for cosine, divides them elementwise by their norms
+(:func:`~fairaudit._util.row_scales`; a norm of exactly 1 skips the divide), which
+gives the bits of unit rows; a block's query rows are scaled once per block. The
+float32 screen copies are made from the caller's rows, scaled as the kernel scales
+them, ``_GATHER_ELEMS`` entries at a time.
+
 Screen error. The screen reads float32 copies of the rows the kernel scores: unit
 rows for cosine, and for euclidean each field's rows times the power of two ``c``
 (exact) that brings its largest magnitude into [1/2, 1), so nothing overflows
@@ -52,7 +59,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import normalize_rows, parsing, positions, read_json, typed, typed_list, write_json
+from ._util import (
+    naming,
+    parsing,
+    positions,
+    read_json,
+    row_scales,
+    scale_rows,
+    typed,
+    typed_list,
+    write_json,
+)
 from .embed import EmbeddingMatrix
 from .errors import (
     AlignmentError,
@@ -110,23 +127,14 @@ def pairwise_similarity(a, b, metric: str = "cosine") -> float:
 
 # Bytes of one query block's scores, counted in float64 entries (the float32
 # screen holds twice as many; the block's query copies may take four times as
-# much), and float64 entries in each gather buffer of the pair kernel. They bound
-# working memory; no result depends on them.
+# much), and float64 entries in each gather of the pair kernel and of the screen
+# copies. They bound working memory; no result depends on them.
 _BLOCK_ELEMS = 1 << 18
 _GATHER_ELEMS = 1 << 17
 
 # float32's eps and least subnormal, float64's least subnormal (module docstring)
 _EPS, _TINY = float(np.finfo(np.float32).eps), float(np.finfo(np.float32).smallest_subnormal)
 _TINY64 = float(np.finfo(np.float64).smallest_subnormal)
-
-
-def _prepare(data: np.ndarray, metric: str) -> np.ndarray:
-    """Rows as the pair kernel scores them: unit rows for cosine."""
-    if metric == "euclidean":
-        return np.ascontiguousarray(data)
-    rows = np.array(data)
-    normalize_rows(rows, _GATHER_ELEMS)
-    return rows
 
 
 def _scale(metric: str, *blocks: np.ndarray) -> float:
@@ -139,19 +147,44 @@ def _scale(metric: str, *blocks: np.ndarray) -> float:
 
 
 class _Rows(NamedTuple):
-    """One field's rows as the pair kernel scores them, their float32 screen copy
-    and the copy's squared norms, summed in float64."""
+    """One field's rows as the caller holds them and, for cosine, their
+    :func:`row_scales`, which make them the unit rows the pair kernel scores
+    (``scales`` None: the kernel scores the rows as they are); their float32
+    screen copy and the copy's squared norms, summed in float64."""
 
-    kernel: np.ndarray
+    rows: np.ndarray
+    scales: tuple[np.ndarray, np.ndarray] | None
     low: np.ndarray
     sq: np.ndarray
 
 
+def _gather(field: _Rows, index: np.ndarray) -> np.ndarray:
+    """Rows ``index`` of ``field`` as the pair kernel scores them, in a new array."""
+    rows = field.rows[index]
+    if field.scales is not None:
+        scale_rows(rows, *(part[index] for part in field.scales))
+    return rows
+
+
 def _field(data: np.ndarray, metric: str, scale: float) -> _Rows:
-    """The rows of one field, the screen copy times ``scale``."""
-    rows = _prepare(data, metric)
-    low = np.multiply(rows, scale, out=np.empty(rows.shape, np.float32), casting="same_kind")
-    return _Rows(rows, low, np.einsum("ij,ij->i", low, low, dtype=np.float64))
+    """The rows of one field, a view of ``data``; the screen copy times ``scale`` is
+    made from the scaled rows ``_GATHER_ELEMS`` entries at a time."""
+    scales = row_scales(data, _GATHER_ELEMS) if metric == "cosine" else None
+    field = _Rows(data, scales, np.empty(data.shape, np.float32), None)
+    step = max(1, _GATHER_ELEMS // max(1, data.shape[1]))
+    for at in range(0, len(data), step):
+        part = _gather(field, np.arange(at, min(at + step, len(data))))
+        np.multiply(part, scale, out=field.low[at : at + step], casting="same_kind")
+    return field._replace(sq=np.einsum("ij,ij->i", field.low, field.low, dtype=np.float64))
+
+
+def _block(field: _Rows, start: int, stop: int) -> _Rows:
+    """Rows ``start:stop`` of ``field`` as a block of query rows, scaled once for
+    all of their pairs."""
+    rows = field.rows[start:stop]
+    if field.scales is not None:
+        rows = _gather(field, np.arange(start, stop))
+    return _Rows(rows, None, field.low[start:stop], field.sq[start:stop])
 
 
 def _screen(q: _Rows, ref: _Rows, metric: str, coef: np.float32, sq_error):
@@ -244,20 +277,17 @@ def _candidates(screen, radius, delta, k: int, diagonal) -> tuple[np.ndarray, np
     return np.nonzero(keep)
 
 
-def _pair_scores(q, ref, rows, cols, metric: str) -> np.ndarray:
+def _pair_scores(q: _Rows, ref: _Rows, rows, cols, metric: str) -> np.ndarray:
     """Pair-kernel scores of ``(q[rows[i]], ref[cols[i]])``, a row-wise einsum of ``q * r``
     (cosine) or ``(q - r)**2`` (euclidean): a score depends on its two rows alone, not
     on how many pairs are scored, where they sit in memory or on BLAS."""
     dots = np.empty(len(rows))
-    step = max(1, _GATHER_ELEMS // max(1, q.shape[1]))
-    a, b = np.empty((2, min(step, len(rows)), q.shape[1]))
+    step = max(1, _GATHER_ELEMS // max(1, q.rows.shape[1]))
     for start in range(0, len(rows), step):
-        m = min(step, len(rows) - start)
-        # mode="clip" lets take write into the reused buffers without a copy
-        np.take(q, rows[start : start + m], axis=0, out=a[:m], mode="clip")
-        np.take(ref, cols[start : start + m], axis=0, out=b[:m], mode="clip")
-        left = a[:m] if metric == "cosine" else np.subtract(a[:m], b[:m], out=b[:m])
-        dots[start : start + m] = np.einsum("ij,ij->i", left, b[:m])
+        a = _gather(q, rows[start : start + step])
+        b = _gather(ref, cols[start : start + step])
+        left = a if metric == "cosine" else np.subtract(a, b, out=b)
+        dots[start : start + step] = np.einsum("ij,ij->i", left, b)
     return dots if metric == "cosine" else -np.sqrt(dots)
 
 
@@ -298,7 +328,8 @@ def search(
         # of it if there are two, and for euclidean the radii of both
         live = min(len(used), 2) * (1 if metric == "cosine" else 2)
         block = max(1, 2 * _BLOCK_ELEMS // (n_ref * live))
-        if queries is not reference:  # and the block's float64 and float32 query copies
+        if metric == "cosine" or queries is not reference:  # and the block's query
+            # copies: its scaled float64 rows (cosine), its float32 rows (queries)
             block = min(block, max(1, 32 * _BLOCK_ELEMS // (12 * queries.shape[1])))
     fields = [slice(f * d, (f + 1) * d) for f in np.flatnonzero(weights)]
     scales = [_scale(metric, queries[:, f], reference[:, f]) for f in fields]
@@ -310,16 +341,17 @@ def search(
     for start in range(0, n_q, block):
         stop = min(start + block, n_q)
         if queries is reference:
-            q = [_Rows(*(a[start:stop] for a in field)) for field in ref]
+            q = [_block(field, start, stop) for field in ref]
         else:
-            q = [_field(queries[start:stop, f], metric, c) for f, c in zip(fields, scales)]
+            q = [_block(_field(queries[start:stop, f], metric, c), 0, stop - start)
+                 for f, c in zip(fields, scales)]
         delta, sq_errors = _bounds(q, ref, used, scales, total, metric, d)
         diagonal = (np.arange(stop - start), np.arange(start, stop)) if exclude_diagonal else None
         rows, cols = _candidates(*_block_screen(q, ref, coefs, sq_errors, metric), delta, k,
                                  diagonal)
         found = np.zeros(len(rows))
         for qf, rf, w in zip(q, ref, used):
-            found += w * _pair_scores(qf.kernel, rf.kernel, rows, cols, metric)
+            found += w * _pair_scores(qf, rf, rows, cols, metric)
         found /= total
         neighbors[start:stop], scores[start:stop] = _rank(rows, cols, found, stop - start, k)
     return neighbors, scores
@@ -453,4 +485,5 @@ def neighbors_from_dict(obj: dict, what: str = "neighbors") -> NeighborList:
 
 
 def load_neighbors(path) -> NeighborList:
-    return neighbors_from_dict(read_json(path), f"neighbors {path}")
+    with naming(path):
+        return neighbors_from_dict(read_json(path), f"neighbors {path}")

@@ -11,7 +11,7 @@ from fairaudit.audit import AuditConfig, run_audit
 from fairaudit.classifiers import BoostedStumps, Stump, TrainConfig, save_model
 from fairaudit.cli import SUBCOMMANDS, _config, build_parser, main
 from fairaudit.dataset import FIELD_ORDER
-from fairaudit.embed import EmbeddingMatrix, save_embeddings
+from fairaudit.embed import EmbeddingMatrix, load_matrix_file, save_embeddings
 
 
 def run(capsys, *argv):
@@ -314,7 +314,55 @@ class TestMalformedArtifacts:
         code, out, err = run(capsys, "consistency", "--decisions", str(tmp_path / "d.json"),
                              "--neighbors", str(tmp_path / "n.json"))
         assert (code, out) == (2, "")
-        assert err == "error: neighbor lists need k >= 1, got 0\n"
+        assert err == f"error: {tmp_path / 'n.json'}: neighbor lists need k >= 1, got 0\n"
+
+    def test_unknown_neighbor_id_names_the_file_and_the_id_once(self, tmp_path, capsys):
+        ids = ["a", "b"]
+        write_json(tmp_path / "d.json", {"source": "x", "index_order": ids, "values": [1, 0]})
+        write_json(tmp_path / "n.json",
+                   {"k": 1, "metric": "cosine", "excludes_self": True,
+                    "rows": [{"id": pid, "neighbors": ["zz"], "scores": [1.0]} for pid in ids]})
+        code, out, err = run(capsys, "consistency", "--decisions", str(tmp_path / "d.json"),
+                             "--neighbors", str(tmp_path / "n.json"))
+        assert (code, out) == (2, "")
+        assert err == f"error: {tmp_path / 'n.json'}: 1 ids not found, e.g. ['zz']\n"
+
+
+class TestEmbeddingFileErrors:
+    """Errors that an embedding file's content raises name the file."""
+
+    @pytest.fixture
+    def files(self, tmp_path, corpus, capsys):
+        emb, splits, model = tmp_path / "e.faem", tmp_path / "s.json", tmp_path / "m.json"
+        assert run(capsys, "embed", "--corpus", str(corpus), "--d", "4", "--out", str(emb))[0] == 0
+        assert run(capsys, "split", "--corpus", str(corpus), "--out", str(splits))[0] == 0
+        assert run(capsys, "train", "--family", "knn", "--corpus", str(corpus), "--embeddings",
+                   str(emb), "--splits", str(splits), "--d", "4", "--out", str(model))[0] == 0
+        ids, data = load_matrix_file(emb)
+        dup = tmp_path / "dup.csv"
+        dup.write_text("".join(
+            ",".join([ids[0] if i == 1 else pid, *map(repr, row.tolist())]) + "\n"
+            for i, (pid, row) in enumerate(zip(ids, data))
+        ))
+        return {"corpus": corpus, "emb": emb, "dup": dup, "splits": splits, "model": model}
+
+    @pytest.mark.parametrize("command, matrix, d", [
+        ("embed", "dup", 4), ("train", "dup", 4), ("predict", "dup", 4),
+        ("train", "emb", 3), ("predict", "emb", 3),
+    ])
+    def test_error_names_the_embedding_file(self, files, tmp_path, capsys, command, matrix, d):
+        path, out = str(files[matrix]), str(tmp_path / "out")
+        argv = {
+            "embed": ["embed", "--corpus", str(files["corpus"]), "--embedder", "ingest",
+                      "--embeddings", path],
+            "train": ["train", "--family", "knn", "--corpus", str(files["corpus"]),
+                      "--embeddings", path, "--splits", str(files["splits"])],
+            "predict": ["predict", "--model", str(files["model"]), "--embeddings", path],
+        }[command]
+        code, _, err = run(capsys, *argv, "--d", str(d), "--out", out)
+        assert code == 2, err
+        assert err.startswith(f"error: {path}: "), err
+        assert ("duplicate ids" if matrix == "dup" else "width mismatch") in err
 
 
 class TestConsistencyFixture:

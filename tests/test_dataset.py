@@ -360,6 +360,12 @@ class TestDecisionVector:
         with pytest.raises(IntegrityError):
             DecisionVector("x", np.array([0, 1]), ("a", "a"))
 
+    def test_take_names_each_unknown_id_once(self):
+        vector = DecisionVector("x", np.array([0, 1]), ("a", "b"))
+        with pytest.raises(IntegrityError) as info:
+            vector.take(["zz", "a", "zz", "yy"])
+        assert str(info.value) == "2 ids not found, e.g. ['zz', 'yy']"
+
     def test_json_round_trip(self, tmp_path):
         vector = DecisionVector("human:SL", np.array([1, 0, 1]), ("a", "b", "c"))
         save_decisions(vector, tmp_path / "d.json")

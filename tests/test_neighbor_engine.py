@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairaudit import embed_corpus, generate_synthetic_corpus, simindex
+from fairaudit.embed import normalize_field_blocks
 from fairaudit.embed import EmbeddingMatrix
 from fairaudit.simindex import knn_batched, knn_exact, knn_feature_reranked, search_queries
 
@@ -285,6 +286,60 @@ def test_no_n_by_n_buffer(call):
     # blocks and gathers must stay far below one N x N float64 buffer.
     working = peak - unit_row_copies * x.nbytes
     assert working < n * n * 8 / 4, f"{working / (n * n * 8):.2f} x N*N*8 beyond the row copies"
+
+
+@pytest.mark.parametrize(
+    "call", ["knn_exact", "knn_feature_reranked", "search_queries", "euclidean rerank"]
+)
+def test_no_float64_copy_of_the_reference(call):
+    """Pairs are scored from the caller's rows: beyond them a search holds a float32
+    copy (half their bytes) and its blocks, and no float64 copy (their bytes again)."""
+    n = 2000
+    x = np.random.default_rng(0).standard_normal((n, 512))
+    matrix = matrix_of(x, n_fields=4)
+    run = {
+        "knn_exact": lambda: knn_exact(matrix, 5),
+        "knn_feature_reranked": lambda: knn_feature_reranked(matrix, 5),
+        "search_queries": lambda: search_queries(x[: n // 2], x, 5),
+        "euclidean rerank": lambda: knn_feature_reranked(matrix, 5, "euclidean"),
+    }[call]
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * x.nbytes, f"peak {peak / x.nbytes:.2f} x the reference's bytes"
+
+
+@pytest.mark.parametrize("gather_elems", [1, 7, 50, 1 << 17])
+def test_search_row_scales_give_the_bits_of_normalize_field_blocks(gather_elems, monkeypatch):
+    """The pair kernel's gathered rows and the screen copy equal the unit rows of
+    normalize_field_blocks bit for bit, for zero, subnormal, huge and unit rows."""
+    monkeypatch.setattr(simindex, "_GATHER_ELEMS", gather_elems)
+    rng = np.random.default_rng(6)
+    d = 16
+    data = rng.standard_normal((24, 3 * d))
+    data[0] = 0.0
+    data[1, :d] = -0.0
+    data[2] *= 2.0**-1060  # subnormal entries
+    data[3] *= 1e300
+    data[4] *= -1e300
+    data[5, ::2] *= 1e300  # huge and plain entries in one row
+    data[6] = 0.25  # norm exactly 1 in every field
+    data[7, :] = 0.0
+    data[7, [0, d, 2 * d]] = [1.0, -1.0, 1.0]
+    data[8:] = normalize_field_blocks(matrix_of(data[8:], 3)).data  # most of norm exactly 1
+    normalized = normalize_field_blocks(matrix_of(data, 3))
+    index = rng.integers(0, len(data), 60)
+    for f in range(3):
+        view = data[:, f * d : (f + 1) * d]
+        want = np.ascontiguousarray(normalized.field_block(f))
+        assert want.tobytes() == unit_rows(view).tobytes()
+        field = simindex._field(view, "cosine", 1.0)
+        assert (field.scales[1] == 1.0).sum() > 10
+        assert simindex._gather(field, index).tobytes() == want[index].tobytes()
+        assert field.low.tobytes() == want.astype(np.float32).tobytes()
 
 
 AUDIT_CHILD = """
