@@ -328,8 +328,8 @@ class TestMalformedArtifacts:
         assert err == f"error: {tmp_path / 'n.json'}: 1 ids not found, e.g. ['zz']\n"
 
 
-class TestEmbeddingFileErrors:
-    """Errors that an embedding file's content raises name the file."""
+class TestDataErrorsNameTheFile:
+    """Errors that an embedding or split file's content raises name the file."""
 
     @pytest.fixture
     def files(self, tmp_path, corpus, capsys):
@@ -363,6 +363,17 @@ class TestEmbeddingFileErrors:
         assert code == 2, err
         assert err.startswith(f"error: {path}: "), err
         assert ("duplicate ids" if matrix == "dup" else "width mismatch") in err
+
+    def test_split_id_the_corpus_lacks_names_the_split_file(self, files, tmp_path, capsys):
+        split = json.loads(files["splits"].read_text())
+        split["train"][0] = "nobody"
+        path = tmp_path / "foreign.json"
+        write_json(path, split)
+        code, _, err = run(capsys, "train", "--family", "knn", "--corpus", str(files["corpus"]),
+                           "--embeddings", str(files["emb"]), "--splits", str(path), "--d", "4",
+                           "--out", str(tmp_path / "out"))
+        assert code == 2, err
+        assert err == f"error: {path}: 1 ids not found, e.g. ['nobody']\n"
 
 
 class TestConsistencyFixture:
