@@ -37,6 +37,7 @@ from .dataset import (
     STAGES,
     DecisionVector,
     Profile,
+    SplitAssignment,
     binarize_labels,
     check_ratios,
     load_corpus,
@@ -294,214 +295,204 @@ def _stage(name: str, fn):
         raise StageError(name, exc) from exc
 
 
-class _AuditRun:
-    def __init__(self, corpus_path, config: AuditConfig):
-        self.corpus_path = str(corpus_path)
-        self.config = config
-        self.seeds = derive_seeds(config.seed, ("embed", "split", "stumps", "birnn", "search"))
-        self.structures: dict[tuple[str, ...], NeighborList] = {}
-        self.stage_structures: dict[str, NeighborList] = {}
-        self.models: dict[str, object] = {}
-        self.search_logs: dict[str, list] = {}
-
-    # pipeline ---------------------------------------------------------------
-
-    def execute(self) -> "AuditReport":
-        config = self.config
-        self.profiles = _stage("load", self._load)
-        self.matrix = _stage(
-            "embed", lambda: embed_profiles(self.profiles, config, self.seeds["embed"])
-        )
-        self.split = _stage(
-            "split",
-            lambda: split_corpus(
-                self.profiles, config.ratios, self.seeds["split"], config.stratify_on
-            ),
-        )
-        self.decisions = _stage("labels", self._collect_decisions)
-        _stage("train", self._train_models)
-        _stage("predict", self._predict_models)
-        return _stage("score", self._score)
-
-    def _load(self) -> list[Profile]:
-        with open(self.corpus_path, "rb") as fh:
-            self.corpus_sha256 = hashlib.sha256(fh.read()).hexdigest()
-        return load_corpus(self.corpus_path)
-
-    def _collect_decisions(self) -> dict[str, DecisionVector]:
-        decisions: dict[str, DecisionVector] = {}
-        self.truth = binarize_labels(self.profiles, self.config.target_stage)
-        for stage in STAGES:
-            labeled = [p for p in self.profiles if stage in p.labels]
-            if labeled:
-                decisions[f"human:{stage}"] = binarize_labels(labeled, stage)
-        return decisions
-
-    def _train_models(self) -> None:
-        config = self.config
-        rows = training_rows(self.matrix, self.truth, self.split)
-        for family, learner in LEARNERS.items():
-            if learner.source not in config.sources:
-                continue
-            seed = self.seeds["search"] if config.search_trials > 1 else self.seeds.get(family, 0)
-            model, trials = learner.train(*rows, replace(config, seed=seed))
-            self.models[learner.source] = model
-            if trials is not None:
-                self.search_logs[learner.source] = trials
-
-    def _predict_models(self) -> None:
-        for source, model in self.models.items():
-            self.decisions[source] = predict_decisions(model, self.matrix)
-
-    # scoring ----------------------------------------------------------------
-
-    def _split_ids(self, name: str) -> set[str]:
-        if name == "full":
-            return set(self.matrix.index_order)
-        return set(self.split.subsets()[name])
-
-    def _structure_for(self, ids: list[str]) -> NeighborList | None:
-        key = tuple(ids)
-        if key in self.structures:
-            return self.structures[key]
-        if len(ids) < self.config.k + 1:
-            return None
-        structure = neighbor_structure(self.matrix.take(ids), self.config)
-        self.structures[key] = structure
-        return structure
-
-    def _consistency_cell(self, source: str, stage: str) -> float | None:
-        vector = self.decisions.get(source)
-        if vector is None:
-            return None
-        scope = self._split_ids(self.config.consistency_split)
-        covered = set(vector.index_order)
-        stage_ids = [
-            p.id
-            for p in self.profiles
-            if stage in p.labels and p.id in scope and p.id in covered
-        ]
-        structure = self._structure_for(stage_ids)
-        if structure is None:
-            return None
-        if source.startswith("model:"):
-            self.stage_structures.setdefault(stage, structure)
-        result = consistency(vector.take(stage_ids), structure)
-        return result.score
-
-    def _metrics_cells(self, source: str) -> dict[str, float | None]:
-        vector = self.decisions.get(source)
-        absent = {c: None for c in ("precision", "recall", "f1", "accuracy")}
-        if vector is None:
-            return absent
-        scope = self._split_ids(self.config.metrics_split)
-        covered = set(vector.index_order)
-        ids = [pid for pid in self.matrix.index_order if pid in scope and pid in covered]
-        if not ids:
-            return absent
-        metrics = classification_metrics(
-            vector.take(ids), self.truth.take(ids), self.config.averaging
-        )
-        return {
-            "precision": metrics.precision,
-            "recall": metrics.recall,
-            "f1": metrics.f1,
-            "accuracy": metrics.accuracy,
-        }
-
-    def _wants_cell(self, source: str, stage: str) -> bool:
-        if self.config.consistency_cells == "all" or source.startswith("model:"):
-            return True
-        return source == f"human:{stage}"
-
-    def _score(self) -> AuditReport:
-        rows = []
-        for source in self.config.sources:
-            cells = self._metrics_cells(source)
-            for stage in CONSISTENCY_STAGES:
-                key = f"c_{stage.lower()}"
-                cells[key] = (
-                    self._consistency_cell(source, stage)
-                    if self._wants_cell(source, stage)
-                    else None
-                )
-            rows.append(ReportRow(source, **cells))
-        # Every config field as report.json holds it, but the embeddings path: a
-        # location, like the corpus path. The learner fields but the master
-        # seed go under "train".
-        values = json.loads(canonical_json(asdict(self.config)))
-        del values["embeddings_path"]
-        train = {f.name: values.pop(f.name) for f in fields(TrainConfig) if f.name != "seed"}
-        metadata = {
-            **values,
-            "train": train,
-            "corpus_size": len(self.profiles),
-            "corpus_sha256": self.corpus_sha256,
-            "derived_seeds": self.seeds,
-            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        }
-        return AuditReport(tuple(rows), metadata)
-
-
 def run_audit(corpus_path, config: AuditConfig | None = None, out_dir=None) -> AuditReport:
     """Run the full pipeline; optionally persist every artifact to a run dir.
 
     The run directory holds config.json, corpus.sha256, embeddings.faem,
-    splits.json, models/*.json, neighbors.json (the per-stage structures used
-    for the consistency columns), and report.{json,csv,md}. Nothing is written
-    until the whole pipeline has succeeded, so partial reports never appear.
-    The files are written into a hidden sibling directory first. When
-    ``out_dir`` is missing or empty, that directory then replaces it in one
-    rename; an existing non-empty ``out_dir`` has its files of the same names
-    overwritten and keeps the others. A failed write leaves ``out_dir`` as it
+    splits.json, models/*.json, neighbors.json (each stage's structure that a
+    consistency cell used, human-only audits included), and
+    report.{json,csv,md}. Nothing is written until the whole pipeline has
+    succeeded, so partial reports never appear. The files are written into a
+    hidden sibling directory first. When ``out_dir`` is missing or empty, that
+    directory then replaces it in one rename; an existing non-empty ``out_dir``
+    has its files of the same names overwritten and keeps the others, unless a
+    file would replace a directory or land under a non-directory: then the write
+    fails before any file is replaced. A failed write leaves ``out_dir`` as it
     was and removes the sibling.
     """
     config = config or AuditConfig()
-    run = _AuditRun(corpus_path, config)
-    report = run.execute()
+    seeds = derive_seeds(config.seed, ("embed", "split", "stumps", "birnn", "search"))
+    corpus_sha256, profiles = _stage("load", lambda: (
+        hashlib.sha256(Path(corpus_path).read_bytes()).hexdigest(), load_corpus(corpus_path)
+    ))
+    matrix = _stage("embed", lambda: embed_profiles(profiles, config, seeds["embed"]))
+    split = _stage(
+        "split", lambda: split_corpus(profiles, config.ratios, seeds["split"], config.stratify_on)
+    )
+    truth, decisions = _stage("labels", lambda: _labels(profiles, config.target_stage))
+    models, search_logs = _stage("train", lambda: _train(config, seeds, matrix, truth, split))
+    decisions.update(_stage("predict", lambda: {
+        source: predict_decisions(model, matrix) for source, model in models.items()
+    }))
+    rows, structures = _stage(
+        "score", lambda: score_sources(config, profiles, matrix, split, truth, decisions)
+    )
+    report = _stage(
+        "score", lambda: AuditReport(rows, _metadata(config, profiles, corpus_sha256, seeds))
+    )
     if out_dir is not None:
-        _stage("write", lambda: _write_run_dir(run, report, out_dir))
+        _stage("write", lambda: _write_run_dir(
+            out_dir, report, config, corpus_path, matrix, split, models, search_logs,
+            structures, decisions,
+        ))
     return report
 
 
-def _write_run_dir(run: _AuditRun, report: AuditReport, out_dir) -> None:
+def _labels(profiles: list[Profile], target_stage: str) -> tuple:
+    """``(truth, decisions)``: the binarized ``target_stage`` of every profile,
+    and each human stage's decisions over the profiles it labelled."""
+    truth = binarize_labels(profiles, target_stage)
+    decisions: dict[str, DecisionVector] = {}
+    for stage in STAGES:
+        labeled = [p for p in profiles if stage in p.labels]
+        if labeled:
+            decisions[f"human:{stage}"] = binarize_labels(labeled, stage)
+    return truth, decisions
+
+
+def _train(config: AuditConfig, seeds: dict, matrix, truth, split) -> tuple:
+    """``(models, search_logs)`` by source, for each family in ``config.sources``."""
+    rows = training_rows(matrix, truth, split)
+    models, search_logs = {}, {}
+    for family, learner in LEARNERS.items():
+        if learner.source not in config.sources:
+            continue
+        seed = seeds["search"] if config.search_trials > 1 else seeds.get(family, 0)
+        models[learner.source], trials = learner.train(*rows, replace(config, seed=seed))
+        if trials is not None:
+            search_logs[learner.source] = trials
+    return models, search_logs
+
+
+def score_sources(
+    config: AuditConfig,
+    profiles: list[Profile],
+    matrix: EmbeddingMatrix,
+    split: SplitAssignment,
+    truth: DecisionVector,
+    decisions: dict[str, DecisionVector],
+) -> tuple[tuple[ReportRow, ...], dict[str, NeighborList]]:
+    """The report rows of ``config.sources`` and the neighbor structure of each
+    consistency stage.
+
+    P/R/F1/A compare a source's decisions with ``truth`` over the ids of
+    ``config.metrics_split`` that it covers. C at a stage is taken over the
+    stage's population (the profiles that carry its label, within
+    ``config.consistency_split``) that the source covers, on a k-NN structure
+    built on exactly those rows; with ``consistency_cells="stage"`` a human row
+    gets only its own stage's cell. A stage's structure is returned when a cell
+    used the one over its whole population, as every model cell does.
+    """
+
+    def scope(name: str) -> set[str]:
+        return set(matrix.index_order if name == "full" else split.subsets()[name])
+
+    metrics_scope = scope(config.metrics_split)
+    consistency_scope = scope(config.consistency_split)
+    populations = {
+        stage: tuple(p.id for p in profiles if stage in p.labels and p.id in consistency_scope)
+        for stage in CONSISTENCY_STAGES
+    }
+    structures: dict[tuple[str, ...], NeighborList] = {}
+    rows = []
+    for source in config.sources:
+        vector = decisions.get(source)
+        if vector is None:
+            rows.append(ReportRow(source))
+            continue
+        cells = {}
+        covered = set(vector.index_order)
+        ids = [pid for pid in matrix.index_order if pid in metrics_scope and pid in covered]
+        if ids:
+            metrics = classification_metrics(vector.take(ids), truth.take(ids), config.averaging)
+            cells.update(precision=metrics.precision, recall=metrics.recall,
+                         f1=metrics.f1, accuracy=metrics.accuracy)
+        for stage in CONSISTENCY_STAGES:
+            if config.consistency_cells == "stage" and source not in (
+                f"human:{stage}", *MODEL_SOURCES
+            ):
+                continue
+            stage_ids = tuple(pid for pid in populations[stage] if pid in covered)
+            if len(stage_ids) < config.k + 1:
+                continue
+            if stage_ids not in structures:
+                structures[stage_ids] = neighbor_structure(matrix.take(stage_ids), config)
+            cells[f"c_{stage.lower()}"] = consistency(
+                vector.take(stage_ids), structures[stage_ids]
+            ).score
+        rows.append(ReportRow(source, **cells))
+    stage_structures = {
+        stage: structures[ids] for stage, ids in populations.items() if ids in structures
+    }
+    return tuple(rows), stage_structures
+
+
+def _metadata(
+    config: AuditConfig, profiles: list[Profile], corpus_sha256: str, seeds: dict
+) -> dict:
+    """Every config field as report.json holds it, but the embeddings path: a
+    location, like the corpus path. The learner fields but the master seed go
+    under "train"."""
+    values = json.loads(canonical_json(asdict(config)))
+    del values["embeddings_path"]
+    train = {f.name: values.pop(f.name) for f in fields(TrainConfig) if f.name != "seed"}
+    return {
+        **values,
+        "train": train,
+        "corpus_size": len(profiles),
+        "corpus_sha256": corpus_sha256,
+        "derived_seeds": seeds,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    }
+
+
+def _write_run_dir(out_dir, *artifacts) -> None:
+    """Write ``_write_run_files(tree, *artifacts)`` to ``out_dir`` as ``run_audit``
+    describes."""
     out = Path(out_dir)
     out.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
     try:
         tree = staging / "run"  # made by mkdir, so it gets the usual permissions
-        _write_run_files(run, report, tree)
+        _write_run_files(tree, *artifacts)
         if out.is_dir() and any(out.iterdir()):
-            for path in sorted(tree.rglob("*")):
-                if path.is_file():
-                    target = out / path.relative_to(tree)
-                    target.parent.mkdir(exist_ok=True)
-                    os.replace(path, target)
+            files = [path for path in sorted(tree.rglob("*")) if path.is_file()]
+            targets = [out / path.relative_to(tree) for path in files]
+            for target in targets:
+                if target.is_dir():
+                    raise IsADirectoryError(f"cannot replace the directory {target}")
+                if target.parent.exists() and not target.parent.is_dir():
+                    raise NotADirectoryError(f"not a directory: {target.parent}")
+            for path, target in zip(files, targets):
+                target.parent.mkdir(exist_ok=True)
+                os.replace(path, target)
         else:
             os.replace(tree, out)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 
 
-def _write_run_files(run: _AuditRun, report: AuditReport, out: Path) -> None:
+def _write_run_files(
+    out: Path, report, config, corpus_path, matrix, split, models, search_logs, structures,
+    decisions,
+) -> None:
     (out / "models").mkdir(parents=True)
-    config_obj = asdict(run.config)
-    config_obj["derived_seeds"] = run.seeds
-    write_json(out / "config.json", config_obj)
-    (out / "corpus.sha256").write_text(f"{run.corpus_sha256}  {run.corpus_path}\n")
-    save_embeddings(run.matrix, out / "embeddings.faem")
-    save_split(run.split, out / "splits.json")
-    for source, model in run.models.items():
+    write_json(out / "config.json", {
+        **asdict(config), "derived_seeds": report.metadata["derived_seeds"]
+    })
+    (out / "corpus.sha256").write_text(f"{report.metadata['corpus_sha256']}  {corpus_path}\n")
+    save_embeddings(matrix, out / "embeddings.faem")
+    save_split(split, out / "splits.json")
+    for source, model in models.items():
         save_model(model, out / "models" / f"{source.split(':', 1)[1]}.json")
-    if run.search_logs:
-        write_json(out / "models" / "search_log.json", run.search_logs)
+    if search_logs:
+        write_json(out / "models" / "search_log.json", search_logs)
     write_json(
         out / "neighbors.json",
-        {"stages": {stage: neighbors_to_dict(nl) for stage, nl in run.stage_structures.items()}},
+        {"stages": {stage: neighbors_to_dict(nl) for stage, nl in structures.items()}},
     )
-    for source, vector in run.decisions.items():
-        name = source.replace(":", "_")
-        write_json(out / f"decisions_{name}.json", vector.to_dict())
+    for source, vector in decisions.items():
+        write_json(out / f"decisions_{source.replace(':', '_')}.json", vector.to_dict())
     write_json(out / "report.json", report.to_dict())
     (out / "report.csv").write_text(render_report(report, "csv"))
     (out / "report.md").write_text(render_report(report, "markdown"))

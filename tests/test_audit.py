@@ -1,13 +1,15 @@
 """End-to-end audit orchestration, comparison, and report rendering."""
 
 import json
-from dataclasses import asdict, fields
+import shutil
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
 from fairaudit.audit import (
     ALL_SOURCES,
+    MODEL_SOURCES,
     AuditConfig,
     AuditReport,
     ReportRow,
@@ -17,13 +19,18 @@ from fairaudit.audit import (
 )
 from fairaudit.classifiers import TrainConfig
 from fairaudit.dataset import (
+    POSITIVE_LABEL,
     RaterConfig,
     attach_stage_labels,
     generate_synthetic_corpus,
+    load_corpus,
+    load_decisions,
     save_corpus,
     simulate_raters,
 )
 from fairaudit.errors import IntegrityError, StageError
+from fairaudit.fairness import consistency
+from fairaudit.simindex import neighbors_from_dict
 
 
 def make_corpus(tmp_path, n=120, seed=4, noise_sigma=0.25, bias_shift=None,
@@ -40,6 +47,30 @@ def make_corpus(tmp_path, n=120, seed=4, noise_sigma=0.25, bias_shift=None,
     path = tmp_path / "corpus.jsonl"
     save_corpus(profiles, path)
     return path
+
+
+def make_funnel_corpus(tmp_path):
+    """``make_corpus``'s profiles, labelled as a funnel: a profile keeps its AR
+    label only if it passed SL, and its OF label only if it passed AR."""
+    funnel = []
+    for p in load_corpus(make_corpus(tmp_path)):
+        labels = dict(p.labels)
+        if labels.get("SL") != POSITIVE_LABEL["SL"]:
+            del labels["AR"]
+        if labels.get("AR") != POSITIVE_LABEL["AR"]:
+            del labels["OF"]
+        funnel.append(replace(p, labels=labels))
+    path = tmp_path / "funnel.jsonl"
+    save_corpus(funnel, path)
+    return path
+
+
+def tree_bytes(root):
+    """Every path under ``root``: a file's bytes, or None for a directory."""
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+        for p in root.rglob("*")
+    }
 
 
 def small_config(**kwargs):
@@ -183,6 +214,56 @@ class TestRunAudit:
             run_audit(corpus, small_config(), out_dir=kept)
         assert (kept / "report.md").read_text() == "old"
         assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".")) == []
+
+    @pytest.mark.parametrize("conflict", ["models", "report.md"])
+    def test_target_conflict_fails_before_any_file_moves(self, tmp_path, conflict):
+        corpus = make_corpus(tmp_path)
+        kept = tmp_path / "runs" / "kept"
+        run_audit(corpus, small_config(), out_dir=kept)
+        if conflict == "models":
+            shutil.rmtree(kept / "models")
+            (kept / "models").write_text("mine")
+        else:
+            (kept / "report.md").unlink()
+            (kept / "report.md").mkdir()
+        before = tree_bytes(kept)
+        with pytest.raises(StageError, match=r"\[write\]"):
+            run_audit(corpus, small_config(seed=8), out_dir=kept)
+        assert tree_bytes(kept) == before
+        assert [p.name for p in kept.parent.iterdir()] == ["kept"]
+
+    def test_human_only_audit_writes_its_neighbor_structures(self, tmp_path):
+        corpus = make_corpus(tmp_path)
+        stages = {}
+        for sources in (("human:AR", "human:OF"), ALL_SOURCES):
+            out = tmp_path / str(len(sources))
+            run_audit(corpus, small_config(sources=sources), out_dir=out)
+            stages[sources] = json.loads((out / "neighbors.json").read_text())["stages"]
+        assert set(stages[ALL_SOURCES]) == {"AR", "OF"}
+        assert stages[("human:AR", "human:OF")] == stages[ALL_SOURCES]
+
+    def test_funnel_corpus_scores_each_stage_on_its_population(self, tmp_path):
+        corpus = make_funnel_corpus(tmp_path)
+        profiles = load_corpus(corpus)
+        out = tmp_path / "run"
+        report = run_audit(corpus, small_config(), out_dir=out)
+        stages = json.loads((out / "neighbors.json").read_text())["stages"]
+        populations = {stage: [p.id for p in profiles if stage in p.labels] for stage in stages}
+        assert set(populations) == {"AR", "OF"}
+        assert len(profiles) > len(populations["AR"]) > len(populations["OF"])
+        checked = 0
+        for stage, ids in populations.items():
+            assert [row["id"] for row in stages[stage]["rows"]] == ids
+            structure = neighbors_from_dict(stages[stage])
+            for row in report.rows:
+                cell = getattr(row, f"c_{stage.lower()}")
+                if cell is not None:
+                    name = row.source.replace(":", "_")
+                    decisions = load_decisions(out / f"decisions_{name}.json")
+                    assert cell == consistency(decisions.take(ids), structure).score
+                    checked += 1
+        assert checked == 2 + 2 * len(MODEL_SOURCES)
+        assert any(report.row(s).c_ar != report.row(s).c_of for s in MODEL_SOURCES)
 
     def test_metrics_split_scope_recorded_and_applied(self, tmp_path):
         corpus = make_corpus(tmp_path)
