@@ -6,8 +6,10 @@ and the three built-in classifiers. Classification metrics are computed
 against the binarized final outcome on the test split by default; consistency
 is computed per stage column over the profiles that carry that stage's label
 (the population actually evaluated at that stage), using a k-NN structure
-built on exactly those rows. Every seed, flag, and scope lands in the report
-metadata so any cell can be recomputed.
+built on exactly those rows. A C cell covers its stage's whole population: a
+source that leaves any of it undecided gets no cell there, so every cell's
+structure is one that neighbors.json holds. Every seed, flag, and scope lands
+in the report metadata so any cell can be recomputed.
 """
 
 from __future__ import annotations
@@ -377,11 +379,11 @@ def score_sources(
 
     P/R/F1/A compare a source's decisions with ``truth`` over the ids of
     ``config.metrics_split`` that it covers. C at a stage is taken over the
-    stage's population (the profiles that carry its label, within
-    ``config.consistency_split``) that the source covers, on a k-NN structure
-    built on exactly those rows; with ``consistency_cells="stage"`` a human row
-    gets only its own stage's cell. A stage's structure is returned when a cell
-    used the one over its whole population, as every model cell does.
+    stage's whole population (the profiles that carry its label, within
+    ``config.consistency_split``), on a k-NN structure built on exactly those
+    rows; a source that leaves any of them undecided gets no cell there. With
+    ``consistency_cells="stage"`` a human row gets only its own stage's cell. A
+    stage's structure is returned when a cell used it.
     """
 
     def scope(name: str) -> set[str]:
@@ -412,8 +414,8 @@ def score_sources(
                 f"human:{stage}", *MODEL_SOURCES
             ):
                 continue
-            stage_ids = tuple(pid for pid in populations[stage] if pid in covered)
-            if len(stage_ids) < config.k + 1:
+            stage_ids = populations[stage]
+            if not covered.issuperset(stage_ids) or len(stage_ids) < config.k + 1:
                 continue
             if stage_ids not in structures:
                 structures[stage_ids] = neighbor_structure(matrix.take(stage_ids), config)

@@ -11,7 +11,8 @@ File formats
   ``leadership``, ``combined`` (optional), ``labels`` (object with optional
   ``sl``/``ar``/``of``; unknown keys are preserved verbatim), ``type``. UTF-8.
 * CSV: columns ``id,gcea,gceo,piq,leadership,combined,sl,ar,of,type`` with
-  RFC-4180 quoting for embedded newlines. Empty cells mean "absent".
+  RFC-4180 quoting for embedded newlines. Empty cells mean "absent". Only the
+  three stage labels have columns; other label keys are kept by JSONL only.
 * Latent sidecar: JSONL of ``{id, q, group, field_q}``.
 * Split assignment: JSON ``{seed, ratios, train, validation, test}``.
 * Decision vector: JSON ``{source, index_order, values}``.
@@ -58,9 +59,12 @@ NEGATIVE_LABEL = {
     "Type": "Not Offered",
 }
 
-_JSON_FIELD_KEYS = ("gcea", "gceo", "piq", "leadership")
-_STAGE_BY_JSON_KEY = {"sl": "SL", "ar": "AR", "of": "OF"}
-_JSON_KEY_BY_STAGE = {v: k for k, v in _STAGE_BY_JSON_KEY.items()}
+# The corpus columns in CSV order, which are also the JSONL record keys: "id", the
+# text fields in FIELD_ORDER order, the stage labels in STAGES order (under "labels"
+# in JSONL), then "type".
+_COLUMNS = ("id", "gcea", "gceo", "piq", "leadership", "combined", "sl", "ar", "of", "type")
+_TEXT_KEYS = _COLUMNS[1 : 1 + len(FIELD_ORDER)]
+_LABEL_KEYS = _COLUMNS[1 + len(FIELD_ORDER) : -1]
 
 
 def derive_combined(fields: dict[str, str]) -> str:
@@ -212,37 +216,26 @@ def _profile_from_record(obj: dict, line: int) -> Profile:
     if not isinstance(pid, str) or not pid:
         raise ParseError("missing or empty 'id'", line)
     fields = {}
-    any_text = False
-    for name, key in zip(JUDGED_FIELDS, _JSON_FIELD_KEYS):
-        value = obj.get(key, "")
-        if value is None:
+    for name, key in zip(FIELD_ORDER, _TEXT_KEYS):
+        value = obj.get(key)
+        if value is None or (name == "Combined" and not value):  # a falsy combined is absent
             value = ""
         if not isinstance(value, str):
             raise ParseError(f"field {key!r} must be a string", line)
-        any_text = any_text or bool(value)
         fields[name] = value
-    combined = obj.get("combined", "")
-    if combined:
-        if not isinstance(combined, str):
-            raise ParseError("field 'combined' must be a string", line)
-        fields["Combined"] = combined
-        any_text = True
-    if not any_text:
+    if not any(fields.values()):
         raise ParseError(f"record {pid!r} carries no text fields", line)
-    labels: dict[str, str] = {}
-    raw_labels = obj.get("labels", {})
-    if raw_labels is None:
-        raw_labels = {}
-    if not isinstance(raw_labels, dict):
+    labels = {} if obj.get("labels") is None else obj["labels"]
+    if not isinstance(labels, dict):
         raise ParseError("'labels' must be an object", line)
-    for key, value in raw_labels.items():
+    for key, value in labels.items():
         if not isinstance(value, str):
             raise ParseError(f"label {key!r} must be a string", line)
-        labels[_STAGE_BY_JSON_KEY.get(key, key)] = value
     outcome = obj.get("type")
     if outcome is not None and not isinstance(outcome, str):
         raise ParseError("'type' must be a string", line)
-    return Profile(pid, fields, labels, outcome)
+    stages = dict(zip(_LABEL_KEYS, STAGES))
+    return Profile(pid, fields, {stages.get(k, k): v for k, v in labels.items()}, outcome)
 
 
 def _check_unique_ids(profiles: list[Profile]) -> None:
@@ -253,91 +246,59 @@ def _check_unique_ids(profiles: list[Profile]) -> None:
         seen.add(p.id)
 
 
+def _corpus_format(path, format: str | None) -> str:
+    """``format``, by default "csv" for a ``.csv`` path and "jsonl" otherwise."""
+    if format is None:
+        format = "csv" if str(path).endswith(".csv") else "jsonl"
+    if format not in ("jsonl", "csv"):
+        raise ValueError(f"unknown corpus format {format!r}")
+    return format
+
+
 def load_corpus(path, format: str | None = None) -> list[Profile]:
     """Load profiles from JSONL or CSV, in file order.
 
-    The format is inferred from the extension unless given explicitly.
+    The format is inferred from the extension unless given explicitly. A CSV
+    row reads as the JSONL record of its nonempty cells.
     """
-    path = str(path)
-    if format is None:
-        format = "csv" if path.endswith(".csv") else "jsonl"
-    if format not in ("jsonl", "csv"):
-        raise ValueError(f"unknown corpus format {format!r}")
-    profiles: list[Profile] = []
-    if format == "jsonl":
-        for line_no, obj in read_jsonl(path):
-            profiles.append(_profile_from_record(obj, line_no))
+    if _corpus_format(path, format) == "jsonl":
+        profiles = [_profile_from_record(obj, line_no) for line_no, obj in read_jsonl(path)]
     else:
+        profiles = []
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or "id" not in reader.fieldnames:
                 raise ParseError("CSV must have a header row including 'id'", 1)
             for row_no, row in enumerate(reader, start=2):
-                obj = {
-                    "id": row.get("id") or "",
-                    "combined": row.get("combined") or "",
-                    "labels": {
-                        key: row[key]
-                        for key in ("sl", "ar", "of")
-                        if row.get(key)
-                    },
-                    "type": row.get("type") or None,
-                }
-                for key in _JSON_FIELD_KEYS:
-                    obj[key] = row.get(key) or ""
-                profiles.append(_profile_from_record(obj, row_no))
+                record = {key: value for key, value in row.items() if value and key in _COLUMNS}
+                record["labels"] = {key: record.pop(key) for key in _LABEL_KEYS if key in record}
+                profiles.append(_profile_from_record(record, row_no))
     _check_unique_ids(profiles)
     return profiles
 
 
 def _profile_to_record(p: Profile) -> dict:
-    labels = {}
-    for stage, value in p.labels.items():
-        labels[_JSON_KEY_BY_STAGE.get(stage, stage)] = value
-    record = {
-        "id": p.id,
-        "gcea": p.fields["GCEA"],
-        "gceo": p.fields["GCEO"],
-        "piq": p.fields["PIQ"],
-        "leadership": p.fields["Leadership"],
-        "combined": p.fields["Combined"],
-        "labels": labels,
-    }
+    keys = dict(zip(STAGES, _LABEL_KEYS))
+    record = {key: p.fields[name] for name, key in zip(FIELD_ORDER, _TEXT_KEYS)}
+    record.update(id=p.id, labels={keys.get(k, k): v for k, v in p.labels.items()})
     if p.outcome is not None:
         record["type"] = p.outcome
     return record
 
 
 def save_corpus(profiles: list[Profile], path, format: str | None = None) -> None:
-    """Write profiles in canonical form; ``load_corpus`` round-trips it."""
-    path = str(path)
-    if format is None:
-        format = "csv" if path.endswith(".csv") else "jsonl"
-    if format == "jsonl":
+    """Write profiles in canonical form; ``load_corpus`` round-trips it. CSV keeps
+    only the three stage labels."""
+    if _corpus_format(path, format) == "jsonl":
         write_jsonl(path, (_profile_to_record(p) for p in profiles))
-    elif format == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["id", "gcea", "gceo", "piq", "leadership", "combined", "sl", "ar", "of", "type"]
-            )
-            for p in profiles:
-                writer.writerow(
-                    [
-                        p.id,
-                        p.fields["GCEA"],
-                        p.fields["GCEO"],
-                        p.fields["PIQ"],
-                        p.fields["Leadership"],
-                        p.fields["Combined"],
-                        p.labels.get("SL", ""),
-                        p.labels.get("AR", ""),
-                        p.labels.get("OF", ""),
-                        p.outcome or "",
-                    ]
-                )
-    else:
-        raise ValueError(f"unknown corpus format {format!r}")
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_COLUMNS)
+        for p in profiles:
+            cells = _profile_to_record(p)
+            cells.update((key, p.labels.get(stage, "")) for stage, key in zip(STAGES, _LABEL_KEYS))
+            writer.writerow([cells.get(key, "") for key in _COLUMNS])
 
 
 # ---------------------------------------------------------------------------
@@ -582,19 +543,14 @@ def simulate_raters(
     weights = np.array([config.quality_weights.get(name, 0.0) for name in JUDGED_FIELDS])
     rng = np.random.default_rng(config.seed)
     n = len(profiles)
-    noise = rng.normal(0.0, config.noise_sigma, (n, len(STAGES))) if n else np.zeros((0, 3))
+    noise = rng.normal(0.0, config.noise_sigma, (n, len(STAGES)))
+    records = [latents[p.id] for p in profiles]
+    field_q = np.array([[rec.field_q[name] for name in JUDGED_FIELDS] for rec in records])
+    base = np.average(field_q.reshape(n, len(JUDGED_FIELDS)), axis=1, weights=weights)
+    shift = np.array([config.bias_shift.get(rec.group, 0.0) for rec in records], dtype=np.float64)
+    passing = base[:, None] + noise >= shift[:, None] + np.array(config.stage_thresholds)
+    decisions = np.logical_and.accumulate(passing, axis=1).astype(np.int64)
     ids = tuple(p.id for p in profiles)
-    decisions = np.zeros((n, len(STAGES)), dtype=np.int64)
-    for i, p in enumerate(profiles):
-        rec = latents[p.id]
-        field_q = np.array([rec.field_q[name] for name in JUDGED_FIELDS])
-        base = np.average(field_q, weights=weights)
-        shift = config.bias_shift.get(rec.group, 0.0)
-        passing = True
-        for s, threshold in enumerate(config.stage_thresholds):
-            score = base + noise[i, s]
-            passing = passing and (score >= threshold + shift)
-            decisions[i, s] = 1 if passing else 0
     return {
         stage: DecisionVector(f"human:{stage}", decisions[:, s], ids)
         for s, stage in enumerate(STAGES)

@@ -250,10 +250,9 @@ def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
 
 
 def _read_faem(path) -> tuple[list[str], np.ndarray]:
+    """A ``.faem`` file whose magic bytes ``load_matrix_file`` has checked."""
     with open(path, "rb") as fh:
         buf = fh.read()
-    if buf[:4] != _MAGIC:
-        raise ParseError(f"bad magic bytes {buf[:4]!r}; expected {_MAGIC!r}")
     try:
         version, n, d_total = struct.unpack_from("<HQQ", buf, 4)
         if version != _VERSION:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -32,7 +33,8 @@ from fairaudit.dataset import (
     save_decisions,
 )
 from fairaudit.embed import EmbeddingMatrix, load_matrix_file, save_embeddings
-from fairaudit.errors import FairauditError, IntegrityError
+from fairaudit.errors import FairauditError, IntegrityError, ParseError
+from fairaudit.fairness import consistency
 from fairaudit.simindex import load_neighbors
 
 D = 2  # dimensions per field; rows are 5 * D wide
@@ -234,6 +236,29 @@ def test_dropped_or_retyped_artifact_key_is_an_error(artifacts, kind, data):
             assert main(command(artifacts, damaged)) == (0 if loaded else 2)
         # the message names the file to fix
         assert loaded or str(damaged) in stderr.getvalue(), stderr.getvalue()
+
+
+@pytest.mark.parametrize("kind", sorted(ARTIFACTS))
+def test_truncated_artifact_is_a_parse_error_naming_the_file(artifacts, kind, tmp_path, capsys):
+    name, loader, command = ARTIFACTS[kind]
+    raw = (artifacts / name).read_bytes()
+    damaged = tmp_path / name
+    damaged.write_bytes(raw[: len(raw) // 2])
+    with pytest.raises(ParseError, match=re.escape(str(damaged))):
+        loader(damaged)
+    assert main(command(artifacts, damaged)) == 2
+    assert str(damaged) in capsys.readouterr().err
+
+
+def test_consistency_out_holds_the_printed_score_and_every_gap(artifacts, tmp_path, capsys):
+    out = tmp_path / "consistency.json"
+    argv = ARTIFACTS["neighbors"][2](artifacts, artifacts / "nn.json") + ["--out", str(out)]
+    assert main(argv) == 0
+    result = read_json(out)
+    assert capsys.readouterr().out == f"{result['score']:.4f}\n"
+    assert len(result["per_profile_gap"]) == result["n"] == 30
+    truth = load_decisions(artifacts / "truth.json")
+    assert result["score"] == consistency(truth, load_neighbors(artifacts / "nn.json")).score
 
 
 def test_unknown_neighbor_id_is_an_integrity_error(artifacts, tmp_path, capsys):

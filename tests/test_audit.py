@@ -65,6 +65,28 @@ def make_funnel_corpus(tmp_path):
     return path
 
 
+def recompute_cells(out, report, profiles):
+    """Check that each non-null C cell of ``report`` equals ``consistency``
+    recomputed from the run directory ``out``: the source's saved decisions over
+    the stage's population (the profiles that carry its label), on that stage's
+    structure in neighbors.json. Returns the population of each stage that
+    neighbors.json holds, and the number of cells checked."""
+    stages = json.loads((out / "neighbors.json").read_text())["stages"]
+    populations = {stage: [p.id for p in profiles if stage in p.labels] for stage in stages}
+    for stage, ids in populations.items():
+        assert [row["id"] for row in stages[stage]["rows"]] == ids
+    checked = 0
+    for row in report.rows:
+        for stage in ("AR", "OF"):
+            cell = getattr(row, f"c_{stage.lower()}")
+            if cell is not None:
+                decisions = load_decisions(out / f"decisions_{row.source.replace(':', '_')}.json")
+                structure = neighbors_from_dict(stages[stage])
+                assert cell == consistency(decisions.take(populations[stage]), structure).score
+                checked += 1
+    return populations, checked
+
+
 def tree_bytes(root):
     """Every path under ``root``: a file's bytes, or None for a directory."""
     return {
@@ -247,23 +269,25 @@ class TestRunAudit:
         profiles = load_corpus(corpus)
         out = tmp_path / "run"
         report = run_audit(corpus, small_config(), out_dir=out)
-        stages = json.loads((out / "neighbors.json").read_text())["stages"]
-        populations = {stage: [p.id for p in profiles if stage in p.labels] for stage in stages}
+        populations, checked = recompute_cells(out, report, profiles)
         assert set(populations) == {"AR", "OF"}
         assert len(profiles) > len(populations["AR"]) > len(populations["OF"])
-        checked = 0
-        for stage, ids in populations.items():
-            assert [row["id"] for row in stages[stage]["rows"]] == ids
-            structure = neighbors_from_dict(stages[stage])
-            for row in report.rows:
-                cell = getattr(row, f"c_{stage.lower()}")
-                if cell is not None:
-                    name = row.source.replace(":", "_")
-                    decisions = load_decisions(out / f"decisions_{name}.json")
-                    assert cell == consistency(decisions.take(ids), structure).score
-                    checked += 1
         assert checked == 2 + 2 * len(MODEL_SOURCES)
         assert any(report.row(s).c_ar != report.row(s).c_of for s in MODEL_SOURCES)
+
+    def test_a_source_that_leaves_a_population_undecided_gets_no_cell_there(self, tmp_path):
+        profiles = [
+            replace(p, labels={s: v for s, v in p.labels.items() if s != "SL" or i % 10})
+            for i, p in enumerate(load_corpus(make_corpus(tmp_path)))
+        ]
+        corpus = tmp_path / "partial.jsonl"
+        save_corpus(profiles, corpus)
+        out = tmp_path / "run"
+        report = run_audit(corpus, small_config(consistency_cells="all"), out_dir=out)
+        assert (report.row("human:SL").c_ar, report.row("human:SL").c_of) == (None, None)
+        populations, checked = recompute_cells(out, report, profiles)
+        assert [len(ids) for ids in populations.values()] == [len(profiles)] * 2
+        assert checked == 2 * (len(ALL_SOURCES) - 1)
 
     def test_metrics_split_scope_recorded_and_applied(self, tmp_path):
         corpus = make_corpus(tmp_path)

@@ -12,6 +12,7 @@ from fairaudit.dataset import (
     FIELD_ORDER,
     STAGES,
     DecisionVector,
+    LatentRecord,
     Profile,
     RaterConfig,
     attach_stage_labels,
@@ -45,6 +46,27 @@ def make_profile(pid, text="some text", labels=None, outcome=None, **fields):
 
 def write_jsonl(path, records):
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+
+
+def simulate_raters_loop(profiles, latents, config) -> np.ndarray:
+    """``simulate_raters`` one profile at a time: the reference for its array steps.
+    Returns the (profiles x stages) 0/1 decisions."""
+    weights = np.array([config.quality_weights.get(name, 0.0) for name in FIELD_ORDER[:4]])
+    rng = np.random.default_rng(config.seed)
+    n = len(profiles)
+    noise = rng.normal(0.0, config.noise_sigma, (n, len(STAGES))) if n else np.zeros((0, 3))
+    decisions = np.zeros((n, len(STAGES)), dtype=np.int64)
+    for i, p in enumerate(profiles):
+        rec = latents[p.id]
+        field_q = np.array([rec.field_q[name] for name in FIELD_ORDER[:4]])
+        base = np.average(field_q, weights=weights)
+        shift = config.bias_shift.get(rec.group, 0.0)
+        passing = True
+        for s, threshold in enumerate(config.stage_thresholds):
+            score = base + noise[i, s]
+            passing = passing and (score >= threshold + shift)
+            decisions[i, s] = 1 if passing else 0
+    return decisions
 
 
 class TestProfile:
@@ -124,6 +146,83 @@ class TestLoadCorpus:
         save_corpus(load_corpus(first), second)
         assert first.read_bytes() == second.read_bytes()
         assert load_corpus(second) == profiles
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("c.jsonl", '{"id": "A", "gcea": "t"}\n[1]\n', "line 2: record is not an object"),
+        ("c.jsonl", '"A"\n', "line 1: record is not an object"),
+        ("c.jsonl", '{"gcea": "t"}\n', "line 1: missing or empty 'id'"),
+        ("c.jsonl", '{"id": "", "gcea": "t"}\n', "line 1: missing or empty 'id'"),
+        ("c.jsonl", '{"id": 5, "gcea": "t"}\n', "line 1: missing or empty 'id'"),
+        ("c.jsonl", '{"id": "A", "gceo": 0}\n', "line 1: field 'gceo' must be a string"),
+        ("c.jsonl", '{"id": "A", "piq": false}\n', "line 1: field 'piq' must be a string"),
+        ("c.jsonl", '{"id": "A", "gcea": "t", "leadership": ["x"]}\n',
+         "line 1: field 'leadership' must be a string"),
+        ("c.jsonl", '{"id": "A", "combined": 5}\n', "line 1: field 'combined' must be a string"),
+        ("c.jsonl", '{"id": "A", "combined": true}\n', "line 1: field 'combined' must be a string"),
+        ("c.jsonl", '{"id": "A"}\n', "line 1: record 'A' carries no text fields"),
+        ("c.jsonl", '{"id": "A", "gcea": null, "gceo": "", "combined": 0}\n',
+         "line 1: record 'A' carries no text fields"),
+        ("c.jsonl", '{"id": "A", "gcea": "t", "labels": []}\n', "line 1: 'labels' must be an object"),
+        ("c.jsonl", '{"id": "A", "gcea": "t", "labels": 0}\n', "line 1: 'labels' must be an object"),
+        ("c.jsonl", '{"id": "A", "gcea": "t", "labels": ""}\n', "line 1: 'labels' must be an object"),
+        ("c.jsonl", '{"id": "A", "gcea": "t", "labels": {"sl": 1}}\n',
+         "line 1: label 'sl' must be a string"),
+        ("c.jsonl", '{"id": "A", "gcea": "t", "labels": {"waitlist": null}}\n',
+         "line 1: label 'waitlist' must be a string"),
+        ("c.jsonl", '{"id": "A", "gcea": "t", "type": 1}\n', "line 1: 'type' must be a string"),
+        ("c.jsonl", '{"id": "A", "gcea": "t", "type": false}\n', "line 1: 'type' must be a string"),
+        ("c.csv", "gcea,type\r\nt,Offered\r\n", "line 1: CSV must have a header row including 'id'"),
+        ("c.csv", "", "line 1: CSV must have a header row including 'id'"),
+        ("c.csv", "id,gcea\r\nA,t\r\n,u\r\n", "line 3: missing or empty 'id'"),
+        ("c.csv", "id,gcea,combined\r\nA,,\r\n", "line 2: record 'A' carries no text fields"),
+    ])
+    def test_parse_rule_names_its_message_and_line(self, tmp_path, name, text, message):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8", newline="")
+        with pytest.raises(ParseError) as info:
+            load_corpus(path)
+        assert str(info.value) == message
+
+    def test_null_text_falsy_combined_and_null_labels_read_as_absent(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [
+            {"id": "A", "gcea": None, "gceo": "g", "combined": 0, "labels": None},
+            {"id": "B", "piq": "p", "combined": False, "labels": {}, "type": None},
+        ])
+        assert load_corpus(path) == [make_profile("A", "", GCEO="g"), make_profile("B", "", PIQ="p")]
+
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        """Non-ASCII text, an embedded newline, an unknown label key (kept only in
+        JSONL), a profile without an outcome and an empty Combined field."""
+        profiles = [
+            Profile("A1", {"GCEA": "Élève naïve, 学生", "GCEO": "b", "PIQ": "c", "Leadership": "d"},
+                    {"SL": "Shortlisted", "AR": "Not Recommended", "waitlist": "Deferred"},
+                    "Offered"),
+            Profile("B2", {"GCEA": "a", "PIQ": "line one\nline two", "Combined": 'own, "quoted"'},
+                    {"OF": "Not Offered"}),
+            Profile("C3", {"Leadership": "lead", "Combined": ""}, {}, "Not Offered"),
+        ]
+        golden = {
+            "c.jsonl": (
+                '{"combined":"Élève naïve, 学生\\nb\\nc\\nd","gcea":"Élève naïve, 学生","gceo":"b",'
+                '"id":"A1","labels":{"ar":"Not Recommended","sl":"Shortlisted","waitlist":"Deferred"},'
+                '"leadership":"d","piq":"c","type":"Offered"}\n'
+                '{"combined":"own, \\"quoted\\"","gcea":"a","gceo":"","id":"B2",'
+                '"labels":{"of":"Not Offered"},"leadership":"","piq":"line one\\nline two"}\n'
+                '{"combined":"\\n\\n\\nlead","gcea":"","gceo":"","id":"C3","labels":{},'
+                '"leadership":"lead","piq":"","type":"Not Offered"}\n'
+            ),
+            "c.csv": (
+                "id,gcea,gceo,piq,leadership,combined,sl,ar,of,type\r\n"
+                'A1,"Élève naïve, 学生",b,c,d,"Élève naïve, 学生\nb\nc\nd",'
+                "Shortlisted,Not Recommended,,Offered\r\n"
+                'B2,a,,"line one\nline two",,"own, ""quoted""",,,Not Offered,\r\n'
+                'C3,,,,lead,"\n\n\nlead",,,,Not Offered\r\n'
+            ),
+        }
+        for name, text in golden.items():
+            save_corpus(profiles, tmp_path / name)
+            assert (tmp_path / name).read_bytes() == text.encode("utf-8"), name
 
 
 class TestBinarizeLabels:
@@ -341,6 +440,31 @@ class TestSimulateRaters:
     def test_threshold_order_enforced(self):
         with pytest.raises(ValueError):
             RaterConfig(stage_thresholds=(0.6, 0.5, 0.4))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        field_q=st.lists(st.lists(st.floats(0, 1), min_size=4, max_size=4), max_size=30),
+        groups=st.lists(st.integers(0, 2), min_size=30, max_size=30),
+        weights=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]), min_size=4, max_size=4)
+        .filter(any),
+        sigma=st.sampled_from([0.0, 0.1, 0.25, 1.0]),
+        shifts=st.dictionaries(st.integers(0, 2), st.floats(-0.5, 0.5), max_size=3),
+        thresholds=st.lists(st.sampled_from([0.0, 0.3, 0.4, 0.5, 0.6]), min_size=3, max_size=3),
+        seed=st.integers(0, 1000),
+    )
+    def test_matches_the_per_profile_loop(self, field_q, groups, weights, sigma, shifts,
+                                          thresholds, seed):
+        profiles = [make_profile(f"P{i}") for i in range(len(field_q))]
+        latents = {
+            p.id: LatentRecord(float(np.mean(q)), group, dict(zip(FIELD_ORDER[:4], q)))
+            for p, q, group in zip(profiles, field_q, groups)
+        }
+        config = RaterConfig(dict(zip(FIELD_ORDER[:4], weights)), sigma, shifts,
+                             tuple(sorted(thresholds)), seed)
+        decisions = simulate_raters(profiles, latents, config)
+        expected = simulate_raters_loop(profiles, latents, config)
+        for s, stage in enumerate(STAGES):
+            assert decisions[stage].values.tolist() == expected[:, s].tolist()
 
     def test_attach_stage_labels_round_trip(self):
         profiles, latents = self._corpus(n=40)
