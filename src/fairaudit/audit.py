@@ -268,7 +268,7 @@ def neighbor_structure(
     matrix: EmbeddingMatrix, config: AuditConfig, batch_size: int | None = None
 ) -> NeighborList:
     """The k-NN structure ``config`` asks for over every row of ``matrix``;
-    ``batch_size`` bounds the query rows per block of the whole-row search."""
+    ``batch_size`` is the tile height of the whole-row search."""
     if config.rerank:
         return knn_feature_reranked(
             matrix, config.k, config.metric, config.candidate_pool, config.field_weights

@@ -255,6 +255,18 @@ def _corpus_format(path, format: str | None) -> str:
     return format
 
 
+def _csv_rows(reader):
+    """Each nonblank row of a ``csv.reader`` with the file line it starts on (a
+    quoted cell may span lines)."""
+    while True:
+        line = reader.line_num + 1
+        row = next(reader, None)
+        if row is None:
+            return
+        if row:
+            yield line, row
+
+
 def load_corpus(path, format: str | None = None) -> list[Profile]:
     """Load profiles from JSONL or CSV, in file order.
 
@@ -266,21 +278,32 @@ def load_corpus(path, format: str | None = None) -> list[Profile]:
     else:
         profiles = []
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "id" not in reader.fieldnames:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or "id" not in header:
                 raise ParseError("CSV must have a header row including 'id'", 1)
-            for row_no, row in enumerate(reader, start=2):
-                record = {key: value for key, value in row.items() if value and key in _COLUMNS}
+            for line, row in _csv_rows(reader):
+                record = {key: value for key, value in zip(header, row)
+                          if value and key in _COLUMNS}
                 record["labels"] = {key: record.pop(key) for key in _LABEL_KEYS if key in record}
-                profiles.append(_profile_from_record(record, row_no))
+                profiles.append(_profile_from_record(record, line))
     _check_unique_ids(profiles)
     return profiles
 
 
 def _profile_to_record(p: Profile) -> dict:
     keys = dict(zip(STAGES, _LABEL_KEYS))
+    labels, saved_from = {}, {}
+    for name, value in p.labels.items():
+        key = keys.get(name, name)
+        if key in labels:  # a stage label and an unknown one, e.g. "SL" and "sl"
+            raise IntegrityError(
+                f"profile {p.id!r}: labels {saved_from[key]!r} and {name!r} would both "
+                f"be saved as {key!r}"
+            )
+        labels[key], saved_from[key] = value, name
     record = {key: p.fields[name] for name, key in zip(FIELD_ORDER, _TEXT_KEYS)}
-    record.update(id=p.id, labels={keys.get(k, k): v for k, v in p.labels.items()})
+    record.update(id=p.id, labels=labels)
     if p.outcome is not None:
         record["type"] = p.outcome
     return record
@@ -288,15 +311,16 @@ def _profile_to_record(p: Profile) -> dict:
 
 def save_corpus(profiles: list[Profile], path, format: str | None = None) -> None:
     """Write profiles in canonical form; ``load_corpus`` round-trips it. CSV keeps
-    only the three stage labels."""
+    only the three stage labels. A profile with two labels saved under one key
+    ("SL" and "sl") raises IntegrityError before the file is opened."""
+    records = [_profile_to_record(p) for p in profiles]
     if _corpus_format(path, format) == "jsonl":
-        write_jsonl(path, (_profile_to_record(p) for p in profiles))
+        write_jsonl(path, records)
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_COLUMNS)
-        for p in profiles:
-            cells = _profile_to_record(p)
+        for p, cells in zip(profiles, records):
             cells.update((key, p.labels.get(stage, "")) for stage, key in zip(STAGES, _LABEL_KEYS))
             writer.writerow([cells.get(key, "") for key in _COLUMNS])
 
@@ -470,6 +494,7 @@ def generate_synthetic_corpus(
         raise ValueError("vocab_size must be >= 10")
     rng = np.random.default_rng(seed)
     half = vocab_size // 2
+    words = [f"w{i:04d}" for i in range(2 * half)]  # lower half, then upper half
     width = max(5, len(str(max(n - 1, 0))))
     ones = np.ones(len(JUDGED_FIELDS))
     profiles: list[Profile] = []
@@ -485,11 +510,7 @@ def generate_synthetic_corpus(
             length = int(rng.integers(_TOKENS_MIN, _TOKENS_MAX + 1))
             from_upper = rng.random(length) < fq
             offsets = rng.integers(0, half, length)
-            tokens = [
-                f"w{half + off:04d}" if up else f"w{off:04d}"
-                for up, off in zip(from_upper, offsets)
-            ]
-            fields[name] = " ".join(tokens)
+            fields[name] = " ".join([words[i] for i in (offsets + half * from_upper).tolist()])
         outcome = POSITIVE_LABEL["Type"] if q >= 0.5 else NEGATIVE_LABEL["Type"]
         profiles.append(Profile(pid, fields, {}, outcome))
         latents[pid] = LatentRecord(

@@ -3,18 +3,19 @@
 :func:`search` is the one neighbor search. Rows split into F equal field blocks
 weighted ``w_f`` (whole rows: one block, weight 1); a pair scores ``sum_f w_f s_f /
 W``, ``W = sum(w)``, added in field order over nonzero weights, with ``s_f`` the
-blocks' cosine (0 for a zero block) or negated euclidean distance. Per query block,
-one float32 GEMM per field *screens* the whole reference alike (``-sqrt(max(|q|^2 +
-|r|^2 - 2 q.r, 0))`` for euclidean). The float64 pair kernel of :func:`_pair_scores`
-rescores every column the screen cannot rule out and decides every score and rank,
-ties by row index: the screen's precision changes no result.
+blocks' cosine (0 for a zero block) or negated euclidean distance. Per tile of query
+rows by reference rows, one float32 GEMM per field *screens* the pairs
+(``-sqrt(max(|q|^2 + |r|^2 - 2 q.r, 0))`` for euclidean). The float64 pair kernel of
+:func:`_pair_scores` rescores every pair the screen cannot rule out and decides every
+score and rank, ties by row index: the screen's precision changes no result.
 
 Memory. No float64 copy of the rows is made. The kernel gathers the caller's rows
 of the pairs it scores and, for cosine, divides them elementwise by their norms
 (:func:`~fairaudit._util.row_scales`; a norm of exactly 1 skips the divide), which
-gives the bits of unit rows; a block's query rows are scaled once per block. The
+gives the bits of unit rows; a query row is scaled once per gather of its pairs. The
 float32 screen copies are made from the caller's rows, scaled as the kernel scales
-them, ``_GATHER_ELEMS`` entries at a time.
+them, ``_GATHER_ELEMS`` entries at a time. Beyond them a search holds tiles of a
+fixed size and, per row, k floats and its candidates.
 
 Screen error. The screen reads float32 copies of the rows the kernel scores: unit
 rows for cosine, and for euclidean each field's rows times the power of two ``c``
@@ -47,13 +48,30 @@ by ``(F + 8) eps`` (cosine: R = 0). A bound that cannot be evaluated is infinite
 Selection. Every column's exact score lies within ``screen +- (R + delta)``. With
 ``s_k`` the k-th largest ``screen - R`` of a row (``-inf`` on its own column if self
 is excluded), k columns score at least ``s_k - delta`` exactly, so the k-th exact
-score does too, and every exact top-k column has ``screen + R >= s_k - 2 delta``; those
-columns are rescored and ranked. So block size, BLAS threads and k change no score,
-top-k is a prefix of top-K, and no buffer is N x N.
+score does too, and every column that scores at least the k-th exact score has
+``screen + R >= s_k - 2 delta``; those columns are rescored and ranked.
+
+The screen runs in tiles whose live float32 arrays hold ``2 * _BLOCK_ELEMS``
+entries together, as square as that allows, so a GEMM's height does not shrink as
+the reference grows. Each row keeps a running ``s_k``, the k-th largest ``screen - R`` of the
+tiles seen so far, and the entries with ``screen + R >= s_k - 2 delta``, pruned
+again as the running ``s_k`` rises. A running ``s_k`` never exceeds the final one,
+so the entries kept include every entry the final ``s_k`` keeps, and a last filter
+with the final ``s_k`` leaves exactly those.
+
+Self-search (one array as queries and reference) screens only the tiles on and
+above the diagonal and uses each entry off the diagonal twice: for its row, and
+transposed for its column. Transposed, the entry screens the same pair with the
+roles of the two rows swapped. The GEMM bound holds for any summation order, and
+``S`` takes the largest norm of all rows, so it bounds the entry for either row;
+the transposed radius ``R`` uses the column row's ``(E, sqrt(E))`` and its delta
+the column row's own. So tile size, BLAS threads and k change no score, top-k is a
+prefix of top-K, and no buffer is N x N.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -125,10 +143,10 @@ def pairwise_similarity(a, b, metric: str = "cosine") -> float:
     return float(np.clip(score, -1.0, 1.0)) if metric == "cosine" else score
 
 
-# Bytes of one query block's scores, counted in float64 entries (the float32
-# screen holds twice as many; the block's query copies may take four times as
-# much), and float64 entries in each gather of the pair kernel and of the screen
-# copies. They bound working memory; no result depends on them.
+# Bytes of one screen tile's scores, counted in float64 entries (its float32
+# arrays hold twice as many entries; a query tile's float32 rows may take four
+# times as many bytes), and float64 entries in each gather of the pair kernel and
+# of the screen copies. They bound working memory; no result depends on them.
 _BLOCK_ELEMS = 1 << 18
 _GATHER_ELEMS = 1 << 17
 
@@ -150,12 +168,25 @@ class _Rows(NamedTuple):
     """One field's rows as the caller holds them and, for cosine, their
     :func:`row_scales`, which make them the unit rows the pair kernel scores
     (``scales`` None: the kernel scores the rows as they are); their float32
-    screen copy and the copy's squared norms, summed in float64."""
+    screen copy, the copy's squared norms, summed in float64, and for euclidean
+    query rows the squared-distance error ``(E, sqrt(E))`` of each row."""
 
     rows: np.ndarray
     scales: tuple[np.ndarray, np.ndarray] | None
-    low: np.ndarray
-    sq: np.ndarray
+    low: np.ndarray | None
+    sq: np.ndarray | None
+    error: tuple[np.ndarray, np.ndarray] | None = None
+
+    def part(self, start: int, stop: int) -> "_Rows":
+        """Rows ``start:stop``, a view."""
+        def cut(x):
+            return None if x is None else x[start:stop]
+
+        def pair(x):
+            return None if x is None else (cut(x[0]), cut(x[1]))
+
+        return _Rows(cut(self.rows), pair(self.scales), cut(self.low), cut(self.sq),
+                     pair(self.error))
 
 
 def _gather(field: _Rows, index: np.ndarray) -> np.ndarray:
@@ -178,33 +209,46 @@ def _field(data: np.ndarray, metric: str, scale: float) -> _Rows:
     return field._replace(sq=np.einsum("ij,ij->i", field.low, field.low, dtype=np.float64))
 
 
-def _block(field: _Rows, start: int, stop: int) -> _Rows:
-    """Rows ``start:stop`` of ``field`` as a block of query rows, scaled once for
-    all of their pairs."""
-    rows = field.rows[start:stop]
-    if field.scales is not None:
-        rows = _gather(field, np.arange(start, stop))
-    return _Rows(rows, None, field.low[start:stop], field.sq[start:stop])
+def _radius(dist, sq_error, coef: np.float32):
+    """``coef * r(D)`` of each distance (module docstring) from the squared-distance
+    error ``(E, sqrt(E))`` of the row it is in."""
+    e_sq, root = sq_error
+    radius = np.maximum(dist, root[:, None])
+    np.divide(e_sq[:, None], radius, out=radius)
+    radius *= coef
+    return radius
 
 
-def _screen(q: _Rows, ref: _Rows, metric: str, coef: np.float32, sq_error):
-    """One field's weighted float32 GEMM scores of the rows ``q`` against every ``ref``
-    row and, for euclidean, each score's weighted radius ``coef * r(D)`` (module
-    docstring) from the squared-distance error ``(E, sqrt(E))`` of each query row."""
+def _screen(q: _Rows, ref: _Rows, metric: str, coef: np.float32, mirror: bool):
+    """One field's weighted float32 GEMM scores of the rows ``q`` against the rows
+    ``ref`` and, for euclidean, the weighted radii of the ``q`` rows and, if
+    ``mirror``, of the ``ref`` rows (their transpose, in the tile's layout)."""
     gemm = q.low @ ref.low.T
     if metric == "cosine":
-        gemm *= coef
-        return gemm, None
+        if coef != 1:  # exactly 1: one field
+            gemm *= coef
+        return gemm, []
     gemm *= -2.0
     gemm += ref.sq.astype(np.float32)
     gemm += q.sq.astype(np.float32)[:, None]
     np.sqrt(np.maximum(gemm, 0.0, out=gemm), out=gemm)
-    e_sq, root = sq_error
-    radius = np.maximum(gemm, root[:, None])
-    np.divide(e_sq[:, None], radius, out=radius)
-    radius *= coef
+    radii = [_radius(gemm, q.error, coef)]
+    if mirror:
+        radii.append(_radius(gemm.T, ref.error, coef).T)
     gemm *= -coef
-    return gemm, radius
+    return gemm, radii
+
+
+def _tile_screen(q, ref, coefs, metric: str, mirror: bool):
+    """One tile's screen, summed over fields, and for euclidean its radii (see
+    :func:`_screen`)."""
+    screen, radii = None, []
+    for qf, rf, coef in zip(q, ref, coefs):
+        part, parts = _screen(qf, rf, metric, coef, mirror)
+        screen = part if screen is None else np.add(screen, part, out=screen)
+        radii = [np.add(r, p, out=r) for r, p in zip(radii, parts)] if radii else parts
+        del part, parts  # before the next field's GEMM
+    return screen, radii
 
 
 def _field_error(q_sq, ref_sq_max, metric: str, d: int, scale: float, n_fields: int):
@@ -240,54 +284,103 @@ def _bounds(q, ref, weights, scales, total, metric: str, d: int):
     return np.where(np.isnan(delta), np.inf, delta), sq_errors  # nan: cannot be evaluated
 
 
-def _block_screen(q, ref, coefs, sq_errors, metric: str):
-    """The block's screen, summed over fields, and for euclidean its radii."""
-    screen = radius = None
-    for qf, rf, coef, sq_error in zip(q, ref, coefs, sq_errors):
-        part, part_radius = _screen(qf, rf, metric, coef, sq_error)
-        screen = part if screen is None else np.add(screen, part, out=screen)
-        if part_radius is not None:
-            radius = part_radius if radius is None else np.add(radius, part_radius, out=radius)
-        del part, part_radius  # before the next field's GEMM
-    return screen, radius
+class _Selection:
+    """The running selection of rows cut into tiles of ``tile`` rows (module
+    docstring, "Selection"): per row the k largest lower bounds ``screen - R`` seen
+    so far, the least of which is the running ``s_k``, and per tile the entries
+    ``(row, column, screen + R)`` whose upper bound still reaches ``s_k - 2 delta``."""
+
+    def __init__(self, delta: np.ndarray, k: int, tile: int):
+        self.best = np.full((len(delta), k), -np.inf, np.float32)
+        self.margin = 2.0 * delta
+        self.tile = tile
+        self.kept: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def _pruned(self, rows, cols, upper):
+        keep = upper >= self.best[rows, 0] - self.margin[rows]
+        return rows[keep], cols[keep], upper[keep]
+
+    def add(self, row0: int, col0: int, screen, radius=None, diagonal=None) -> None:
+        """Fold in the tile ``screen`` of rows ``row0 + i`` and columns ``col0 + j``
+        and its radii (consumed); ``diagonal`` holds its excluded entries, if any."""
+        n, width = screen.shape
+        k = self.best.shape[1]
+        best = self.best[row0 : row0 + n]
+        step = max(1, _GATHER_ELEMS // (width + k))
+        for at in range(0, n, step):  # the k best of the old k and the lower bounds
+            part = np.empty((min(step, n - at), k + width), np.float32)
+            part[:, :k] = best[at : at + step]
+            if radius is None:
+                part[:, k:] = screen[at : at + step]
+            else:
+                np.subtract(screen[at : at + step], radius[at : at + step], out=part[:, k:])
+            part.partition(width, axis=1)
+            best[at : at + step] = part[:, width:]
+            del part
+        upper = screen if radius is None else np.add(screen, radius, out=radius)
+        keep = upper >= (best[:, 0] - self.margin[row0 : row0 + n])[:, None]
+        if diagonal is not None:  # an infinite delta reaches the excluded entries too
+            keep[diagonal] = False
+        rows, cols = np.nonzero(keep)
+        del keep
+        values = upper[rows, cols]
+        rows = (rows + row0).astype(np.int32)
+        cols = (cols + col0).astype(np.int32)
+        first, last = row0 // self.tile, (row0 + n - 1) // self.tile
+        cuts = [0, *np.searchsorted(rows, np.arange(first + 1, last + 1) * self.tile), len(rows)]
+        for t, a, b in zip(range(first, last + 1), cuts, cuts[1:]):  # the rows' tiles
+            new = (rows[a:b], cols[a:b], values[a:b])
+            old = self.kept.get(t)
+            self.kept[t] = new if old is None else self._pruned(
+                *(np.concatenate(pair) for pair in zip(old, new)))
+
+    def take(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows (from ``start``, sorted) and columns of the entries of the tile of rows
+        ``start:stop`` that the final ``s_k`` keeps, as the tile's last use."""
+        rows, cols, _ = self._pruned(*self.kept.pop(start // self.tile))
+        order = np.argsort(rows, kind="stable")
+        return rows[order] - start, cols[order]
 
 
-def _candidates(screen, radius, delta, k: int, diagonal) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of the block's entries that the screen cannot rule out of
-    their row's exact top k (module docstring, "Selection"); ``diagonal`` holds the
-    excluded entries, if any. Consumes ``screen`` and ``radius``."""
-    n_ref = screen.shape[1]
-    if radius is not None:
-        screen -= radius  # lower bounds, but for delta
-    if diagonal is not None:
-        screen[diagonal] = -np.inf
-    kth = np.empty(len(screen), np.float32)
-    step = max(1, _GATHER_ELEMS // n_ref)
-    for at in range(0, len(screen), step):  # partition copies its input: in chunks
-        kth[at : at + step] = np.partition(screen[at : at + step], n_ref - k, axis=1)[
-            :, n_ref - k
-        ]
-    if radius is not None:  # upper bounds, but for delta
-        screen += np.multiply(radius, 2.0, out=radius)
-        del radius
-    keep = screen >= (kth - 2.0 * delta)[:, None]
-    del screen
-    if diagonal is not None:  # an infinite delta reaches the excluded entries too
-        keep[diagonal] = False
-    return np.nonzero(keep)
+def _diagonal(r0: int, r1: int, c0: int, c1: int):
+    """The entries of the tile of rows ``r0:r1`` and columns ``c0:c1`` whose row and
+    column are equal, in the tile's coordinates, or None."""
+    i = np.arange(max(r0, c0), min(r1, c1))
+    return (i - r0, i - c0) if len(i) else None
+
+
+def _tile_shape(width: int, n_fields: int, metric: str, symmetric: bool, block):
+    """Rows and columns of a screen tile: ``block`` rows, by default as square as
+    ``_BLOCK_ELEMS`` allows and, for a query tile, its float32 rows in ``32 *
+    _BLOCK_ELEMS`` bytes; then as many columns as the budget allows, for
+    self-search at least as many as rows."""
+    # float32 tiles alive at once: the screen, one field's part of it if there are
+    # two, and for euclidean the radii of the rows (and of the columns, self-search)
+    live = min(n_fields, 2) * (1 if metric == "cosine" else 2) + (symmetric and metric != "cosine")
+    elems = max(1, 2 * _BLOCK_ELEMS // live)
+    rows = block or math.isqrt(elems)
+    if block is None and not symmetric:
+        rows = min(rows, max(1, 8 * _BLOCK_ELEMS // width))
+    cols = max(1, elems // rows)
+    return rows, max(rows, cols) if symmetric else cols
 
 
 def _pair_scores(q: _Rows, ref: _Rows, rows, cols, metric: str) -> np.ndarray:
     """Pair-kernel scores of ``(q[rows[i]], ref[cols[i]])``, a row-wise einsum of ``q * r``
-    (cosine) or ``(q - r)**2`` (euclidean): a score depends on its two rows alone, not
-    on how many pairs are scored, where they sit in memory or on BLAS."""
+    (cosine) or ``(q - r)**2`` (euclidean), each query row scaled once per gather: a
+    score depends on its two rows alone, not on how many pairs are scored, where they
+    sit in memory or on BLAS."""
     dots = np.empty(len(rows))
     step = max(1, _GATHER_ELEMS // max(1, q.rows.shape[1]))
+    a = np.empty((min(step, len(rows)), q.rows.shape[1]))  # refilled: one buffer per call
     for start in range(0, len(rows), step):
-        a = _gather(q, rows[start : start + step])
+        each, at = np.unique(rows[start : start + step], return_inverse=True)
+        left = np.take(_gather(q, each), at, axis=0, out=a[: len(at)], mode="clip")
         b = _gather(ref, cols[start : start + step])
-        left = a if metric == "cosine" else np.subtract(a, b, out=b)
+        if metric != "cosine":
+            left = np.subtract(left, b, out=b)
         dots[start : start + step] = np.einsum("ij,ij->i", left, b)
+        del b, left  # before the next gather
     return dots if metric == "cosine" else -np.sqrt(dots)
 
 
@@ -296,6 +389,16 @@ def _rank(rows, cols, scores, n_rows: int, k: int) -> tuple[np.ndarray, np.ndarr
     order = np.lexsort((cols, -scores, rows))
     pick = order[np.searchsorted(rows, np.arange(n_rows))[:, None] + np.arange(k)]
     return cols[pick], scores[pick]
+
+
+def _rescore(q, ref, weights, total, rows, cols, k: int, metric: str):
+    """Exact scores and top k of each row of the fields ``q`` among its candidate
+    ``cols`` (``rows`` sorted, from 0)."""
+    found = np.zeros(len(rows))
+    for qf, rf, w in zip(q, ref, weights):
+        found += w * _pair_scores(qf, rf, rows, cols, metric)
+    found /= total
+    return _rank(rows, cols, found, len(q[0].rows), k)
 
 
 def search(
@@ -308,11 +411,14 @@ def search(
     weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k reference rows of every query row by the field ``weights`` (by
-    default one field), ``block`` rows per GEMM (default: as ``_BLOCK_ELEMS`` allows)."""
+    default one field), screened in tiles of ``block`` rows (default: as
+    ``_BLOCK_ELEMS`` allows). Given the same array twice (self-search), it screens
+    each pair of rows once."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    symmetric = queries is reference
     queries = np.ascontiguousarray(queries, dtype=np.float64)
-    reference = np.ascontiguousarray(reference, dtype=np.float64)
+    reference = queries if symmetric else np.ascontiguousarray(reference, dtype=np.float64)
     n_q, n_ref = queries.shape[0], reference.shape[0]
     if queries.shape[1] != reference.shape[1]:
         raise DimensionMismatchError(reference.shape[1], queries.shape[1], "embedding width")
@@ -324,36 +430,44 @@ def search(
         raise NonFiniteError("search inputs must be finite")
     weights = np.ones(1) if weights is None else weights
     used, total, d = weights[weights > 0], weights.sum(), reference.shape[1] // len(weights)
-    if block is None:  # float32 scores alive per query row: the screen, one field's part
-        # of it if there are two, and for euclidean the radii of both
-        live = min(len(used), 2) * (1 if metric == "cosine" else 2)
-        block = max(1, 2 * _BLOCK_ELEMS // (n_ref * live))
-        if metric == "cosine" or queries is not reference:  # and the block's query
-            # copies: its scaled float64 rows (cosine), its float32 rows (queries)
-            block = min(block, max(1, 32 * _BLOCK_ELEMS // (12 * queries.shape[1])))
+    tile, tile_cols = _tile_shape(queries.shape[1], len(used), metric, symmetric, block)
     fields = [slice(f * d, (f + 1) * d) for f in np.flatnonzero(weights)]
     scales = [_scale(metric, queries[:, f], reference[:, f]) for f in fields]
     ref = [_field(reference[:, f], metric, c) for f, c in zip(fields, scales)]
     # field weights of the screen, which is in units of 1 / min(scales)
     coefs = [np.float32(w * (min(scales) / c) / total) for w, c in zip(used, scales)]
+    if symmetric:  # one selection and one delta for every row, from the largest norm
+        delta, errors = _bounds(ref, ref, used, scales, total, metric, d)
+        ref = [f._replace(error=e) for f, e in zip(ref, errors)]
+        selection = _Selection(delta, k, tile)
     neighbors = np.empty((n_q, k), dtype=np.int64)
     scores = np.empty((n_q, k), dtype=np.float64)
-    for start in range(0, n_q, block):
-        stop = min(start + block, n_q)
-        if queries is reference:
-            q = [_block(field, start, stop) for field in ref]
+    for start in range(0, n_q, tile):
+        stop = min(start + tile, n_q)
+        if symmetric:  # the tile's rows against the columns from its first row on
+            q, at = [f.part(start, stop) for f in ref], start
         else:
-            q = [_block(_field(queries[start:stop, f], metric, c), 0, stop - start)
-                 for f, c in zip(fields, scales)]
-        delta, sq_errors = _bounds(q, ref, used, scales, total, metric, d)
-        diagonal = (np.arange(stop - start), np.arange(start, stop)) if exclude_diagonal else None
-        rows, cols = _candidates(*_block_screen(q, ref, coefs, sq_errors, metric), delta, k,
-                                 diagonal)
-        found = np.zeros(len(rows))
-        for qf, rf, w in zip(q, ref, used):
-            found += w * _pair_scores(qf, rf, rows, cols, metric)
-        found /= total
-        neighbors[start:stop], scores[start:stop] = _rank(rows, cols, found, stop - start, k)
+            q = [_field(queries[start:stop, f], metric, c) for f, c in zip(fields, scales)]
+            delta, errors = _bounds(q, ref, used, scales, total, metric, d)
+            q = [f._replace(error=e) for f, e in zip(q, errors)]
+            selection, at = _Selection(delta, k, tile), 0
+        for left in range(at, n_ref, tile_cols):
+            right = min(left + tile_cols, n_ref)
+            mirror = symmetric and right > stop  # columns past the rows: used transposed too
+            screen, radii = _tile_screen(q, [f.part(left, right) for f in ref], coefs, metric,
+                                         mirror)
+            diagonal = _diagonal(start, stop, left, right) if exclude_diagonal else None
+            if diagonal is not None:
+                screen[diagonal] = -np.inf
+            selection.add(at, left, screen, radii[0] if radii else None, diagonal)
+            if mirror:
+                cut = max(left, stop)
+                selection.add(cut, start, screen[:, cut - left :].T,
+                              *(r[:, cut - left :].T for r in radii[1:]))
+            del screen, radii  # before the next tile's GEMM
+        q = [f._replace(low=None, sq=None) for f in q]  # the float32 query rows are done
+        neighbors[start:stop], scores[start:stop] = _rescore(
+            q, ref, used, total, *selection.take(at, at + stop - start), k, metric)
     return neighbors, scores
 
 
@@ -400,8 +514,8 @@ def knn_batched(
     exclude_self: bool = True,
     batch_size: int | None = 128,
 ) -> NeighborList:
-    """:func:`knn_exact` scoring ``batch_size`` query rows (``batch_size * N``
-    entries) per GEMM; bit-identical to it for every batch and thread count."""
+    """:func:`knn_exact` screening tiles of ``batch_size`` rows by ``batch_size``
+    rows or more; bit-identical to it for every batch and thread count."""
     neighbors, scores = search(matrix.data, matrix.data, k, metric, exclude_self, batch_size)
     return NeighborList(k, neighbors, scores, metric, exclude_self, matrix.index_order)
 

@@ -147,6 +147,15 @@ class TestLoadCorpus:
         assert first.read_bytes() == second.read_bytes()
         assert load_corpus(second) == profiles
 
+    @pytest.mark.parametrize("name", ["c.jsonl", "c.csv"])
+    def test_labels_saved_under_one_key_are_rejected(self, tmp_path, name):
+        """A stage label and an unknown label of the stage's file key would save as
+        one key, and the reload would keep one of them."""
+        profile = Profile("A", {"GCEA": "x"}, {"SL": "Shortlisted", "sl": "other"})
+        with pytest.raises(IntegrityError, match="profile 'A': labels 'SL' and 'sl'"):
+            save_corpus([make_profile("B"), profile], tmp_path / name)
+        assert not (tmp_path / name).exists()
+
     @pytest.mark.parametrize("name, text, message", [
         ("c.jsonl", '{"id": "A", "gcea": "t"}\n[1]\n', "line 2: record is not an object"),
         ("c.jsonl", '"A"\n', "line 1: record is not an object"),
@@ -174,6 +183,8 @@ class TestLoadCorpus:
         ("c.csv", "gcea,type\r\nt,Offered\r\n", "line 1: CSV must have a header row including 'id'"),
         ("c.csv", "", "line 1: CSV must have a header row including 'id'"),
         ("c.csv", "id,gcea\r\nA,t\r\n,u\r\n", "line 3: missing or empty 'id'"),
+        ("c.csv", 'id,gcea\r\nA,"one\r\ntwo\r\nthree"\r\n,u\r\n', "line 5: missing or empty 'id'"),
+        ("c.csv", "id,gcea\r\nA,t\r\n\r\n,u\r\n", "line 4: missing or empty 'id'"),
         ("c.csv", "id,gcea,combined\r\nA,,\r\n", "line 2: record 'A' carries no text fields"),
     ])
     def test_parse_rule_names_its_message_and_line(self, tmp_path, name, text, message):

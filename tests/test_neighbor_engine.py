@@ -143,6 +143,65 @@ def test_every_search_equals_the_oracle(data, metric, exclude_self, draw):
     assert np.array_equal(got_q[1], want_q[1])
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    data=tie_heavy(n_fields=3),
+    metric=st.sampled_from(["cosine", "euclidean"]),
+    weights=st.one_of(st.none(), st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=3,
+                                          max_size=3).filter(any)),
+    exclude_self=st.booleans(),
+    draw=st.data(),
+)
+def test_self_search_equals_the_search_of_a_copy(data, metric, weights, exclude_self, draw):
+    """Given one array twice, the search screens each pair once and uses the tile
+    transposed for the column rows; given a copy as the queries, it screens every
+    pair as a query. Both give the same neighbors and scores."""
+    n = len(data)
+    k = draw.draw(st.integers(1, n - 1 if exclude_self else n))
+    block = draw.draw(st.one_of(st.none(), st.integers(1, n + 2)))
+    weights = None if weights is None else np.array(weights)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simindex, "_BLOCK_ELEMS", draw.draw(st.integers(1, 200)))
+        patch.setattr(simindex, "_GATHER_ELEMS", draw.draw(st.integers(1, 40)))
+        mirrored = simindex.search(data, data, k, metric, exclude_self, block, weights)
+        plain = simindex.search(data.copy(), data, k, metric, exclude_self, block, weights)
+    assert np.array_equal(mirrored[0], plain[0])
+    assert np.array_equal(mirrored[1], plain[1])
+
+
+@pytest.mark.parametrize("metric, n_fields, block_elems, batch_size", [
+    ("cosine", 1, 50, None),  # 10 x 10 tiles
+    ("cosine", 3, 49, None),  # 7 x 7
+    ("euclidean", 1, 54, None),  # 6 x 6
+    ("euclidean", 3, 90, None),  # 6 x 6
+    ("cosine", 1, 1, 8),  # 8 x 8
+])
+def test_self_search_screens_each_tile_pair_once(metric, n_fields, block_elems, batch_size,
+                                                 monkeypatch):
+    """A self-search of N rows in T x T tiles runs ceil(N/T)(ceil(N/T)+1)/2 float32
+    GEMMs per field, not ceil(N/T)**2."""
+    n = 47
+    shapes = []
+    screen = simindex._screen
+
+    def counted(q, ref, *args):
+        shapes.append((len(q.low), len(ref.low)))
+        return screen(q, ref, *args)
+
+    monkeypatch.setattr(simindex, "_BLOCK_ELEMS", block_elems)
+    monkeypatch.setattr(simindex, "_screen", counted)
+    data = np.random.default_rng(5).standard_normal((n, 4 * n_fields))
+    if n_fields == 1:
+        knn_batched(matrix_of(data), 3, metric, batch_size=batch_size)
+    else:
+        knn_feature_reranked(matrix_of(data, n_fields), 3, metric)
+    tile = shapes[0][0]
+    assert all(rows <= tile and cols <= tile for rows, cols in shapes)
+    tiles = math.ceil(n / tile)
+    assert 1 < tiles < n
+    assert len(shapes) == n_fields * tiles * (tiles + 1) // 2
+
+
 def rerank_oracle(matrix, k, metric, weights, exclude_self):
     """Every pair scored by ``sum_f w_f * kernel_f / sum(w)`` in field order."""
     total = 0.0
