@@ -24,13 +24,14 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from ._util import canonical_json, derive_seeds, parsing, typed, write_json
 from .classifiers import (
     KnnClassifier,
     TrainConfig,
     birnn_train,
     knn_predict,
-    random_search,
     save_model,
     train_stumps,
 )
@@ -54,7 +55,7 @@ from .embed import (
     normalize_field_blocks,
     save_embeddings,
 )
-from .errors import IntegrityError, StageError
+from .errors import IntegrityError, StageError, TrainingError
 from .fairness import AVERAGING_MODES, classification_metrics, consistency
 from .simindex import (
     METRICS,
@@ -66,60 +67,156 @@ from .simindex import (
     neighbors_to_dict,
 )
 
-# The stage functions below look up their layer calls (embed_corpus,
-# train_stumps, knn_feature_reranked, ...) in this module's globals at call
-# time, so wrapping those names here (as the traced benchmark run does) reaches
-# every such call of both the audit pipeline and the CLI.
+# The stage functions and the learner table below look up their layer calls
+# (embed_corpus, train_stumps, knn_feature_reranked, ...) in this module's
+# globals at call time, so wrapping those names here (as the traced benchmark
+# run does) reaches every such call of the audit pipeline, the CLI and each
+# search trial.
 
 
 @dataclass(frozen=True)
 class Learner:
-    """One classifier family: its report source, trainer and predictor.
+    """One classifier family: its report source, how it reads the rows, and how
+    it trains, predicts and is searched.
 
-    ``train(train, y_train, val, y_val, config)`` takes EmbeddingMatrix rows and
-    an AuditConfig (kNN reads its ``k`` and ``metric``) and returns the model and
-    the random-search trial log (None without a search). ``predict(model,
-    matrix)`` returns one decision per matrix row.
+    ``view(matrix)`` is the family's input from EmbeddingMatrix rows.
+    ``fit(x, y, x_val, y_val, config)`` trains one model on viewed rows with an
+    AuditConfig (kNN reads its ``k`` and ``metric``); ``predict(model, x)``
+    returns one decision per viewed row. ``space`` is the family's default
+    search space for ``random_search``; None for a family that is not searched.
     """
 
     source: str
-    train: Callable
+    view: Callable
+    fit: Callable
     predict: Callable
+    space: dict | None = None
 
 
-def _train_knn(train, y_train, val, y_val, config):
+def _fit_knn(train, y_train, val, y_val, config):
     truth = DecisionVector("truth", y_train, train.index_order)
-    return KnnClassifier(config.k, config.metric).fit(train, truth), None
+    return KnnClassifier(config.k, config.metric).fit(train, truth)
 
 
-def _searchable(source: str, family: str, view: Callable, fit: Callable) -> Learner:
-    """The Learner of a family ``random_search`` can tune. Train and predict read
-    the rows through ``view``; ``fit(x_train, y_train, x_val, y_val, config)``
-    trains one model, and with ``search_trials > 1`` the search trains them."""
-
-    def train(train, y_train, val, y_val, config):
-        rows = (view(train), y_train, view(val), y_val, config)
-        if config.search_trials > 1:
-            result = random_search(family, *rows)
-            return result.model, [asdict(t) for t in result.trials]
-        return fit(*rows), None
-
-    return Learner(source, train, lambda model, matrix: model.predict(view(matrix)))
-
-
+# Search-space sampling rules: a list is a uniform choice over its entries; a
+# (lo, hi) tuple is uniform over the range, integer-valued when both ends are ints.
 LEARNERS = {
-    "knn": Learner("model:knn", _train_knn, lambda model, m: knn_predict(model, m).values),
-    "stumps": _searchable("model:gbstumps", "stumps", lambda m: m.data,
-                          lambda x, y, x_val, y_val, config: train_stumps(x, y, config)),
-    "birnn": _searchable("model:birnn", "birnn", EmbeddingMatrix.as_field_sequences,
-                         lambda *rows: birnn_train(*rows)[0]),
+    "knn": Learner("model:knn", lambda m: m, _fit_knn,
+                   lambda model, m: knn_predict(model, m).values),
+    "stumps": Learner(
+        "model:gbstumps", lambda m: m.data,
+        lambda x, y, x_val, y_val, config: train_stumps(x, y, config),
+        lambda model, x: model.predict(x),
+        {"learning_rate": (0.05, 0.5), "rounds": (50, 300), "reg_lambda": [0.5, 1.0, 2.0]},
+    ),
+    "birnn": Learner(
+        "model:birnn", EmbeddingMatrix.as_field_sequences,
+        lambda *rows: birnn_train(*rows)[0],
+        lambda model, x: model.predict(x),
+        {"learning_rate": (0.02, 0.5), "hidden_dim": [16, 32, 64], "head_dim": [8, 16, 32],
+         "batch_size": [16, 32, 64]},
+    ),
 }
+
+
+def train_family(family: str, train, y_train, val, y_val, config) -> tuple:
+    """``(model, trials)``: a ``family`` model trained on the EmbeddingMatrix rows
+    ``train`` and ``val`` (see ``training_rows``) with ``config``. With
+    ``config.search_trials > 1`` a searched family is trained by
+    ``random_search`` and ``trials`` is its trial log; otherwise it is None."""
+    learner = LEARNERS[family]
+    rows = (learner.view(train), y_train, learner.view(val), y_val, config)
+    if config.search_trials > 1 and learner.space is not None:
+        result = random_search(family, *rows)
+        return result.model, [asdict(t) for t in result.trials]
+    return learner.fit(*rows), None
 
 
 def predict_decisions(model, matrix: EmbeddingMatrix) -> DecisionVector:
     """Decisions of a trained model of any family for every row of ``matrix``."""
     learner = LEARNERS[model.family]
-    return DecisionVector(learner.source, learner.predict(model, matrix), matrix.index_order)
+    values = learner.predict(model, learner.view(matrix))
+    return DecisionVector(learner.source, values, matrix.index_order)
+
+
+@dataclass(frozen=True)
+class TrialRecord:
+    """Outcome of one sampled configuration."""
+
+    index: int
+    params: dict
+    val_accuracy: float | None
+    error: str | None = None
+
+
+@dataclass(frozen=True)
+class SearchResult:
+    model: object
+    best_index: int
+    best_params: dict
+    trials: tuple[TrialRecord, ...]
+
+
+def _sample_value(rng: np.random.Generator, rule):
+    if isinstance(rule, list):
+        return rule[int(rng.integers(len(rule)))]
+    lo, hi = rule
+    if isinstance(lo, int) and isinstance(hi, int):
+        return int(rng.integers(lo, hi + 1))
+    return float(rng.uniform(lo, hi))
+
+
+def random_search(
+    family: str,
+    x_train: np.ndarray,
+    y_train: np.ndarray,
+    x_val: np.ndarray,
+    y_val: np.ndarray,
+    config: TrainConfig,
+) -> SearchResult:
+    """Sample configurations uniformly, train each, keep the best.
+
+    The rows are the family's view of them (``LEARNERS[family].view``), and
+    ``config.search_space`` defaults to the family's ``space``. Each trial is
+    trained by ``LEARNERS[family].fit`` and scored by its accuracy on the
+    validation rows. The winner is the trial with the highest validation
+    accuracy, ties broken by earliest trial index. Failed trials are recorded
+    in the log with their error message and do not abort the search; when every
+    trial fails, the raised TrainingError names their distinct errors.
+    Deterministic in ``config.seed``: the same seed yields the same trial
+    sequence and winner.
+    """
+    searched = tuple(name for name, learner in LEARNERS.items() if learner.space is not None)
+    if family not in searched:
+        raise ValueError(f"unknown family {family!r}; expected one of {searched}")
+    learner = LEARNERS[family]
+    space = config.search_space if config.search_space is not None else learner.space
+    if not space:
+        raise ValueError("search space must be nonempty")
+    rng = np.random.default_rng(config.seed)
+    trials: list[TrialRecord] = []
+    best: tuple[float, int] | None = None
+    best_model = None
+    for index in range(config.search_trials):
+        params = {name: _sample_value(rng, rule) for name, rule in sorted(space.items())}
+        trial_seed = int(rng.integers(2**31))
+        try:
+            trial_config = replace(
+                config, seed=trial_seed, search_space=None, search_trials=1, **params
+            )
+            model = learner.fit(x_train, y_train, x_val, y_val, trial_config)
+            accuracy = float(np.mean(learner.predict(model, x_val) == np.asarray(y_val)))
+        except Exception as exc:  # record and continue; the search must survive bad draws
+            trials.append(TrialRecord(index, params, None, f"{type(exc).__name__}: {exc}"))
+            continue
+        trials.append(TrialRecord(index, params, accuracy, None))
+        if best is None or accuracy > best[0]:
+            best = (accuracy, index)
+            best_model = model
+    if best is None:
+        errors = "; ".join(dict.fromkeys(t.error for t in trials))
+        raise TrainingError(f"every search trial failed: {errors}")
+    return SearchResult(best_model, best[1], trials[best[1]].params, tuple(trials))
 
 
 HUMAN_SOURCES = tuple(f"human:{stage}" for stage in STAGES)
@@ -278,7 +375,7 @@ def neighbor_structure(
 
 def training_rows(matrix: EmbeddingMatrix, truth: DecisionVector, split) -> tuple:
     """``(train, y_train, val, y_val)``: the split's train and validation rows of
-    ``matrix`` and their ``truth`` values, the first arguments of ``Learner.train``.
+    ``matrix`` and their ``truth`` values, the rows of ``train_family``.
     Taken once for every family, since the kNN model keeps its train rows."""
     return (
         matrix.take(split.train),
@@ -360,7 +457,7 @@ def _train(config: AuditConfig, seeds: dict, matrix, truth, split) -> tuple:
         if learner.source not in config.sources:
             continue
         seed = seeds["search"] if config.search_trials > 1 else seeds.get(family, 0)
-        models[learner.source], trials = learner.train(*rows, replace(config, seed=seed))
+        models[learner.source], trials = train_family(family, *rows, replace(config, seed=seed))
         if trials is not None:
             search_logs[learner.source] = trials
     return models, search_logs

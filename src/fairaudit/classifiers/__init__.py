@@ -10,26 +10,22 @@ from .birnn import (
 )
 from .io import load_model, save_model
 from .knn import KnnClassifier, knn_predict
-from .search import DEFAULT_SEARCH_SPACES, SearchResult, TrainConfig, TrialRecord, random_search
+from .search import TrainConfig
 from .stumps import BoostedStumps, Stump, train_stumps
 
 __all__ = [
     "BiRnnClassifier",
     "BoostedStumps",
-    "DEFAULT_SEARCH_SPACES",
     "EarlyStopper",
     "KnnClassifier",
-    "SearchResult",
     "Stump",
     "TrainConfig",
     "TrainHistory",
-    "TrialRecord",
     "birnn_forward",
     "birnn_train",
     "gradient_check",
     "knn_predict",
     "load_model",
-    "random_search",
     "save_model",
     "train_stumps",
 ]

@@ -30,6 +30,7 @@ from .audit import (
     predict_decisions,
     render_report,
     run_audit,
+    train_family,
     training_rows,
 )
 from .classifiers import TrainConfig, load_model, save_model
@@ -266,7 +267,7 @@ def _cmd_train(args) -> int:
     truth = binarize_labels(profiles, config.target_stage)
     with naming(args.splits):  # a split id that the corpus lacks
         rows = training_rows(matrix, truth, split)
-    model, trials = LEARNERS[args.family].train(*rows, config)
+    model, trials = train_family(args.family, *rows, config)
     save_model(model, args.out)
     print(f"wrote {args.family} model to {args.out}")
     if args.trials_out and trials is not None:

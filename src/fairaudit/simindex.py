@@ -504,7 +504,7 @@ def knn_exact(
     exclude_self: bool = True,
 ) -> NeighborList:
     """Exact top-k neighbors of every row against every other row."""
-    return knn_batched(matrix, k, metric, exclude_self, batch_size=None)
+    return knn_batched(matrix, k, metric, exclude_self)
 
 
 def knn_batched(
@@ -512,10 +512,11 @@ def knn_batched(
     k: int,
     metric: str = "cosine",
     exclude_self: bool = True,
-    batch_size: int | None = 128,
+    batch_size: int | None = None,
 ) -> NeighborList:
     """:func:`knn_exact` screening tiles of ``batch_size`` rows by ``batch_size``
-    rows or more; bit-identical to it for every batch and thread count."""
+    rows or more (default: the search's own tile shape); bit-identical to it for
+    every batch and thread count."""
     neighbors, scores = search(matrix.data, matrix.data, k, metric, exclude_self, batch_size)
     return NeighborList(k, neighbors, scores, metric, exclude_self, matrix.index_order)
 

@@ -9,6 +9,7 @@ import pytest
 
 from fairaudit.audit import (
     ALL_SOURCES,
+    LEARNERS,
     MODEL_SOURCES,
     AuditConfig,
     AuditReport,
@@ -17,7 +18,7 @@ from fairaudit.audit import (
     render_report,
     run_audit,
 )
-from fairaudit.classifiers import TrainConfig
+from fairaudit.classifiers import TrainConfig, io
 from fairaudit.dataset import (
     POSITIVE_LABEL,
     RaterConfig,
@@ -100,6 +101,10 @@ def small_config(**kwargs):
                     hidden_dim=8, head_dim=8)
     defaults.update(kwargs)
     return AuditConfig(**defaults)
+
+
+def test_every_learner_family_is_a_saved_model_family():
+    assert set(LEARNERS) == set(io._CLASSES)
 
 
 class TestRunAudit:
@@ -318,7 +323,17 @@ class TestRunAudit:
         report = run_audit(corpus, small_config(rerank=False))
         assert report.metadata["rerank"] is False
 
-    def test_search_trials_path(self, tmp_path):
+    def test_search_trials_path(self, tmp_path, monkeypatch):
+        import fairaudit.audit as audit_module
+
+        # every trial trains through the layer calls that the audit module's
+        # globals resolve, where a tracer wraps them
+        calls = {"train_stumps": 0, "birnn_train": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(audit_module, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(audit_module, name, counted)
         corpus = make_corpus(tmp_path)
         config = small_config(
             search_trials=2,
@@ -330,6 +345,7 @@ class TestRunAudit:
         log = json.loads((out / "models" / "search_log.json").read_text())
         assert set(log) == {"model:gbstumps", "model:birnn"}
         assert len(log["model:gbstumps"]) == 2
+        assert calls == {"train_stumps": 2, "birnn_train": 2}
 
 
 class TestAuditConfig:

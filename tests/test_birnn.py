@@ -12,9 +12,10 @@ from fairaudit.classifiers import (
     birnn_train,
     gradient_check,
     load_model,
-    random_search,
     save_model,
 )
+from fairaudit import random_search
+from fairaudit.audit import LEARNERS
 from fairaudit.errors import DimensionMismatchError, TrainingError
 
 
@@ -246,12 +247,13 @@ class TestRandomSearch:
         # oracle: evaluate both endpoints directly
         from dataclasses import replace
 
-        from fairaudit.classifiers.search import _train_one
+        learner = LEARNERS["birnn"]
 
-        _, acc_good = _train_one("birnn", x, y, xv, yv, replace(base, learning_rate=0.1, seed=1))
-        _, acc_degenerate = _train_one(
-            "birnn", x, y, xv, yv, replace(base, learning_rate=0.0, seed=1)
-        )
+        def accuracy(learning_rate):
+            model = learner.fit(x, y, xv, yv, replace(base, learning_rate=learning_rate, seed=1))
+            return np.mean(learner.predict(model, xv) == yv)
+
+        acc_good, acc_degenerate = accuracy(0.1), accuracy(0.0)
         assert acc_good > acc_degenerate
         config = replace(base, seed=11, search_trials=10,
                          search_space={"learning_rate": [0.1, 0.0]})
@@ -298,9 +300,14 @@ class TestRandomSearch:
         x, y, xv, yv = self._data()
         config = TrainConfig(max_epochs=2, patience=2, seed=1, search_trials=2,
                              search_space={"patience": [50]})
-        with pytest.raises(TrainingError):
+        # the message names the trials' distinct errors, once each
+        message = (
+            "every search trial failed: ValueError: patience must be between 0 and max_epochs"
+        )
+        with pytest.raises(TrainingError, match=f"^{message}$"):
             random_search("birnn", x, y, xv, yv, config)
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            random_search("forest", None, None, None, None, TrainConfig())
+        for family in ("forest", "knn"):  # kNN is a learner, but it is not searched
+            with pytest.raises(ValueError, match=f"unknown family '{family}'"):
+                random_search(family, None, None, None, None, TrainConfig())

@@ -10,7 +10,13 @@ from fairaudit._util import write_json
 from fairaudit.audit import AuditConfig, run_audit
 from fairaudit.classifiers import BoostedStumps, Stump, TrainConfig, save_model
 from fairaudit.cli import SUBCOMMANDS, _config, build_parser, main
-from fairaudit.dataset import FIELD_ORDER
+from fairaudit.dataset import (
+    FIELD_ORDER,
+    SplitAssignment,
+    binarize_labels,
+    load_corpus,
+    save_split,
+)
 from fairaudit.embed import EmbeddingMatrix, load_matrix_file, save_embeddings
 
 
@@ -222,6 +228,26 @@ class TestPipelineChain:
         assert code == 0, err
         log = json.loads(trials.read_text())
         assert len(log) == 3
+
+    def test_train_search_names_the_errors_when_every_trial_fails(self, tmp_path, corpus,
+                                                                  capsys):
+        profiles = load_corpus(corpus)
+        truth = binarize_labels(profiles, "Type")
+        negatives = [pid for pid, v in zip(truth.index_order, truth.values) if v == 0]
+        others = [pid for pid in truth.index_order if pid not in negatives[:40]]
+        splits = tmp_path / "s.json"
+        save_split(SplitAssignment(tuple(negatives[:40]), tuple(others), (), 0, (0.5, 0.5, 0.0)),
+                   splits)
+        emb = tmp_path / "e.faem"
+        run(capsys, "embed", "--corpus", str(corpus), "--d", "8", "--out", str(emb))
+        trials = tmp_path / "t.json"
+        code, _, err = run(capsys, "train", "--family", "stumps", "--corpus", str(corpus),
+                           "--embeddings", str(emb), "--splits", str(splits), "--d", "8",
+                           "--search-trials", "3", "--out", str(tmp_path / "m.json"),
+                           "--trials-out", str(trials))
+        assert code == 2
+        assert "every search trial failed" in err and "single class" in err
+        assert "trial log" not in err
 
 
 class TestStageFlags:
