@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import base64
 import json
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import FairauditError, IntegrityError, ParseError
+from .errors import FairauditError, IntegrityError, NonFiniteError, ParseError
 
 _TINY = float(np.finfo(np.float64).tiny)  # the least normal float64
+_FLOAT32_OVERFLOW = 2.0**128 - 2.0**103  # the least magnitude that rounds to inf as float32
 # float32 entries base64-encoded at a time by write_json: 4 bytes each and a
 # multiple of 3 entries, so a piece encodes without padding
 _PIECE_ELEMS = 3 << 14
@@ -93,6 +95,13 @@ def typed_list(obj: dict, key: str, kind: type | tuple[type, ...]) -> list:
     return items
 
 
+def check_unique(ids, what: str) -> None:
+    """IntegrityError naming up to ten ids that occur more than once in ``ids``."""
+    if len(set(ids)) != len(ids):
+        repeated = [pid for pid, count in Counter(ids).items() if count > 1]
+        raise IntegrityError(f"duplicate ids in {what}: {repeated[:10]}")
+
+
 def positions(index_order, ids) -> list[int]:
     """Where each of ``ids`` sits in ``index_order``; IntegrityError names each
     unknown id once."""
@@ -166,8 +175,20 @@ def scale_rows(rows: np.ndarray, shifts: np.ndarray, norms: np.ndarray) -> None:
         rows[divide] /= norms[divide][:, None]
 
 
+def check_float32(arr: np.ndarray) -> None:
+    """NonFiniteError if a finite entry of ``arr`` overflows to inf as float32. Reductions
+    only, so no float32 copy is made; NaN or inf entries are masked out when present."""
+    if arr.size == 0 or -_FLOAT32_OVERFLOW < arr.min() <= arr.max() < _FLOAT32_OVERFLOW:
+        return
+    finite = np.isfinite(arr)
+    top = max(arr.max(where=finite, initial=0.0), -arr.min(where=finite, initial=0.0))
+    if top >= _FLOAT32_OVERFLOW:
+        raise NonFiniteError(f"a value of magnitude {top:.6g} overflows float32")
+
+
 def encode_array(arr: np.ndarray) -> dict:
     """Shape header plus base64 little-endian float32 data (lossy in the last bits)."""
+    check_float32(arr)
     return {
         "shape": list(arr.shape),
         "data": base64.b64encode(np.ascontiguousarray(arr, dtype="<f4").tobytes()).decode(),
@@ -180,6 +201,7 @@ class _Float32Data:
     padding and the pieces join to the text of the whole."""
 
     def __init__(self, arr: np.ndarray):
+        check_float32(arr)
         self.flat = np.ravel(arr)
 
     def pieces(self):

@@ -56,7 +56,7 @@ from .embed import (
     save_embeddings,
 )
 from .errors import IntegrityError, StageError, TrainingError
-from .fairness import AVERAGING_MODES, classification_metrics, consistency
+from .fairness import AVERAGING_MODES, METRIC_NAMES, classification_metrics, consistency
 from .simindex import (
     METRICS,
     NeighborList,
@@ -224,7 +224,7 @@ MODEL_SOURCES = tuple(learner.source for learner in LEARNERS.values())
 ALL_SOURCES = HUMAN_SOURCES + MODEL_SOURCES
 CONSISTENCY_STAGES = ("AR", "OF")
 
-_REPORT_COLUMNS = ("precision", "recall", "f1", "accuracy", "c_ar", "c_of")
+_REPORT_COLUMNS = METRIC_NAMES + tuple(f"c_{stage.lower()}" for stage in CONSISTENCY_STAGES)
 _SPLITS = ("train", "validation", "test", "full")
 
 # How the CLI exposes AuditConfig and TrainConfig fields: each field is a flag
@@ -504,8 +504,7 @@ def score_sources(
         ids = [pid for pid in matrix.index_order if pid in metrics_scope and pid in covered]
         if ids:
             metrics = classification_metrics(vector.take(ids), truth.take(ids), config.averaging)
-            cells.update(precision=metrics.precision, recall=metrics.recall,
-                         f1=metrics.f1, accuracy=metrics.accuracy)
+            cells.update({name: getattr(metrics, name) for name in METRIC_NAMES})
         for stage in CONSISTENCY_STAGES:
             if config.consistency_cells == "stage" and source not in (
                 f"human:{stage}", *MODEL_SOURCES
@@ -609,12 +608,12 @@ def compare_sources(report: AuditReport, a: str, b: str) -> dict:
     row_a = report.row(a)
     row_b = report.row(b)
     out: dict = {"a": a, "b": b}
-    for column in ("precision", "recall", "f1", "accuracy"):
+    for column in _REPORT_COLUMNS:
         va, vb = getattr(row_a, column), getattr(row_b, column)
-        out[column] = None if va is None or vb is None else va - vb
-    for column in ("c_ar", "c_of"):
-        va, vb = getattr(row_a, column), getattr(row_b, column)
-        out[f"{column}_points"] = None if va is None or vb is None else (va - vb) * 100.0
+        if column in METRIC_NAMES:
+            out[column] = None if va is None or vb is None else va - vb
+        else:
+            out[f"{column}_points"] = None if va is None or vb is None else (va - vb) * 100.0
     return out
 
 
@@ -627,12 +626,10 @@ def render_report(report: AuditReport, format: str = "markdown") -> str:
     if format == "json":
         return canonical_json(report.to_dict()) + "\n"
     if format == "csv":
-        lines = ["source,precision,recall,f1,accuracy,c_ar,c_of"]
+        lines = [",".join(("source",) + _REPORT_COLUMNS)]
         for row in report.rows:
-            cells = [
-                "" if getattr(row, c) is None else repr(getattr(row, c))
-                for c in _REPORT_COLUMNS
-            ]
+            cells = ["" if getattr(row, c) is None else repr(getattr(row, c))
+                     for c in _REPORT_COLUMNS]
             lines.append(",".join([row.source] + cells))
         return "\n".join(lines) + "\n"
     if format == "markdown":

@@ -51,7 +51,7 @@ from .dataset import (
 )
 from .embed import EmbeddingMatrix, load_matrix_file, save_embeddings
 from .errors import FairauditError
-from .fairness import classification_metrics, consistency
+from .fairness import METRIC_NAMES, classification_metrics, consistency
 from .simindex import check_batch_size, load_neighbors, save_neighbors
 
 class UsageError(Exception):
@@ -260,6 +260,8 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.trials_out and LEARNERS[args.family].space is None:
+        raise ValueError(f"--trials-out: family {args.family!r} is not searched")
     config = _config(AuditConfig, args, embedder="ingest", normalize=False)
     profiles = load_corpus(args.corpus)
     matrix = embed_profiles(profiles, config, config.seed)
@@ -304,10 +306,7 @@ def _cmd_metrics(args) -> int:
     predicted = load_decisions(args.predicted)
     truth = load_decisions(args.truth)
     metrics = classification_metrics(predicted, truth, args.averaging)
-    print(
-        f"precision={metrics.precision:.4f} recall={metrics.recall:.4f} "
-        f"f1={metrics.f1:.4f} accuracy={metrics.accuracy:.4f}"
-    )
+    print(" ".join(f"{name}={getattr(metrics, name):.4f}" for name in METRIC_NAMES))
     if args.out:
         write_json(args.out, metrics.to_dict())
     return 0

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import (
+    check_unique,
     naming,
     parsing,
     positions,
@@ -106,8 +107,7 @@ class DecisionVector:
             )
         if values.size and not np.isin(values, (0, 1)).all():
             raise IntegrityError(f"{self.source}: decision values must be 0 or 1")
-        if len(set(self.index_order)) != len(self.index_order):
-            raise IntegrityError(f"{self.source}: duplicate ids in index_order")
+        check_unique(self.index_order, f"{self.source} decisions")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "index_order", tuple(self.index_order))
@@ -144,9 +144,7 @@ class SplitAssignment:
     ratios: tuple[float, float, float]
 
     def __post_init__(self):
-        ids = self.train + self.validation + self.test
-        if len(set(ids)) != len(ids):
-            raise IntegrityError("split parts overlap or repeat an id")
+        check_unique(self.train + self.validation + self.test, "split")
 
     def subsets(self) -> dict[str, tuple[str, ...]]:
         return {"train": self.train, "validation": self.validation, "test": self.test}
@@ -238,14 +236,6 @@ def _profile_from_record(obj: dict, line: int) -> Profile:
     return Profile(pid, fields, {stages.get(k, k): v for k, v in labels.items()}, outcome)
 
 
-def _check_unique_ids(profiles: list[Profile]) -> None:
-    seen: set[str] = set()
-    for p in profiles:
-        if p.id in seen:
-            raise IntegrityError(f"duplicate profile id {p.id!r}")
-        seen.add(p.id)
-
-
 def _corpus_format(path, format: str | None) -> str:
     """``format``, by default "csv" for a ``.csv`` path and "jsonl" otherwise."""
     if format is None:
@@ -287,7 +277,8 @@ def load_corpus(path, format: str | None = None) -> list[Profile]:
                           if value and key in _COLUMNS}
                 record["labels"] = {key: record.pop(key) for key in _LABEL_KEYS if key in record}
                 profiles.append(_profile_from_record(record, line))
-    _check_unique_ids(profiles)
+    with naming(path):
+        check_unique([p.id for p in profiles], "corpus")
     return profiles
 
 
@@ -417,7 +408,7 @@ def split_corpus(
     n = len(profiles)
     if n < 3:
         raise SizeError(f"need at least 3 profiles to split, got {n}")
-    _check_unique_ids(profiles)
+    check_unique([p.id for p in profiles], "corpus")
     n_train = math.floor(ratios[0] * n)
     n_val = math.floor(ratios[1] * n)
     n_test = n - n_train - n_val

@@ -19,21 +19,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import struct
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from ._util import naming, positions, row_scales, scale_rows
+from ._util import check_float32, check_unique, naming, positions, row_scales, scale_rows
 from .dataset import FIELD_ORDER, Profile
-from .errors import (
-    DimensionMismatchError,
-    IdMismatchError,
-    IntegrityError,
-    NonFiniteError,
-    ParseError,
-)
+from .errors import DimensionMismatchError, IdMismatchError, NonFiniteError, ParseError
 
 _MAGIC = b"FAEM"
 _VERSION = 1
@@ -61,9 +54,7 @@ class EmbeddingMatrix:
             raise DimensionMismatchError(len(self.index_order), n, "row count")
         if not np.isfinite(data).all():
             raise NonFiniteError("embedding matrix contains NaN or Inf")
-        if len(set(self.index_order)) != n:
-            dupes = sorted(pid for pid, count in Counter(self.index_order).items() if count > 1)
-            raise IntegrityError(f"duplicate ids in embedding matrix: {dupes[:10]}")
+        check_unique(self.index_order, "embedding matrix")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "field_order", tuple(self.field_order))
@@ -235,7 +226,9 @@ def normalize_field_blocks(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
 
 def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
     """Write the binary matrix format (float32, little-endian), converting about
-    ``_WRITE_ELEMS`` entries at a time."""
+    ``_WRITE_ELEMS`` entries at a time. A value that float32 cannot hold is
+    refused before the file is opened."""
+    check_float32(matrix.data)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<H", _VERSION))

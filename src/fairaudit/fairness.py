@@ -23,6 +23,7 @@ from .errors import AlignmentError, SizeError
 from .simindex import NeighborList
 
 AVERAGING_MODES = ("binary", "macro", "weighted")
+METRIC_NAMES = ("precision", "recall", "f1", "accuracy")  # ClassificationMetrics' scores
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,10 +66,7 @@ class ClassificationMetrics:
 
     def to_dict(self) -> dict:
         return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "accuracy": self.accuracy,
+            **{name: getattr(self, name) for name in METRIC_NAMES},
             "averaging": self.averaging,
             "confusion": {k: v for k, v in zip(("tp", "fp", "fn", "tn"), self.confusion)},
         }
@@ -77,10 +75,7 @@ class ClassificationMetrics:
     def from_dict(cls, obj: dict) -> "ClassificationMetrics":
         c = obj["confusion"]
         return cls(
-            float(obj["precision"]),
-            float(obj["recall"]),
-            float(obj["f1"]),
-            float(obj["accuracy"]),
+            *(float(obj[name]) for name in METRIC_NAMES),
             obj["averaging"],
             (int(c["tp"]), int(c["fp"]), int(c["fn"]), int(c["tn"])),
         )

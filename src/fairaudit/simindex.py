@@ -78,6 +78,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._util import (
+    check_unique,
     naming,
     parsing,
     positions,
@@ -584,8 +585,7 @@ def neighbors_from_dict(obj: dict, what: str = "neighbors") -> NeighborList:
         k = typed(obj, "k", int)
         metric = typed(obj, "metric", str)
         excludes_self = typed(obj, "excludes_self", bool)
-        if len(set(ids)) != len(ids):
-            raise AlignmentError("duplicate ids in neighbor rows")
+        check_unique(ids, "neighbor rows")
         if any(len(names) != k for names in named):
             raise ValueError(f"every row must hold k={k} neighbors")
         neighbors = np.array(positions(ids, [pid for names in named for pid in names]))

@@ -9,6 +9,7 @@ import pytest
 
 from fairaudit.audit import (
     ALL_SOURCES,
+    HUMAN_SOURCES,
     LEARNERS,
     MODEL_SOURCES,
     AuditConfig,
@@ -29,6 +30,7 @@ from fairaudit.dataset import (
     save_corpus,
     simulate_raters,
 )
+from fairaudit.embed import embed_corpus
 from fairaudit.errors import IntegrityError, StageError
 from fairaudit.fairness import consistency
 from fairaudit.simindex import neighbors_from_dict
@@ -218,6 +220,23 @@ class TestRunAudit:
         assert saved  # the failure came partway through the files
         assert not out.exists()
         assert list(out.parent.iterdir()) == []
+
+    def test_value_float32_cannot_hold_fails_the_write(self, tmp_path):
+        corpus = make_corpus(tmp_path)
+        matrix = embed_corpus(load_corpus(corpus), d=16, seed=123)
+        data = matrix.data.copy()
+        data[3, 5] = 1e300
+        vectors = tmp_path / "ext.csv"
+        vectors.write_text("".join(
+            ",".join([pid, *map(repr, row.tolist())]) + "\n"
+            for pid, row in zip(matrix.index_order, data)
+        ))
+        config = small_config(embedder="ingest", embeddings_path=str(vectors), normalize=False,
+                              sources=HUMAN_SOURCES + ("model:knn",))
+        out = tmp_path / "runs" / "run"
+        with pytest.raises(StageError, match=r"\[write\].*overflows float32"):
+            run_audit(corpus, config, out_dir=out)
+        assert list(out.parent.iterdir()) == []  # no run directory, no hidden sibling
 
     def test_existing_run_dir(self, tmp_path, monkeypatch):
         corpus = make_corpus(tmp_path)

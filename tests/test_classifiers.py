@@ -17,7 +17,7 @@ from fairaudit.classifiers import (
 )
 from fairaudit.dataset import DecisionVector
 from fairaudit.embed import EmbeddingMatrix
-from fairaudit.errors import SizeError, TrainingError
+from fairaudit.errors import NonFiniteError, SizeError, TrainingError
 
 
 def matrix_of(data, ids=None):
@@ -162,6 +162,16 @@ class TestKnnSerialization:
         assert np.array_equal(knn_predict(loaded, queries).values,
                               knn_predict(clf, queries).values)
         assert loaded.reference_ids == clf.reference_ids
+
+    def test_reference_float32_cannot_hold_leaves_no_file(self, tmp_path):
+        points = np.random.default_rng(5).standard_normal((6, 3))
+        points[4, 1] = 1e300
+        clf = fit_knn(points, [0, 1, 0, 1, 0, 1], k=1)
+        with pytest.raises(NonFiniteError, match="overflows float32"):
+            save_model(clf, tmp_path / "knn.json")
+        assert not (tmp_path / "knn.json").exists()
+        with pytest.raises(NonFiniteError):
+            clf.to_dict()
 
 
 class TestStreamedModelFile:

@@ -114,6 +114,17 @@ class TestRejectedValues:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith(f"fairaudit {argv.split()[0]}: error: ")
 
+    def test_trials_out_of_a_family_that_is_not_searched(self, tmp_path, corpus, capsys):
+        # the embeddings and splits do not exist: the flag is refused before they are read
+        code, _, err = run(capsys, "train", "--family", "knn", "--corpus", str(corpus),
+                           "--embeddings", str(tmp_path / "e.faem"), "--splits",
+                           str(tmp_path / "s.json"), "--search-trials", "3",
+                           "--out", str(tmp_path / "m.json"), "--trials-out",
+                           str(tmp_path / "t.json"))
+        assert code == 1, err
+        assert err == "fairaudit train: error: --trials-out: family 'knn' is not searched\n"
+        assert not (tmp_path / "t.json").exists() and not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("flags, message", [
         (["--k", "0", "--rerank"], "k must be >= 1"),
         (["--k", "0", "--no-rerank"], "k must be >= 1"),
@@ -389,6 +400,39 @@ class TestDataErrorsNameTheFile:
         assert code == 2, err
         assert err.startswith(f"error: {path}: "), err
         assert ("duplicate ids" if matrix == "dup" else "width mismatch") in err
+
+    @pytest.mark.parametrize("artifact", ["corpus", "matrix", "decisions", "neighbors",
+                                          "splits"])
+    def test_repeated_id_names_the_file_and_the_id(self, files, tmp_path, capsys, artifact):
+        ids = ["A", "B", "A", "C"]
+        path, out = tmp_path / f"repeated-{artifact}", str(tmp_path / "out")
+        decisions = tmp_path / "d.json"
+        write_json(decisions, {"source": "x", "index_order": ["A", "B", "C"], "values": [1, 0, 1]})
+        if artifact == "corpus":
+            path = path.with_suffix(".jsonl")
+            path.write_text("".join(json.dumps({"id": pid, "gcea": "text"}) + "\n" for pid in ids))
+            argv = ["split", "--corpus", path, "--out", out]
+        elif artifact == "matrix":
+            path = path.with_suffix(".csv")
+            path.write_text("".join(f"{pid}," + ",".join(["0.5"] * 20) + "\n" for pid in ids))
+            argv = ["embed", "--corpus", files["corpus"], "--embedder", "ingest",
+                    "--embeddings", path, "--d", "4", "--out", out]
+        elif artifact == "decisions":
+            write_json(path, {"source": "x", "index_order": ids, "values": [1, 0, 1, 0]})
+            argv = ["metrics", "--predicted", path, "--truth", decisions]
+        elif artifact == "neighbors":
+            write_json(path, {"k": 1, "metric": "cosine", "excludes_self": True, "rows": [
+                {"id": pid, "neighbors": ["B"], "scores": [1.0]} for pid in ids]})
+            argv = ["consistency", "--decisions", decisions, "--neighbors", path]
+        else:
+            write_json(path, {"seed": 0, "ratios": [0.5, 0.25, 0.25], "train": ids[:2],
+                              "validation": ids[2:3], "test": ids[3:]})
+            argv = ["train", "--family", "knn", "--corpus", files["corpus"], "--embeddings",
+                    files["emb"], "--splits", path, "--d", "4", "--out", out]
+        code, _, err = run(capsys, *map(str, argv))
+        assert code == 2, err
+        assert err.startswith(f"error: {path}: duplicate ids in "), err
+        assert err.endswith(": ['A']\n") and len(err.splitlines()) == 1, err
 
     def test_split_id_the_corpus_lacks_names_the_split_file(self, files, tmp_path, capsys):
         split = json.loads(files["splits"].read_text())

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairaudit import embed
+from fairaudit._util import check_float32
 from fairaudit.dataset import FIELD_ORDER, Profile, generate_synthetic_corpus
 from fairaudit.embed import (
     EmbeddingMatrix,
@@ -329,3 +330,35 @@ class TestPersistence:
         path.write_text("".join(f"{pid}," + ",".join(["0.5"] * 10) + "\n" for pid in "ABA"))
         with pytest.raises(IntegrityError, match=r"\['A'\]"):
             ingest_embeddings(path, ("A", "B"), 2)
+
+    # the least magnitude that rounds to inf as float32
+    OVERFLOW = 2.0**128 - 2.0**103
+
+    @pytest.mark.parametrize("value", [OVERFLOW, -OVERFLOW, 1e300])
+    def test_value_float32_cannot_hold_is_refused_before_the_file(self, tmp_path, value):
+        matrix = self._matrix()
+        data = matrix.data.copy()
+        data[1, 2] = value
+        with pytest.raises(NonFiniteError, match="overflows float32"):
+            save_embeddings(EmbeddingMatrix(data, 4, FIELD_ORDER, matrix.index_order),
+                            tmp_path / "m.faem")
+        assert not (tmp_path / "m.faem").exists()
+
+    @pytest.mark.parametrize("others", [[], [np.nan], [np.inf], [-np.inf, np.nan]])
+    def test_overflow_is_found_beside_nan_and_inf(self, others):
+        check_float32(np.array(others + [1.0]))  # NaN and inf themselves are not refused
+        with pytest.raises(NonFiniteError, match="1e\\+300"):
+            check_float32(np.array(others + [-1e300, 1.0]))
+
+    @pytest.mark.parametrize("value", [float(np.finfo(np.float32).max),
+                                       np.nextafter(OVERFLOW, 0.0)])
+    def test_largest_float32_values_are_stored(self, tmp_path, value):
+        matrix = self._matrix()
+        data = matrix.data.copy()
+        data[1, 2], data[2, 3] = value, -value
+        save_embeddings(EmbeddingMatrix(data, 4, FIELD_ORDER, matrix.index_order),
+                        tmp_path / "m.faem")
+        _, loaded = load_matrix_file(tmp_path / "m.faem")
+        assert (loaded[1, 2], loaded[2, 3]) == (np.finfo(np.float32).max,
+                                                -np.finfo(np.float32).max)
+        assert np.array_equal(loaded, data.astype(np.float32).astype(np.float64))
