@@ -119,14 +119,20 @@ LEARNERS = {
 }
 
 
+def searches(family: str, search_trials: int) -> bool:
+    """Whether training ``family`` with ``search_trials`` runs ``random_search``:
+    more than one trial, of a family that has a search space."""
+    return search_trials > 1 and LEARNERS[family].space is not None
+
+
 def train_family(family: str, train, y_train, val, y_val, config) -> tuple:
     """``(model, trials)``: a ``family`` model trained on the EmbeddingMatrix rows
-    ``train`` and ``val`` (see ``training_rows``) with ``config``. With
-    ``config.search_trials > 1`` a searched family is trained by
-    ``random_search`` and ``trials`` is its trial log; otherwise it is None."""
+    ``train`` and ``val`` (see ``training_rows``) with ``config``. When it
+    ``searches``, it is trained by ``random_search`` and ``trials`` is its trial
+    log; otherwise ``trials`` is None."""
     learner = LEARNERS[family]
     rows = (learner.view(train), y_train, learner.view(val), y_val, config)
-    if config.search_trials > 1 and learner.space is not None:
+    if searches(family, config.search_trials):
         result = random_search(family, *rows)
         return result.model, [asdict(t) for t in result.trials]
     return learner.fit(*rows), None
@@ -227,24 +233,7 @@ CONSISTENCY_STAGES = ("AR", "OF")
 _REPORT_COLUMNS = METRIC_NAMES + tuple(f"c_{stage.lower()}" for stage in CONSISTENCY_STAGES)
 _SPLITS = ("train", "validation", "test", "full")
 
-# How the CLI exposes AuditConfig and TrainConfig fields: each field is a flag
-# named after it (``--reg-lambda``), except the legacy names in FLAG_NAMES and
-# the fields in NO_FLAG, with the help text in FLAG_HELP. CHOICES are the
-# closed value lists; __post_init__ enforces them too.
-FLAG_NAMES = {
-    "max_epochs": "epochs",
-    "learning_rate": "lr",
-    "target_stage": "target",
-    "embeddings_path": "embeddings",
-}
-FLAG_HELP = {
-    "d": "dimensions per field",
-    "embeddings_path": "source matrix for --embedder ingest",
-    "max_tokens": "truncate each field to this many tokens first",
-    "normalize": "L2-normalize each field block (default on)",
-    "rerank": "feature-reranked neighbor retrieval (default on)",
-    "target_stage": "label stage to learn (default Type)",
-}
+# The closed value lists of AuditConfig fields; the CLI offers them as choices.
 CHOICES = {
     "embedder": ("hash", "ingest"),
     "metric": METRICS,
@@ -253,7 +242,6 @@ CHOICES = {
     "consistency_split": _SPLITS,
     "consistency_cells": ("stage", "all"),
 }
-NO_FLAG = ("field_weights", "sources", "search_space")
 
 
 @dataclass(frozen=True)
@@ -456,7 +444,7 @@ def _train(config: AuditConfig, seeds: dict, matrix, truth, split) -> tuple:
     for family, learner in LEARNERS.items():
         if learner.source not in config.sources:
             continue
-        seed = seeds["search"] if config.search_trials > 1 else seeds.get(family, 0)
+        seed = seeds["search"] if searches(family, config.search_trials) else seeds.get(family, 0)
         models[learner.source], trials = train_family(family, *rows, replace(config, seed=seed))
         if trials is not None:
             search_logs[learner.source] = trials

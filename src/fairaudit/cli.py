@@ -19,10 +19,7 @@ from . import __version__
 from ._util import naming, read_json, write_json
 from .audit import (
     CHOICES,
-    FLAG_HELP,
-    FLAG_NAMES,
     LEARNERS,
-    NO_FLAG,
     AuditConfig,
     AuditReport,
     embed_profiles,
@@ -30,6 +27,7 @@ from .audit import (
     predict_decisions,
     render_report,
     run_audit,
+    searches,
     train_family,
     training_rows,
 )
@@ -102,21 +100,37 @@ def _bias_shift(entries: list[str]) -> dict[int, float]:
     return shifts
 
 
+# How the CLI exposes config fields: a flag per field, named after it (``--reg-lambda``) but
+# for the legacy names in FLAG_NAMES; none for NO_FLAG; help in FLAG_HELP, metavar in _METAVARS.
+FLAG_NAMES = {"max_epochs": "epochs", "learning_rate": "lr", "target_stage": "target",
+              "embeddings_path": "embeddings", "stage_thresholds": "thresholds"}
+FLAG_HELP = {
+    "d": "dimensions per field",
+    "embeddings_path": "source matrix for --embedder ingest",
+    "max_tokens": "truncate each field to this many tokens first",
+    "normalize": "L2-normalize each field block (default on)",
+    "rerank": "feature-reranked neighbor retrieval (default on)",
+    "target_stage": "label stage to learn (default Type)",
+    "noise_sigma": "rater judgment noise",
+    "stage_thresholds": "stage thresholds, default %(default)s",
+}
+NO_FLAG = ("field_weights", "sources", "search_space")
+_METAVARS = {"ratios": "TR,VA,TE", "stage_thresholds": "SL,AR,OF"}
 _FLAG_TYPES = {"int": int, "float": float, "str": str, "tuple": _three_floats}
-_AUDIT_FIELDS = {f.name: f for f in fields(AuditConfig)}
 _TRAIN_FIELDS = [f.name for f in fields(TrainConfig) if f.name not in NO_FLAG + ("seed",)]
 
 
-def _add_config_flags(p: _Parser, names) -> None:
-    """One flag per AuditConfig field in ``names`` (see the tables by AuditConfig),
-    typed by the field's annotation and defaulting to the field's default."""
+def _add_config_flags(p: _Parser, names, cls=AuditConfig) -> None:
+    """One flag per field in ``names`` of the config dataclass ``cls`` (see the tables
+    above), typed by the field's annotation and defaulting to the field's default."""
+    by_name = {f.name: f for f in fields(cls)}
     for name in names:
-        f = _AUDIT_FIELDS[name]
+        f = by_name[name]
         flag = "--" + FLAG_NAMES.get(name, name).replace("_", "-")
         kind = f.type.split(" |")[0].split("[")[0]
         how = ({"action": argparse.BooleanOptionalAction} if kind == "bool"
                else {"type": _FLAG_TYPES[kind], "choices": CHOICES.get(name),
-                     "metavar": "TR,VA,TE" if kind == "tuple" else None})
+                     "metavar": _METAVARS.get(name)})
         p.add_argument(flag, dest=name, default=f.default, help=FLAG_HELP.get(name), **how)
 
 
@@ -139,11 +153,10 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True, help="number of profiles")
     p.add_argument("--vocab-size", type=int, default=400)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise-sigma", type=float, default=0.25, help="rater judgment noise")
+    _add_config_flags(p, ("noise_sigma",), RaterConfig)
     p.add_argument("--bias-shift", action="append", default=[], metavar="GROUP=SHIFT",
                    help="per-group threshold shift, e.g. 1=0.2 (repeatable)")
-    p.add_argument("--thresholds", type=_three_floats, default=(0.4, 0.5, 0.6),
-                   metavar="SL,AR,OF", help="stage thresholds (default 0.4,0.5,0.6)")
+    _add_config_flags(p, ("stage_thresholds",), RaterConfig)
     p.add_argument("--rater-seed", type=int, default=None,
                    help="rater panel seed (default: --seed + 1)")
     p.add_argument("--no-labels", action="store_true",
@@ -203,7 +216,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("audit", help="run the full pipeline")
     p.add_argument("--corpus", required=True)
-    _add_config_flags(p, [name for name in _AUDIT_FIELDS if name not in NO_FLAG])
+    _add_config_flags(p, [f.name for f in fields(AuditConfig) if f.name not in NO_FLAG])
     p.add_argument("--out", required=True, help="run directory")
 
     p = sub.add_parser("report", help="render a stored report")
@@ -221,14 +234,9 @@ def build_parser() -> _Parser:
 def _cmd_synth(args) -> int:
     profiles, latents = generate_synthetic_corpus(args.n, args.vocab_size, args.seed)
     if not args.no_labels and profiles:
-        config = RaterConfig(
-            noise_sigma=args.noise_sigma,
-            bias_shift=_bias_shift(args.bias_shift),
-            stage_thresholds=args.thresholds,
-            seed=args.rater_seed if args.rater_seed is not None else args.seed + 1,
-        )
-        decisions = simulate_raters(profiles, latents, config)
-        profiles = attach_stage_labels(profiles, decisions)
+        seed = args.rater_seed if args.rater_seed is not None else args.seed + 1
+        config = _config(RaterConfig, args, bias_shift=_bias_shift(args.bias_shift), seed=seed)
+        profiles = attach_stage_labels(profiles, simulate_raters(profiles, latents, config))
     save_corpus(profiles, args.out_corpus)
     latents_path = args.out_latents or f"{args.out_corpus}.latents.jsonl"
     save_latents(latents, latents_path)
@@ -260,8 +268,9 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    if args.trials_out and LEARNERS[args.family].space is None:
-        raise ValueError(f"--trials-out: family {args.family!r} is not searched")
+    if args.trials_out and not searches(args.family, args.search_trials):
+        at = f" at --search-trials {args.search_trials}" if LEARNERS[args.family].space else ""
+        raise ValueError(f"--trials-out: family {args.family!r} is not searched{at}")
     config = _config(AuditConfig, args, embedder="ingest", normalize=False)
     profiles = load_corpus(args.corpus)
     matrix = embed_profiles(profiles, config, config.seed)
@@ -272,7 +281,7 @@ def _cmd_train(args) -> int:
     model, trials = train_family(args.family, *rows, config)
     save_model(model, args.out)
     print(f"wrote {args.family} model to {args.out}")
-    if args.trials_out and trials is not None:
+    if args.trials_out:
         write_json(args.trials_out, trials)
         print(f"wrote trial log to {args.trials_out}")
     return 0

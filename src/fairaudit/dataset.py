@@ -521,13 +521,16 @@ def save_latents(latents: dict[str, LatentRecord], path) -> None:
 
 
 def load_latents(path) -> dict[str, LatentRecord]:
-    latents: dict[str, LatentRecord] = {}
+    records = []
     for line_no, obj in read_jsonl(path):
         with parsing(f"latents {path}", line_no):
-            latents[obj["id"]] = LatentRecord(
-                float(obj["q"]), int(obj["group"]), dict(obj.get("field_q", {}))
-            )
-    return latents
+            records.append((typed(obj, "id", str), LatentRecord(
+                float(typed(obj, "q", (int, float))), typed(obj, "group", int),
+                dict(obj.get("field_q", {})),
+            )))
+    with naming(path):
+        check_unique([pid for pid, _ in records], "latents")
+    return dict(records)
 
 
 # ---------------------------------------------------------------------------

@@ -170,8 +170,7 @@ def _hash_embed(texts, n: int, d: int, seed: int, max_tokens: int | None) -> np.
         where = np.concatenate([rows, rows[1:][inner]])
         np.add.at(out.reshape(-1), where * d + (codes >> 1), (codes & 1) * 2.0 - 1.0)
         start += len(chunk)
-    norms = np.sqrt(np.einsum("ij,ij->i", out, out))[:, None]
-    np.divide(out, norms, out=out, where=norms > 0)
+    scale_rows(out, *row_scales(out, _NORM_ELEMS))
     return out
 
 

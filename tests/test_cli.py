@@ -12,6 +12,7 @@ from fairaudit.classifiers import BoostedStumps, Stump, TrainConfig, save_model
 from fairaudit.cli import SUBCOMMANDS, _config, build_parser, main
 from fairaudit.dataset import (
     FIELD_ORDER,
+    RaterConfig,
     SplitAssignment,
     binarize_labels,
     load_corpus,
@@ -123,6 +124,18 @@ class TestRejectedValues:
                            str(tmp_path / "t.json"))
         assert code == 1, err
         assert err == "fairaudit train: error: --trials-out: family 'knn' is not searched\n"
+        assert not (tmp_path / "t.json").exists() and not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("family", ["stumps", "birnn"])
+    def test_trials_out_without_a_search(self, tmp_path, corpus, capsys, family):
+        # at the default --search-trials 1 no search runs, so no trial log would be written
+        code, _, err = run(capsys, "train", "--family", family, "--corpus", str(corpus),
+                           "--embeddings", str(tmp_path / "e.faem"), "--splits",
+                           str(tmp_path / "s.json"), "--out", str(tmp_path / "m.json"),
+                           "--trials-out", str(tmp_path / "t.json"))
+        assert code == 1, err
+        assert err == (f"fairaudit train: error: --trials-out: family {family!r} is not "
+                       "searched at --search-trials 1\n")
         assert not (tmp_path / "t.json").exists() and not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("flags, message", [
@@ -262,7 +275,7 @@ class TestPipelineChain:
 
 
 class TestStageFlags:
-    """The embed, split, train, predict and metrics flags that set a config field."""
+    """The synth, embed, split, train, predict and metrics flags that set a config field."""
 
     TRAIN_FIELDS = {f.name for f in fields(TrainConfig)} - {"search_space"}
 
@@ -275,9 +288,15 @@ class TestStageFlags:
           "--out", "m"], {"embeddings_path", "target_stage", "k", "metric", "d", *TRAIN_FIELDS}),
         (["predict", "--model", "m", "--embeddings", "e", "--out", "p"], {"d"}),
         (["metrics", "--predicted", "p", "--truth", "t"], {"averaging"}),
-    ], ids=["embed", "split", "train", "predict", "metrics"])
+        (["synth", "--n", "5", "--out-corpus", "c"],
+         {"seed", "noise_sigma", "bias_shift", "stage_thresholds"}),
+    ], ids=["embed", "split", "train", "predict", "metrics", "synth"])
     def test_defaults_are_config_defaults(self, argv, carried):
         args = build_parser().parse_args(argv)
+        if argv[0] == "synth":  # the seed and the GROUP=SHIFT entries are set by synth itself
+            assert {f.name for f in fields(RaterConfig) if hasattr(args, f.name)} == carried
+            assert _config(RaterConfig, args, bias_shift={}, seed=7) == RaterConfig(seed=7)
+            return
         assert {f.name for f in fields(AuditConfig) if hasattr(args, f.name)} == carried
         expected = replace(AuditConfig(), embeddings_path=getattr(args, "embeddings_path", None))
         assert _config(AuditConfig, args) == expected

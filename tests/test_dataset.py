@@ -387,6 +387,22 @@ class TestSyntheticCorpus:
         with pytest.raises(ParseError, match="line 2.*'group'"):
             load_latents(path)
 
+    @pytest.mark.parametrize("key, value", [("q", "0.5"), ("q", None), ("group", 1.7),
+                                            ("group", True), ("id", 3)])
+    def test_mistyped_latent_value_is_a_parse_error_naming_its_line(self, tmp_path, key, value):
+        path = tmp_path / "l.jsonl"
+        write_jsonl(path, [{"id": "P0", "q": 0.5, "group": 1, "field_q": {}},
+                           {"id": "P1", "q": 0.5, "group": 1, "field_q": {}, key: value}])
+        with pytest.raises(ParseError, match=f"line 2.*'{key}'"):
+            load_latents(path)
+
+    def test_repeated_latent_id_is_an_integrity_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        write_jsonl(path, [{"id": "A", "q": 0.5, "group": 1, "field_q": {}},
+                           {"id": "A", "q": 0.7, "group": 0, "field_q": {}}])
+        with pytest.raises(IntegrityError, match=r"l\.jsonl.*\['A'\]"):
+            load_latents(path)
+
     def test_group_absent_from_text(self):
         # flipping only the group draw cannot change the text, by construction:
         # the generator never consults the group when sampling tokens
