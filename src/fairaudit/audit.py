@@ -263,7 +263,6 @@ class AuditConfig(TrainConfig):
     max_tokens: int | None = None
     normalize: bool = True
     rerank: bool = True
-    candidate_pool: int | None = None  # must be >= k if given; the exact rerank ignores it
     field_weights: tuple[float, ...] | None = None
     target_stage: str = "Type"
     metrics_split: str = "test"
@@ -285,7 +284,7 @@ class AuditConfig(TrainConfig):
         if self.embedder == "hash":
             check_sizes(self.d, self.max_tokens)
         check_ratios(self.ratios)
-        check_k(self.k, self.candidate_pool if self.rerank else None)
+        check_k(self.k)
         if self.rerank:
             check_field_weights(self.field_weights, len(FIELD_ORDER))
 
@@ -349,16 +348,13 @@ def embed_profiles(profiles: list[Profile], config: AuditConfig, seed: int) -> E
     return normalize_field_blocks(matrix) if config.normalize else matrix
 
 
-def neighbor_structure(
-    matrix: EmbeddingMatrix, config: AuditConfig, batch_size: int | None = None
-) -> NeighborList:
-    """The k-NN structure ``config`` asks for over every row of ``matrix``;
-    ``batch_size`` is the tile height of the whole-row search."""
+def neighbor_structure(matrix: EmbeddingMatrix, config: AuditConfig) -> NeighborList:
+    """The k-NN structure ``config`` asks for over every row of ``matrix``."""
     if config.rerank:
         return knn_feature_reranked(
-            matrix, config.k, config.metric, config.candidate_pool, config.field_weights
+            matrix, config.k, config.metric, field_weights=config.field_weights
         )
-    return knn_batched(matrix, config.k, config.metric, batch_size=batch_size)
+    return knn_batched(matrix, config.k, config.metric)
 
 
 def training_rows(matrix: EmbeddingMatrix, truth: DecisionVector, split) -> tuple:

@@ -50,7 +50,7 @@ from .dataset import (
 from .embed import EmbeddingMatrix, load_matrix_file, save_embeddings
 from .errors import FairauditError
 from .fairness import METRIC_NAMES, classification_metrics, consistency
-from .simindex import check_batch_size, load_neighbors, save_neighbors
+from .simindex import load_neighbors, save_neighbors
 
 class UsageError(Exception):
     pass
@@ -174,8 +174,6 @@ def build_parser() -> _Parser:
     p.add_argument("--neighbors-out", default=None,
                    help="also write a k-NN structure over the embedded corpus")
     _add_config_flags(p, ("k", "metric", "rerank"))
-    p.add_argument("--batch-size", dest="query_batch", type=int, default=None,
-                   help="memory-bounded batched --no-rerank search for --neighbors-out")
 
     p = sub.add_parser("split", help="deterministic corpus split")
     p.add_argument("--corpus", required=True)
@@ -196,7 +194,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("predict",
                        help="predict decisions for every row of an embedding file")
     p.add_argument("--model", required=True)
-    p.add_argument("--embeddings", required=True)
+    p.add_argument("--embeddings", dest="embeddings_path", required=True)
     _add_config_flags(p, ("d",))
     p.add_argument("--out", required=True)
 
@@ -232,10 +230,10 @@ def build_parser() -> _Parser:
 
 
 def _cmd_synth(args) -> int:
+    seed = args.rater_seed if args.rater_seed is not None else args.seed + 1
+    config = _config(RaterConfig, args, bias_shift=_bias_shift(args.bias_shift), seed=seed)
     profiles, latents = generate_synthetic_corpus(args.n, args.vocab_size, args.seed)
     if not args.no_labels and profiles:
-        seed = args.rater_seed if args.rater_seed is not None else args.seed + 1
-        config = _config(RaterConfig, args, bias_shift=_bias_shift(args.bias_shift), seed=seed)
         profiles = attach_stage_labels(profiles, simulate_raters(profiles, latents, config))
     save_corpus(profiles, args.out_corpus)
     latents_path = args.out_latents or f"{args.out_corpus}.latents.jsonl"
@@ -246,13 +244,12 @@ def _cmd_synth(args) -> int:
 
 def _cmd_embed(args) -> int:
     config = _config(AuditConfig, args)  # a rejected value exits 1 before --out is written
-    check_batch_size(args.query_batch)
     profiles = load_corpus(args.corpus)
     matrix = embed_profiles(profiles, config, args.seed)
     save_embeddings(matrix, args.out)
     print(f"wrote {matrix.n}x{matrix.dim} matrix to {args.out}")
     if args.neighbors_out:
-        save_neighbors(neighbor_structure(matrix, config, args.query_batch), args.neighbors_out)
+        save_neighbors(neighbor_structure(matrix, config), args.neighbors_out)
         print(f"wrote k={config.k} neighbors to {args.neighbors_out}")
     return 0
 
@@ -291,9 +288,9 @@ def _cmd_predict(args) -> int:
     if args.d < 1:
         raise ValueError("--d must be at least 1")
     model = load_model(args.model)
-    ids, data = load_matrix_file(args.embeddings)
+    ids, data = load_matrix_file(args.embeddings_path)
     field_order = tuple(f"f{i}" for i in range(data.shape[1] // args.d))
-    with naming(args.embeddings):
+    with naming(args.embeddings_path):
         matrix = EmbeddingMatrix(data, args.d, field_order, tuple(ids))
     vector = predict_decisions(model, matrix)
     save_decisions(vector, args.out)

@@ -526,11 +526,21 @@ def load_latents(path) -> dict[str, LatentRecord]:
         with parsing(f"latents {path}", line_no):
             records.append((typed(obj, "id", str), LatentRecord(
                 float(typed(obj, "q", (int, float))), typed(obj, "group", int),
-                dict(obj.get("field_q", {})),
+                _field_q(obj),
             )))
     with naming(path):
         check_unique([pid for pid, _ in records], "latents")
     return dict(records)
+
+
+def _field_q(obj: dict) -> dict[str, float]:
+    """``obj["field_q"]``, rejected unless it holds a number for each judged field."""
+    field_q = typed(obj, "field_q", dict)
+    lacking = [name for name in JUDGED_FIELDS if isinstance(field_q.get(name), bool)
+               or not isinstance(field_q.get(name), (int, float))]
+    if lacking:
+        raise TypeError(f"'field_q' holds no number for {lacking}")
+    return dict(field_q)
 
 
 # ---------------------------------------------------------------------------

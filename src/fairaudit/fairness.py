@@ -43,15 +43,6 @@ class ConsistencyResult:
             "per_profile_gap": [float(g) for g in self.per_profile_gap],
         }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ConsistencyResult":
-        return cls(
-            float(obj["score"]),
-            int(obj["k"]),
-            int(obj["n"]),
-            np.asarray(obj["per_profile_gap"], dtype=np.float64),
-        )
-
 
 @dataclass(frozen=True)
 class ClassificationMetrics:

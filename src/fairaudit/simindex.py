@@ -426,7 +426,8 @@ def search(
     limit = n_ref - 1 if exclude_diagonal else n_ref
     if not 1 <= k <= limit:
         raise SizeError(f"k={k} out of range [1, {limit}] for {n_ref} reference rows")
-    check_batch_size(block)
+    if block is not None and block < 1:
+        raise ValueError(f"batch_size must be >= 1, got {block}")
     if not (np.isfinite(queries).all() and np.isfinite(reference).all()):
         raise NonFiniteError("search inputs must be finite")
     weights = np.ones(1) if weights is None else weights
@@ -472,18 +473,10 @@ def search(
     return neighbors, scores
 
 
-def check_k(k: int, candidate_pool: int | None = None) -> None:
-    """Reject a neighbor count below 1, or a candidate pool smaller than it."""
+def check_k(k: int) -> None:
+    """Reject a neighbor count below 1."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if candidate_pool is not None and candidate_pool < k:
-        raise ValueError(f"candidate_pool={candidate_pool} must be >= k={k}")
-
-
-def check_batch_size(batch_size: int | None) -> None:
-    """Reject a query batch size below 1 (None lets the search choose it)."""
-    if batch_size is not None and batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
 
 
 def check_field_weights(field_weights, n_fields: int) -> np.ndarray:
@@ -537,15 +530,14 @@ def knn_feature_reranked(
     matrix: EmbeddingMatrix,
     k: int,
     metric: str = "cosine",
-    candidate_pool: int | None = None,
+    *,
     field_weights=None,
     exclude_self: bool = True,
 ) -> NeighborList:
     """Exact top-k neighbors by the weighted mean of per-field-block similarities
     (equal weights by default; nonnegative, not all zero, finite sum): one
-    :func:`search` over the field blocks. ``candidate_pool`` is ignored apart
-    from the check that it is at least k: an exact search needs no pool."""
-    check_k(k, candidate_pool)
+    :func:`search` over the field blocks."""
+    check_k(k)
     weights = check_field_weights(field_weights, len(matrix.field_order))
     neighbors, scores = search(matrix.data, matrix.data, k, metric, exclude_self, weights=weights)
     return NeighborList(k, neighbors, scores, metric, exclude_self, matrix.index_order)
@@ -578,6 +570,9 @@ def neighbors_to_dict(nl: NeighborList) -> dict:
 
 def neighbors_from_dict(obj: dict, what: str = "neighbors") -> NeighborList:
     with parsing(what):
+        if isinstance(obj, dict) and "rows" not in obj and isinstance(obj.get("stages"), dict):
+            raise ValueError(f"holds one structure per stage {list(obj['stages'])}, as a run "
+                             "directory's neighbors.json does; expected one structure")
         rows = typed(obj, "rows", list)
         ids = tuple(typed(row, "id", str) for row in rows)
         named = [typed_list(row, "neighbors", str) for row in rows]

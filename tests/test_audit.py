@@ -373,7 +373,6 @@ class TestAuditConfig:
         ({"max_tokens": 0}, "max_tokens must be >= 1"),
         ({"k": 0}, "k must be >= 1"),
         ({"ratios": (0.5, 0.6, 0.1)}, "ratios must sum to 1"),
-        ({"candidate_pool": 4}, "candidate_pool=4 must be >= k=5"),
         ({"field_weights": (1.0, 1.0)}, "expected 5 field weights"),
         ({"field_weights": (1.0, -1.0, 1.0, 1.0, 1.0)}, "field weights must"),
         ({"field_weights": (0.0,) * 5}, "field weights must"),
@@ -385,9 +384,9 @@ class TestAuditConfig:
 
     def test_values_a_stage_ignores_are_not_checked(self):
         # ingested vectors are neither hashed nor truncated, and only the rerank
-        # takes a candidate pool and field weights
+        # takes field weights
         AuditConfig(embedder="ingest", embeddings_path="e.faem", d=1, max_tokens=0)
-        AuditConfig(rerank=False, candidate_pool=4, field_weights=(1.0,))
+        AuditConfig(rerank=False, field_weights=(1.0,))
 
 
 class TestCompareSources:

@@ -94,11 +94,11 @@ class TestRejectedValues:
         "synth --n 5 --noise-sigma -1 --out-corpus {tmp}/c.jsonl",
         "synth --n 5 --vocab-size 3 --out-corpus {tmp}/c.jsonl",
         "synth --n 5 --thresholds 0.6,0.5,0.4 --out-corpus {tmp}/c.jsonl",
+        "synth --n 5 --no-labels --thresholds 0.6,0.5,0.4 --noise-sigma -1"
+        " --out-corpus {tmp}/c.jsonl",
         "split --corpus {corpus} --ratios 0.5,0.6,0.1 --out {tmp}/s.json",
         "embed --corpus {corpus} --d 1 --out {tmp}/e.faem",
         "embed --corpus {corpus} --d 8 --max-tokens 0 --out {tmp}/e.faem",
-        "embed --corpus {corpus} --d 8 --out {tmp}/e.faem --neighbors-out {tmp}/n.json"
-        " --no-rerank --batch-size 0",
         "embed --corpus {corpus} --d 8 --out {tmp}/e.faem --neighbors-out {tmp}/n.json --k 0",
         "synth --n 5 --noise-sigma nan --out-corpus {tmp}/c.jsonl",
         # --k is a config field on every subcommand that takes it, so it is checked
@@ -141,9 +141,7 @@ class TestRejectedValues:
     @pytest.mark.parametrize("flags, message", [
         (["--k", "0", "--rerank"], "k must be >= 1"),
         (["--k", "0", "--no-rerank"], "k must be >= 1"),
-        (["--no-rerank", "--batch-size", "0"], "batch_size must be >= 1"),
-        (["--rerank", "--batch-size", "0"], "batch_size must be >= 1"),
-    ], ids=["--rerank", "--no-rerank", "--batch-size", "--rerank --batch-size"])
+    ], ids=["--rerank", "--no-rerank"])
     def test_embed_rejects_k_before_writing_the_matrix(self, tmp_path, corpus, capsys, flags,
                                                        message):
         code, _, err = run(capsys, "embed", "--corpus", str(corpus), "--d", "8", "--out",
@@ -157,7 +155,7 @@ class TestRejectedValues:
         ["--epochs", "2", "--patience", "5"], ["--search-trials", "0"], ["--batch-size", "0"],
         # values a pipeline stage checks, by the stage's own check function
         ["--d", "1"], ["--k", "0"], ["--max-tokens", "0"], ["--ratios", "0.5,0.6,0.1"],
-        ["--ratios", "1.2,-0.1,-0.1"], ["--candidate-pool", "1"],
+        ["--ratios", "1.2,-0.1,-0.1"],
         # NaN, infinite or negative learner rates, learner sizes below 1, NaN ratios
         ["--lr", "nan"], ["--lr", "inf"], ["--lr", "-0.1"], ["--reg-lambda", "-1"],
         ["--reg-lambda", "nan"], ["--rounds", "-1"], ["--rounds", "0"], ["--hidden-dim", "0"],
@@ -286,7 +284,8 @@ class TestStageFlags:
         (["split", "--corpus", "c", "--out", "s"], {"seed", "ratios", "stratify_on"}),
         (["train", "--family", "knn", "--corpus", "c", "--embeddings", "e", "--splits", "s",
           "--out", "m"], {"embeddings_path", "target_stage", "k", "metric", "d", *TRAIN_FIELDS}),
-        (["predict", "--model", "m", "--embeddings", "e", "--out", "p"], {"d"}),
+        (["predict", "--model", "m", "--embeddings", "e", "--out", "p"],
+         {"embeddings_path", "d"}),
         (["metrics", "--predicted", "p", "--truth", "t"], {"averaging"}),
         (["synth", "--n", "5", "--out-corpus", "c"],
          {"seed", "noise_sigma", "bias_shift", "stage_thresholds"}),
@@ -382,6 +381,19 @@ class TestMalformedArtifacts:
                              "--neighbors", str(tmp_path / "n.json"))
         assert (code, out) == (2, "")
         assert err == f"error: {tmp_path / 'n.json'}: 1 ids not found, e.g. ['zz']\n"
+
+    def test_run_directory_neighbors_file_names_its_stages(self, tmp_path, capsys):
+        ids = ["a", "b"]
+        structure = {"k": 1, "metric": "cosine", "excludes_self": True,
+                     "rows": [{"id": "a", "neighbors": ["b"], "scores": [1.0]},
+                              {"id": "b", "neighbors": ["a"], "scores": [1.0]}]}
+        write_json(tmp_path / "d.json", {"source": "x", "index_order": ids, "values": [1, 0]})
+        write_json(tmp_path / "n.json", {"stages": {"AR": structure, "OF": structure}})
+        code, out, err = run(capsys, "consistency", "--decisions", str(tmp_path / "d.json"),
+                             "--neighbors", str(tmp_path / "n.json"))
+        assert (code, out) == (2, "")
+        assert len(err.strip().splitlines()) == 1
+        assert str(tmp_path / "n.json") in err and "['AR', 'OF']" in err
 
 
 class TestDataErrorsNameTheFile:

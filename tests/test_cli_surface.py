@@ -14,7 +14,7 @@ from fairaudit.cli import _config, build_parser, main
 OPTION_STRINGS = {
     "synth": ["--bias-shift", "--help", "--n", "--no-labels", "--noise-sigma", "--out-corpus",
               "--out-latents", "--rater-seed", "--seed", "--thresholds", "--vocab-size", "-h"],
-    "embed": ["--batch-size", "--corpus", "--d", "--embedder", "--embeddings", "--help", "--k",
+    "embed": ["--corpus", "--d", "--embedder", "--embeddings", "--help", "--k",
               "--max-tokens", "--metric", "--neighbors-out", "--no-normalize", "--no-rerank",
               "--normalize", "--out", "--rerank", "--seed", "-h"],
     "split": ["--corpus", "--help", "--out", "--ratios", "--seed", "--stratify-on", "-h"],
@@ -25,7 +25,7 @@ OPTION_STRINGS = {
     "predict": ["--d", "--embeddings", "--help", "--model", "--out", "-h"],
     "consistency": ["--decisions", "--help", "--k", "--neighbors", "--out", "-h"],
     "metrics": ["--averaging", "--help", "--out", "--predicted", "--truth", "-h"],
-    "audit": ["--averaging", "--batch-size", "--candidate-pool", "--consistency-cells",
+    "audit": ["--averaging", "--batch-size", "--consistency-cells",
               "--consistency-split", "--corpus", "--d", "--embedder", "--embeddings", "--epochs",
               "--head-dim", "--help", "--hidden-dim", "--k", "--lr", "--max-tokens", "--metric",
               "--metrics-split", "--no-normalize", "--no-rerank", "--normalize", "--out",
@@ -50,6 +50,16 @@ def test_option_strings_unchanged():
         for name, sub in subparsers().items()
     }
     assert got == OPTION_STRINGS
+
+
+def test_each_option_string_has_one_dest():
+    # a flag that reaches different fields on different subcommands means different things
+    dests = {}
+    for name, sub in subparsers().items():
+        for action in sub._actions:
+            for option in action.option_strings:
+                dests.setdefault(option, {}).setdefault(action.dest, []).append(name)
+    assert {option: by_dest for option, by_dest in dests.items() if len(by_dest) > 1} == {}
 
 
 def test_audit_flag_defaults_are_config_defaults():

@@ -38,6 +38,9 @@ from fairaudit.errors import (
 )
 
 
+FIELD_Q = {name: 0.5 for name in FIELD_ORDER[:4]}  # a valid latent field_q
+
+
 def make_profile(pid, text="some text", labels=None, outcome=None, **fields):
     base = {name: text for name in FIELD_ORDER[:4]}
     base.update(fields)
@@ -382,24 +385,24 @@ class TestSyntheticCorpus:
 
     def test_malformed_latent_record_is_a_parse_error_naming_its_line(self, tmp_path):
         path = tmp_path / "l.jsonl"
-        write_jsonl(path, [{"id": "P0", "q": 0.5, "group": 1, "field_q": {}},
+        write_jsonl(path, [{"id": "P0", "q": 0.5, "group": 1, "field_q": FIELD_Q},
                            {"id": "P1", "q": 0.5}])
         with pytest.raises(ParseError, match="line 2.*'group'"):
             load_latents(path)
 
     @pytest.mark.parametrize("key, value", [("q", "0.5"), ("q", None), ("group", 1.7),
-                                            ("group", True), ("id", 3)])
+                                            ("group", True), ("id", 3), ("field_q", {})])
     def test_mistyped_latent_value_is_a_parse_error_naming_its_line(self, tmp_path, key, value):
         path = tmp_path / "l.jsonl"
-        write_jsonl(path, [{"id": "P0", "q": 0.5, "group": 1, "field_q": {}},
-                           {"id": "P1", "q": 0.5, "group": 1, "field_q": {}, key: value}])
+        write_jsonl(path, [{"id": "P0", "q": 0.5, "group": 1, "field_q": FIELD_Q},
+                           {"id": "P1", "q": 0.5, "group": 1, "field_q": FIELD_Q, key: value}])
         with pytest.raises(ParseError, match=f"line 2.*'{key}'"):
             load_latents(path)
 
     def test_repeated_latent_id_is_an_integrity_error_naming_the_file(self, tmp_path):
         path = tmp_path / "l.jsonl"
-        write_jsonl(path, [{"id": "A", "q": 0.5, "group": 1, "field_q": {}},
-                           {"id": "A", "q": 0.7, "group": 0, "field_q": {}}])
+        write_jsonl(path, [{"id": "A", "q": 0.5, "group": 1, "field_q": FIELD_Q},
+                           {"id": "A", "q": 0.7, "group": 0, "field_q": FIELD_Q}])
         with pytest.raises(IntegrityError, match=r"l\.jsonl.*\['A'\]"):
             load_latents(path)
 

@@ -226,13 +226,13 @@ def test_rerank_equals_a_stage_two_oracle(data, metric, weights, exclude_self, d
     n = len(data)
     limit = n - 1 if exclude_self else n
     k = draw.draw(st.integers(1, limit))
-    pool = draw.draw(st.one_of(st.none(), st.integers(k, n + 2)))
     matrix = matrix_of(data, n_fields=3)
     want_ids, want_scores = rerank_oracle(matrix, k, metric, weights, exclude_self)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simindex, "_BLOCK_ELEMS", draw.draw(st.integers(1, 200)))
         patch.setattr(simindex, "_GATHER_ELEMS", draw.draw(st.integers(1, 40)))
-        got = knn_feature_reranked(matrix, k, metric, pool, weights, exclude_self)
+        got = knn_feature_reranked(matrix, k, metric, field_weights=weights,
+                                   exclude_self=exclude_self)
     assert np.array_equal(got.neighbors, want_ids)
     assert np.array_equal(got.scores, want_scores)
 
@@ -261,8 +261,8 @@ def test_extreme_rows_equal_the_oracle(data, metric, weights, exclude_self, draw
         patch.setattr(simindex, "_BLOCK_ELEMS", draw.draw(st.integers(1, 200)))
         got = knn_exact(matrix_of(data), k, metric, exclude_self)
         got_q = search_queries(data[picks], data, k, metric)
-        got_rerank = knn_feature_reranked(matrix_of(data, n_fields=3), k, metric, None, weights,
-                                          exclude_self)
+        got_rerank = knn_feature_reranked(matrix_of(data, n_fields=3), k, metric,
+                                          field_weights=weights, exclude_self=exclude_self)
     for (ids, scores), (want_ids, want_scores) in zip(
         [astuple(got), got_q, astuple(got_rerank)], [want, want_q, want_rerank]
     ):

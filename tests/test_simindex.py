@@ -198,37 +198,29 @@ class TestFeatureReranked:
 
     def test_equal_weights_full_pool_matches_oracle(self):
         m = self._matrix(n=30)
-        nl = knn_feature_reranked(m, k=4, candidate_pool=29)
+        nl = knn_feature_reranked(m, k=4)
         expected = weighted_per_field_oracle(m, 4, np.ones(3))
         assert np.array_equal(nl.neighbors, expected)
 
     def test_nonuniform_weights_match_oracle(self):
         m = self._matrix(n=25, seed=3)
         weights = np.array([2.0, 0.5, 1.0])
-        nl = knn_feature_reranked(m, k=3, candidate_pool=24, field_weights=weights)
+        nl = knn_feature_reranked(m, k=3, field_weights=weights)
         expected = weighted_per_field_oracle(m, 3, weights)
         assert np.array_equal(nl.neighbors, expected)
 
     def test_single_field_weight_equals_block_search(self):
         m = self._matrix(n=35, seed=1)
-        nl = knn_feature_reranked(m, k=5, candidate_pool=34, field_weights=[0.0, 1.0, 0.0])
+        nl = knn_feature_reranked(m, k=5, field_weights=[0.0, 1.0, 0.0])
         block = matrix_of(m.field_block(1).copy())
         direct = knn_exact(block, k=5)
         assert np.array_equal(nl.neighbors, direct.neighbors)
 
-    def test_any_valid_pool_gives_the_default_result(self):
-        m = self._matrix(n=20, seed=2)
-        default = knn_feature_reranked(m, k=6, field_weights=[1, 2, 3])
-        for pool in (6, 7, 19, 50):
-            nl = knn_feature_reranked(m, k=6, candidate_pool=pool, field_weights=[1, 2, 3])
-            assert np.array_equal(nl.neighbors, default.neighbors)
-            assert np.array_equal(nl.scores, default.scores)
-
-    def test_pool_smaller_than_k_rejected(self):
-        # a rejected argument, checked before any data is touched: ValueError
+    def test_weights_are_keyword_only(self):
+        # the call of the removed candidate_pool argument must not run with equal weights
         m = self._matrix()
-        with pytest.raises(ValueError, match="candidate_pool=4 must be >= k=5"):
-            knn_feature_reranked(m, k=5, candidate_pool=4)
+        with pytest.raises(TypeError):
+            knn_feature_reranked(m, 5, "cosine", None, [1, 2, 3])
 
     def test_all_zero_weights_rejected(self):
         m = self._matrix()
