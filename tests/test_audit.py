@@ -373,6 +373,7 @@ class TestAuditConfig:
         ({"max_tokens": 0}, "max_tokens must be >= 1"),
         ({"k": 0}, "k must be >= 1"),
         ({"ratios": (0.5, 0.6, 0.1)}, "ratios must sum to 1"),
+        ({"k": 0, "rerank": False}, "k must be >= 1"),
         ({"field_weights": (1.0, 1.0)}, "expected 5 field weights"),
         ({"field_weights": (1.0, -1.0, 1.0, 1.0, 1.0)}, "field weights must"),
         ({"field_weights": (0.0,) * 5}, "field weights must"),

@@ -154,8 +154,8 @@ class TestRejectedValues:
     @pytest.mark.parametrize("flags", [
         ["--epochs", "2", "--patience", "5"], ["--search-trials", "0"], ["--batch-size", "0"],
         # values a pipeline stage checks, by the stage's own check function
-        ["--d", "1"], ["--k", "0"], ["--max-tokens", "0"], ["--ratios", "0.5,0.6,0.1"],
-        ["--ratios", "1.2,-0.1,-0.1"],
+        ["--d", "1"], ["--k", "0"], ["--k", "0", "--no-rerank"], ["--max-tokens", "0"],
+        ["--ratios", "0.5,0.6,0.1"], ["--ratios", "1.2,-0.1,-0.1"],
         # NaN, infinite or negative learner rates, learner sizes below 1, NaN ratios
         ["--lr", "nan"], ["--lr", "inf"], ["--lr", "-0.1"], ["--reg-lambda", "-1"],
         ["--reg-lambda", "nan"], ["--rounds", "-1"], ["--rounds", "0"], ["--hidden-dim", "0"],

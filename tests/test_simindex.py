@@ -1,12 +1,14 @@
 """Similarity, exact/batched k-NN, and feature-reranked retrieval."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairaudit.embed import EmbeddingMatrix
-from fairaudit.errors import DimensionMismatchError, NonFiniteError, SizeError
+from fairaudit.errors import DimensionMismatchError, NonFiniteError, ParseError, SizeError
 from fairaudit.simindex import (
     NeighborList,
     knn_batched,
@@ -254,6 +256,10 @@ class TestSearchQueries:
         with pytest.raises(NonFiniteError):
             search_queries(np.eye(3), reference, k=1)
 
+    def test_bad_batch_size(self):
+        with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
+            search_queries(np.eye(3), np.eye(3), k=1, batch_size=0)
+
 
 class TestNeighborListIO:
     def test_json_round_trip(self, tmp_path):
@@ -268,3 +274,12 @@ class TestNeighborListIO:
         assert loaded.index_order == nl.index_order
         assert np.array_equal(loaded.neighbors, nl.neighbors)
         assert np.allclose(loaded.scores, nl.scores, atol=0)
+
+    def test_run_directory_file_is_a_parse_error_naming_its_stages(self, tmp_path):
+        # a run directory's neighbors.json holds one structure per stage
+        nl = knn_exact(matrix_of(np.eye(4)), k=1)
+        save_neighbors(nl, tmp_path / "one.json")
+        one = json.loads((tmp_path / "one.json").read_text())
+        (tmp_path / "n.json").write_text(json.dumps({"stages": {"AR": one, "OF": one}}))
+        with pytest.raises(ParseError, match=r"\['AR', 'OF'\]"):
+            load_neighbors(tmp_path / "n.json")
