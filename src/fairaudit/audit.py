@@ -43,6 +43,7 @@ from .dataset import (
     SplitAssignment,
     binarize_labels,
     check_ratios,
+    check_stage,
     load_corpus,
     save_split,
     split_corpus,
@@ -283,7 +284,12 @@ class AuditConfig(TrainConfig):
         # what the pipeline stages check, by their own checks, before any data is read
         if self.embedder == "hash":
             check_sizes(self.d, self.max_tokens)
+        elif self.d < 1:
+            raise ValueError(f"d must be >= 1, got {self.d}")
         check_ratios(self.ratios)
+        check_stage(self.target_stage)
+        if self.stratify_on is not None:
+            check_stage(self.stratify_on)
         check_k(self.k)
         if self.rerank:
             check_field_weights(self.field_weights, len(FIELD_ORDER))

@@ -228,7 +228,7 @@ def birnn_train(
     best_params = None
     accuracies: list[float] = []
     n = len(x_train)
-    for _ in range(config.max_epochs):
+    for epoch in range(1, config.max_epochs + 1):
         perm = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch = perm[start : start + config.batch_size]
@@ -236,6 +236,8 @@ def birnn_train(
             grads = clf.backward_batch(cache, y_train[batch])
             for name, grad in grads.items():
                 clf.params[name] -= config.learning_rate * grad
+        if not all(np.isfinite(p).all() for p in clf.params.values()):
+            raise TrainingError(f"a weight is not finite after epoch {epoch}")
         acc = float(np.mean(clf.predict(x_val) == y_val))
         accuracies.append(acc)
         should_stop = stopper.update(acc)

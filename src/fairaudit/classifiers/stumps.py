@@ -383,7 +383,7 @@ def train_stumps(x: np.ndarray, y: np.ndarray, config) -> BoostedStumps:
     margin = np.full(n, base)
     stumps: list[Stump] = []
     losses: list[float] = []
-    for _ in range(config.rounds):
+    for round_no in range(1, config.rounds + 1):
         p = _sigmoid(margin)
         g = p - y
         h = p * (1.0 - p)
@@ -402,6 +402,8 @@ def train_stumps(x: np.ndarray, y: np.ndarray, config) -> BoostedStumps:
             threshold = above
         left = -lr * g_left / (h_left + lam)
         right = -lr * (g_total - g_left) / (h_total - h_left + lam)
+        if not np.isfinite([left, right]).all():
+            raise TrainingError(f"a leaf value is not finite in round {round_no}")
         stumps.append(Stump(int(feat), float(threshold), float(left), float(right)))
         margin = margin + np.where(x[:, feat] < threshold, left, right)
         losses.append(_logistic_loss(margin, y))

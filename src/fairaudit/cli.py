@@ -59,27 +59,18 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     """argparse with exit-code-1 usage errors and flag suggestions."""
 
-    # every option string ever registered, so the top-level parser can
-    # suggest subcommand flags for typos that bubble up to it
-    _all_options: set[str] = set()
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        _Parser._all_options.update(action.option_strings)
-        return action
+    def parse_known_args(self, args=None, namespace=None):
+        """A parser without subcommands reports its leftovers, hinting at its own flags."""
+        parsed, extras = super().parse_known_args(args, namespace)
+        if extras and self._subparsers is None:
+            flags = [f for f in self._option_string_actions if f not in extras]
+            close = [difflib.get_close_matches(t, flags, n=1) for t in extras if t.startswith("--")]
+            hints = "".join(f" (did you mean {c[0]!r}?)" for c in close if c)
+            self.error(f"unrecognized arguments: {' '.join(extras)}{hints}")
+        return parsed, extras
 
     def error(self, message):
-        suggestion = ""
-        if "unrecognized arguments:" in message:
-            bad = [t for t in message.split(":", 1)[1].split() if t.startswith("--")]
-            hints = []
-            for token in bad:
-                close = difflib.get_close_matches(token, sorted(_Parser._all_options), n=1)
-                if close:
-                    hints.append(f"did you mean {close[0]!r}?")
-            if hints:
-                suggestion = " (" + " ".join(hints) + ")"
-        raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}{suggestion}")
+        raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
 def _three_floats(text: str) -> tuple[float, float, float]:
@@ -255,8 +246,9 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    config = _config(AuditConfig, args)
     profiles = load_corpus(args.corpus)
-    split = split_corpus(profiles, args.ratios, args.seed, args.stratify_on)
+    split = split_corpus(profiles, config.ratios, config.seed, config.stratify_on)
     save_split(split, args.out)
     print(
         f"wrote split {len(split.train)}/{len(split.validation)}/{len(split.test)} to {args.out}"
@@ -285,13 +277,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    if args.d < 1:
-        raise ValueError("--d must be at least 1")
+    config = _config(AuditConfig, args, embedder="ingest")
     model = load_model(args.model)
-    ids, data = load_matrix_file(args.embeddings_path)
-    field_order = tuple(f"f{i}" for i in range(data.shape[1] // args.d))
-    with naming(args.embeddings_path):
-        matrix = EmbeddingMatrix(data, args.d, field_order, tuple(ids))
+    ids, data = load_matrix_file(config.embeddings_path)
+    field_order = tuple(f"f{i}" for i in range(data.shape[1] // config.d))
+    with naming(config.embeddings_path):
+        matrix = EmbeddingMatrix(data, config.d, field_order, tuple(ids))
     vector = predict_decisions(model, matrix)
     save_decisions(vector, args.out)
     print(f"wrote {len(ids)} decisions to {args.out}")

@@ -320,6 +320,12 @@ def save_corpus(profiles: list[Profile], path, format: str | None = None) -> Non
 # labels
 
 
+def check_stage(stage: str) -> None:
+    """Reject a stage that has no positive label."""
+    if stage not in POSITIVE_LABEL:
+        raise ValueError(f"unknown stage {stage!r}; expected one of {sorted(POSITIVE_LABEL)}")
+
+
 def binarize_labels(profiles: list[Profile], stage: str, strict: bool = False) -> DecisionVector:
     """Map one stage's categorical labels to a 0/1 vector in profile order.
 
@@ -328,8 +334,7 @@ def binarize_labels(profiles: list[Profile], stage: str, strict: bool = False) -
     neither the positive token nor the canonical negative raises instead.
     ``stage="Type"`` reads the outcome field.
     """
-    if stage not in POSITIVE_LABEL:
-        raise ValueError(f"unknown stage {stage!r}; expected one of {sorted(POSITIVE_LABEL)}")
+    check_stage(stage)
     raw: list[str | None] = []
     for p in profiles:
         raw.append(p.outcome if stage == OUTCOME_STAGE else p.labels.get(stage))
@@ -356,8 +361,7 @@ def attach_stage_labels(
     by_id = {p.id: p for p in profiles}
     values: dict[str, dict[str, str]] = {pid: {} for pid in by_id}
     for stage, vector in decisions.items():
-        if stage not in POSITIVE_LABEL:
-            raise ValueError(f"unknown stage {stage!r}")
+        check_stage(stage)
         for pid, v in zip(vector.index_order, vector.values):
             values[pid][stage] = POSITIVE_LABEL[stage] if v else NEGATIVE_LABEL[stage]
     out = []

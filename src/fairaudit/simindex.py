@@ -93,6 +93,7 @@ from .embed import EmbeddingMatrix
 from .errors import (
     AlignmentError,
     DimensionMismatchError,
+    IntegrityError,
     NonFiniteError,
     SizeError,
 )
@@ -122,6 +123,13 @@ class NeighborList:
             )
         if neighbors.shape[1] != self.k:
             raise AlignmentError(f"expected {self.k} columns, got {neighbors.shape[1]}")
+        ordered = np.sort(neighbors, axis=1)
+        twice = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        itself = (neighbors == np.arange(len(neighbors))[:, None]).any(axis=1)
+        for bad, what in ((twice, "names one neighbor twice"),
+                          (itself & self.excludes_self, "names itself, though self is excluded")):
+            if bad.any():
+                raise IntegrityError(f"neighbor row {int(np.argmax(bad))} {what}")
         neighbors.setflags(write=False)
         scores.setflags(write=False)
         object.__setattr__(self, "neighbors", neighbors)
@@ -537,7 +545,6 @@ def knn_feature_reranked(
     """Exact top-k neighbors by the weighted mean of per-field-block similarities
     (equal weights by default; nonnegative, not all zero, finite sum): one
     :func:`search` over the field blocks."""
-    check_k(k)
     weights = check_field_weights(field_weights, len(matrix.field_order))
     neighbors, scores = search(matrix.data, matrix.data, k, metric, exclude_self, weights=weights)
     return NeighborList(k, neighbors, scores, metric, exclude_self, matrix.index_order)

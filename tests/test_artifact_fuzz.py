@@ -272,6 +272,25 @@ def test_unknown_neighbor_id_is_an_integrity_error(artifacts, tmp_path, capsys):
     assert "nobody" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage, message", [
+    ("itself", "neighbor row 0 names itself"),
+    ("twice", "neighbor row 0 names one neighbor twice"),
+])
+def test_neighbor_row_naming_itself_or_one_neighbor_twice_is_an_integrity_error(
+        artifacts, tmp_path, capsys, damage, message):
+    obj = json.loads((artifacts / "nn.json").read_text())
+    row = obj["rows"][0]
+    assert obj["excludes_self"]
+    row["neighbors"][-1] = row["id"] if damage == "itself" else row["neighbors"][0]
+    damaged = tmp_path / "nn.json"
+    damaged.write_text(json.dumps(obj))
+    with pytest.raises(IntegrityError, match=message):
+        load_neighbors(damaged)
+    assert main(ARTIFACTS["neighbors"][2](artifacts, damaged)) == 2
+    err = capsys.readouterr().err
+    assert str(damaged) in err and message in err
+
+
 @pytest.mark.parametrize("damage", ["unknown id", "shared id"])
 def test_split_naming_a_foreign_or_shared_id_is_an_integrity_error(artifacts, damage, tmp_path):
     obj = json.loads((artifacts / "splits.json").read_text())

@@ -378,6 +378,9 @@ class TestAuditConfig:
         ({"field_weights": (1.0, -1.0, 1.0, 1.0, 1.0)}, "field weights must"),
         ({"field_weights": (0.0,) * 5}, "field weights must"),
         ({"field_weights": (1e308, 1e308, 1.0, 1.0, 1.0)}, "field weights must"),
+        ({"embedder": "ingest", "embeddings_path": "e.faem", "d": 0}, "d must be >= 1"),
+        ({"target_stage": "XX"}, "unknown stage 'XX'"),
+        ({"stratify_on": "XX"}, "unknown stage 'XX'"),
     ])
     def test_stage_checks_run_at_construction(self, values, message):
         with pytest.raises(ValueError, match=message):

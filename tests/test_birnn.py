@@ -191,6 +191,13 @@ class TestTraining:
         with pytest.raises(TrainingError):
             birnn_train(x, np.ones(40, dtype=np.int64), xv, yv, self._config())
 
+    def test_non_finite_weights_are_a_training_error(self):
+        # TrainConfig takes any finite rate; this one overflows the weights in the first epoch
+        x, y = separable_sequences(40, 6, seed=0)
+        xv, yv = separable_sequences(10, 6, seed=1)
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="after epoch 1$"):
+            birnn_train(x, y, xv, yv, self._config(learning_rate=1e200))
+
     def test_empty_validation_rejected(self):
         x, y = separable_sequences(40, 6, seed=0)
         with pytest.raises(TrainingError):
@@ -295,6 +302,26 @@ class TestRandomSearch:
                              search_space={"rounds": [10, 30], "learning_rate": (0.1, 0.4)})
         result = random_search("stumps", x, y, xv, yv, config)
         assert result.trials[result.best_index].val_accuracy >= 0.9
+
+    @pytest.mark.parametrize("family, rate, error", [
+        ("stumps", 1e308, "TrainingError: a leaf value is not finite in round 1"),
+        ("birnn", 1e200, "TrainingError: a weight is not finite after epoch 1"),
+    ])
+    def test_non_finite_trial_recorded_not_fatal(self, family, rate, error):
+        if family == "stumps":
+            rng = np.random.default_rng(3)
+            x, xv = rng.standard_normal((80, 6)), rng.standard_normal((40, 6))
+            y, yv = (x[:, 0] > 0).astype(np.int64), (xv[:, 0] > 0).astype(np.int64)
+        else:
+            x, y = separable_sequences(40, 6, seed=0)
+            xv, yv = separable_sequences(10, 6, seed=1)
+        config = TrainConfig(seed=1, search_trials=4, max_epochs=2, patience=2, rounds=5,
+                             hidden_dim=8, head_dim=8,
+                             search_space={"learning_rate": [0.1, rate]})
+        with np.errstate(all="ignore"):
+            result = random_search(family, x, y, xv, yv, config)
+        assert [t.error for t in result.trials if t.params["learning_rate"] == rate] == [error] * 2
+        assert result.trials[result.best_index].params["learning_rate"] == 0.1
 
     def test_all_trials_failing_raises(self):
         x, y, xv, yv = self._data()

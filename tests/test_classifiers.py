@@ -91,6 +91,14 @@ class TestTrainStumps:
         with pytest.raises(TrainingError, match="base"):
             train_stumps(x, np.ones(4, dtype=np.int64), TrainConfig())
 
+    def test_non_finite_leaf_is_a_training_error(self):
+        # TrainConfig takes any finite rate; this one takes the first leaves past the float range
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((80, 6))
+        y = (x[:, 0] > 0).astype(np.int64)
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="in round 1$"):
+            train_stumps(x, y, TrainConfig(rounds=5, learning_rate=1e308))
+
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((60, 12))

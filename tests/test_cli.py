@@ -108,6 +108,13 @@ class TestRejectedValues:
         " --k 0 --out {tmp}/m.json",
         "train --family birnn --corpus {corpus} --embeddings {tmp}/e.faem --splits {tmp}/s.json"
         " --lr nan --out {tmp}/m.json",
+        "embed --corpus {corpus} --embedder ingest --embeddings {tmp}/x.faem --d 0"
+        " --out {tmp}/e.faem",
+        "train --family stumps --corpus {corpus} --embeddings {tmp}/e.faem --splits {tmp}/s.json"
+        " --d 0 --out {tmp}/m.json",
+        # split and predict check their config before they open a file
+        "split --corpus {tmp}/missing.jsonl --stratify-on XX --out {tmp}/s.json",
+        "predict --model {tmp}/missing.json --embeddings {tmp}/x.faem --d 0 --out {tmp}/p.json",
     ])
     def test_rejected_value_exits_one(self, tmp_path, corpus, capsys, argv):
         code, _, err = run(capsys, *argv.format(tmp=tmp_path, corpus=corpus).split())
@@ -160,6 +167,9 @@ class TestRejectedValues:
         ["--lr", "nan"], ["--lr", "inf"], ["--lr", "-0.1"], ["--reg-lambda", "-1"],
         ["--reg-lambda", "nan"], ["--rounds", "-1"], ["--rounds", "0"], ["--hidden-dim", "0"],
         ["--head-dim", "0"], ["--ratios", "nan,0.5,0.5"],
+        # a stage name or an ingest width that no data can satisfy
+        ["--target", "XX"], ["--stratify-on", "XX"],
+        ["--embedder", "ingest", "--embeddings", "x.faem", "--d", "0"],
     ])
     def test_audit_rejects_its_config_before_reading_the_corpus(self, tmp_path, capsys, flags):
         code, _, err = run(capsys, "audit", "--corpus", str(tmp_path / "missing.jsonl"),

@@ -1,6 +1,7 @@
 """CLI flags generated from the config dataclasses: same surface, same defaults."""
 
 import argparse
+import re
 from dataclasses import replace
 
 import pytest
@@ -103,3 +104,22 @@ def test_rejected_config_is_a_one_line_usage_error(capsys, argv, field):
     err = capsys.readouterr().err
     assert field in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, token, hints", [
+    ("embed --corpus c --out e --batch-size 3", "--batch-size", []),
+    ("embed --corpus c --out e --neighbor-out n", "--neighbor-out", ["--neighbors-out"]),
+    ("predict --model m --embeddings e --out p --k 3", "--k", None),
+    ("embed --corpus c --out e --bogus 1", "--bogus", None),
+    ("synth --n 5 --out-corpus c --sed 7", "--sed", ["--seed"]),
+])
+def test_unknown_flag_is_reported_by_its_subcommand(capsys, argv, token, hints):
+    # the usage and the hint are the subcommand's own; None leaves the hint open
+    name = argv.split()[0]
+    assert main(argv.split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: fairaudit {name} ")
+    assert f"unrecognized arguments: {token}" in err
+    told = re.findall(r"did you mean '([^']*)'\?", err)
+    assert all(hint in OPTION_STRINGS[name] and hint != token for hint in told)
+    assert hints is None or told == hints

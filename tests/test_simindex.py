@@ -102,6 +102,8 @@ class TestKnnExact:
             knn_exact(m, k=3, exclude_self=True)
         with pytest.raises(SizeError):
             knn_exact(m, k=0)
+        with pytest.raises(SizeError):
+            knn_feature_reranked(m, k=0)
 
     def test_include_self_returns_self_first(self):
         m = matrix_of(np.eye(4))
