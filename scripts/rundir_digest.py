@@ -10,9 +10,12 @@ exceptions, the parts that differ between reruns with the same seeds:
   corpus path.
 
 Prints the sorted ``{relative path: sha256}`` map as JSON and, on the last
-line, the SHA-256 of that map.
+line, the SHA-256 of that map. Given two run directories, prints instead each
+relative path whose digest differs or that exists on one side only, and exits
+1 if there is any (0 if none).
 
     python scripts/rundir_digest.py RUN_DIR
+    python scripts/rundir_digest.py RUN_A RUN_B
 """
 
 from __future__ import annotations
@@ -45,9 +48,14 @@ def map_digest(digests: dict[str, str]) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1 or not Path(args[0]).is_dir():
-        print("usage: rundir_digest.py RUN_DIR", file=sys.stderr)
+    if len(args) not in (1, 2) or not all(Path(arg).is_dir() for arg in args):
+        print("usage: rundir_digest.py RUN_DIR [OTHER_RUN_DIR]", file=sys.stderr)
         return 2
+    if len(args) == 2:
+        a, b = (file_digests(Path(arg)) for arg in args)
+        differ = sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
+        print("".join(f"{name}\n" for name in differ), end="")
+        return 1 if differ else 0
     digests = file_digests(Path(args[0]))
     print(json.dumps(digests, indent=1, sort_keys=True))
     print(map_digest(digests))

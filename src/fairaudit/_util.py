@@ -216,8 +216,12 @@ def stream_array(arr: np.ndarray) -> dict:
 
 
 def decode_array(obj: dict) -> np.ndarray:
+    """``encode_array``'s inverse; a NaN or infinite value is a ValueError."""
     raw = base64.b64decode(typed(obj, "data", str), validate=True)
-    return np.frombuffer(raw, dtype="<f4").reshape(typed(obj, "shape", list)).astype(np.float64)
+    arr = np.frombuffer(raw, dtype="<f4").reshape(typed(obj, "shape", list))
+    if not np.isfinite(arr).all():
+        raise ValueError("array data holds a NaN or infinite value")
+    return arr.astype(np.float64)
 
 
 def derive_seeds(master: int, names: tuple[str, ...]) -> dict[str, int]:

@@ -230,15 +230,17 @@ def birnn_train(
     n = len(x_train)
     for epoch in range(1, config.max_epochs + 1):
         perm = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            batch = perm[start : start + config.batch_size]
-            _, cache = clf.forward_batch(x_train[batch])
-            grads = clf.backward_batch(cache, y_train[batch])
-            for name, grad in grads.items():
-                clf.params[name] -= config.learning_rate * grad
-        if not all(np.isfinite(p).all() for p in clf.params.values()):
-            raise TrainingError(f"a weight is not finite after epoch {epoch}")
-        acc = float(np.mean(clf.predict(x_val) == y_val))
+        # a diverging run overflows silently: the error below is its one message
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, config.batch_size):
+                batch = perm[start : start + config.batch_size]
+                _, cache = clf.forward_batch(x_train[batch])
+                grads = clf.backward_batch(cache, y_train[batch])
+                for name, grad in grads.items():
+                    clf.params[name] -= config.learning_rate * grad
+            if not all(np.isfinite(p).all() for p in clf.params.values()):
+                raise TrainingError(f"a weight is not finite after epoch {epoch}")
+            acc = float(np.mean(clf.predict(x_val) == y_val))
         accuracies.append(acc)
         should_stop = stopper.update(acc)
         if stopper.best_epoch == stopper.epoch:

@@ -400,8 +400,9 @@ def train_stumps(x: np.ndarray, y: np.ndarray, config) -> BoostedStumps:
             # the midpoint of adjacent floats rounds onto one of them, and
             # near the float maximum it overflows; the upper value still splits
             threshold = above
-        left = -lr * g_left / (h_left + lam)
-        right = -lr * (g_total - g_left) / (h_total - h_left + lam)
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below is the one message
+            left = -lr * g_left / (h_left + lam)
+            right = -lr * (g_total - g_left) / (h_total - h_left + lam)
         if not np.isfinite([left, right]).all():
             raise TrainingError(f"a leaf value is not finite in round {round_no}")
         stumps.append(Stump(int(feat), float(threshold), float(left), float(right)))

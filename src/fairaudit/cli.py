@@ -99,7 +99,7 @@ FLAG_HELP = {
     "d": "dimensions per field",
     "embeddings_path": "source matrix for --embedder ingest",
     "max_tokens": "truncate each field to this many tokens first",
-    "normalize": "L2-normalize each field block (default on)",
+    "normalize": "L2-normalize each field block of ingested vectors (default on)",
     "rerank": "feature-reranked neighbor retrieval (default on)",
     "target_stage": "label stage to learn (default Type)",
     "noise_sigma": "rater judgment noise",

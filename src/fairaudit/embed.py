@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -219,6 +219,19 @@ def normalize_field_blocks(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
     )
 
 
+def float32_rows(matrix: EmbeddingMatrix, normalize: bool = False) -> EmbeddingMatrix:
+    """``matrix`` (with the bits of :func:`normalize_field_blocks` if ``normalize``)
+    rounded to float32 values: into one new array, about ``_NORM_ELEMS`` entries at a time."""
+    blocks = matrix.data.reshape(-1, matrix.dim_per_field)
+    out = np.empty_like(blocks)
+    for at in range(0, len(blocks), step := max(1, _NORM_ELEMS // matrix.dim_per_field)):
+        chunk = blocks[at : at + step].copy()
+        if normalize:
+            scale_rows(chunk, *row_scales(chunk, _NORM_ELEMS))
+        out[at : at + step] = chunk.astype(np.float32)
+    return replace(matrix, data=out.reshape(matrix.data.shape))
+
+
 # ---------------------------------------------------------------------------
 # persistence
 
@@ -282,22 +295,24 @@ def _read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ParseError(f"inconsistent row widths {sorted(widths)}")
-    return ids, np.asarray(rows, dtype=np.float64)
+    data = np.asarray(rows, dtype=np.float64)
+    check_float32(data)
+    return ids, data.astype(np.float32).astype(np.float64)
 
 
 def load_matrix_file(path) -> tuple[list[str], np.ndarray]:
-    """Read a stored matrix, trying the binary format then the CSV fallback."""
+    """Read a stored matrix, trying the binary format then the CSV fallback, whose
+    values are rounded to float32 at read (one that float32 cannot hold is refused)."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
-    if magic == _MAGIC:
-        return _read_faem(path)
-    return _read_csv_matrix(path)
+    with naming(path):
+        return _read_faem(path) if magic == _MAGIC else _read_csv_matrix(path)
 
 
 def ingest_embeddings(path, expected_ids, d: int) -> EmbeddingMatrix:
     """Load externally computed embeddings in the order of ``expected_ids``.
     EmbeddingMatrix checks the width (``d`` per canonical field), the values and
-    the ids. Values are ingested as-is; :func:`normalize_field_blocks` normalizes."""
+    the ids. Values are the file's float32 values; :func:`normalize_field_blocks` normalizes."""
     expected_ids = tuple(expected_ids)
     ids, data = load_matrix_file(path)
     with naming(path):

@@ -7,6 +7,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
+from fairaudit import embed as embed_module
 from fairaudit.audit import (
     ALL_SOURCES,
     HUMAN_SOURCES,
@@ -16,11 +17,13 @@ from fairaudit.audit import (
     AuditReport,
     ReportRow,
     compare_sources,
+    embed_profiles,
     render_report,
     run_audit,
 )
 from fairaudit.classifiers import TrainConfig, io
 from fairaudit.dataset import (
+    FIELD_ORDER,
     POSITIVE_LABEL,
     RaterConfig,
     attach_stage_labels,
@@ -30,7 +33,13 @@ from fairaudit.dataset import (
     save_corpus,
     simulate_raters,
 )
-from fairaudit.embed import embed_corpus
+from fairaudit.embed import (
+    EmbeddingMatrix,
+    embed_corpus,
+    ingest_embeddings,
+    normalize_field_blocks,
+    save_embeddings,
+)
 from fairaudit.errors import IntegrityError, StageError
 from fairaudit.fairness import consistency
 from fairaudit.simindex import neighbors_from_dict
@@ -234,9 +243,9 @@ class TestRunAudit:
         config = small_config(embedder="ingest", embeddings_path=str(vectors), normalize=False,
                               sources=HUMAN_SOURCES + ("model:knn",))
         out = tmp_path / "runs" / "run"
-        with pytest.raises(StageError, match=r"\[write\].*overflows float32"):
+        with pytest.raises(StageError, match=r"\[embed\].*overflows float32"):
             run_audit(corpus, config, out_dir=out)
-        assert list(out.parent.iterdir()) == []  # no run directory, no hidden sibling
+        assert not out.parent.exists()  # no run directory, no hidden sibling
 
     def test_existing_run_dir(self, tmp_path, monkeypatch):
         corpus = make_corpus(tmp_path)
@@ -365,6 +374,50 @@ class TestRunAudit:
         assert set(log) == {"model:gbstumps", "model:birnn"}
         assert len(log["model:gbstumps"]) == 2
         assert calls == {"train_stumps": 2, "birnn_train": 2}
+
+
+def bits(data):
+    """The float64 bit patterns of ``data``."""
+    return np.asarray(data, dtype=np.float64).view(np.uint64)
+
+
+class TestEmbedProfiles:
+    """embed_profiles gives the one set of rows every stage reads: float32 values,
+    hashed blocks normalized once (by the embedder), chunking changing no bit."""
+
+    @pytest.fixture(params=[5, 100], ids=["norm_elems_5", "norm_elems_100"])
+    def profiles(self, request, tmp_path, monkeypatch):
+        monkeypatch.setattr(embed_module, "_NORM_ELEMS", request.param)
+        return load_corpus(make_corpus(tmp_path, n=30))
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_hashed_rows_are_rounded_and_not_normalized_again(self, profiles, normalize):
+        hashed = embed_corpus(profiles, d=8, seed=9).data
+        got = embed_profiles(profiles, AuditConfig(d=8, normalize=normalize), 9).data
+        assert np.array_equal(bits(got), bits(hashed.astype(np.float32)))
+        assert not np.array_equal(got, hashed)  # the rounding moved some entries
+
+    @pytest.mark.parametrize("suffix", ["faem", "csv"])
+    def test_ingested_rows_are_normalized_then_rounded(self, tmp_path, profiles, suffix):
+        ids = [p.id for p in profiles]
+        rng = np.random.default_rng(3)
+        data = rng.standard_normal((len(ids), 40)) * np.exp(rng.uniform(-5, 5, (len(ids), 1)))
+        data[2, :8] = 0.0  # a zero block stays zero
+        path = tmp_path / f"ext.{suffix}"
+        if suffix == "faem":
+            save_embeddings(EmbeddingMatrix(data, 8, FIELD_ORDER, ids), path)
+        else:
+            path.write_text("".join(",".join([pid, *map(repr, row.tolist())]) + "\n"
+                                    for pid, row in zip(ids, data)))
+        stored = ingest_embeddings(path, ids, 8).data
+        assert np.array_equal(bits(stored), bits(data.astype(np.float32)))  # rounded at read
+        config = AuditConfig(d=8, embedder="ingest", embeddings_path=str(path))
+        got = embed_profiles(profiles, config, 0).data
+        normalized = normalize_field_blocks(ingest_embeddings(path, ids, 8)).data
+        assert np.array_equal(bits(got), bits(normalized.astype(np.float32)))
+        assert not np.array_equal(got, normalized)
+        raw = embed_profiles(profiles, replace(config, normalize=False), 0).data
+        assert np.array_equal(bits(raw), bits(stored))  # the file's rows, with no pass
 
 
 class TestAuditConfig:

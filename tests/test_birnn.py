@@ -1,6 +1,8 @@
 """Bidirectional recurrent classifier: forward oracle, gradients, training,
 early stopping, and randomized hyperparameter search."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,14 @@ class TestTraining:
         xv, yv = separable_sequences(10, 6, seed=1)
         with np.errstate(all="ignore"), pytest.raises(TrainingError, match="after epoch 1$"):
             birnn_train(x, y, xv, yv, self._config(learning_rate=1e200))
+
+    def test_diverging_training_prints_no_warning(self):
+        x, y = separable_sequences(40, 6, seed=0)
+        xv, yv = separable_sequences(10, 6, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TrainingError, match="after epoch 1$"):
+                birnn_train(x, y, xv, yv, self._config(learning_rate=1e200))
 
     def test_empty_validation_rejected(self):
         x, y = separable_sequences(40, 6, seed=0)

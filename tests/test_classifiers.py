@@ -1,6 +1,7 @@
 """Retrieval kNN and boosted stumps."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,15 @@ class TestTrainStumps:
         y = (x[:, 0] > 0).astype(np.int64)
         with np.errstate(all="ignore"), pytest.raises(TrainingError, match="in round 1$"):
             train_stumps(x, y, TrainConfig(rounds=5, learning_rate=1e308))
+
+    def test_diverging_training_prints_no_warning(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((80, 6))
+        y = (x[:, 0] > 0).astype(np.int64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TrainingError, match="in round 1$"):
+                train_stumps(x, y, TrainConfig(rounds=5, learning_rate=1e308))
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)

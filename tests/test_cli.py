@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, artifact chaining."""
 
+import base64
 import json
 from dataclasses import fields, replace
 
@@ -336,11 +337,11 @@ class TestFrontEndsAgree:
 
     def test_cli_replays_the_run_directory(self, tmp_path, corpus, capsys):
         """CLI predict from the run's models and embeddings writes the run's model
-        decisions; CLI train --family knn on the run's embeddings and split writes
-        the run's kNN model. (Stumps and BiRNN train on the file's float32 rows, so
-        their models differ from the audit's.)"""
+        decisions; CLI train of each family, with the run's derived seeds and learner
+        flags, on the run's embeddings and split writes the run's model file; CLI
+        embed over the run's embeddings writes the run's AR neighbor structure."""
         run_dir = tmp_path / "run"
-        run_audit(corpus, self.CONFIG, run_dir)
+        seeds = run_audit(corpus, self.CONFIG, run_dir).metadata["derived_seeds"]
         emb = run_dir / "embeddings.faem"
         for name in ("knn", "gbstumps", "birnn"):
             model, out = run_dir / "models" / f"{name}.json", tmp_path / f"{name}.json"
@@ -349,12 +350,24 @@ class TestFrontEndsAgree:
             assert code == 0, err
             expected = json.loads((run_dir / f"decisions_model_{name}.json").read_text())
             assert json.loads(out.read_text()) == expected, name
-        model = tmp_path / "knn_model.json"
-        code, _, err = run(capsys, "train", "--family", "knn", "--corpus", str(corpus),
-                           "--embeddings", str(emb), "--splits", str(run_dir / "splits.json"),
-                           "--d", "8", "--out", str(model))
+        learner_flags = ["--epochs", "2", "--patience", "2", "--rounds", "10",
+                         "--hidden-dim", "4", "--head-dim", "4"]
+        for family, name, seed in (("knn", "knn", 0), ("stumps", "gbstumps", seeds["stumps"]),
+                                   ("birnn", "birnn", seeds["birnn"])):
+            model = tmp_path / f"{family}_model.json"
+            code, _, err = run(capsys, "train", "--family", family, "--corpus", str(corpus),
+                               "--embeddings", str(emb), "--splits", str(run_dir / "splits.json"),
+                               "--d", "8", "--seed", str(seed), *learner_flags,
+                               "--out", str(model))
+            assert code == 0, err
+            assert model.read_bytes() == (run_dir / "models" / f"{name}.json").read_bytes(), name
+        neighbors = tmp_path / "n.json"
+        code, _, err = run(capsys, "embed", "--embedder", "ingest", "--embeddings", str(emb),
+                           "--corpus", str(corpus), "--d", "8", "--no-normalize",
+                           "--out", str(tmp_path / "e.faem"), "--neighbors-out", str(neighbors))
         assert code == 0, err
-        assert model.read_bytes() == (run_dir / "models" / "knn.json").read_bytes()
+        stages = json.loads((run_dir / "neighbors.json").read_text())["stages"]
+        assert json.loads(neighbors.read_text()) == stages["AR"]
 
 
 class TestMalformedArtifacts:
@@ -369,6 +382,31 @@ class TestMalformedArtifacts:
                            "--d", "4", "--out", str(tmp_path / "p.json"))
         assert code == 2, err
         assert err == "error: feature count mismatch: expected at least 35, got 20\n"
+
+    @pytest.mark.parametrize("family, blob, where", [
+        ("birnn", "w_2", slice(None)), ("knn", "reference", 7),
+    ])
+    def test_non_finite_model_blob_names_the_file(self, tmp_path, corpus, capsys, family, blob,
+                                                   where):
+        emb, splits, model = tmp_path / "e.faem", tmp_path / "s.json", tmp_path / "m.json"
+        assert run(capsys, "embed", "--corpus", str(corpus), "--d", "8", "--out", str(emb))[0] == 0
+        assert run(capsys, "split", "--corpus", str(corpus), "--out", str(splits))[0] == 0
+        code, _, err = run(capsys, "train", "--family", family, "--corpus", str(corpus),
+                           "--embeddings", str(emb), "--splits", str(splits), "--d", "8",
+                           "--epochs", "1", "--patience", "1", "--out", str(model))
+        assert code == 0, err
+        obj = json.loads(model.read_text())
+        body = obj["model"]["weights"] if family == "birnn" else obj["model"]
+        values = np.frombuffer(base64.b64decode(body[blob]["data"]), "<f4").copy()
+        values[where] = np.nan
+        body[blob]["data"] = base64.b64encode(values.tobytes()).decode()
+        model.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "predict", "--model", str(model), "--embeddings", str(emb),
+                             "--d", "8", "--out", str(tmp_path / "p.json"))
+        assert (code, out) == (2, "")
+        assert len(err.strip().splitlines()) == 1
+        assert str(model) in err and "NaN or infinite" in err
+        assert not (tmp_path / "p.json").exists()
 
     def test_neighbor_file_with_k_zero(self, tmp_path, capsys):
         ids = ["a", "b"]

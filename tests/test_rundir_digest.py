@@ -1,4 +1,5 @@
-"""scripts/rundir_digest.py: two runs of one audit with the same seed share a digest."""
+"""scripts/rundir_digest.py: two runs of one audit with the same seed share a digest,
+and the two-directory form lists the files where two runs differ."""
 
 import shutil
 import subprocess
@@ -49,7 +50,36 @@ def test_same_seed_same_digest(tmp_path):
     assert digest(tmp_path / "c") != first
 
 
+def test_two_runs_list_the_files_that_differ(tmp_path):
+    profiles, latents = generate_synthetic_corpus(120, 100, seed=4)
+    decisions = simulate_raters(profiles, latents, RaterConfig(noise_sigma=0.25, seed=5))
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus(attach_stage_labels(profiles, decisions), corpus)
+    for name, seed in (("a", 7), ("b", 7), ("c", 8)):
+        audit(corpus, tmp_path / name, seed=seed)
+    (tmp_path / "c" / "extra.txt").write_text("only here")
+
+    def compare(x, y):
+        return subprocess.run([sys.executable, str(SCRIPT), str(tmp_path / x), str(tmp_path / y)],
+                              capture_output=True, text=True)
+
+    same = compare("a", "b")
+    assert (same.returncode, same.stdout, same.stderr) == (0, "", "")
+    other = compare("a", "c")
+    assert other.returncode == 1
+    listed = other.stdout.splitlines()
+    assert listed == sorted(listed)
+    assert {"config.json", "splits.json", "report.json", "extra.txt"} <= set(listed)
+    assert "corpus.sha256" not in listed  # the same corpus
+
+
 def test_not_a_directory_exits_2(tmp_path):
     done = subprocess.run([sys.executable, str(SCRIPT), str(tmp_path / "missing")],
+                          capture_output=True, text=True)
+    assert done.returncode == 2
+
+
+def test_more_than_two_arguments_exit_2(tmp_path):
+    done = subprocess.run([sys.executable, str(SCRIPT), *[str(tmp_path)] * 3],
                           capture_output=True, text=True)
     assert done.returncode == 2
