@@ -178,7 +178,9 @@ def scale_rows(rows: np.ndarray, shifts: np.ndarray, norms: np.ndarray) -> None:
 def check_float32(arr: np.ndarray) -> None:
     """NonFiniteError if a finite entry of ``arr`` overflows to inf as float32. Reductions
     only, so no float32 copy is made; NaN or inf entries are masked out when present."""
-    if arr.size == 0 or -_FLOAT32_OVERFLOW < arr.min() <= arr.max() < _FLOAT32_OVERFLOW:
+    if arr.size == 0 or np.can_cast(arr.dtype, np.float32):  # nothing can overflow
+        return
+    if -_FLOAT32_OVERFLOW < arr.min() <= arr.max() < _FLOAT32_OVERFLOW:
         return
     finite = np.isfinite(arr)
     top = max(arr.max(where=finite, initial=0.0), -arr.min(where=finite, initial=0.0))

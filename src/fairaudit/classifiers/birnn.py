@@ -5,8 +5,19 @@ second cell with its own weights reads them in reverse; the two final hidden
 states are concatenated and fed to a small head (linear, rectifier, linear,
 log-softmax over two classes). Gradients are hand-derived backpropagation
 through time, verified by :func:`gradient_check` against central finite
-differences. All arithmetic is float64 and every routine is a pure function
-of its inputs and seed.
+differences. Every routine is a pure function of its inputs and seed.
+
+Precision. A pass computes in the dtype of the model's params. A directly
+constructed model holds float64 params, which :func:`gradient_check` needs.
+:func:`birnn_train` rounds its initial draws to float32 and trains and
+validates in float32, and a loaded model holds its file's float32 weights, so
+a trained model and its saved copy hold the same weights and predict alike.
+
+Layout. A minibatch projects every field of both directions with one input
+GEMM, and the two directions step together through a block-diagonal recurrent
+weight: step t reads field t forward and field ``steps - 1 - t`` backward.
+Rows are cast to the params' dtype a minibatch or a ``_CHUNK_ELEMS``-entry
+predict chunk at a time, never as a copy of the whole input.
 """
 
 from __future__ import annotations
@@ -31,6 +42,10 @@ _PARAM_SHAPES = (
     ("w_2", lambda d, h, m: (m, 2)),
     ("b_2", lambda d, h, m: (2,)),
 )
+
+# Entries of input rows that ``predict`` casts to the params' dtype at a time. It
+# bounds working memory; no result depends on it.
+_CHUNK_ELEMS = 1 << 18
 
 
 @dataclass
@@ -75,7 +90,10 @@ class BiRnnClassifier:
         if min(dims) < 1:
             raise ValueError(f"model dimensions must be positive, got {dims}")
         weights = typed(obj, "weights", dict)
-        params = {name: decode_array(typed(weights, name, dict)) for name, _ in _PARAM_SHAPES}
+        params = {
+            name: decode_array(typed(weights, name, dict)).astype(np.float32)
+            for name, _ in _PARAM_SHAPES
+        }
         for name, shape_of in _PARAM_SHAPES:
             if params[name].shape != shape_of(*dims[:3]):
                 raise ValueError(f"weight {name!r} has shape {params[name].shape}")
@@ -84,7 +102,7 @@ class BiRnnClassifier:
     # forward / backward -----------------------------------------------------
 
     def _check_batch(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
         if x.ndim != 3 or x.shape[1] != self.steps or x.shape[2] != self.input_dim:
             raise DimensionMismatchError(
                 (self.steps, self.input_dim), x.shape[1:], "sequence shape"
@@ -93,24 +111,29 @@ class BiRnnClassifier:
 
     def forward_batch(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
         """Log-probabilities (B, 2) and the cache needed for backprop."""
-        x = self._check_batch(x)
         p = self.params
-        batch = x.shape[0]
-        states = {}  # xs[:, step] of the reversed view is x[:, steps - 1 - step], the same array
-        for direction, xs in (("f", x), ("b", x[:, ::-1])):
-            h = [np.zeros((batch, self.hidden_dim))]
-            for step in range(self.steps):
-                pre = xs[:, step] @ p[f"w_x{direction}"] + h[-1] @ p[f"w_h{direction}"]
-                h.append(np.tanh(pre + p[f"b_{direction}"]))
-            states[direction] = h
-        z = np.concatenate([states["f"][-1], states["b"][-1]], axis=1)
+        dtype = np.result_type(*p.values())
+        x = self._check_batch(x).astype(dtype, copy=False)
+        batch, h = x.shape[0], self.hidden_dim
+        w_x = np.concatenate([p["w_xf"], p["w_xb"]], axis=1)
+        w_h = np.zeros((2 * h, 2 * h), dtype)
+        w_h[:h, :h], w_h[h:, h:] = p["w_hf"], p["w_hb"]
+        projected = (x.reshape(batch * self.steps, -1) @ w_x).reshape(batch, self.steps, 2 * h)
+        pre = _swap_order(projected, seq_axis=1)
+        pre += np.concatenate([p["b_f"], p["b_b"]])
+        states = np.zeros((self.steps + 1, batch, 2 * h), dtype)  # states[0]: h_0 = 0
+        np.tanh(pre[0], out=states[1])
+        for step in range(1, self.steps):
+            np.add(pre[step], states[step] @ w_h, out=states[step + 1])
+            np.tanh(states[step + 1], out=states[step + 1])
+        z = states[-1]  # [forward final state, backward final state]
         a_pre = z @ p["w_1"] + p["b_1"]
         a = np.maximum(a_pre, 0.0)
         logits = a @ p["w_2"] + p["b_2"]
         shift = logits - logits.max(axis=1, keepdims=True)
         log_prob = shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
         cache = {
-            "x": x, "states": states, "z": z,
+            "x": x, "w_h": w_h, "states": states, "z": z,
             "a_pre": a_pre, "a": a, "log_prob": log_prob,
         }
         return log_prob, cache
@@ -118,8 +141,8 @@ class BiRnnClassifier:
     def backward_batch(self, cache: dict, y: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of the mean negative log-likelihood over the batch."""
         p = self.params
-        x = cache["x"]
-        batch = x.shape[0]
+        x, states = cache["x"], cache["states"]
+        batch, h = x.shape[0], self.hidden_dim
         probs = np.exp(cache["log_prob"])
         d_logits = probs.copy()
         d_logits[np.arange(batch), y] -= 1.0
@@ -132,22 +155,21 @@ class BiRnnClassifier:
         d_a_pre = d_a * (cache["a_pre"] > 0.0)
         grads["w_1"] = cache["z"].T @ d_a_pre
         grads["b_1"] = d_a_pre.sum(axis=0)
-        d_z = d_a_pre @ p["w_1"].T
-        h = self.hidden_dim
-        for direction, d_h, xs in (("f", d_z[:, :h], x), ("b", d_z[:, h:], x[:, ::-1])):
-            states = cache["states"][direction]
-            gw_x = np.zeros_like(p[f"w_x{direction}"])
-            gw_h = np.zeros_like(p[f"w_h{direction}"])
-            gb = np.zeros_like(p[f"b_{direction}"])
-            for step in range(self.steps - 1, -1, -1):
-                d_pre = d_h * (1.0 - states[step + 1] ** 2)
-                gw_x += xs[:, step].T @ d_pre
-                gw_h += states[step].T @ d_pre
-                gb += d_pre.sum(axis=0)
-                d_h = d_pre @ p[f"w_h{direction}"].T
-            grads[f"w_x{direction}"] = gw_x
-            grads[f"w_h{direction}"] = gw_h
-            grads[f"b_{direction}"] = gb
+        d_h = d_a_pre @ p["w_1"].T
+        d_pre = 1.0 - states[1:] ** 2  # times d_h, step by step below
+        for step in range(self.steps - 1, -1, -1):
+            d_pre[step] *= d_h
+            if step:
+                d_h = d_pre[step] @ cache["w_h"].T
+        flat = d_pre.reshape(self.steps * batch, 2 * h)
+        g_h = states[:-1].reshape(self.steps * batch, 2 * h).T @ flat  # off-diagonal blocks unused
+        g_b = flat.sum(axis=0)
+        by_field = _swap_order(d_pre, seq_axis=0).reshape(batch * self.steps, 2 * h)
+        g_x = x.reshape(batch * self.steps, -1).T @ by_field
+        grads.update(
+            w_xf=g_x[:, :h], w_hf=g_h[:h, :h], b_f=g_b[:h],
+            w_xb=g_x[:, h:], w_hb=g_h[h:, h:], b_b=g_b[h:],
+        )
         return grads
 
     def loss(self, x: np.ndarray, y: np.ndarray) -> float:
@@ -155,8 +177,24 @@ class BiRnnClassifier:
         return float(-log_prob[np.arange(len(y)), y].mean())
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        log_prob, _ = self.forward_batch(x)
-        return np.argmax(log_prob, axis=1)
+        x = self._check_batch(x)
+        decisions = np.empty(len(x), np.int64)
+        step = max(1, _CHUNK_ELEMS // (self.steps * self.input_dim))
+        for start in range(0, len(x), step):
+            log_prob, _ = self.forward_batch(x[start : start + step])
+            decisions[start : start + step] = np.argmax(log_prob, axis=1)
+        return decisions
+
+
+def _swap_order(a: np.ndarray, seq_axis: int) -> np.ndarray:
+    """Field order (B, S, 2H) to step order (S, B, 2H), ``seq_axis=1``, or back,
+    ``seq_axis=0``, in a new array: the first two axes swapped and the backward
+    half of the last axis reversed along the sequence axis."""
+    h = a.shape[2] // 2
+    out = np.empty((a.shape[1], a.shape[0], a.shape[2]), a.dtype)
+    out[..., :h] = a[..., :h].transpose(1, 0, 2)
+    out[..., h:] = np.flip(a[..., h:], axis=seq_axis).transpose(1, 0, 2)
+    return out
 
 
 def birnn_forward(clf: BiRnnClassifier, sequence: np.ndarray) -> np.ndarray:
@@ -208,7 +246,9 @@ def birnn_train(
 
     Stops once ``config.patience`` consecutive epochs pass without a strict
     improvement in validation accuracy (or at ``config.max_epochs``), and
-    returns the snapshot from the best epoch, not the last one.
+    returns the snapshot from the best epoch, not the last one. The model starts
+    from ``BiRnnClassifier``'s seeded draws rounded to float32 and trains and
+    validates in float32, the precision of its saved weights.
     """
     y_train = np.asarray(y_train, dtype=np.int64)
     y_val = np.asarray(y_val, dtype=np.int64)
@@ -221,6 +261,7 @@ def birnn_train(
     clf = BiRnnClassifier(
         d, config.hidden_dim, config.head_dim, steps=steps, seed=config.seed
     )
+    clf.params = {name: param.astype(np.float32) for name, param in clf.params.items()}
     x_train = clf._check_batch(x_train)
     x_val = clf._check_batch(x_val)
     rng = np.random.default_rng([config.seed, 1])

@@ -12,10 +12,10 @@ score and rank, ties by row index: the screen's precision changes no result.
 Memory. No float64 copy of the rows is made. The kernel gathers the caller's rows
 of the pairs it scores and, for cosine, divides them elementwise by their norms
 (:func:`~fairaudit._util.row_scales`; a norm of exactly 1 skips the divide), which
-gives the bits of unit rows; a query row is scaled once per gather of its pairs. The
-float32 screen copies are made from the caller's rows, scaled as the kernel scales
-them, ``_GATHER_ELEMS`` entries at a time. Beyond them a search holds tiles of a
-fixed size and, per row, k floats and its candidates.
+gives the bits of unit rows; a query row is scaled once per rescore, unless its pairs
+fill more than one gather. The float32 screen copies are made from the caller's
+rows, scaled as the kernel scales them, ``_GATHER_ELEMS`` entries at a time. Beyond
+them a search holds tiles of a fixed size and, per row, k floats and its candidates.
 
 Screen error. The screen reads float32 copies of the rows the kernel scores: unit
 rows for cosine, and for euclidean each field's rows times the power of two ``c``
@@ -375,21 +375,30 @@ def _tile_shape(width: int, n_fields: int, metric: str, symmetric: bool, block):
 
 
 def _pair_scores(q: _Rows, ref: _Rows, rows, cols, metric: str) -> np.ndarray:
-    """Pair-kernel scores of ``(q[rows[i]], ref[cols[i]])``, a row-wise einsum of ``q * r``
-    (cosine) or ``(q - r)**2`` (euclidean), each query row scaled once per gather: a
-    score depends on its two rows alone, not on how many pairs are scored, where they
-    sit in memory or on BLAS."""
+    """Pair-kernel scores of ``(q[rows[i]], ref[cols[i]])`` (``rows`` sorted), a row-wise
+    einsum of ``q * r`` (cosine) or ``(q - r)**2`` (euclidean): a score depends on its
+    two rows alone, not on how many pairs are scored, where they sit in memory or on
+    BLAS. The pairs go in chunks of at most ``_GATHER_ELEMS // width`` that end at a
+    query row's last pair unless that row's pairs fill a chunk, so a query row is
+    gathered and scaled once unless its pairs fill more than one chunk."""
     dots = np.empty(len(rows))
     step = max(1, _GATHER_ELEMS // max(1, q.rows.shape[1]))
     a = np.empty((min(step, len(rows)), q.rows.shape[1]))  # refilled: one buffer per call
-    for start in range(0, len(rows), step):
-        each, at = np.unique(rows[start : start + step], return_inverse=True)
+    start = 0
+    while start < len(rows):
+        stop = start + step
+        if stop < len(rows):
+            first = int(np.searchsorted(rows, rows[stop]))  # of the row at the cut
+            if first > start:
+                stop = first
+        each, at = np.unique(rows[start:stop], return_inverse=True)
         left = np.take(_gather(q, each), at, axis=0, out=a[: len(at)], mode="clip")
-        b = _gather(ref, cols[start : start + step])
+        b = _gather(ref, cols[start:stop])
         if metric != "cosine":
             left = np.subtract(left, b, out=b)
-        dots[start : start + step] = np.einsum("ij,ij->i", left, b)
+        dots[start:stop] = np.einsum("ij,ij->i", left, b)
         del b, left  # before the next gather
+        start = stop
     return dots if metric == "cosine" else -np.sqrt(dots)
 
 

@@ -1,6 +1,7 @@
 """Bidirectional recurrent classifier: forward oracle, gradients, training,
 early stopping, and randomized hyperparameter search."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -228,8 +229,64 @@ class TestTraining:
         model, _ = birnn_train(x, y, xv, yv, self._config(max_epochs=3, patience=3))
         save_model(model, tmp_path / "m.json")
         loaded = load_model(tmp_path / "m.json")
-        # float32 storage may flip only examples that sit on the boundary
-        assert np.mean(loaded.predict(xv) == model.predict(xv)) == 1.0
+        # the model trains in float32, the precision of the file: it holds the same weights
+        for name, param in model.params.items():
+            assert param.dtype == loaded.params[name].dtype == np.float32
+            assert np.array_equal(loaded.params[name], param)
+        assert np.array_equal(loaded.predict(xv), model.predict(xv))
+
+
+class TestPrecision:
+    def test_float32_gradients_match_float64(self):
+        """One kernel: on the same float32-valued params and inputs, float32 gradients
+        are float64's within float32 rounding."""
+        rng = np.random.default_rng(11)
+        wide = BiRnnClassifier(6, 8, 4, seed=11)
+        for param in wide.params.values():
+            param[:] = rng.uniform(-0.6, 0.6, param.shape).astype(np.float32)
+        narrow = BiRnnClassifier(
+            6, 8, 4, seed=11, params={n: p.astype(np.float32) for n, p in wide.params.items()}
+        )
+        x = rng.standard_normal((7, 5, 6)).astype(np.float32)
+        y = rng.integers(0, 2, 7)
+        want = wide.backward_batch(wide.forward_batch(x.astype(np.float64))[1], y)
+        log_prob, cache = narrow.forward_batch(x)
+        got = narrow.backward_batch(cache, y)
+        assert log_prob.dtype == np.float32
+        assert set(got) == set(want) == set(wide.params)
+        for name, grad in got.items():
+            assert grad.dtype == np.float32 and grad.shape == wide.params[name].shape
+            np.testing.assert_allclose(grad, want[name], rtol=1e-4, atol=1e-6, err_msg=name)
+
+    def test_trained_model_passes_the_float64_gradient_check(self):
+        x, y = separable_sequences(60, 4, seed=12)
+        xv, yv = separable_sequences(20, 4, seed=13)
+        config = TrainConfig(max_epochs=3, patience=3, hidden_dim=3, head_dim=4, seed=2)
+        model, _ = birnn_train(x, y, xv, yv, config)
+        assert all(param.dtype == np.float32 for param in model.params.values())
+        wide = BiRnnClassifier(
+            4, 3, 4, seed=2, params={n: p.astype(np.float64) for n, p in model.params.items()}
+        )
+        for i in range(3):
+            assert gradient_check(wide, xv[i], int(yv[i])) < 1e-4
+
+    def test_predict_casts_the_rows_a_chunk_at_a_time(self):
+        n, d = 1700, 480  # n * 5 * d >= 4M entries
+        clf = BiRnnClassifier(d, 8, 4, seed=3)
+        clf.params = {name: param.astype(np.float32) for name, param in clf.params.items()}
+        x = np.random.default_rng(3).standard_normal((n, 5, d))
+        tracemalloc.start()
+        try:
+            got = clf.predict(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.size * 4 / 4, f"peak {peak} bytes"
+        assert np.array_equal(got, np.argmax(clf.forward_batch(x)[0], axis=1))  # one chunk
+
+    def test_predict_on_no_rows(self):
+        got = BiRnnClassifier(4, 3, 4, seed=0).predict(np.zeros((0, 5, 4)))
+        assert got.shape == (0,) and got.dtype.kind == "i"
 
 
 class TestRandomSearch:

@@ -401,6 +401,46 @@ def test_search_row_scales_give_the_bits_of_normalize_field_blocks(gather_elems,
         assert field.low.tobytes() == want.astype(np.float32).tobytes()
 
 
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_pair_kernel_gathers_a_query_row_once(metric, monkeypatch):
+    """Each rescore gathers (and scales) a query row once per field and tile when
+    its pairs fit in one chunk of ``_GATHER_ELEMS // width`` pairs, and the scores
+    equal the oracle's."""
+    d, step = 8, 7
+    monkeypatch.setattr(simindex, "_GATHER_ELEMS", d * step)  # 7 pairs of field rows
+    monkeypatch.setattr(simindex, "_BLOCK_ELEMS", 300)
+    data = np.random.default_rng(8).integers(-2, 3, (60, 3 * d)).astype(float)
+    gathered, straddling = [], []
+    gather, pair_scores = simindex._gather, simindex._pair_scores
+
+    def counted_gather(field, index):
+        gathered.append((field, np.array(index)))
+        return gather(field, index)
+
+    def counted_pair_scores(q, ref, rows, cols, metric):
+        gathered.clear()
+        scores = pair_scores(q, ref, rows, cols, metric)
+        taken = np.concatenate([index for field, index in gathered if field is q])
+        pairs = np.bincount(rows, minlength=len(q.rows))
+        fits = (pairs > 0) & (pairs <= step)
+        assert (np.bincount(taken, minlength=len(q.rows))[fits] == 1).all()
+        first = np.searchsorted(rows, np.flatnonzero(fits))
+        last = first + pairs[fits] - 1
+        straddling.append(int((first // step != last // step).sum()))
+        return scores
+
+    monkeypatch.setattr(simindex, "_gather", counted_gather)
+    monkeypatch.setattr(simindex, "_pair_scores", counted_pair_scores)
+    matrix = matrix_of(data, n_fields=3)
+    got = knn_feature_reranked(matrix, 3, metric)
+    want = rerank_oracle(matrix, 3, metric, [1.0, 1.0, 1.0], True)
+    assert np.array_equal(got.neighbors, want[0]) and np.array_equal(got.scores, want[1])
+    got = search_queries(data[:25, :d], data[:, :d], 3, metric)
+    want = oracle(data[:25, :d], data[:, :d], 3, metric, False)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert len(straddling) > 6 and sum(straddling) > 0  # several tiles; fixed-size chunks split rows
+
+
 AUDIT_CHILD = """
 import sys
 from pathlib import Path
