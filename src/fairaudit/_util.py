@@ -136,7 +136,8 @@ def naming(path):
 def row_scales(rows: np.ndarray, chunk_elems: int) -> tuple[np.ndarray, np.ndarray]:
     """What makes each vector along the last axis of ``rows`` a unit vector: a
     power-of-two shift and a norm, one of each per vector, for :func:`scale_rows`.
-    At most about ``chunk_elems`` entries at a time, as norm squares a copy of its
+    Norms are taken in float64 (of float32 rows, of their exact float64 values), at
+    most about ``chunk_elems`` entries at a time, as norm squares a copy of its
     input; a vector's norm does not depend on the chunking.
 
     A vector whose squares overflow (its norm is inf, from entries above about
@@ -148,7 +149,7 @@ def row_scales(rows: np.ndarray, chunk_elems: int) -> tuple[np.ndarray, np.ndarr
     norms = np.empty(rows.shape[:-1])
     step = max(1, chunk_elems * len(rows) // max(1, rows.size))
     for at in range(0, len(rows), step):
-        chunk = rows[at : at + step]
+        chunk = rows[at : at + step].astype(np.float64, copy=False)
         with np.errstate(over="ignore"):  # an overflowing norm is mended below
             part = np.linalg.norm(chunk, axis=-1)
         odd = (part == np.inf) | (part < _TINY)  # zero vectors too
@@ -218,12 +219,13 @@ def stream_array(arr: np.ndarray) -> dict:
 
 
 def decode_array(obj: dict) -> np.ndarray:
-    """``encode_array``'s inverse; a NaN or infinite value is a ValueError."""
+    """``encode_array``'s inverse: the blob's float32 values, read-only; a NaN or
+    infinite value is a ValueError."""
     raw = base64.b64decode(typed(obj, "data", str), validate=True)
     arr = np.frombuffer(raw, dtype="<f4").reshape(typed(obj, "shape", list))
     if not np.isfinite(arr).all():
         raise ValueError("array data holds a NaN or infinite value")
-    return arr.astype(np.float64)
+    return arr
 
 
 def derive_seeds(master: int, names: tuple[str, ...]) -> dict[str, int]:

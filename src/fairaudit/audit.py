@@ -52,8 +52,8 @@ from .embed import (
     EmbeddingMatrix,
     check_sizes,
     embed_corpus,
-    float32_rows,
     ingest_embeddings,
+    normalize_field_blocks,
     save_embeddings,
 )
 from .errors import IntegrityError, StageError, TrainingError
@@ -349,9 +349,9 @@ def embed_profiles(profiles: list[Profile], config: AuditConfig, seed: int) -> E
     hashed with the stage seed ``seed`` (each field block a unit vector), or
     ingested from ``config.embeddings_path``, field blocks normalized if asked."""
     if config.embedder == "hash":
-        return float32_rows(embed_corpus(profiles, config.d, seed, config.max_tokens))
+        return embed_corpus(profiles, config.d, seed, config.max_tokens)
     matrix = ingest_embeddings(config.embeddings_path, [p.id for p in profiles], config.d)
-    return float32_rows(matrix, normalize=True) if config.normalize else matrix
+    return normalize_field_blocks(matrix) if config.normalize else matrix
 
 
 def neighbor_structure(matrix: EmbeddingMatrix, config: AuditConfig) -> NeighborList:

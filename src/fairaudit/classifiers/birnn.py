@@ -16,8 +16,10 @@ a trained model and its saved copy hold the same weights and predict alike.
 Layout. A minibatch projects every field of both directions with one input
 GEMM, and the two directions step together through a block-diagonal recurrent
 weight: step t reads field t forward and field ``steps - 1 - t`` backward.
-Rows are cast to the params' dtype a minibatch or a ``_CHUNK_ELEMS``-entry
-predict chunk at a time, never as a copy of the whole input.
+Training stores those two fused weights and holds the per-direction params as
+views of them, so an update writes through; ``predict`` builds them once a call.
+Rows of another dtype than the params' are cast a minibatch or a
+``_CHUNK_ELEMS``-entry predict chunk at a time, never as a copy of the whole input.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ _PARAM_SHAPES = (
     ("b_2", lambda d, h, m: (2,)),
 )
 
-# Entries of input rows that ``predict`` casts to the params' dtype at a time. It
-# bounds working memory; no result depends on it.
+# Entries of input rows that ``predict`` runs forward (and casts, if their dtype is
+# not the params') at a time. It bounds working memory; no result depends on it.
 _CHUNK_ELEMS = 1 << 18
 
 
@@ -90,10 +92,7 @@ class BiRnnClassifier:
         if min(dims) < 1:
             raise ValueError(f"model dimensions must be positive, got {dims}")
         weights = typed(obj, "weights", dict)
-        params = {
-            name: decode_array(typed(weights, name, dict)).astype(np.float32)
-            for name, _ in _PARAM_SHAPES
-        }
+        params = {name: decode_array(typed(weights, name, dict)) for name, _ in _PARAM_SHAPES}
         for name, shape_of in _PARAM_SHAPES:
             if params[name].shape != shape_of(*dims[:3]):
                 raise ValueError(f"weight {name!r} has shape {params[name].shape}")
@@ -109,15 +108,23 @@ class BiRnnClassifier:
             )
         return x
 
-    def forward_batch(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
-        """Log-probabilities (B, 2) and the cache needed for backprop."""
+    def _fused(self) -> tuple[np.ndarray, np.ndarray]:
+        """The fused input weight ``[w_xf | w_xb]`` (d, 2H) and the block-diagonal
+        recurrent weight ``diag(w_hf, w_hb)`` (2H, 2H), built from the params."""
+        p, h = self.params, self.hidden_dim
+        w_x = np.concatenate([p["w_xf"], p["w_xb"]], axis=1)
+        w_h = np.zeros((2 * h, 2 * h), w_x.dtype)
+        w_h[:h, :h], w_h[h:, h:] = p["w_hf"], p["w_hb"]
+        return w_x, w_h
+
+    def forward_batch(self, x: np.ndarray, fused=None) -> tuple[np.ndarray, dict]:
+        """Log-probabilities (B, 2) and the cache needed for backprop. ``fused`` is
+        :meth:`_fused` of the current params, built here if not given."""
         p = self.params
         dtype = np.result_type(*p.values())
         x = self._check_batch(x).astype(dtype, copy=False)
         batch, h = x.shape[0], self.hidden_dim
-        w_x = np.concatenate([p["w_xf"], p["w_xb"]], axis=1)
-        w_h = np.zeros((2 * h, 2 * h), dtype)
-        w_h[:h, :h], w_h[h:, h:] = p["w_hf"], p["w_hb"]
+        w_x, w_h = fused or self._fused()
         projected = (x.reshape(batch * self.steps, -1) @ w_x).reshape(batch, self.steps, 2 * h)
         pre = _swap_order(projected, seq_axis=1)
         pre += np.concatenate([p["b_f"], p["b_b"]])
@@ -179,9 +186,10 @@ class BiRnnClassifier:
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = self._check_batch(x)
         decisions = np.empty(len(x), np.int64)
+        fused = self._fused()
         step = max(1, _CHUNK_ELEMS // (self.steps * self.input_dim))
         for start in range(0, len(x), step):
-            log_prob, _ = self.forward_batch(x[start : start + step])
+            log_prob, _ = self.forward_batch(x[start : start + step], fused)
             decisions[start : start + step] = np.argmax(log_prob, axis=1)
         return decisions
 
@@ -262,6 +270,10 @@ def birnn_train(
         d, config.hidden_dim, config.head_dim, steps=steps, seed=config.seed
     )
     clf.params = {name: param.astype(np.float32) for name, param in clf.params.items()}
+    fused = clf._fused()  # stored once; the per-direction params are views of it
+    w_x, w_h = fused
+    h = clf.hidden_dim
+    clf.params.update(w_xf=w_x[:, :h], w_xb=w_x[:, h:], w_hf=w_h[:h, :h], w_hb=w_h[h:, h:])
     x_train = clf._check_batch(x_train)
     x_val = clf._check_batch(x_val)
     rng = np.random.default_rng([config.seed, 1])
@@ -275,16 +287,16 @@ def birnn_train(
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, config.batch_size):
                 batch = perm[start : start + config.batch_size]
-                _, cache = clf.forward_batch(x_train[batch])
+                _, cache = clf.forward_batch(x_train[batch], fused)
                 grads = clf.backward_batch(cache, y_train[batch])
                 for name, grad in grads.items():
-                    clf.params[name] -= config.learning_rate * grad
+                    clf.params[name] -= config.learning_rate * grad  # in place: views too
             if not all(np.isfinite(p).all() for p in clf.params.values()):
                 raise TrainingError(f"a weight is not finite after epoch {epoch}")
             acc = float(np.mean(clf.predict(x_val) == y_val))
         accuracies.append(acc)
         should_stop = stopper.update(acc)
-        if stopper.best_epoch == stopper.epoch:
+        if stopper.best_epoch == stopper.epoch:  # a snapshot: copies, not views
             best_params = copy.deepcopy(clf.params)
         if should_stop:
             break

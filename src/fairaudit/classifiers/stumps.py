@@ -120,13 +120,14 @@ class BoostedStumps:
         return cls(stumps, *numbers(obj, "learning_rate", "base_score"))
 
     def predict_margin(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
         width = 1 + max((s.feature for s in self.stumps), default=-1)
         if x.shape[1] < width:
             raise DimensionMismatchError(f"at least {width}", x.shape[1], "feature count")
         margin = np.full(x.shape[0], self.base_score)
         for stump in self.stumps:
-            margin += np.where(x[:, stump.feature] < stump.threshold, stump.left, stump.right)
+            below = x[:, stump.feature] < np.float64(stump.threshold)  # in float64, as fit
+            margin += np.where(below, stump.left, stump.right)
         return margin
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
@@ -357,8 +358,9 @@ def _best_split(blocks, gh: np.ndarray, gh_total: complex, lam: float, n_feature
 
 
 def train_stumps(x: np.ndarray, y: np.ndarray, config) -> BoostedStumps:
-    """Fit ``config.rounds`` stumps greedily to logistic-loss residuals."""
-    x = np.asarray(x, dtype=np.float64)
+    """Fit ``config.rounds`` stumps greedily to logistic-loss residuals. ``x`` is read
+    as it is (float32 rows are not copied); its values are compared in float64."""
+    x = np.asarray(x)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError(f"x {x.shape} and y {y.shape} are not aligned")
@@ -406,6 +408,7 @@ def train_stumps(x: np.ndarray, y: np.ndarray, config) -> BoostedStumps:
         if not np.isfinite([left, right]).all():
             raise TrainingError(f"a leaf value is not finite in round {round_no}")
         stumps.append(Stump(int(feat), float(threshold), float(left), float(right)))
-        margin = margin + np.where(x[:, feat] < threshold, left, right)
+        # np.float64: a Python float against float32 rows would compare in float32
+        margin = margin + np.where(x[:, feat] < np.float64(threshold), left, right)
         losses.append(_logistic_loss(margin, y))
     return BoostedStumps(stumps, lr, base, losses)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import os
 import struct
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -32,12 +33,16 @@ _MAGIC = b"FAEM"
 _VERSION = 1
 _CHUNK_TOKENS = 1 << 15  # tokens hashed and scattered at a time; bounds the working memory
 _NORM_ELEMS = 1 << 17  # entries whose norms are taken at a time; bounds the working memory
-_WRITE_ELEMS = 1 << 17  # entries converted to float32 and written at a time, likewise
+_WRITE_ELEMS = 1 << 17  # entries written at a time, likewise
 
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingMatrix:
-    """Dense N x D matrix of profile vectors with field-wise block structure and unique ids."""
+    """Dense N x D matrix of profile vectors with field-wise block structure and unique ids.
+
+    ``data`` is read-only float32, a view of the given array when that is C-contiguous
+    float32 and otherwise its values rounded to float32 once; a finite value that
+    float32 cannot hold is a NonFiniteError."""
 
     data: np.ndarray
     dim_per_field: int
@@ -45,14 +50,16 @@ class EmbeddingMatrix:
     index_order: tuple[str, ...]
 
     def __post_init__(self):
-        data = np.ascontiguousarray(self.data, dtype=np.float64)
+        check_float32(np.asarray(self.data))  # before the cast, so the value can be named
+        # a view: setting it read-only below leaves the caller's array as it was
+        data = np.ascontiguousarray(self.data, dtype=np.float32).view()
         n, d_total = data.shape
         expected = self.dim_per_field * len(self.field_order)
         if d_total != expected:
             raise DimensionMismatchError(expected, d_total, "row width")
         if n != len(self.index_order):
             raise DimensionMismatchError(len(self.index_order), n, "row count")
-        if not np.isfinite(data).all():
+        if data.size and not np.isfinite([data.min(), data.max()]).all():  # NaN reaches both
             raise NonFiniteError("embedding matrix contains NaN or Inf")
         check_unique(self.index_order, "embedding matrix")
         data.setflags(write=False)
@@ -113,21 +120,24 @@ def _hash_codes(grams: list[str], key: bytes, d: int) -> np.ndarray:
 
 def _token_chunks(texts, max_tokens: int | None):
     """The lowercased, split and truncated tokens of each text, in lists holding at
-    most ``_CHUNK_TOKENS`` tokens (a longer text makes a list of its own)."""
+    most ``_CHUNK_TOKENS`` tokens, an empty text counting as one (a longer text makes
+    a list of its own)."""
     chunk, size = [], 0
     for text in texts:
         tokens = text.lower().split()[:max_tokens]
-        if chunk and size + len(tokens) > _CHUNK_TOKENS:
+        if chunk and size + max(1, len(tokens)) > _CHUNK_TOKENS:
             yield chunk
             chunk, size = [], 0
         chunk.append(tokens)
-        size += len(tokens)
+        size += max(1, len(tokens))
     if chunk:
         yield chunk
 
 
-def _hash_embed(texts, n: int, d: int, seed: int, max_tokens: int | None) -> np.ndarray:
-    """The (n, d) hashed, L2-normalized vectors of the n ``texts``.
+def _hash_embed(texts, out: np.ndarray, seed: int, max_tokens: int | None) -> np.ndarray:
+    """``out`` (n, d), of any float dtype, filled with the hashed, L2-normalized
+    vectors of the n ``texts``: each chunk of texts is scattered and normalized in
+    float64, then stored in ``out``.
 
     Each distinct gram is hashed once per call. Tokens map to ids through one
     dict and their codes sit in an array by id; bigrams are keyed by their id
@@ -135,9 +145,8 @@ def _hash_embed(texts, n: int, d: int, seed: int, max_tokens: int | None) -> np.
     and every squared norm is a small integer sum, exact in any order, so the
     chunking changes no bit.
     """
-    check_sizes(d, max_tokens)
+    d = out.shape[1]
     key = _hash_key(seed)
-    out = np.zeros((n, d))
     ids: dict[str, int] = {}
     words: list[str] = []
     unigrams = np.empty(0, np.int64)  # code of each token id
@@ -152,7 +161,7 @@ def _hash_embed(texts, n: int, d: int, seed: int, max_tokens: int | None) -> np.
         lengths = [len(tokens) for tokens in chunk]
         tokens = np.fromiter(map(ids.__getitem__, chain.from_iterable(chunk)), np.int64,
                              sum(lengths))
-        rows = np.repeat(np.arange(start, start + len(chunk)), lengths)
+        rows = np.repeat(np.arange(len(chunk)), lengths)
         inner = rows[1:] == rows[:-1]  # the bigrams: token pairs within one text
         distinct, inverse = np.unique(tokens[:-1][inner] << 32 | tokens[1:][inner],
                                       return_inverse=True)
@@ -168,9 +177,11 @@ def _hash_embed(texts, n: int, d: int, seed: int, max_tokens: int | None) -> np.
             [unigrams[tokens], pair_codes[np.searchsorted(pairs, distinct)][inverse]]
         )
         where = np.concatenate([rows, rows[1:][inner]])
-        np.add.at(out.reshape(-1), where * d + (codes >> 1), (codes & 1) * 2.0 - 1.0)
+        block = np.zeros((len(chunk), d))
+        np.add.at(block.reshape(-1), where * d + (codes >> 1), (codes & 1) * 2.0 - 1.0)
+        scale_rows(block, *row_scales(block, _NORM_ELEMS))
+        out[start : start + len(chunk)] = block
         start += len(chunk)
-    scale_rows(out, *row_scales(out, _NORM_ELEMS))
     return out
 
 
@@ -188,7 +199,8 @@ def hash_embed_field(
     ``max_tokens`` (at least 1) truncates the token sequence first, for parity
     with embedding pipelines that cap input length.
     """
-    return _hash_embed([text], 1, d, seed, max_tokens)[0]
+    check_sizes(d, max_tokens)
+    return _hash_embed([text], np.zeros((1, d)), seed, max_tokens)[0]
 
 
 def embed_corpus(
@@ -198,9 +210,12 @@ def embed_corpus(
     max_tokens: int | None = None,
 ) -> EmbeddingMatrix:
     """Embed every profile with the hashing embedder, one block per field:
-    :func:`hash_embed_field` of each field, with each distinct gram hashed once."""
+    :func:`hash_embed_field` of each field rounded to float32, with each distinct
+    gram hashed once."""
+    check_sizes(d, max_tokens)
     texts = (profile.fields[name] for profile in profiles for name in FIELD_ORDER)
-    data = _hash_embed(texts, len(profiles) * len(FIELD_ORDER), d, seed, max_tokens)
+    data = _hash_embed(texts, np.zeros((len(profiles) * len(FIELD_ORDER), d), np.float32),
+                       seed, max_tokens)
     return EmbeddingMatrix(
         data.reshape(len(profiles), d * len(FIELD_ORDER)), d, FIELD_ORDER,
         tuple(p.id for p in profiles),
@@ -208,27 +223,14 @@ def embed_corpus(
 
 
 def normalize_field_blocks(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
-    """L2-normalize each field block of each row; zero blocks stay zero."""
-    blocks = matrix.data.reshape(matrix.n, len(matrix.field_order), matrix.dim_per_field).copy()
-    scale_rows(blocks, *row_scales(blocks, _NORM_ELEMS))
-    return EmbeddingMatrix(
-        blocks.reshape(matrix.n, matrix.dim),
-        matrix.dim_per_field,
-        matrix.field_order,
-        matrix.index_order,
-    )
-
-
-def float32_rows(matrix: EmbeddingMatrix, normalize: bool = False) -> EmbeddingMatrix:
-    """``matrix`` (with the bits of :func:`normalize_field_blocks` if ``normalize``)
-    rounded to float32 values: into one new array, about ``_NORM_ELEMS`` entries at a time."""
+    """L2-normalize each field block of each row (zero blocks stay zero) in float64,
+    about ``_NORM_ELEMS`` entries at a time, into a new float32 matrix."""
     blocks = matrix.data.reshape(-1, matrix.dim_per_field)
-    out = np.empty_like(blocks)
+    out = np.empty(blocks.shape, np.float32)
     for at in range(0, len(blocks), step := max(1, _NORM_ELEMS // matrix.dim_per_field)):
-        chunk = blocks[at : at + step].copy()
-        if normalize:
-            scale_rows(chunk, *row_scales(chunk, _NORM_ELEMS))
-        out[at : at + step] = chunk.astype(np.float32)
+        chunk = blocks[at : at + step].astype(np.float64)
+        scale_rows(chunk, *row_scales(chunk, _NORM_ELEMS))
+        out[at : at + step] = chunk
     return replace(matrix, data=out.reshape(matrix.data.shape))
 
 
@@ -237,10 +239,8 @@ def float32_rows(matrix: EmbeddingMatrix, normalize: bool = False) -> EmbeddingM
 
 
 def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
-    """Write the binary matrix format (float32, little-endian), converting about
-    ``_WRITE_ELEMS`` entries at a time. A value that float32 cannot hold is
-    refused before the file is opened."""
-    check_float32(matrix.data)
+    """Write the binary matrix format (float32, little-endian), about
+    ``_WRITE_ELEMS`` entries at a time."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<H", _VERSION))
@@ -251,29 +251,34 @@ def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
             fh.write(raw)
         rows = max(1, _WRITE_ELEMS // max(1, matrix.dim))
         for start in range(0, matrix.n, rows):
-            fh.write(matrix.data[start : start + rows].astype("<f4"))
+            fh.write(matrix.data[start : start + rows].astype("<f4", copy=False))
 
 
 def _read_faem(path) -> tuple[list[str], np.ndarray]:
-    """A ``.faem`` file whose magic bytes ``load_matrix_file`` has checked."""
+    """A ``.faem`` file whose magic bytes ``load_matrix_file`` has checked: its ids,
+    then its values read straight into one float32 array (not a memory map, which a
+    rewrite of the file in place would pull from under the rows)."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    try:
-        version, n, d_total = struct.unpack_from("<HQQ", buf, 4)
-        if version != _VERSION:
-            raise ParseError(f"unsupported format version {version}")
-        offset, ids = 22, []
-        for _ in range(n):
-            (length,) = struct.unpack_from("<I", buf, offset)
-            offset += 4 + length
-            if offset > len(buf):
-                raise ParseError("truncated id section")
-            ids.append(buf[offset - length : offset].decode("utf-8"))
-        data = np.frombuffer(buf, dtype="<f4", count=n * d_total, offset=offset)
-        data = data.reshape(n, d_total)
-    except (struct.error, UnicodeDecodeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"truncated or corrupt matrix file: {exc}") from exc
-    return ids, data.astype(np.float64)
+        try:
+            version, n, d_total = struct.unpack("<HQQ", fh.read(22)[4:])
+            if version != _VERSION:
+                raise ParseError(f"unsupported format version {version}")
+            ids = []
+            for _ in range(n):
+                (length,) = struct.unpack("<I", fh.read(4))
+                raw = fh.read(length)
+                if len(raw) != length:
+                    raise ParseError("truncated id section")
+                ids.append(raw.decode("utf-8"))
+            truncated = ParseError("truncated or corrupt matrix file: too few values")
+            if os.fstat(fh.fileno()).st_size - fh.tell() < n * d_total * 4:
+                raise truncated  # before the array is made: a corrupt size is not allocated
+            data = np.empty((n, d_total), "<f4")
+            if fh.readinto(data) != data.nbytes:  # the file shrank while it was read
+                raise truncated
+        except (struct.error, UnicodeDecodeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"truncated or corrupt matrix file: {exc}") from exc
+    return ids, data
 
 
 def _read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
@@ -297,12 +302,13 @@ def _read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
         raise ParseError(f"inconsistent row widths {sorted(widths)}")
     data = np.asarray(rows, dtype=np.float64)
     check_float32(data)
-    return ids, data.astype(np.float32).astype(np.float64)
+    return ids, data.astype(np.float32)
 
 
 def load_matrix_file(path) -> tuple[list[str], np.ndarray]:
-    """Read a stored matrix, trying the binary format then the CSV fallback, whose
-    values are rounded to float32 at read (one that float32 cannot hold is refused)."""
+    """Read a stored matrix as ids and float32 rows, trying the binary format then the
+    CSV fallback, whose values are rounded to float32 at read (one that float32
+    cannot hold is refused)."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
     with naming(path):

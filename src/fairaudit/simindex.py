@@ -9,8 +9,9 @@ rows by reference rows, one float32 GEMM per field *screens* the pairs
 :func:`_pair_scores` rescores every pair the screen cannot rule out and decides every
 score and rank, ties by row index: the screen's precision changes no result.
 
-Memory. No float64 copy of the rows is made. The kernel gathers the caller's rows
-of the pairs it scores and, for cosine, divides them elementwise by their norms
+Memory. No float64 copy of the rows is made: float32 (or float64) rows are read as
+they are. The kernel gathers the caller's rows of the pairs it scores, as float64,
+and, for cosine, divides them elementwise by their norms
 (:func:`~fairaudit._util.row_scales`; a norm of exactly 1 skips the divide), which
 gives the bits of unit rows; a query row is scaled once per rescore, unless its pairs
 fill more than one gather. The float32 screen copies are made from the caller's
@@ -199,8 +200,8 @@ class _Rows(NamedTuple):
 
 
 def _gather(field: _Rows, index: np.ndarray) -> np.ndarray:
-    """Rows ``index`` of ``field`` as the pair kernel scores them, in a new array."""
-    rows = field.rows[index]
+    """Rows ``index`` of ``field`` as the pair kernel scores them, in a new float64 array."""
+    rows = field.rows[index].astype(np.float64, copy=False)
     if field.scales is not None:
         scale_rows(rows, *(part[index] for part in field.scales))
     return rows
@@ -435,8 +436,8 @@ def search(
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
     symmetric = queries is reference
-    queries = np.ascontiguousarray(queries, dtype=np.float64)
-    reference = queries if symmetric else np.ascontiguousarray(reference, dtype=np.float64)
+    queries = np.asarray(queries)  # as they are: every read of a row upcasts it to float64
+    reference = queries if symmetric else np.asarray(reference)
     n_q, n_ref = queries.shape[0], reference.shape[0]
     if queries.shape[1] != reference.shape[1]:
         raise DimensionMismatchError(reference.shape[1], queries.shape[1], "embedding width")

@@ -36,8 +36,8 @@ from fairaudit.dataset import (
 from fairaudit.embed import (
     EmbeddingMatrix,
     embed_corpus,
+    hash_embed_field,
     ingest_embeddings,
-    normalize_field_blocks,
     save_embeddings,
 )
 from fairaudit.errors import IntegrityError, StageError
@@ -233,7 +233,7 @@ class TestRunAudit:
     def test_value_float32_cannot_hold_fails_the_write(self, tmp_path):
         corpus = make_corpus(tmp_path)
         matrix = embed_corpus(load_corpus(corpus), d=16, seed=123)
-        data = matrix.data.copy()
+        data = matrix.data.astype(np.float64)
         data[3, 5] = 1e300
         vectors = tmp_path / "ext.csv"
         vectors.write_text("".join(
@@ -392,10 +392,13 @@ class TestEmbedProfiles:
 
     @pytest.mark.parametrize("normalize", [True, False])
     def test_hashed_rows_are_rounded_and_not_normalized_again(self, profiles, normalize):
-        hashed = embed_corpus(profiles, d=8, seed=9).data
+        hashed = np.array([np.concatenate([hash_embed_field(p.fields[name], 8, 9)
+                                           for name in FIELD_ORDER]) for p in profiles])
         got = embed_profiles(profiles, AuditConfig(d=8, normalize=normalize), 9).data
+        assert got.dtype == np.float32
         assert np.array_equal(bits(got), bits(hashed.astype(np.float32)))
         assert not np.array_equal(got, hashed)  # the rounding moved some entries
+        assert np.array_equal(bits(got), bits(embed_corpus(profiles, d=8, seed=9).data))
 
     @pytest.mark.parametrize("suffix", ["faem", "csv"])
     def test_ingested_rows_are_normalized_then_rounded(self, tmp_path, profiles, suffix):
@@ -413,7 +416,10 @@ class TestEmbedProfiles:
         assert np.array_equal(bits(stored), bits(data.astype(np.float32)))  # rounded at read
         config = AuditConfig(d=8, embedder="ingest", embeddings_path=str(path))
         got = embed_profiles(profiles, config, 0).data
-        normalized = normalize_field_blocks(ingest_embeddings(path, ids, 8)).data
+        blocks = stored.astype(np.float64).reshape(len(ids), 5, 8)
+        norms = np.linalg.norm(blocks, axis=2, keepdims=True)
+        normalized = np.divide(blocks, norms, out=blocks.copy(), where=norms > 0)
+        normalized = normalized.reshape(len(ids), 40)  # the float64 unit blocks
         assert np.array_equal(bits(got), bits(normalized.astype(np.float32)))
         assert not np.array_equal(got, normalized)
         raw = embed_profiles(profiles, replace(config, normalize=False), 0).data

@@ -184,7 +184,11 @@ class TestKnnSerialization:
     def test_reference_float32_cannot_hold_leaves_no_file(self, tmp_path):
         points = np.random.default_rng(5).standard_normal((6, 3))
         points[4, 1] = 1e300
-        clf = fit_knn(points, [0, 1, 0, 1, 0, 1], k=1)
+        with pytest.raises(NonFiniteError, match="overflows float32"):
+            fit_knn(points, [0, 1, 0, 1, 0, 1], k=1)  # the float32 matrix refuses it
+        clf = KnnClassifier(1)  # a reference set by hand, not from a matrix
+        clf.reference, clf.labels = points, np.array([0, 1, 0, 1, 0, 1])
+        clf.reference_ids = tuple(f"T{i}" for i in range(6))
         with pytest.raises(NonFiniteError, match="overflows float32"):
             save_model(clf, tmp_path / "knn.json")
         assert not (tmp_path / "knn.json").exists()

@@ -480,6 +480,30 @@ class TestDataErrorsNameTheFile:
         assert err.startswith(f"error: {path}: "), err
         assert ("duplicate ids" if matrix == "dup" else "width mismatch") in err
 
+    def test_value_float32_cannot_hold_names_the_file(self, files, tmp_path, capsys):
+        ids, data = load_matrix_file(files["emb"])
+        data = data.astype(np.float64)
+        data[1, 2] = 1e39
+        path, out = tmp_path / "big.csv", tmp_path / "out.faem"
+        path.write_text("".join(",".join([pid, *map(repr, row.tolist())]) + "\n"
+                                for pid, row in zip(ids, data)))
+        code, _, err = run(capsys, "embed", "--corpus", str(files["corpus"]), "--embedder",
+                           "ingest", "--embeddings", str(path), "--d", "4", "--out", str(out))
+        assert code == 2, err
+        assert err.startswith(f"error: {path}: ") and "overflows float32" in err, err
+        assert not out.exists()
+
+    def test_embed_can_rewrite_its_own_input(self, files, tmp_path, capsys):
+        # the rows are read into memory, not mapped: truncating the file for the
+        # write must not pull them from under the matrix
+        path = tmp_path / "x.faem"
+        path.write_bytes(files["emb"].read_bytes())
+        code, _, err = run(capsys, "embed", "--corpus", str(files["corpus"]), "--embedder",
+                           "ingest", "--embeddings", str(path), "--d", "4", "--no-normalize",
+                           "--out", str(path))
+        assert code == 0, err
+        assert path.read_bytes() == files["emb"].read_bytes()
+
     @pytest.mark.parametrize("artifact", ["corpus", "matrix", "decisions", "neighbors",
                                           "splits"])
     def test_repeated_id_names_the_file_and_the_id(self, files, tmp_path, capsys, artifact):

@@ -121,7 +121,8 @@ class TestEmbedCorpus:
         assert matrix.data.shape == (2, 40)
         combined_block = matrix.field_block(4)
         assert np.array_equal(
-            combined_block[0], hash_embed_field(profiles[0].fields["Combined"], 8, 5)
+            combined_block[0],
+            hash_embed_field(profiles[0].fields["Combined"], 8, 5).astype(np.float32),
         )
 
     def test_default_dimension_gives_3840(self):
@@ -198,7 +199,7 @@ class TestEmbedCorpus:
             ])
             for p in profiles
         ])
-        assert got.tobytes() == expected.tobytes()
+        assert got.tobytes() == expected.astype(np.float32).tobytes()
         assert one.tobytes() == expected[0, :d].tobytes()
 
     def test_take_of_the_whole_order_is_the_matrix_itself(self):
@@ -220,9 +221,10 @@ class TestNormalizeFieldBlocks:
         data = np.random.default_rng(4).standard_normal((50, 5 * 24)) * column_scales
         data[3, :24] = 0.0
         matrix = EmbeddingMatrix(data, 24, FIELD_ORDER, tuple(f"P{i}" for i in range(50)))
-        blocks = data.reshape(50, 5, 24)
+        blocks = matrix.data.astype(np.float64).reshape(50, 5, 24)
         norms = np.linalg.norm(blocks, axis=2, keepdims=True)  # one pass over everything
         want = np.divide(blocks, norms, out=blocks.copy(), where=norms > 0).reshape(50, -1)
+        want = want.astype(np.float32)  # normalized in float64, stored as float32
         for elems in (1, 7, 24, 1000, embed._NORM_ELEMS):
             monkeypatch.setattr(embed, "_NORM_ELEMS", elems)
             assert normalize_field_blocks(matrix).data.tobytes() == want.tobytes()
@@ -337,12 +339,37 @@ class TestPersistence:
     @pytest.mark.parametrize("value", [OVERFLOW, -OVERFLOW, 1e300])
     def test_value_float32_cannot_hold_is_refused_before_the_file(self, tmp_path, value):
         matrix = self._matrix()
-        data = matrix.data.copy()
+        data = matrix.data.astype(np.float64)
         data[1, 2] = value
         with pytest.raises(NonFiniteError, match="overflows float32"):
             save_embeddings(EmbeddingMatrix(data, 4, FIELD_ORDER, matrix.index_order),
                             tmp_path / "m.faem")
         assert not (tmp_path / "m.faem").exists()
+
+    def test_matrix_refuses_a_value_float32_cannot_hold(self):
+        data = np.zeros((2, 10))
+        data[1, 3] = 1e39
+        with pytest.raises(NonFiniteError, match="1e\\+39 overflows float32"):
+            EmbeddingMatrix(data, 2, FIELD_ORDER, ("A", "B"))
+
+    def test_load_reads_one_float32_array(self, tmp_path):
+        rng = np.random.default_rng(7)
+        ids = tuple(f"P{i}" for i in range(1000))
+        matrix = EmbeddingMatrix(rng.standard_normal((1000, 3840), np.float32), 768,
+                                 FIELD_ORDER, ids)
+        save_embeddings(matrix, tmp_path / "m.faem")
+        tracemalloc.start()
+        try:
+            loaded_ids, data = load_matrix_file(tmp_path / "m.faem")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data.dtype == np.float32 and loaded_ids == list(ids)
+        assert peak < 1.25 * data.nbytes, f"peak {peak / data.nbytes:.2f}x the rows"
+        assert np.array_equal(data, matrix.data)
+        wrapped = EmbeddingMatrix(data, 768, FIELD_ORDER, ids)  # C-contiguous float32
+        assert np.shares_memory(wrapped.data, data)
+        assert not wrapped.data.flags.writeable and data.flags.writeable
 
     @pytest.mark.parametrize("others", [[], [np.nan], [np.inf], [-np.inf, np.nan]])
     def test_overflow_is_found_beside_nan_and_inf(self, others):
@@ -354,7 +381,7 @@ class TestPersistence:
                                        np.nextafter(OVERFLOW, 0.0)])
     def test_largest_float32_values_are_stored(self, tmp_path, value):
         matrix = self._matrix()
-        data = matrix.data.copy()
+        data = matrix.data.astype(np.float64)
         data[1, 2], data[2, 3] = value, -value
         save_embeddings(EmbeddingMatrix(data, 4, FIELD_ORDER, matrix.index_order),
                         tmp_path / "m.faem")

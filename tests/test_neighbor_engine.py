@@ -127,7 +127,7 @@ def test_every_search_equals_the_oracle(data, metric, exclude_self, draw):
     k = draw.draw(st.integers(1, n - 1 if exclude_self else n))
     block = draw.draw(st.integers(1, n + 2))
     matrix = matrix_of(data)
-    want = oracle(data, data, k, metric, exclude_self)
+    want = oracle(matrix.data, matrix.data, k, metric, exclude_self)  # its float32 rows
     picks = draw.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
     queries = data[picks] * 2.0 ** draw.draw(st.integers(-2, 2))
     want_q = oracle(queries, data, k, metric, False)
@@ -202,12 +202,12 @@ def test_self_search_screens_each_tile_pair_once(metric, n_fields, block_elems, 
     assert len(shapes) == n_fields * tiles * (tiles + 1) // 2
 
 
-def rerank_oracle(matrix, k, metric, weights, exclude_self):
-    """Every pair scored by ``sum_f w_f * kernel_f / sum(w)`` in field order."""
+def rerank_oracle(data, k, metric, weights, exclude_self):
+    """Every pair of rows of ``data``, cut into one field block per weight, scored by
+    ``sum_f w_f * kernel_f / sum(w)`` in field order."""
     total = 0.0
-    for f, w in enumerate(weights):
+    for block, w in zip(np.split(data, len(weights), axis=1), weights):
         if w:
-            block = matrix.field_block(f)
             total = total + w * pair_kernel_scores(block, block, metric)
     return top_k(total / sum(weights), k, exclude_self)
 
@@ -227,7 +227,7 @@ def test_rerank_equals_a_stage_two_oracle(data, metric, weights, exclude_self, d
     limit = n - 1 if exclude_self else n
     k = draw.draw(st.integers(1, limit))
     matrix = matrix_of(data, n_fields=3)
-    want_ids, want_scores = rerank_oracle(matrix, k, metric, weights, exclude_self)
+    want_ids, want_scores = rerank_oracle(matrix.data, k, metric, weights, exclude_self)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simindex, "_BLOCK_ELEMS", draw.draw(st.integers(1, 200)))
         patch.setattr(simindex, "_GATHER_ELEMS", draw.draw(st.integers(1, 40)))
@@ -250,21 +250,22 @@ def test_extreme_rows_equal_the_oracle(data, metric, weights, exclude_self, draw
     """Rows near +-1e300 (whose euclidean kernel sums overflow to inf), subnormal
     rows and rows one ulp apart, whole rows and weighted fields: the float32
     screen's bound covers rounding, scaling and underflow, so the float64 kernel
-    still decides every score."""
+    still decides every score. A float32 EmbeddingMatrix cannot hold such rows, so
+    the search reads the float64 arrays themselves."""
     n = len(data)
     k = draw.draw(st.integers(1, n - 1 if exclude_self else n))
     picks = draw.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
     with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as patch:
         want = oracle(data, data, k, metric, exclude_self)
         want_q = oracle(data[picks], data, k, metric, False)
-        want_rerank = rerank_oracle(matrix_of(data, n_fields=3), k, metric, weights, exclude_self)
+        want_rerank = rerank_oracle(data, k, metric, weights, exclude_self)
         patch.setattr(simindex, "_BLOCK_ELEMS", draw.draw(st.integers(1, 200)))
-        got = knn_exact(matrix_of(data), k, metric, exclude_self)
+        got = simindex.search(data, data, k, metric, exclude_self)
         got_q = search_queries(data[picks], data, k, metric)
-        got_rerank = knn_feature_reranked(matrix_of(data, n_fields=3), k, metric,
-                                          field_weights=weights, exclude_self=exclude_self)
+        got_rerank = simindex.search(data, data, k, metric, exclude_self,
+                                     weights=simindex.check_field_weights(weights, 3))
     for (ids, scores), (want_ids, want_scores) in zip(
-        [astuple(got), got_q, astuple(got_rerank)], [want, want_q, want_rerank]
+        [got, got_q, got_rerank], [want, want_q, want_rerank]
     ):
         assert np.array_equal(ids, want_ids)
         assert np.array_equal(scores, want_scores)
@@ -321,8 +322,9 @@ def test_euclidean_near_duplicates_rank_by_their_true_distance():
     ids, scores = search_queries(base[None], reference, 5, "euclidean")
     assert ids[0].tolist() == [4, 1, 3, 0, 2]
     assert scores[0].tolist() == [0.0, -(2.0**-30), -2 * 2.0**-30, -3 * 2.0**-30, -4 * 2.0**-30]
-    nl = knn_exact(matrix_of(np.vstack([base, reference])), 5, "euclidean")
-    assert nl.scores[0].tolist() == scores[0].tolist()
+    rows = np.vstack([base, reference])  # float64: a float32 matrix would merge them
+    _, self_scores = simindex.search(rows, rows, 5, "euclidean", True)
+    assert self_scores[0].tolist() == scores[0].tolist()
 
 
 @pytest.mark.parametrize("call", ["knn_exact", "knn_feature_reranked", "search_queries"])
@@ -373,8 +375,10 @@ def test_no_float64_copy_of_the_reference(call):
 
 @pytest.mark.parametrize("gather_elems", [1, 7, 50, 1 << 17])
 def test_search_row_scales_give_the_bits_of_normalize_field_blocks(gather_elems, monkeypatch):
-    """The pair kernel's gathered rows and the screen copy equal the unit rows of
-    normalize_field_blocks bit for bit, for zero, subnormal, huge and unit rows."""
+    """The pair kernel's gathered rows and the screen copy equal the unit rows of the
+    oracle bit for bit, for zero, subnormal, huge and unit float64 rows, and for
+    float32 rows, whose norms are taken in float64; normalize_field_blocks stores
+    those unit rows of a float32 matrix rounded to float32."""
     monkeypatch.setattr(simindex, "_GATHER_ELEMS", gather_elems)
     rng = np.random.default_rng(6)
     d = 16
@@ -388,17 +392,25 @@ def test_search_row_scales_give_the_bits_of_normalize_field_blocks(gather_elems,
     data[6] = 0.25  # norm exactly 1 in every field
     data[7, :] = 0.0
     data[7, [0, d, 2 * d]] = [1.0, -1.0, 1.0]
-    data[8:] = normalize_field_blocks(matrix_of(data[8:], 3)).data  # most of norm exactly 1
-    normalized = normalize_field_blocks(matrix_of(data, 3))
+    for f in range(3):  # most of norm exactly 1
+        data[8:, f * d : (f + 1) * d] = unit_rows(data[8:, f * d : (f + 1) * d])
+    matrix = matrix_of(np.delete(data, [2, 3, 4, 5], axis=0), 3)  # rows float32 can hold
+    normalized = normalize_field_blocks(matrix)
     index = rng.integers(0, len(data), 60)
     for f in range(3):
         view = data[:, f * d : (f + 1) * d]
-        want = np.ascontiguousarray(normalized.field_block(f))
-        assert want.tobytes() == unit_rows(view).tobytes()
+        want = unit_rows(view)
         field = simindex._field(view, "cosine", 1.0)
         assert (field.scales[1] == 1.0).sum() > 10
         assert simindex._gather(field, index).tobytes() == want[index].tobytes()
         assert field.low.tobytes() == want.astype(np.float32).tobytes()
+        rows32 = matrix.field_block(f)
+        want32 = unit_rows(rows32)
+        field32 = simindex._field(rows32, "cosine", 1.0)
+        assert simindex._gather(field32, index % len(rows32)).tobytes() == \
+            want32[index % len(rows32)].tobytes()
+        assert field32.low.tobytes() == want32.astype(np.float32).tobytes()
+        assert normalized.field_block(f).tobytes() == want32.astype(np.float32).tobytes()
 
 
 @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
@@ -433,7 +445,7 @@ def test_pair_kernel_gathers_a_query_row_once(metric, monkeypatch):
     monkeypatch.setattr(simindex, "_pair_scores", counted_pair_scores)
     matrix = matrix_of(data, n_fields=3)
     got = knn_feature_reranked(matrix, 3, metric)
-    want = rerank_oracle(matrix, 3, metric, [1.0, 1.0, 1.0], True)
+    want = rerank_oracle(matrix.data, 3, metric, [1.0, 1.0, 1.0], True)
     assert np.array_equal(got.neighbors, want[0]) and np.array_equal(got.scores, want[1])
     got = search_queries(data[:25, :d], data[:, :d], 3, metric)
     want = oracle(data[:25, :d], data[:, :d], 3, metric, False)

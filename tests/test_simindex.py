@@ -64,8 +64,9 @@ class TestPairwiseSimilarity:
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     def test_equals_the_neighbor_search_score(self, metric):
-        x = np.random.default_rng(4).standard_normal((30, 7))
-        nl = knn_exact(matrix_of(x), k=3, metric=metric)
+        matrix = matrix_of(np.random.default_rng(4).standard_normal((30, 7)))
+        nl = knn_exact(matrix, k=3, metric=metric)
+        x = matrix.data  # the float32 rows the search read
         for i in range(30):
             for j, score in zip(nl.neighbors[i], nl.scores[i]):
                 assert pairwise_similarity(x[i], x[j], metric) == score

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairaudit.classifiers import TrainConfig, stumps, train_stumps
+from fairaudit.classifiers import TrainConfig, save_model, stumps, train_stumps
 from fairaudit.classifiers.stumps import (
     _CLAMP,
     BoostedStumps,
@@ -255,25 +255,62 @@ def test_saturated_probabilities_without_regularization_stop_silently():
     assert model.rounds < 60
 
 
+ONE32 = np.float32(1.0)
+
+
 @pytest.mark.parametrize(
     "low, high",
-    [(1.0, np.nextafter(1.0, 2.0)), (1e308, 1.7e308), (-np.nextafter(1.0, 2.0), -1.0)],
+    [(1.0, np.nextafter(1.0, 2.0)), (1e308, 1.7e308), (-np.nextafter(1.0, 2.0), -1.0),
+     # adjacent float32 values whose float64 midpoint rounds, as float32, onto the
+     # low one (ties to even): compared in float32, the low rows would not be below it
+     (ONE32, np.nextafter(ONE32, np.float32(2.0))),
+     (-(ONE32 + np.float32(2.0**-22)), -(ONE32 + np.float32(2.0**-23)))],
 )
-def test_threshold_splits_rows_as_the_search_did(low, high):
+def test_threshold_splits_rows_as_the_search_did(low, high, tmp_path):
     # the midpoint of adjacent floats rounds onto one of them, and near the
     # float maximum it overflows; either way the threshold must keep the
     # low rows below it and the high rows at or above it
     x = np.array([[low], [low], [high], [high]])
     y = np.array([0, 0, 1, 1])
+    config = TrainConfig(rounds=3, learning_rate=0.3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        model = train_stumps(x, y, TrainConfig(rounds=3, learning_rate=0.3))
+        model = train_stumps(x, y, config)
     assert model.rounds == 3
-    assert all(low < s.threshold <= high for s in model.stumps)
+    assert all(float(low) < s.threshold <= float(high) for s in model.stumps)
     assert np.array_equal(model.predict(x), y)
     assert all(b < a for a, b in zip(model.train_loss, model.train_loss[1:]))
     with np.errstate(over="ignore"):
-        assert_same_model(x, y, TrainConfig(rounds=3, learning_rate=0.3), dense_train_stumps)
+        assert_same_model(x, y, config, dense_train_stumps)
+    if x.dtype == np.float32:  # the float32 rows train the model of their float64 values
+        assert np.float32(model.stumps[0].threshold) == low  # the hazard is there
+        save_model(model, tmp_path / "f32.json")
+        save_model(train_stumps(x.astype(np.float64), y, config), tmp_path / "f64.json")
+        assert (tmp_path / "f32.json").read_bytes() == (tmp_path / "f64.json").read_bytes()
+
+
+def test_float32_rows_are_read_without_a_float64_copy():
+    # a float64 copy of x would take 2 * x.nbytes; the search's own state follows
+    # the nonzero entries, about a quarter of x.nbytes here
+    rng = np.random.default_rng(5)
+    x = rng.integers(1, 6, size=(2000, 2000)) * (rng.random((2000, 2000)) < 0.05) / 5.0
+    x = x.astype(np.float32)
+    y = (x[:, :20].sum(axis=1) > 0.3).astype(np.int64)
+    tracemalloc.start()
+    try:
+        model = train_stumps(x, y, TrainConfig(rounds=3))
+        _, train_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        margin = model.predict_margin(x)
+        _, predict_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.rounds == 3
+    assert train_peak < x.nbytes, f"train peak {train_peak / x.nbytes:.2f}x the input"
+    assert predict_peak < x.nbytes / 10, f"predict peak {predict_peak / x.nbytes:.2f}x"
+    wide = x.astype(np.float64)
+    assert train_stumps(wide, y, TrainConfig(rounds=3)).stumps == model.stumps
+    assert np.array_equal(model.predict_margin(wide), margin)
 
 
 def presorted_features(x):
