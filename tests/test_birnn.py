@@ -223,6 +223,26 @@ class TestTraining:
         for name in a.params:
             assert np.array_equal(a.params[name], b.params[name])
 
+    def test_each_update_reaches_the_next_forward_pass(self):
+        # training stores the fused weights once and updates them through views of
+        # the per-direction params; a loop that rebuilds them from the params on
+        # every forward pass must end with the same bits
+        x, y = separable_sequences(70, 6, seed=10)
+        xv, yv = separable_sequences(20, 6, seed=11)
+        config = self._config(max_epochs=1, patience=1, batch_size=16)
+        model, _ = birnn_train(x, y, xv, yv, config)
+        ref = BiRnnClassifier(6, config.hidden_dim, config.head_dim, seed=config.seed)
+        ref.params = {name: param.astype(np.float32) for name, param in ref.params.items()}
+        x32 = x.astype(np.float32)
+        perm = np.random.default_rng([config.seed, 1]).permutation(len(x))
+        for start in range(0, len(x), config.batch_size):
+            batch = perm[start : start + config.batch_size]
+            _, cache = ref.forward_batch(x32[batch])
+            for name, grad in ref.backward_batch(cache, y[batch]).items():
+                ref.params[name] -= config.learning_rate * grad
+        for name, param in ref.params.items():
+            assert model.params[name].tobytes() == param.tobytes(), name
+
     def test_serialization_round_trip(self, tmp_path):
         x, y = separable_sequences(60, 6, seed=8)
         xv, yv = separable_sequences(20, 6, seed=9)
