@@ -1,4 +1,4 @@
-"""Small shared helpers: canonical JSON and JSONL files, float32 blobs, seed derivation."""
+"""Shared helpers: canonical JSON and JSONL files, float32 blobs, unit rows, seed derivation."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ _FLOAT32_OVERFLOW = 2.0**128 - 2.0**103  # the least magnitude that rounds to in
 # float32 entries base64-encoded at a time by write_json: 4 bytes each and a
 # multiple of 3 entries, so a piece encodes without padding
 _PIECE_ELEMS = 3 << 14
+_UNIT_ELEMS = 1 << 17  # float64 entries made unit vectors at a time by unit_rows
 
 
 def canonical_json(obj) -> str:
@@ -133,23 +134,24 @@ def naming(path):
         raise
 
 
-def row_scales(rows: np.ndarray, chunk_elems: int) -> tuple[np.ndarray, np.ndarray]:
-    """What makes each vector along the last axis of ``rows`` a unit vector: a
+def unit_rows(rows: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Write the unit vector of each vector along the last axis of ``rows`` into
+    ``out`` (of the same shape, any float dtype) and return what made it one: a
     power-of-two shift and a norm, one of each per vector, for :func:`scale_rows`.
-    Norms are taken in float64 (of float32 rows, of their exact float64 values), at
-    most about ``chunk_elems`` entries at a time, as norm squares a copy of its
-    input; a vector's norm does not depend on the chunking.
+    ``rows`` is read about ``_UNIT_ELEMS`` entries at a time, each chunk copied to
+    float64 once (float32 rows: their exact float64 values), normed, scaled and
+    stored; no result depends on the chunking.
 
     A vector whose squares overflow (its norm is inf, from entries above about
     1e154) or underflow (its norm is 0 or subnormal, from entries below about
     1e-162) is first shifted by the power of two that brings its largest
     magnitude into [1/2, 1), which is exact. Every other vector has shift 0 and
-    its plain norm, so it keeps every bit. A zero vector gets norm 1."""
+    its plain norm, so it keeps every bit. A zero vector gets norm 1 and stays zero."""
     shifts = np.zeros(rows.shape[:-1], np.int32)
     norms = np.empty(rows.shape[:-1])
-    step = max(1, chunk_elems * len(rows) // max(1, rows.size))
+    step = max(1, _UNIT_ELEMS // max(1, rows.shape[-1]))
     for at in range(0, len(rows), step):
-        chunk = rows[at : at + step].astype(np.float64, copy=False)
+        chunk = rows[at : at + step].astype(np.float64)  # a copy: it is scaled in place
         with np.errstate(over="ignore"):  # an overflowing norm is mended below
             part = np.linalg.norm(chunk, axis=-1)
         odd = (part == np.inf) | (part < _TINY)  # zero vectors too
@@ -160,20 +162,18 @@ def row_scales(rows: np.ndarray, chunk_elems: int) -> tuple[np.ndarray, np.ndarr
             part[odd] = np.linalg.norm(np.ldexp(shifted, shift[:, None]), axis=-1)
         part[part == 0] = 1.0
         norms[at : at + step] = part
+        scale_rows(chunk, shifts[at : at + step], part)
+        out[at : at + step] = chunk
     return shifts, norms
 
 
 def scale_rows(rows: np.ndarray, shifts: np.ndarray, norms: np.ndarray) -> None:
-    """Scale ``rows`` in place by their :func:`row_scales`: each vector times two to
-    its shift, over its norm. A norm of exactly 1 skips the divide, as ``x / 1 == x``."""
+    """Scale ``rows`` in place by the shifts and norms of :func:`unit_rows`: each
+    vector times two to its shift, over its norm."""
     odd = shifts != 0
     if odd.any():
         rows[odd] = np.ldexp(rows[odd], shifts[odd][:, None])
-    divide = norms != 1.0
-    if divide.all():
-        rows /= norms[..., None]
-    elif divide.any():
-        rows[divide] /= norms[divide][:, None]
+    rows /= norms[..., None]
 
 
 def check_float32(arr: np.ndarray) -> None:

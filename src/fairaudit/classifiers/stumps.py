@@ -232,9 +232,11 @@ def _feature_block(x: np.ndarray, features: np.ndarray, length: int, zeros: np.n
 def _sorted_part(x: np.ndarray, features: np.ndarray, length: int, zeros: np.ndarray):
     """``(order, values, zero_col)`` of some features of a block: the kept rows of
     each and their values, padded to ``length`` with N and NaN (which is never
-    below the next slot), and the zero slot."""
+    below the next slot), and the zero slot. Values are staged in float32 or wider,
+    as ``x`` holds them exactly."""
     n = x.shape[0]
-    cols = np.empty((features.size, n))
+    staged = np.result_type(x.dtype, np.float32)
+    cols = np.empty((features.size, n), staged)
     for r in range(0, n, _TILE_ROWS):  # each tile of rows is transposed while in cache
         cols[:, r : r + _TILE_ROWS] = x[r : r + _TILE_ROWS, features].T
     sorted_rows, x_sorted = _stable_argsort(cols)
@@ -250,7 +252,7 @@ def _sorted_part(x: np.ndarray, features: np.ndarray, length: int, zeros: np.nda
     zero_col[with_zeros] = first_zero
     filled = np.arange(length) < np.count_nonzero(keep, axis=1)[:, None]
     order = np.full((features.size, length), n, dtype=np.intp)
-    values = np.full((features.size, length), np.nan)
+    values = np.full((features.size, length), np.nan, staged)
     order[filled] = sorted_rows[keep]
     values[filled] = x_sorted[keep]
     return order, values, zero_col

@@ -25,15 +25,16 @@ from itertools import chain
 
 import numpy as np
 
-from ._util import check_float32, check_unique, naming, positions, row_scales, scale_rows
+from ._util import check_float32, check_unique, naming, positions, unit_rows
 from .dataset import FIELD_ORDER, Profile
 from .errors import DimensionMismatchError, IdMismatchError, NonFiniteError, ParseError
 
 _MAGIC = b"FAEM"
 _VERSION = 1
-_CHUNK_TOKENS = 1 << 15  # tokens hashed and scattered at a time; bounds the working memory
-_NORM_ELEMS = 1 << 17  # entries whose norms are taken at a time; bounds the working memory
-_WRITE_ELEMS = 1 << 17  # entries written at a time, likewise
+# entries of the texts hashed and scattered at a time, a text counting its d float64
+# bucket entries and its tokens; bounds the working memory
+_CHUNK_ENTRIES = 1 << 18
+_WRITE_ELEMS = 1 << 17  # entries written at a time; bounds the working memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,18 +119,19 @@ def _hash_codes(grams: list[str], key: bytes, d: int) -> np.ndarray:
     return ((values >> 1) % d * 2 + (values & 1)).astype(np.int64)
 
 
-def _token_chunks(texts, max_tokens: int | None):
-    """The lowercased, split and truncated tokens of each text, in lists holding at
-    most ``_CHUNK_TOKENS`` tokens, an empty text counting as one (a longer text makes
-    a list of its own)."""
+def _token_chunks(texts, d: int, max_tokens: int | None):
+    """The lowercased, split and truncated tokens of each text, in lists of at most
+    ``_CHUNK_ENTRIES`` entries, a text counting ``d`` and its tokens, an empty text
+    one (a larger text makes a list of its own)."""
     chunk, size = [], 0
     for text in texts:
         tokens = text.lower().split()[:max_tokens]
-        if chunk and size + max(1, len(tokens)) > _CHUNK_TOKENS:
+        entries = d + max(1, len(tokens))
+        if chunk and size + entries > _CHUNK_ENTRIES:
             yield chunk
             chunk, size = [], 0
         chunk.append(tokens)
-        size += max(1, len(tokens))
+        size += entries
     if chunk:
         yield chunk
 
@@ -153,7 +155,7 @@ def _hash_embed(texts, out: np.ndarray, seed: int, max_tokens: int | None) -> np
     pairs = np.empty(0, np.int64)  # sorted (id << 32 | id) keys of the hashed bigrams
     pair_codes = np.empty(0, np.int64)
     start = 0
-    for chunk in _token_chunks(texts, max_tokens):
+    for chunk in _token_chunks(texts, d, max_tokens):
         new = sorted(set().union(*chunk).difference(ids))
         ids.update(zip(new, range(len(words), len(words) + len(new))))
         words += new
@@ -179,8 +181,7 @@ def _hash_embed(texts, out: np.ndarray, seed: int, max_tokens: int | None) -> np
         where = np.concatenate([rows, rows[1:][inner]])
         block = np.zeros((len(chunk), d))
         np.add.at(block.reshape(-1), where * d + (codes >> 1), (codes & 1) * 2.0 - 1.0)
-        scale_rows(block, *row_scales(block, _NORM_ELEMS))
-        out[start : start + len(chunk)] = block
+        unit_rows(block, out[start : start + len(chunk)])
         start += len(chunk)
     return out
 
@@ -223,14 +224,11 @@ def embed_corpus(
 
 
 def normalize_field_blocks(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
-    """L2-normalize each field block of each row (zero blocks stay zero) in float64,
-    about ``_NORM_ELEMS`` entries at a time, into a new float32 matrix."""
+    """L2-normalize each field block of each row (zero blocks stay zero) in float64
+    by :func:`~fairaudit._util.unit_rows`, into a new float32 matrix."""
     blocks = matrix.data.reshape(-1, matrix.dim_per_field)
     out = np.empty(blocks.shape, np.float32)
-    for at in range(0, len(blocks), step := max(1, _NORM_ELEMS // matrix.dim_per_field)):
-        chunk = blocks[at : at + step].astype(np.float64)
-        scale_rows(chunk, *row_scales(chunk, _NORM_ELEMS))
-        out[at : at + step] = chunk
+    unit_rows(blocks, out)
     return replace(matrix, data=out.reshape(matrix.data.shape))
 
 

@@ -62,15 +62,6 @@ class ClassificationMetrics:
             "confusion": {k: v for k, v in zip(("tp", "fp", "fn", "tn"), self.confusion)},
         }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ClassificationMetrics":
-        c = obj["confusion"]
-        return cls(
-            *(float(obj[name]) for name in METRIC_NAMES),
-            obj["averaging"],
-            (int(c["tp"]), int(c["fp"]), int(c["fn"]), int(c["tn"])),
-        )
-
 
 def consistency(
     decisions: DecisionVector, neighbors: NeighborList, k: int | None = None

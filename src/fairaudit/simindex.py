@@ -11,12 +11,12 @@ score and rank, ties by row index: the screen's precision changes no result.
 
 Memory. No float64 copy of the rows is made: float32 (or float64) rows are read as
 they are. The kernel gathers the caller's rows of the pairs it scores, as float64,
-and, for cosine, divides them elementwise by their norms
-(:func:`~fairaudit._util.row_scales`; a norm of exactly 1 skips the divide), which
-gives the bits of unit rows; a query row is scaled once per rescore, unless its pairs
-fill more than one gather. The float32 screen copies are made from the caller's
-rows, scaled as the kernel scales them, ``_GATHER_ELEMS`` entries at a time. Beyond
-them a search holds tiles of a fixed size and, per row, k floats and its candidates.
+and, for cosine, scales them by the shifts and norms that
+:func:`~fairaudit._util.unit_rows` returned when it wrote the float32 screen copy,
+which gives the bits of unit rows; a query row is scaled once per rescore, unless
+its pairs fill more than one gather. For euclidean the screen copy is the caller's
+rows times a power of two, taken in float64. Beyond the screen copies a search holds
+tiles of a fixed size and, per row, k floats and its candidates.
 
 Screen error. The screen reads float32 copies of the rows the kernel scores: unit
 rows for cosine, and for euclidean each field's rows times the power of two ``c``
@@ -84,10 +84,10 @@ from ._util import (
     parsing,
     positions,
     read_json,
-    row_scales,
     scale_rows,
     typed,
     typed_list,
+    unit_rows,
     write_json,
 )
 from .embed import EmbeddingMatrix
@@ -155,8 +155,8 @@ def pairwise_similarity(a, b, metric: str = "cosine") -> float:
 
 # Bytes of one screen tile's scores, counted in float64 entries (its float32
 # arrays hold twice as many entries; a query tile's float32 rows may take four
-# times as many bytes), and float64 entries in each gather of the pair kernel and
-# of the screen copies. They bound working memory; no result depends on them.
+# times as many bytes), and entries in each gather of the pair kernel and each
+# chunk of the running selection. They bound working memory; no result depends on them.
 _BLOCK_ELEMS = 1 << 18
 _GATHER_ELEMS = 1 << 17
 
@@ -175,9 +175,9 @@ def _scale(metric: str, *blocks: np.ndarray) -> float:
 
 
 class _Rows(NamedTuple):
-    """One field's rows as the caller holds them and, for cosine, their
-    :func:`row_scales`, which make them the unit rows the pair kernel scores
-    (``scales`` None: the kernel scores the rows as they are); their float32
+    """One field's rows as the caller holds them and, for cosine, the shifts and
+    norms from :func:`unit_rows`, which make them the unit rows the pair kernel
+    scores (``scales`` None: the kernel scores the rows as they are); their float32
     screen copy, the copy's squared norms, summed in float64, and for euclidean
     query rows the squared-distance error ``(E, sqrt(E))`` of each row."""
 
@@ -200,7 +200,8 @@ class _Rows(NamedTuple):
 
 
 def _gather(field: _Rows, index: np.ndarray) -> np.ndarray:
-    """Rows ``index`` of ``field`` as the pair kernel scores them, in a new float64 array."""
+    """Rows ``index`` of ``field`` as the pair kernel scores them, in a new float64
+    array: for cosine, scaled by the field's stored shifts and norms."""
     rows = field.rows[index].astype(np.float64, copy=False)
     if field.scales is not None:
         scale_rows(rows, *(part[index] for part in field.scales))
@@ -208,15 +209,16 @@ def _gather(field: _Rows, index: np.ndarray) -> np.ndarray:
 
 
 def _field(data: np.ndarray, metric: str, scale: float) -> _Rows:
-    """The rows of one field, a view of ``data``; the screen copy times ``scale`` is
-    made from the scaled rows ``_GATHER_ELEMS`` entries at a time."""
-    scales = row_scales(data, _GATHER_ELEMS) if metric == "cosine" else None
-    field = _Rows(data, scales, np.empty(data.shape, np.float32), None)
-    step = max(1, _GATHER_ELEMS // max(1, data.shape[1]))
-    for at in range(0, len(data), step):
-        part = _gather(field, np.arange(at, min(at + step, len(data))))
-        np.multiply(part, scale, out=field.low[at : at + step], casting="same_kind")
-    return field._replace(sq=np.einsum("ij,ij->i", field.low, field.low, dtype=np.float64))
+    """The rows of one field, a view of ``data``, and their float32 screen copy: for
+    cosine the unit rows that :func:`unit_rows` writes, for euclidean the rows times
+    ``scale``, multiplied in float64 (a float32 field's ``scale`` may exceed float32)."""
+    low = np.empty(data.shape, np.float32)
+    if metric == "cosine":
+        scales = unit_rows(data, low)
+    else:
+        scales = None
+        np.multiply(data, scale, out=low, dtype=np.float64, casting="same_kind")
+    return _Rows(data, scales, low, np.einsum("ij,ij->i", low, low, dtype=np.float64))
 
 
 def _radius(dist, sq_error, coef: np.float32):
@@ -538,10 +540,9 @@ def search_queries(
     reference: np.ndarray,
     k: int,
     metric: str = "cosine",
-    batch_size: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k reference rows for arbitrary query vectors (no self-exclusion)."""
-    return search(queries, reference, k, metric, False, batch_size)
+    return search(queries, reference, k, metric, False)
 
 
 def knn_feature_reranked(

@@ -7,7 +7,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
-from fairaudit import embed as embed_module
+from fairaudit import _util
 from fairaudit.audit import (
     ALL_SOURCES,
     HUMAN_SOURCES,
@@ -18,6 +18,7 @@ from fairaudit.audit import (
     ReportRow,
     compare_sources,
     embed_profiles,
+    neighbor_structure,
     render_report,
     run_audit,
 )
@@ -387,7 +388,7 @@ class TestEmbedProfiles:
 
     @pytest.fixture(params=[5, 100], ids=["norm_elems_5", "norm_elems_100"])
     def profiles(self, request, tmp_path, monkeypatch):
-        monkeypatch.setattr(embed_module, "_NORM_ELEMS", request.param)
+        monkeypatch.setattr(_util, "_UNIT_ELEMS", request.param)
         return load_corpus(make_corpus(tmp_path, n=30))
 
     @pytest.mark.parametrize("normalize", [True, False])
@@ -424,6 +425,20 @@ class TestEmbedProfiles:
         assert not np.array_equal(got, normalized)
         raw = embed_profiles(profiles, replace(config, normalize=False), 0).data
         assert np.array_equal(bits(raw), bits(stored))  # the file's rows, with no pass
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_default_hashed_rows_have_the_same_neighbors_without_the_rerank(seed):
+    """At the default hashed config every field block is a unit vector and the field
+    weights are equal, so the rerank, whole-row cosine and whole-row euclidean find
+    the same neighbors (an audit's embed seed, N=870); their scores may round apart."""
+    profiles, _ = generate_synthetic_corpus(870, 400, seed)
+    config = AuditConfig(seed=seed)
+    matrix = embed_profiles(profiles, config, _util.derive_seeds(seed, ("embed",))["embed"])
+    want = neighbor_structure(matrix, config).neighbors
+    for change in ({"rerank": False}, {"rerank": False, "metric": "euclidean"}):
+        got = neighbor_structure(matrix, replace(config, **change)).neighbors
+        assert np.array_equal(got, want), change
 
 
 class TestAuditConfig:

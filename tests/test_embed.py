@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairaudit import embed
+from fairaudit import _util, embed
 from fairaudit._util import check_float32
 from fairaudit.dataset import FIELD_ORDER, Profile, generate_synthetic_corpus
 from fairaudit.embed import (
@@ -157,13 +157,25 @@ class TestEmbedCorpus:
         profiles, _ = generate_synthetic_corpus(12, 40, seed=2)
         profiles.append(Profile("empty", {}))
         default = embed_corpus(profiles, d=16, seed=0)
-        for size in (1, 7, 100):
-            monkeypatch.setattr(embed, "_CHUNK_TOKENS", size)
+        for size in (1, 100, 1000):
+            monkeypatch.setattr(embed, "_CHUNK_ENTRIES", size)
             assert np.array_equal(embed_corpus(profiles, d=16, seed=0).data, default.data)
 
     def test_working_memory_is_bounded(self):
         # the whole corpus tokenised and scattered at once would take about 60 MB
         profiles, _ = generate_synthetic_corpus(1000, 400, seed=3)
+        tracemalloc.start()
+        try:
+            matrix = embed_corpus(profiles, d=768, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - matrix.data.nbytes < 32 * 2**20
+
+    def test_short_texts_do_not_share_one_large_block(self):
+        # a one-word or empty text counts its d float64 bucket entries: counted as
+        # one token, 32768 of them shared one block of about 200 MB at d=768
+        profiles = [Profile(f"P{i}", {"GCEA": f"word{i % 50}"}) for i in range(8000)]
         tracemalloc.start()
         try:
             matrix = embed_corpus(profiles, d=768, seed=0)
@@ -178,7 +190,7 @@ class TestEmbedCorpus:
         st.integers(2, 256),
         st.none() | st.integers(1, 8),
         st.integers(0, 2**64 + 8),
-        st.sampled_from([1, 3, 7, embed._CHUNK_TOKENS]),
+        st.sampled_from([1, 20, 300, embed._CHUNK_ENTRIES]),
     )
     def test_matches_the_reference_bit_for_bit(self, data, d, max_tokens, seed, chunk):
         text = st.text(st.characters(codec="utf-8"), max_size=12)
@@ -189,7 +201,7 @@ class TestEmbedCorpus:
         profiles = [Profile(f"P{i}", dict(zip(FIELD_ORDER[:4], data.draw(st.lists(
             field, min_size=4, max_size=4))))) for i in range(n)]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(embed, "_CHUNK_TOKENS", chunk)
+            patch.setattr(embed, "_CHUNK_ENTRIES", chunk)
             got = embed_corpus(profiles, d, seed, max_tokens).data
             one = hash_embed_field(profiles[0].fields["GCEA"], d, seed, max_tokens)
         expected = np.array([
@@ -225,8 +237,8 @@ class TestNormalizeFieldBlocks:
         norms = np.linalg.norm(blocks, axis=2, keepdims=True)  # one pass over everything
         want = np.divide(blocks, norms, out=blocks.copy(), where=norms > 0).reshape(50, -1)
         want = want.astype(np.float32)  # normalized in float64, stored as float32
-        for elems in (1, 7, 24, 1000, embed._NORM_ELEMS):
-            monkeypatch.setattr(embed, "_NORM_ELEMS", elems)
+        for elems in (1, 7, 24, 1000, _util._UNIT_ELEMS):
+            monkeypatch.setattr(_util, "_UNIT_ELEMS", elems)
             assert normalize_field_blocks(matrix).data.tobytes() == want.tobytes()
 
     def test_working_memory_is_a_few_chunks(self):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from fairaudit.dataset import DecisionVector
 from fairaudit.errors import AlignmentError, SizeError
 from fairaudit.fairness import (
-    ClassificationMetrics,
     ConsistencyResult,
     classification_metrics,
     consistency,
@@ -222,9 +221,3 @@ class TestClassificationMetrics:
             m = classification_metrics(predicted, truth)
             tp, fp, fn, tn = m.confusion
             assert m.accuracy == (tp + tn) / (tp + fp + fn + tn)
-
-    def test_serialization_round_trip(self):
-        truth = decisions([1, 0, 1], source="truth")
-        predicted = decisions([1, 1, 0], source="pred")
-        m = classification_metrics(predicted, truth, "macro")
-        assert ClassificationMetrics.from_dict(m.to_dict()) == m

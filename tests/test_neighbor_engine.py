@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairaudit import embed_corpus, generate_synthetic_corpus, simindex
+from fairaudit import _util, embed_corpus, generate_synthetic_corpus, simindex
 from fairaudit.embed import normalize_field_blocks
 from fairaudit.embed import EmbeddingMatrix
 from fairaudit.simindex import knn_batched, knn_exact, knn_feature_reranked, search_queries
@@ -138,7 +138,7 @@ def test_every_search_equals_the_oracle(data, metric, exclude_self, draw):
                     knn_batched(matrix, k, metric, exclude_self, batch_size=block)):
             assert np.array_equal(got.neighbors, want[0])
             assert np.array_equal(got.scores, want[1])
-        got_q = search_queries(queries, data, k, metric, batch_size=block)
+        got_q = search_queries(queries, data, k, metric)
     assert np.array_equal(got_q[0], want_q[0])
     assert np.array_equal(got_q[1], want_q[1])
 
@@ -378,8 +378,9 @@ def test_search_row_scales_give_the_bits_of_normalize_field_blocks(gather_elems,
     """The pair kernel's gathered rows and the screen copy equal the unit rows of the
     oracle bit for bit, for zero, subnormal, huge and unit float64 rows, and for
     float32 rows, whose norms are taken in float64; normalize_field_blocks stores
-    those unit rows of a float32 matrix rounded to float32."""
+    those unit rows of a float32 matrix rounded to float32. Chunking changes no bit."""
     monkeypatch.setattr(simindex, "_GATHER_ELEMS", gather_elems)
+    monkeypatch.setattr(_util, "_UNIT_ELEMS", gather_elems)
     rng = np.random.default_rng(6)
     d = 16
     data = rng.standard_normal((24, 3 * d))

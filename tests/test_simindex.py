@@ -259,10 +259,6 @@ class TestSearchQueries:
         with pytest.raises(NonFiniteError):
             search_queries(np.eye(3), reference, k=1)
 
-    def test_bad_batch_size(self):
-        with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
-            search_queries(np.eye(3), np.eye(3), k=1, batch_size=0)
-
 
 class TestNeighborListIO:
     def test_json_round_trip(self, tmp_path):
