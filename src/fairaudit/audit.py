@@ -53,7 +53,6 @@ from .embed import (
     check_sizes,
     embed_corpus,
     ingest_embeddings,
-    normalize_field_blocks,
     save_embeddings,
 )
 from .errors import IntegrityError, StageError, TrainingError
@@ -350,8 +349,8 @@ def embed_profiles(profiles: list[Profile], config: AuditConfig, seed: int) -> E
     ingested from ``config.embeddings_path``, field blocks normalized if asked."""
     if config.embedder == "hash":
         return embed_corpus(profiles, config.d, seed, config.max_tokens)
-    matrix = ingest_embeddings(config.embeddings_path, [p.id for p in profiles], config.d)
-    return normalize_field_blocks(matrix) if config.normalize else matrix
+    return ingest_embeddings(config.embeddings_path, [p.id for p in profiles], config.d,
+                             config.normalize)
 
 
 def neighbor_structure(matrix: EmbeddingMatrix, config: AuditConfig) -> NeighborList:

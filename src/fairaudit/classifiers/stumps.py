@@ -41,10 +41,12 @@ column-wise cumsum would be, so its stumps and losses are the same to the
 last bit as a dense search's over the same candidates; with zeros only the
 summation order of the zero entries differs, so leaf values can move in
 their last bits while the candidate thresholds and the tie rule stay the
-same. The slot orders (intp) cover the nonzero entries only and are kept
-for the whole fit, as is the split index (int32, at most 255 entries a
-feature); beyond them a round needs memory in proportion to one block,
-O(max(_BLOCK_ELEMS, N)).
+same. The slot orders cover the nonzero entries only and are kept for the
+whole fit in one int32 array (4 bytes an entry, as many as float32 rows
+take), which each block views, as is the split index (int32, at most 255
+entries a feature); beyond them a round needs memory in proportion to one
+block, O(max(_BLOCK_ELEMS, N)). Rounds gather through the int32 indices
+with ``np.take(..., mode="clip")``, as fast as indexing with intp ones.
 """
 
 from __future__ import annotations
@@ -188,7 +190,9 @@ def _feature_blocks(x: np.ndarray) -> list[tuple]:
     for its zero run (row index N, whose g and h are 0) where the zeros
     would sit. Features go into blocks longest first; a block's ``order`` is
     ``(w, L)``, padded with N, at most ``_BLOCK_ELEMS`` slots or one
-    feature. ``split_at`` lists ``f * L + c`` for the candidate split points,
+    feature, and a view of one int32 array that holds every block's (one
+    allocation, sized from the layout, which goes back to the OS when the
+    fit ends). ``split_at`` lists ``f * L + c`` for the candidate split points,
     the slots ``c`` whose value is below the next one's that
     ``_quantile_splits`` keeps, and ``counts`` how many of each feature's
     lie before and at or after its zero slot
@@ -200,25 +204,34 @@ def _feature_blocks(x: np.ndarray) -> list[tuple]:
     lengths = nonzeros + (nonzeros < n)
     features = np.argsort(-lengths, kind="stable")
     features = features[lengths[features] > 1]  # all-zero features never split
-    blocks = []
+    layout = []  # (features, length) of each block
     i = 0
     while i < features.size:
         length = int(lengths[features[i]])
         width = max(1, _BLOCK_ELEMS // length)
-        block = features[i : i + width]
-        blocks.append(_feature_block(x, block, length, n - nonzeros[block]))
+        layout.append((features[i : i + width], length))
         i += width
+    # row indices up to N, the zero slot's, fit in int32 below 2**31 rows
+    store = np.empty(sum(f.size * length for f, length in layout),
+                     np.int32 if n < np.iinfo(np.int32).max else np.intp)
+    blocks = []
+    at = 0
+    for block, length in layout:
+        order = store[at : at + block.size * length].reshape(block.size, length)
+        blocks.append(_feature_block(x, block, order, n - nonzeros[block]))
+        at += order.size
     return blocks
 
 
-def _feature_block(x: np.ndarray, features: np.ndarray, length: int, zeros: np.ndarray):
-    """One block of ``_feature_blocks``, sorted ``_BLOCK_ELEMS`` entries of ``x`` at a time."""
+def _feature_block(x: np.ndarray, features: np.ndarray, order: np.ndarray, zeros: np.ndarray):
+    """One block of ``_feature_blocks``, its slot order written into ``order``,
+    sorted ``_BLOCK_ELEMS`` entries of ``x`` at a time."""
     n = x.shape[0]
-    width = features.size
+    width, length = order.shape
     step = max(1, _BLOCK_ELEMS // n)
-    parts = [_sorted_part(x, features[s : s + step], length, zeros[s : s + step])
+    parts = [_sorted_part(x, features[s : s + step], order[s : s + step], zeros[s : s + step])
              for s in range(0, width, step)]
-    order, values, zero_col = (np.concatenate(a) if len(a) > 1 else a[0] for a in zip(*parts))
+    values, zero_col = (np.concatenate(a) if len(a) > 1 else a[0] for a in zip(*parts))
     valid = np.zeros((width, length), dtype=bool)
     np.less(values[:, :-1], values[:, 1:], out=valid[:, :-1])
     split_at = _quantile_splits(np.flatnonzero(valid), length, zero_col, zeros - 1, n)
@@ -229,12 +242,13 @@ def _feature_block(x: np.ndarray, features: np.ndarray, length: int, zeros: np.n
     return features, order, split_at.astype(np.int32), counts, zero_col, zeros - 1
 
 
-def _sorted_part(x: np.ndarray, features: np.ndarray, length: int, zeros: np.ndarray):
-    """``(order, values, zero_col)`` of some features of a block: the kept rows of
-    each and their values, padded to ``length`` with N and NaN (which is never
-    below the next slot), and the zero slot. Values are staged in float32 or wider,
-    as ``x`` holds them exactly."""
+def _sorted_part(x: np.ndarray, features: np.ndarray, order: np.ndarray, zeros: np.ndarray):
+    """``(values, zero_col)`` of some features of a block, whose kept rows are
+    written into ``order``: the kept rows of each and their values, padded to the
+    block's length with N and NaN (which is never below the next slot), and the
+    zero slot. Values are staged in float32 or wider, as ``x`` holds them exactly."""
     n = x.shape[0]
+    length = order.shape[1]
     staged = np.result_type(x.dtype, np.float32)
     cols = np.empty((features.size, n), staged)
     for r in range(0, n, _TILE_ROWS):  # each tile of rows is transposed while in cache
@@ -243,7 +257,8 @@ def _sorted_part(x: np.ndarray, features: np.ndarray, length: int, zeros: np.nda
     zero_col = np.full(features.size, length)
     with_zeros = np.flatnonzero(zeros)
     if not with_zeros.size:  # every entry is kept where it is, and length is n
-        return sorted_rows, x_sorted, zero_col
+        order[:] = sorted_rows
+        return x_sorted, zero_col
     keep = x_sorted != 0
     first_zero = np.count_nonzero(x_sorted[with_zeros] < 0, axis=1)
     keep[with_zeros, first_zero] = True
@@ -251,11 +266,11 @@ def _sorted_part(x: np.ndarray, features: np.ndarray, length: int, zeros: np.nda
     x_sorted[with_zeros, first_zero] = 0.0
     zero_col[with_zeros] = first_zero
     filled = np.arange(length) < np.count_nonzero(keep, axis=1)[:, None]
-    order = np.full((features.size, length), n, dtype=np.intp)
+    order.fill(n)
     values = np.full((features.size, length), np.nan, staged)
     order[filled] = sorted_rows[keep]
     values[filled] = x_sorted[keep]
-    return order, values, zero_col
+    return values, zero_col
 
 
 def _quantile_splits(split_at, length: int, zero_col, zero_skip, n: int) -> np.ndarray:
@@ -294,14 +309,14 @@ def _split_gains(block, gh: np.ndarray, gh_total: complex, lam: float):
     """Gain, left g+ih sum and total g+ih sum of each split of one block."""
     _, order, split_at, counts, zero_col, _ = block
     width, length = order.shape
-    sums = gh[order]
+    sums = np.take(gh, order, mode="clip")  # as fast with int32 indices as gh[intp]
     np.cumsum(sums, axis=1, out=sums)
     # a feature's splits before its zero slot, then from it on; the latter
     # lack the zero entries' sum, the lump gh_total - (nonzero sum)
     lump_total = np.zeros((width, 2, 2), dtype=np.complex128)  # per side: (lump, total)
     np.subtract(gh_total, sums[:, -1], out=lump_total[:, 1, 0], where=zero_col < length)
     lump_total[:, :, 1] = (sums[:, -1] + lump_total[:, 1, 0])[:, None]
-    left = sums.reshape(-1)[split_at]
+    left = np.take(sums.reshape(-1), split_at, mode="clip")
     del sums  # before the per-split arrays, to keep a round's peak to one block's
     per_split = np.repeat(lump_total.reshape(-1, 2), counts.reshape(-1), axis=0)
     left += per_split[:, 0]

@@ -267,6 +267,7 @@ def _cmd_train(args) -> int:
     truth = binarize_labels(profiles, config.target_stage)
     with naming(args.splits):  # a split id that the corpus lacks
         rows = training_rows(matrix, truth, split)
+    del matrix  # only the train and validation rows stay for the fit
     model, trials = train_family(args.family, *rows, config)
     save_model(model, args.out)
     print(f"wrote {args.family} model to {args.out}")

@@ -35,6 +35,7 @@ _VERSION = 1
 # bucket entries and its tokens; bounds the working memory
 _CHUNK_ENTRIES = 1 << 18
 _WRITE_ELEMS = 1 << 17  # entries written at a time; bounds the working memory
+_READ_ELEMS = 1 << 17  # entries read at a time into a reordering buffer
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,6 +52,8 @@ class EmbeddingMatrix:
     index_order: tuple[str, ...]
 
     def __post_init__(self):
+        if self.dim_per_field < 1:
+            raise ValueError(f"dim_per_field must be >= 1, got {self.dim_per_field}")
         check_float32(np.asarray(self.data))  # before the cast, so the value can be named
         # a view: setting it read-only below leaves the caller's array as it was
         data = np.ascontiguousarray(self.data, dtype=np.float32).view()
@@ -252,10 +255,12 @@ def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
             fh.write(matrix.data[start : start + rows].astype("<f4", copy=False))
 
 
-def _read_faem(path) -> tuple[list[str], np.ndarray]:
+def _read_faem(path, order=None) -> tuple[list[str], np.ndarray]:
     """A ``.faem`` file whose magic bytes ``load_matrix_file`` has checked: its ids,
     then its values read straight into one float32 array (not a memory map, which a
-    rewrite of the file in place would pull from under the rows)."""
+    rewrite of the file in place would pull from under the rows). When the file
+    holds the unique ids of ``order``, each row is read into its place in that order,
+    through a buffer of about ``_READ_ELEMS`` entries."""
     with open(path, "rb") as fh:
         try:
             version, n, d_total = struct.unpack("<HQQ", fh.read(22)[4:])
@@ -272,11 +277,32 @@ def _read_faem(path) -> tuple[list[str], np.ndarray]:
             if os.fstat(fh.fileno()).st_size - fh.tell() < n * d_total * 4:
                 raise truncated  # before the array is made: a corrupt size is not allocated
             data = np.empty((n, d_total), "<f4")
-            if fh.readinto(data) != data.nbytes:  # the file shrank while it was read
-                raise truncated
+            place = _places(ids, order)
+            if place is None:
+                if fh.readinto(data) != data.nbytes:  # the file shrank while it was read
+                    raise truncated
+                return ids, data
+            step = max(1, _READ_ELEMS // max(1, d_total))
+            buffer = np.empty((min(step, n), d_total), "<f4")
+            for at in range(0, n, step):
+                rows = buffer[: n - at]
+                if fh.readinto(rows) != rows.nbytes:
+                    raise truncated
+                data[place[at : at + step]] = rows
         except (struct.error, UnicodeDecodeError, ValueError, OverflowError) as exc:
             raise ParseError(f"truncated or corrupt matrix file: {exc}") from exc
-    return ids, data
+    return list(order), data
+
+
+def _places(ids, order):
+    """Where each of ``ids`` sits in ``order`` when the two hold the same unique ids
+    in different orders; else None, and the rows stay in the file's order."""
+    if order is None or list(ids) == list(order):
+        return None
+    unique = set(order)
+    if len(unique) != len(order) or len(ids) != len(order) or set(ids) != unique:
+        return None
+    return np.array(positions(order, ids), np.intp)
 
 
 def _read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
@@ -303,29 +329,47 @@ def _read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
     return ids, data.astype(np.float32)
 
 
-def load_matrix_file(path) -> tuple[list[str], np.ndarray]:
+def load_matrix_file(path, order=None) -> tuple[list[str], np.ndarray]:
     """Read a stored matrix as ids and float32 rows, trying the binary format then the
     CSV fallback, whose values are rounded to float32 at read (one that float32
-    cannot hold is refused)."""
+    cannot hold is refused). When the file holds the unique ids of ``order``, the
+    rows come in that order, and so do the ids returned; a ``.faem`` file's rows
+    are read into their places, so no second copy of them is made."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
     with naming(path):
-        return _read_faem(path) if magic == _MAGIC else _read_csv_matrix(path)
+        if magic == _MAGIC:
+            return _read_faem(path, order)
+        ids, data = _read_csv_matrix(path)
+        place = _places(ids, order)
+        if place is None:
+            return ids, data
+        rows = np.empty_like(data)
+        rows[place] = data
+        return list(order), rows
 
 
-def ingest_embeddings(path, expected_ids, d: int) -> EmbeddingMatrix:
+def ingest_embeddings(path, expected_ids, d: int, normalize: bool = False) -> EmbeddingMatrix:
     """Load externally computed embeddings in the order of ``expected_ids``.
     EmbeddingMatrix checks the width (``d`` per canonical field), the values and
-    the ids. Values are the file's float32 values; :func:`normalize_field_blocks` normalizes."""
+    the ids. Values are the file's float32 values, each field block made a unit
+    vector in place when ``normalize`` is set, with the bits
+    :func:`normalize_field_blocks` gives."""
     expected_ids = tuple(expected_ids)
-    ids, data = load_matrix_file(path)
+    ids, data = load_matrix_file(path, expected_ids)
     with naming(path):
-        matrix = EmbeddingMatrix(data, d, FIELD_ORDER, ids)
-        stored, expected = set(ids), set(expected_ids)
-        if stored != expected:
+        matrix = EmbeddingMatrix(data, d, FIELD_ORDER, ids)  # every check, on the file's values
+        if matrix.index_order != expected_ids:
+            stored, expected = set(ids), set(expected_ids)
+            if stored == expected:  # then expected_ids repeats an id
+                check_unique(expected_ids, "embedding matrix")
             missing = [pid for pid in expected_ids if pid not in stored]
             extra = [pid for pid in ids if pid not in expected]
             raise IdMismatchError(
                 f"embedding ids do not match corpus: missing {missing[:10]}, extra {extra[:10]}"
             )
-    return matrix.take(expected_ids)
+    if not normalize:
+        return matrix
+    blocks = data.reshape(-1, d)
+    unit_rows(blocks, blocks)  # in place: each chunk is copied before it is written
+    return replace(matrix, data=data)

@@ -2,11 +2,13 @@
 
 import base64
 import json
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from fairaudit import cli as cli_module
 from fairaudit._util import write_json
 from fairaudit.audit import AuditConfig, run_audit
 from fairaudit.classifiers import BoostedStumps, Stump, TrainConfig, save_model
@@ -246,6 +248,31 @@ class TestPipelineChain:
         out_path = tmp_path / "p.json"
         assert run(capsys, "predict", "--model", str(model), "--embeddings", str(emb),
                    "--d", "8", "--out", str(out_path))[0] == 0
+
+    def test_train_frees_the_full_matrix_before_the_fit(self, tmp_path, corpus, capsys,
+                                                         monkeypatch):
+        emb, splits = tmp_path / "e.faem", tmp_path / "s.json"
+        run(capsys, "embed", "--corpus", str(corpus), "--d", "8", "--out", str(emb))
+        run(capsys, "split", "--corpus", str(corpus), "--out", str(splits))
+        embedded, fits = [], []
+        embed, train = cli_module.embed_profiles, cli_module.train_family
+
+        def embed_profiles(*args):
+            matrix = embed(*args)
+            embedded.append(weakref.ref(matrix))
+            return matrix
+
+        def train_family(*args):
+            fits.append([ref() is None for ref in embedded])
+            return train(*args)
+
+        monkeypatch.setattr(cli_module, "embed_profiles", embed_profiles)
+        monkeypatch.setattr(cli_module, "train_family", train_family)
+        code, _, err = run(capsys, "train", "--family", "stumps", "--corpus", str(corpus),
+                           "--embeddings", str(emb), "--splits", str(splits), "--d", "8",
+                           "--rounds", "2", "--out", str(tmp_path / "m.json"))
+        assert code == 0, err
+        assert fits == [[True]]  # the one full matrix was freed when the fit started
 
     def test_train_with_search_trials(self, tmp_path, corpus, capsys):
         emb = tmp_path / "e.faem"

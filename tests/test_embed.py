@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fairaudit import _util, embed
 from fairaudit._util import check_float32
+from fairaudit.audit import AuditConfig, embed_profiles
 from fairaudit.dataset import FIELD_ORDER, Profile, generate_synthetic_corpus
 from fairaudit.embed import (
     EmbeddingMatrix,
@@ -26,6 +27,7 @@ from fairaudit.errors import (
     IdMismatchError,
     IntegrityError,
     NonFiniteError,
+    ParseError,
 )
 
 
@@ -339,11 +341,67 @@ class TestPersistence:
         with pytest.raises(IntegrityError, match=r"\['A'\]"):
             EmbeddingMatrix(np.zeros((3, 10)), 2, FIELD_ORDER, ("A", "B", "A"))
 
+    @pytest.mark.parametrize("dim_per_field", [0, -1])
+    def test_matrix_refuses_a_field_width_below_one(self, dim_per_field):
+        with pytest.raises(ValueError, match=f"dim_per_field must be >= 1, got {dim_per_field}"):
+            EmbeddingMatrix(np.zeros((3, 0)), dim_per_field, FIELD_ORDER, ("A", "B", "C"))
+
+    def _shuffled_file(self, path, n, d):
+        """A ``.faem`` file of n random rows whose ids are stored in shuffled order,
+        its rows in that order, and the corpus order ``P0..P{n-1}``."""
+        rng = np.random.default_rng(11)
+        ids = tuple(f"P{i}" for i in range(n))
+        stored = rng.permutation(n)
+        data = rng.standard_normal((n, 5 * d), np.float32) * np.exp(rng.uniform(-3, 3, (n, 1)))
+        data[stored[0], :d] = 0.0  # a zero block stays zero
+        matrix = EmbeddingMatrix(data, d, FIELD_ORDER, ids)
+        save_embeddings(matrix.take([ids[i] for i in stored]), path)
+        return matrix
+
+    @pytest.mark.parametrize("read_elems", [1, 7, 40, 1 << 17])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_shuffled_file_is_read_into_corpus_order(self, tmp_path, monkeypatch, read_elems,
+                                                     normalize):
+        monkeypatch.setattr(embed, "_READ_ELEMS", read_elems)
+        path = tmp_path / "m.faem"
+        matrix = self._shuffled_file(path, 9, 4)
+        want = normalize_field_blocks(matrix) if normalize else matrix
+        loaded = ingest_embeddings(path, matrix.index_order, 4, normalize)
+        assert loaded.index_order == matrix.index_order
+        assert np.array_equal(loaded.data.view(np.uint32), want.data.view(np.uint32))
+        assert not loaded.data.flags.writeable
+        cut = tmp_path / "cut.faem"
+        cut.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ParseError, match="too few values"):
+            ingest_embeddings(cut, matrix.index_order, 4, normalize)
+
+    def test_ingest_of_a_shuffled_file_holds_one_matrix(self, tmp_path):
+        # a reordered copy of the file's rows, or a normalized one, would take
+        # twice the rows
+        path = tmp_path / "m.faem"
+        matrix = self._shuffled_file(path, 1000, 1024)
+        profiles = [Profile(pid, {"Combined": "x"}) for pid in matrix.index_order]
+        config = AuditConfig(d=1024, embedder="ingest", embeddings_path=str(path))
+        tracemalloc.start()
+        try:
+            got = embed_profiles(profiles, config, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * got.data.nbytes, f"peak {peak / got.data.nbytes:.2f}x the rows"
+        want = normalize_field_blocks(matrix).data
+        assert np.array_equal(got.data.view(np.uint32), want.view(np.uint32))
+
     def test_ingest_rejects_duplicate_ids(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("".join(f"{pid}," + ",".join(["0.5"] * 10) + "\n" for pid in "ABA"))
         with pytest.raises(IntegrityError, match=r"\['A'\]"):
             ingest_embeddings(path, ("A", "B"), 2)
+
+    def test_ingest_rejects_a_repeated_corpus_id(self, tmp_path):
+        save_embeddings(self._matrix(), tmp_path / "m.faem")
+        with pytest.raises(IntegrityError, match=r"\['P0'\]"):
+            ingest_embeddings(tmp_path / "m.faem", ("P0", "P1", "P2", "P0"), 4)
 
     # the least magnitude that rounds to inf as float32
     OVERFLOW = 2.0**128 - 2.0**103

@@ -385,6 +385,35 @@ def test_search_memory_stays_near_the_input_size():
     assert peak < 2.5 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the input"
 
 
+def test_dense_float32_search_keeps_one_int32_slot_per_entry():
+    # intp slot orders alone would take 2 * x.nbytes; int32 ones take x.nbytes
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((2000, 512), dtype=np.float32)
+    y = (x[:, 0] + x[:, 1] > 0).astype(np.int64)
+    tracemalloc.start()
+    try:
+        model = train_stumps(x, y, TrainConfig(rounds=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.rounds == 3
+    assert peak < 1.6 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the input"
+
+
+def test_every_block_order_is_a_view_of_one_int32_store():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((300, 40)) * (rng.random((300, 40)) < 0.5)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stumps, "_BLOCK_ELEMS", 1000)
+        blocks = stumps._feature_blocks(x)
+    orders = [block[1] for block in blocks]
+    assert len(orders) > 1
+    assert all(order.dtype == np.int32 for order in orders)
+    store = orders[0].base
+    assert store is not None and all(order.base is store for order in orders)
+    assert store.size == sum(order.size for order in orders)
+
+
 def test_search_memory_of_a_sparse_matrix_follows_its_nonzeros():
     # the per-entry state (a row index and a split index) covers the nonzero
     # entries only; 16 bytes an entry would be a complex prefix sum of each
