@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import FairauditError, IntegrityError, NonFiniteError, ParseError
 
-_TINY = float(np.finfo(np.float64).tiny)  # the least normal float64
 _FLOAT32_OVERFLOW = 2.0**128 - 2.0**103  # the least magnitude that rounds to inf as float32
 # float32 entries base64-encoded at a time by write_json: 4 bytes each and a
 # multiple of 3 entries, so a piece encodes without padding
@@ -134,46 +133,26 @@ def naming(path):
         raise
 
 
-def unit_rows(rows: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Write the unit vector of each vector along the last axis of ``rows`` into
-    ``out`` (of the same shape, any float dtype) and return what made it one: a
-    power-of-two shift and a norm, one of each per vector, for :func:`scale_rows`.
-    ``rows`` is read about ``_UNIT_ELEMS`` entries at a time, each chunk copied to
-    float64 once (float32 rows: their exact float64 values), normed, scaled and
-    stored; no result depends on the chunking.
+def unit_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the unit vector of each vector along the last axis of ``rows`` (float32
+    values, in any float dtype) into ``out`` (of the same shape, any float dtype) and
+    return the norm that made it one, per vector. ``rows`` is read about
+    ``_UNIT_ELEMS`` entries at a time, each chunk copied to float64 once (its exact
+    values), normed, divided and stored; no result depends on the chunking.
 
-    A vector whose squares overflow (its norm is inf, from entries above about
-    1e154) or underflow (its norm is 0 or subnormal, from entries below about
-    1e-162) is first shifted by the power of two that brings its largest
-    magnitude into [1/2, 1), which is exact. Every other vector has shift 0 and
-    its plain norm, so it keeps every bit. A zero vector gets norm 1 and stays zero."""
-    shifts = np.zeros(rows.shape[:-1], np.int32)
+    The squares of a float32 value neither overflow nor underflow in float64, so
+    each vector is the plain division by its float64 norm. A zero vector gets
+    norm 1 and stays zero."""
     norms = np.empty(rows.shape[:-1])
     step = max(1, _UNIT_ELEMS // max(1, rows.shape[-1]))
     for at in range(0, len(rows), step):
-        chunk = rows[at : at + step].astype(np.float64)  # a copy: it is scaled in place
-        with np.errstate(over="ignore"):  # an overflowing norm is mended below
-            part = np.linalg.norm(chunk, axis=-1)
-        odd = (part == np.inf) | (part < _TINY)  # zero vectors too
-        if odd.any():
-            shifted = chunk[odd]
-            shift = -np.frexp(np.abs(shifted).max(axis=-1))[1]
-            shifts[at : at + step][odd] = shift
-            part[odd] = np.linalg.norm(np.ldexp(shifted, shift[:, None]), axis=-1)
+        chunk = rows[at : at + step].astype(np.float64)  # a copy: it is divided in place
+        part = np.linalg.norm(chunk, axis=-1)
         part[part == 0] = 1.0
         norms[at : at + step] = part
-        scale_rows(chunk, shifts[at : at + step], part)
+        chunk /= part[..., None]
         out[at : at + step] = chunk
-    return shifts, norms
-
-
-def scale_rows(rows: np.ndarray, shifts: np.ndarray, norms: np.ndarray) -> None:
-    """Scale ``rows`` in place by the shifts and norms of :func:`unit_rows`: each
-    vector times two to its shift, over its norm."""
-    odd = shifts != 0
-    if odd.any():
-        rows[odd] = np.ldexp(rows[odd], shifts[odd][:, None])
-    rows /= norms[..., None]
+    return norms
 
 
 def check_float32(arr: np.ndarray) -> None:
@@ -187,6 +166,17 @@ def check_float32(arr: np.ndarray) -> None:
     top = max(arr.max(where=finite, initial=0.0), -arr.min(where=finite, initial=0.0))
     if top >= _FLOAT32_OVERFLOW:
         raise NonFiniteError(f"a value of magnitude {top:.6g} overflows float32")
+
+
+def float32_rows(arr, what: str) -> np.ndarray:
+    """``arr`` as C-contiguous float32, ``arr`` itself when it is that already. A
+    value that float32 cannot hold, a NaN or an inf is a NonFiniteError naming ``what``."""
+    arr = np.asarray(arr)
+    check_float32(arr)  # before the cast, so the value can be named
+    rows = np.ascontiguousarray(arr, dtype=np.float32)
+    if rows.size and not np.isfinite([rows.min(), rows.max()]).all():  # NaN reaches both
+        raise NonFiniteError(f"{what} contains NaN or Inf")
+    return rows
 
 
 def encode_array(arr: np.ndarray) -> dict:

@@ -25,16 +25,15 @@ from itertools import chain
 
 import numpy as np
 
-from ._util import check_float32, check_unique, naming, positions, unit_rows
+from ._util import check_float32, check_unique, float32_rows, naming, positions, unit_rows
 from .dataset import FIELD_ORDER, Profile
-from .errors import DimensionMismatchError, IdMismatchError, NonFiniteError, ParseError
+from .errors import DimensionMismatchError, IdMismatchError, ParseError
 
 _MAGIC = b"FAEM"
 _VERSION = 1
 # entries of the texts hashed and scattered at a time, a text counting its d float64
 # bucket entries and its tokens; bounds the working memory
 _CHUNK_ENTRIES = 1 << 18
-_WRITE_ELEMS = 1 << 17  # entries written at a time; bounds the working memory
 _READ_ELEMS = 1 << 17  # entries read at a time into a reordering buffer
 
 
@@ -54,17 +53,14 @@ class EmbeddingMatrix:
     def __post_init__(self):
         if self.dim_per_field < 1:
             raise ValueError(f"dim_per_field must be >= 1, got {self.dim_per_field}")
-        check_float32(np.asarray(self.data))  # before the cast, so the value can be named
         # a view: setting it read-only below leaves the caller's array as it was
-        data = np.ascontiguousarray(self.data, dtype=np.float32).view()
+        data = float32_rows(self.data, "embedding matrix").view()
         n, d_total = data.shape
         expected = self.dim_per_field * len(self.field_order)
         if d_total != expected:
             raise DimensionMismatchError(expected, d_total, "row width")
         if n != len(self.index_order):
             raise DimensionMismatchError(len(self.index_order), n, "row count")
-        if data.size and not np.isfinite([data.min(), data.max()]).all():  # NaN reaches both
-            raise NonFiniteError("embedding matrix contains NaN or Inf")
         check_unique(self.index_order, "embedding matrix")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
@@ -240,8 +236,8 @@ def normalize_field_blocks(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
 
 
 def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
-    """Write the binary matrix format (float32, little-endian), about
-    ``_WRITE_ELEMS`` entries at a time."""
+    """Write the binary matrix format (float32, little-endian); the rows go in one
+    write of ``matrix.data``, which on a little-endian machine is no copy."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<H", _VERSION))
@@ -250,9 +246,7 @@ def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
             raw = pid.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
-        rows = max(1, _WRITE_ELEMS // max(1, matrix.dim))
-        for start in range(0, matrix.n, rows):
-            fh.write(matrix.data[start : start + rows].astype("<f4", copy=False))
+        fh.write(matrix.data.astype("<f4", copy=False))
 
 
 def _read_faem(path, order=None) -> tuple[list[str], np.ndarray]:

@@ -9,14 +9,16 @@ rows by reference rows, one float32 GEMM per field *screens* the pairs
 :func:`_pair_scores` rescores every pair the screen cannot rule out and decides every
 score and rank, ties by row index: the screen's precision changes no result.
 
-Memory. No float64 copy of the rows is made: float32 (or float64) rows are read as
-they are. The kernel gathers the caller's rows of the pairs it scores, as float64,
-and, for cosine, scales them by the shifts and norms that
-:func:`~fairaudit._util.unit_rows` returned when it wrote the float32 screen copy,
-which gives the bits of unit rows; a query row is scaled once per rescore, unless
-its pairs fill more than one gather. For euclidean the screen copy is the caller's
-rows times a power of two, taken in float64. Beyond the screen copies a search holds
-tiles of a fixed size and, per row, k floats and its candidates.
+Memory. Every search reads float32 rows, checked by the rule an
+:class:`~fairaudit.embed.EmbeddingMatrix` applies (:func:`~fairaudit._util.float32_rows`):
+a matrix's rows as they are, other rows rounded to float32 once; no float64 copy of
+the rows is made. The kernel gathers the rows of the pairs it scores, as float64,
+and, for cosine, divides them by the norms that :func:`~fairaudit._util.unit_rows`
+returned when it wrote the float32 screen copy, which gives the bits of unit rows; a
+query row is divided once per rescore, unless its pairs fill more than one gather.
+For euclidean the screen copy is the rows times a power of two, taken in float64.
+Beyond the screen copies a search holds tiles of a fixed size and, per row, k floats
+and its candidates.
 
 Screen error. The screen reads float32 copies of the rows the kernel scores: unit
 rows for cosine, and for euclidean each field's rows times the power of two ``c``
@@ -33,10 +35,9 @@ float64 kernel's own error is 2**29 times smaller. So, with room to spare:
 - euclidean: the GEMM form is within ``E = (d + 8) eps S + 4 d t`` of ``|q - r|^2`` of
   the copies. As ``|sqrt a - sqrt b| <= |a - b| / (sqrt a + sqrt b)``, a screened
   distance D is within ``r(D) = (1 + u) E / max(D, sqrt E)`` plus ``e = 2 eps sqrt S +
-  eps sqrt E + 2 sqrt(d) t + c sqrt(2 d 2**-1074)`` (input and root rounding, the
-  kernel's rounding and underflow) of c times the kernel's, ``m = 2 sqrt S + 2 (e +
-  sqrt E)``. A row whose ``sqrt(2 S) / c`` reaches 2**500, where the kernel's sum
-  may overflow to inf, gets ``e = inf``.
+  eps sqrt E + 2 sqrt(d) t`` (input, root and kernel rounding) of c times the
+  kernel's, ``m = 2 sqrt S + 2 (e + sqrt E)``. The kernel's float64 squares of the
+  differences of float32 values neither overflow nor underflow.
 
 Fields add in units of ``1 / C``, ``C = min_f c_f``, with float32 weights ``fl(w_f C /
 (c_f W))``. Weighting and adding in float32 and in the kernel's float64, and the
@@ -44,7 +45,7 @@ float32 steps below, add at most ``(F + 2) eps m_f`` per field, and underflow ``
 (1 + m_f)`` per field and ``2 F C 2**-1074``: so each query row has ``delta =
 sum_f w_f C / (c_f W) (e_f + (F + 2) eps m_f) + ...`` and each euclidean entry a
 radius ``R = sum_f fl(w_f C / (c_f W)) r_f(D_f)``, computed in float32 from E raised
-by ``(F + 8) eps`` (cosine: R = 0). A bound that cannot be evaluated is infinite.
+by ``(F + 8) eps`` (cosine: R = 0).
 
 Selection. Every column's exact score lies within ``screen +- (R + delta)``. With
 ``s_k`` the k-th largest ``screen - R`` of a row (``-inf`` on its own column if self
@@ -80,11 +81,11 @@ import numpy as np
 
 from ._util import (
     check_unique,
+    float32_rows,
     naming,
     parsing,
     positions,
     read_json,
-    scale_rows,
     typed,
     typed_list,
     unit_rows,
@@ -95,7 +96,6 @@ from .errors import (
     AlignmentError,
     DimensionMismatchError,
     IntegrityError,
-    NonFiniteError,
     SizeError,
 )
 
@@ -143,8 +143,9 @@ class NeighborList:
 
 
 def pairwise_similarity(a, b, metric: str = "cosine") -> float:
-    """Similarity of two vectors as :func:`search` scores the pair; symmetric,
-    larger means more similar."""
+    """Similarity of two vectors as :func:`search` scores the pair, each rounded to
+    float32 first as an EmbeddingMatrix rounds it; symmetric, larger means more
+    similar."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
@@ -166,23 +167,24 @@ _TINY64 = float(np.finfo(np.float64).smallest_subnormal)
 
 
 def _scale(metric: str, *blocks: np.ndarray) -> float:
-    """The power of two, at most 2**1000, that brings a euclidean field's largest
-    magnitude into [1/2, 1) or below; 1 for cosine, whose rows are unit rows."""
+    """The power of two, at most 2**148 for float32 rows, that brings a euclidean
+    field's largest magnitude into [1/2, 1) (a zero field: 1); 1 for cosine, whose
+    rows are unit rows."""
     if metric == "cosine":
         return 1.0
     top = max((max(b.max(), -b.min()) for b in blocks if b.size), default=0.0)
-    return float(np.ldexp(1.0, -max(int(np.frexp(top)[1]), -1000)))
+    return float(np.ldexp(1.0, -int(np.frexp(top)[1])))
 
 
 class _Rows(NamedTuple):
-    """One field's rows as the caller holds them and, for cosine, the shifts and
-    norms from :func:`unit_rows`, which make them the unit rows the pair kernel
-    scores (``scales`` None: the kernel scores the rows as they are); their float32
-    screen copy, the copy's squared norms, summed in float64, and for euclidean
-    query rows the squared-distance error ``(E, sqrt(E))`` of each row."""
+    """One field's float32 rows and, for cosine, the norms from :func:`unit_rows`,
+    which make them the unit rows the pair kernel scores (``norms`` None: the kernel
+    scores the rows as they are); their float32 screen copy, the copy's squared
+    norms, summed in float64, and for euclidean query rows the squared-distance
+    error ``(E, sqrt(E))`` of each row."""
 
     rows: np.ndarray
-    scales: tuple[np.ndarray, np.ndarray] | None
+    norms: np.ndarray | None
     low: np.ndarray | None
     sq: np.ndarray | None
     error: tuple[np.ndarray, np.ndarray] | None = None
@@ -195,30 +197,30 @@ class _Rows(NamedTuple):
         def pair(x):
             return None if x is None else (cut(x[0]), cut(x[1]))
 
-        return _Rows(cut(self.rows), pair(self.scales), cut(self.low), cut(self.sq),
+        return _Rows(cut(self.rows), cut(self.norms), cut(self.low), cut(self.sq),
                      pair(self.error))
 
 
 def _gather(field: _Rows, index: np.ndarray) -> np.ndarray:
     """Rows ``index`` of ``field`` as the pair kernel scores them, in a new float64
-    array: for cosine, scaled by the field's stored shifts and norms."""
-    rows = field.rows[index].astype(np.float64, copy=False)
-    if field.scales is not None:
-        scale_rows(rows, *(part[index] for part in field.scales))
+    array: for cosine, divided by the field's stored norms."""
+    rows = field.rows[index].astype(np.float64)
+    if field.norms is not None:
+        rows /= field.norms[index, None]
     return rows
 
 
 def _field(data: np.ndarray, metric: str, scale: float) -> _Rows:
     """The rows of one field, a view of ``data``, and their float32 screen copy: for
     cosine the unit rows that :func:`unit_rows` writes, for euclidean the rows times
-    ``scale``, multiplied in float64 (a float32 field's ``scale`` may exceed float32)."""
+    ``scale``, multiplied in float64 (``scale`` may exceed float32)."""
     low = np.empty(data.shape, np.float32)
     if metric == "cosine":
-        scales = unit_rows(data, low)
+        norms = unit_rows(data, low)
     else:
-        scales = None
+        norms = None
         np.multiply(data, scale, out=low, dtype=np.float64, casting="same_kind")
-    return _Rows(data, scales, low, np.einsum("ij,ij->i", low, low, dtype=np.float64))
+    return _Rows(data, norms, low, np.einsum("ij,ij->i", low, low, dtype=np.float64))
 
 
 def _radius(dist, sq_error, coef: np.float32):
@@ -263,7 +265,7 @@ def _tile_screen(q, ref, coefs, metric: str, mirror: bool):
     return screen, radii
 
 
-def _field_error(q_sq, ref_sq_max, metric: str, d: int, scale: float, n_fields: int):
+def _field_error(q_sq, ref_sq_max, metric: str, d: int, n_fields: int):
     """Per query row, one field's error terms (module docstring): the constant
     bound ``e``, the magnitude ``m`` and, for euclidean, float32 ``(E, sqrt(E))``
     with E raised and sqrt(E) lowered so that the float32 radius stays a bound."""
@@ -273,8 +275,6 @@ def _field_error(q_sq, ref_sq_max, metric: str, d: int, scale: float, n_fields: 
         return e, s + e, None
     e_sq = (d + 8) * _EPS * s + 4 * d * _TINY
     e = 2 * _EPS * np.sqrt(s) + _EPS * np.sqrt(e_sq) + 2 * np.sqrt(d) * _TINY
-    e += scale * np.sqrt(2 * d * _TINY64)
-    e[np.sqrt(2 * s) / scale >= 2.0**500] = np.inf  # the kernel's sum may overflow
     sq_error = (
         (e_sq * (1 + (n_fields + 8) * _EPS)).astype(np.float32),
         (np.sqrt(e_sq) * (1 - 8 * _EPS)).astype(np.float32),
@@ -287,13 +287,12 @@ def _bounds(q, ref, weights, scales, total, metric: str, d: int):
     (module docstring)."""
     common, n_fields = min(scales), len(weights)
     delta, sq_errors = 2 * n_fields * common * _TINY64, []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for qf, rf, w, c in zip(q, ref, weights, scales):
-            e, m, sq_error = _field_error(qf.sq, rf.sq.max(), metric, d, c, n_fields)
-            delta = delta + w * (common / c) / total * (e + (n_fields + 2) * _EPS * m)
-            delta = delta + 2 * _TINY * (1 + m)
-            sq_errors.append(sq_error)
-    return np.where(np.isnan(delta), np.inf, delta), sq_errors  # nan: cannot be evaluated
+    for qf, rf, w, c in zip(q, ref, weights, scales):
+        e, m, sq_error = _field_error(qf.sq, rf.sq.max(), metric, d, n_fields)
+        delta = delta + w * (common / c) / total * (e + (n_fields + 2) * _EPS * m)
+        delta = delta + 2 * _TINY * (1 + m)
+        sq_errors.append(sq_error)
+    return delta, sq_errors
 
 
 class _Selection:
@@ -438,18 +437,18 @@ def search(
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
     symmetric = queries is reference
-    queries = np.asarray(queries)  # as they are: every read of a row upcasts it to float64
-    reference = queries if symmetric else np.asarray(reference)
+    queries = float32_rows(queries, "search input")
+    reference = queries if symmetric else float32_rows(reference, "search input")
     n_q, n_ref = queries.shape[0], reference.shape[0]
     if queries.shape[1] != reference.shape[1]:
         raise DimensionMismatchError(reference.shape[1], queries.shape[1], "embedding width")
+    if reference.shape[1] == 0:
+        raise DimensionMismatchError("at least 1", 0, "embedding width")
     limit = n_ref - 1 if exclude_diagonal else n_ref
     if not 1 <= k <= limit:
         raise SizeError(f"k={k} out of range [1, {limit}] for {n_ref} reference rows")
     if block is not None and block < 1:
         raise ValueError(f"batch_size must be >= 1, got {block}")
-    if not (np.isfinite(queries).all() and np.isfinite(reference).all()):
-        raise NonFiniteError("search inputs must be finite")
     weights = np.ones(1) if weights is None else weights
     used, total, d = weights[weights > 0], weights.sum(), reference.shape[1] // len(weights)
     tile, tile_cols = _tile_shape(queries.shape[1], len(used), metric, symmetric, block)

@@ -279,14 +279,23 @@ class TestPersistence:
         # float32 storage
         assert np.array_equal(data, matrix.data.astype(np.float32).astype(np.float64))
 
-    @pytest.mark.parametrize("write_elems", [1, 20, 50, 1 << 17])
-    def test_rows_written_in_pieces_keep_the_bytes(self, tmp_path, monkeypatch, write_elems):
-        monkeypatch.setattr(embed, "_WRITE_ELEMS", write_elems)
+    def test_saved_rows_keep_the_bytes(self, tmp_path):
         matrix = self._matrix(n=7)
         save_embeddings(matrix, tmp_path / "m.faem")
         raw = (tmp_path / "m.faem").read_bytes()
         assert raw.endswith(matrix.data.astype("<f4").tobytes())
         assert len(raw) == 22 + 7 * (4 + 2) + matrix.data.size * 4  # header, ids "Pi", data
+
+    def test_save_makes_no_copy_of_the_rows(self, tmp_path):
+        # the float32 rows are written as they are held, in one write
+        matrix = self._matrix(n=1000, d=768)
+        tracemalloc.start()
+        try:
+            save_embeddings(matrix, tmp_path / "m.faem")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB for {matrix.data.nbytes / 2**20:.0f} MiB"
 
     def test_ingest_identity(self, tmp_path):
         matrix = self._matrix()

@@ -1,9 +1,9 @@
 """The blocked-GEMM neighbor engine ranks exactly as a brute-force oracle.
 
-The oracle scores every (query, reference) pair with the pair kernel (a
-row-wise einsum over unit rows for cosine, normalized by its own code) and
-takes a stable argsort, so it shares no norm, GEMM, band, block or gather
-code with the engine.
+The oracle scores every (query, reference) pair of the float32 rows the search
+reads with the pair kernel (a row-wise einsum over unit rows for cosine,
+normalized by its own code) and takes a stable argsort, so it shares no norm,
+GEMM, band, block or gather code with the engine.
 Results must be equal with ``==``, for any block size, gather size and BLAS
 thread count.
 """
@@ -24,35 +24,29 @@ from hypothesis import strategies as st
 from fairaudit import _util, embed_corpus, generate_synthetic_corpus, simindex
 from fairaudit.embed import normalize_field_blocks
 from fairaudit.embed import EmbeddingMatrix
-from fairaudit.simindex import knn_batched, knn_exact, knn_feature_reranked, search_queries
+from fairaudit.simindex import (knn_batched, knn_exact, knn_feature_reranked, pairwise_similarity,
+                                search_queries)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def unit_rows(data):
-    """Each row over its L2 norm, one row at a time; zero rows stay zero. A row
-    whose squares overflow or underflow (its norm is inf, or 0 or subnormal
-    though an entry is not 0) is first scaled by the power of two that brings
-    its largest magnitude into [1/2, 1)."""
+    """Each row of float32 values over its L2 norm, one row at a time, in float64;
+    zero rows stay zero."""
     rows = np.array(data, dtype=np.float64)
     for row in rows:
-        with np.errstate(over="ignore"):
-            norm = np.sqrt(np.sum(row * row))
-        if not sys.float_info.min <= norm < math.inf:
-            top = np.abs(row).max(initial=0.0)
-            if not top:
-                continue
-            row[:] = np.ldexp(row, -math.frexp(top)[1])
-            norm = np.sqrt(np.sum(row * row))
-        row /= norm
+        norm = np.sqrt(np.sum(row * row))
+        if norm:
+            row /= norm
     return rows
 
 
 def pair_kernel_scores(queries, reference, metric):
-    """Every pair's score by the pair kernel, shape (len(queries), len(reference))."""
+    """Every pair's score by the pair kernel, shape (len(queries), len(reference)),
+    of the rows rounded to float32, as the search reads them."""
     prepare = np.asarray if metric == "euclidean" else unit_rows
-    q = prepare(np.asarray(queries, dtype=np.float64))
-    r = prepare(np.asarray(reference, dtype=np.float64))
+    q = prepare(np.asarray(queries, dtype=np.float32).astype(np.float64))
+    r = prepare(np.asarray(reference, dtype=np.float32).astype(np.float64))
     rows, cols = np.divmod(np.arange(len(q) * len(r)), len(r))
     if metric == "cosine":
         return np.einsum("ij,ij->i", q[rows], r[cols]).reshape(len(q), len(r))
@@ -61,8 +55,7 @@ def pair_kernel_scores(queries, reference, metric):
 
 
 def top_k(scores, k, exclude_diagonal):
-    """Stable descending order, the diagonal left out (not scored -inf: an
-    overflowing euclidean kernel scores other columns -inf too)."""
+    """Stable descending order, the diagonal left out."""
     order = np.argsort(-scores, axis=1, kind="stable")
     if exclude_diagonal:
         n = len(scores)
@@ -78,8 +71,8 @@ def oracle(queries, reference, k, metric, exclude_diagonal):
 def tie_heavy(draw, n_fields=1, extreme=False):
     """Small integer rows plus duplicates, zero rows, rows scaled by powers of
     two and rows one float64 ulp from another, which float32 cannot tell apart.
-    ``extreme`` adds rows scaled to near +-1e300 and to subnormals, and rows a few
-    float32 ulps or less from another, so that rounding to float32 reorders scores."""
+    ``extreme`` adds integer rows scaled up to 2**127 and to float32 subnormals,
+    and rows a few float32 ulps from another."""
     n = draw(st.integers(2, 14))
     d = draw(st.integers(1, 4)) * n_fields
     kinds = ["ints", "ints", "copy", "zero", "scaled", "ulp"]
@@ -89,19 +82,19 @@ def tie_heavy(draw, n_fields=1, extreme=False):
         kind = draw(st.sampled_from(kinds))
         if kind in ("ints", "huge", "tiny") or not rows:
             row = np.array(draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d)), float)
-            if kind == "huge":  # 2**997 is about 1.3e300
-                row *= 2.0 ** draw(st.integers(990, 1018))
-            elif kind == "tiny":  # 2**-1074 is the least subnormal
-                row = row / 2.0**537 / 2.0 ** draw(st.integers(480, 537))
+            if kind == "huge":  # at most 2**124
+                row *= 2.0 ** draw(st.integers(100, 123))
+            elif kind == "tiny":  # 2**-149 is the least float32 subnormal
+                row *= 2.0 ** -draw(st.integers(127, 149))
         elif kind == "zero":
             row = np.zeros(d)
         else:
             row = rows[draw(st.integers(0, i - 1))].copy()
-            if kind == "scaled":
-                row *= 2.0 ** draw(st.integers(-3, 3))
+            if kind == "scaled":  # up only below 2**124: every row stays below 2**127
+                row *= 2.0 ** draw(st.integers(-3, 3 if np.abs(row).max() < 2.0**124 else 0))
             elif kind == "near":
-                noise = draw(st.lists(st.floats(-1, 1), min_size=d, max_size=d))
-                row += np.array(noise) * 2.0 ** -draw(st.integers(18, 30))
+                steps = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+                row += np.array(steps) * np.spacing(row.astype(np.float32))
             elif kind == "ulp":
                 j = draw(st.integers(0, d - 1))
                 row[j] = np.nextafter(row[j], draw(st.sampled_from([np.inf, -np.inf])))
@@ -247,15 +240,15 @@ def test_rerank_equals_a_stage_two_oracle(data, metric, weights, exclude_self, d
     draw=st.data(),
 )
 def test_extreme_rows_equal_the_oracle(data, metric, weights, exclude_self, draw):
-    """Rows near +-1e300 (whose euclidean kernel sums overflow to inf), subnormal
-    rows and rows one ulp apart, whole rows and weighted fields: the float32
-    screen's bound covers rounding, scaling and underflow, so the float64 kernel
-    still decides every score. A float32 EmbeddingMatrix cannot hold such rows, so
-    the search reads the float64 arrays themselves."""
+    """Rows near the float32 maximum, float32 subnormal rows and rows a few float32
+    ulps apart, whole rows and weighted fields: the float32 screen's bound covers
+    rounding, scaling and underflow, so the float64 kernel still decides every
+    score. The search reads the float64 arrays' float32 rounding, as the oracle
+    does."""
     n = len(data)
     k = draw.draw(st.integers(1, n - 1 if exclude_self else n))
     picks = draw.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         want = oracle(data, data, k, metric, exclude_self)
         want_q = oracle(data[picks], data, k, metric, False)
         want_rerank = rerank_oracle(data, k, metric, weights, exclude_self)
@@ -269,6 +262,22 @@ def test_extreme_rows_equal_the_oracle(data, metric, weights, exclude_self, draw
     ):
         assert np.array_equal(ids, want_ids)
         assert np.array_equal(scores, want_scores)
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_float64_rows_score_as_their_float32_rounding(metric):
+    """Every search reads float32 rows: float64 rows score bit for bit as their
+    float32 rounding, which an EmbeddingMatrix of them holds."""
+    x = np.random.default_rng(9).standard_normal((30, 12))
+    x32 = matrix_of(x).data
+    for got, want in [
+        (simindex.search(x, x, 4, metric, True), simindex.search(x32, x32, 4, metric, True)),
+        (search_queries(x[:7], x, 4, metric), search_queries(x32[:7], x32, 4, metric)),
+    ]:
+        assert np.array_equal(got[0], want[0])
+        assert got[1].tobytes() == want[1].tobytes()
+    for i in range(1, 30):
+        assert pairwise_similarity(x[0], x[i], metric) == pairwise_similarity(x32[0], x32[i], metric)
 
 
 def demo_matrix():
@@ -313,16 +322,18 @@ def test_top_k_is_a_prefix_of_top_K(data, metric, weights, draw):
 
 
 def test_euclidean_near_duplicates_rank_by_their_true_distance():
-    """Rows one coordinate and a few 2**-30 apart: the kernel sums (q - r)**2
-    exactly, while the GEMM form |q|^2 + |r|^2 - 2 q.r cancels to rounding noise."""
+    """Rows one coordinate and a few 2**-20 apart, on a 1/256 grid below 8, so
+    float32 holds them: the kernel sums (q - r)**2 exactly, while the GEMM form
+    |q|^2 + |r|^2 - 2 q.r cancels to rounding noise."""
     base = np.round(np.random.default_rng(3).standard_normal(60) * 256) / 256
-    steps = np.array([3.0, 1.0, 4.0, 2.0, 0.0]) * 2.0**-30
+    steps = np.array([3.0, 1.0, 4.0, 2.0, 0.0]) * 2.0**-20
     reference = np.tile(base, (5, 1))
     reference[np.arange(5), np.arange(5)] += steps
+    assert np.array_equal(reference.astype(np.float32), reference)
     ids, scores = search_queries(base[None], reference, 5, "euclidean")
     assert ids[0].tolist() == [4, 1, 3, 0, 2]
-    assert scores[0].tolist() == [0.0, -(2.0**-30), -2 * 2.0**-30, -3 * 2.0**-30, -4 * 2.0**-30]
-    rows = np.vstack([base, reference])  # float64: a float32 matrix would merge them
+    assert scores[0].tolist() == [0.0, -(2.0**-20), -2 * 2.0**-20, -3 * 2.0**-20, -4 * 2.0**-20]
+    rows = np.vstack([base, reference])
     _, self_scores = simindex.search(rows, rows, 5, "euclidean", True)
     assert self_scores[0].tolist() == scores[0].tolist()
 
@@ -361,7 +372,7 @@ def test_no_float64_copy_of_the_reference(call):
     run = {
         "knn_exact": lambda: knn_exact(matrix, 5),
         "knn_feature_reranked": lambda: knn_feature_reranked(matrix, 5),
-        "search_queries": lambda: search_queries(x[: n // 2], x, 5),
+        "search_queries": lambda: search_queries(matrix.data[: n // 2], matrix.data, 5),
         "euclidean rerank": lambda: knn_feature_reranked(matrix, 5, "euclidean"),
     }[call]
     tracemalloc.start()
@@ -376,9 +387,9 @@ def test_no_float64_copy_of_the_reference(call):
 @pytest.mark.parametrize("gather_elems", [1, 7, 50, 1 << 17])
 def test_search_row_scales_give_the_bits_of_normalize_field_blocks(gather_elems, monkeypatch):
     """The pair kernel's gathered rows and the screen copy equal the unit rows of the
-    oracle bit for bit, for zero, subnormal, huge and unit float64 rows, and for
-    float32 rows, whose norms are taken in float64; normalize_field_blocks stores
-    those unit rows of a float32 matrix rounded to float32. Chunking changes no bit."""
+    oracle bit for bit, for zero, subnormal, huge and unit float32 rows, whose norms
+    are taken in float64; normalize_field_blocks stores those unit rows rounded to
+    float32. Chunking changes no bit."""
     monkeypatch.setattr(simindex, "_GATHER_ELEMS", gather_elems)
     monkeypatch.setattr(_util, "_UNIT_ELEMS", gather_elems)
     rng = np.random.default_rng(6)
@@ -386,32 +397,41 @@ def test_search_row_scales_give_the_bits_of_normalize_field_blocks(gather_elems,
     data = rng.standard_normal((24, 3 * d))
     data[0] = 0.0
     data[1, :d] = -0.0
-    data[2] *= 2.0**-1060  # subnormal entries
-    data[3] *= 1e300
-    data[4] *= -1e300
-    data[5, ::2] *= 1e300  # huge and plain entries in one row
+    data[2] *= 2.0**-140  # float32 subnormal entries
+    data[3] = np.sign(data[3]) * np.finfo(np.float32).max
+    data[4, ::2] *= 2.0**120  # huge and plain entries in one row
+    data[5, ::3] = np.finfo(np.float32).smallest_subnormal  # subnormal and plain entries
     data[6] = 0.25  # norm exactly 1 in every field
     data[7, :] = 0.0
     data[7, [0, d, 2 * d]] = [1.0, -1.0, 1.0]
-    for f in range(3):  # most of norm exactly 1
-        data[8:, f * d : (f + 1) * d] = unit_rows(data[8:, f * d : (f + 1) * d])
-    matrix = matrix_of(np.delete(data, [2, 3, 4, 5], axis=0), 3)  # rows float32 can hold
+    data[8:] = rng.choice([-0.25, 0.25], (16, 3 * d))  # norm exactly 1 in every field
+    matrix = matrix_of(data, 3)
     normalized = normalize_field_blocks(matrix)
     index = rng.integers(0, len(data), 60)
     for f in range(3):
-        view = data[:, f * d : (f + 1) * d]
-        want = unit_rows(view)
-        field = simindex._field(view, "cosine", 1.0)
-        assert (field.scales[1] == 1.0).sum() > 10
+        rows = matrix.field_block(f)
+        want = unit_rows(rows)
+        field = simindex._field(rows, "cosine", 1.0)
+        assert (field.norms == 1.0).sum() > 10
         assert simindex._gather(field, index).tobytes() == want[index].tobytes()
         assert field.low.tobytes() == want.astype(np.float32).tobytes()
-        rows32 = matrix.field_block(f)
-        want32 = unit_rows(rows32)
-        field32 = simindex._field(rows32, "cosine", 1.0)
-        assert simindex._gather(field32, index % len(rows32)).tobytes() == \
-            want32[index % len(rows32)].tobytes()
-        assert field32.low.tobytes() == want32.astype(np.float32).tobytes()
-        assert normalized.field_block(f).tobytes() == want32.astype(np.float32).tobytes()
+        assert normalized.field_block(f).tobytes() == want.astype(np.float32).tobytes()
+
+
+def test_unit_rows_of_float32_extremes_are_the_plain_division():
+    """The squares of float32 values neither overflow nor underflow in float64, so
+    rows holding the float32 maximum or subnormals become ``x / norm(x)`` in
+    float64, row by row, and the norms returned are those norms (a zero row: 1)."""
+    big, tiny = np.finfo(np.float32).max, np.finfo(np.float32).smallest_subnormal
+    rows = np.array([[big, -big, 1.0, 0.0], [tiny, -3 * tiny, 0.0, 5 * tiny],
+                     [big, tiny, -2.0, 0.5], [0.0, 0.0, -0.0, 0.0], [0.5, -0.5, 0.5, 0.5]],
+                    np.float32)
+    out = np.empty(rows.shape)
+    norms = _util.unit_rows(rows, out)
+    want_norms = [np.sqrt(np.sum(x * x)) or 1.0 for x in rows.astype(np.float64)]
+    want = [x / norm for x, norm in zip(rows.astype(np.float64), want_norms)]
+    assert out.tobytes() == np.array(want).tobytes()
+    assert norms.tolist() == want_norms
 
 
 @pytest.mark.parametrize("metric", ["cosine", "euclidean"])

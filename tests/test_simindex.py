@@ -259,6 +259,22 @@ class TestSearchQueries:
         with pytest.raises(NonFiniteError):
             search_queries(np.eye(3), reference, k=1)
 
+    def test_a_value_float32_cannot_hold_is_refused(self):
+        # the search reads float32 rows, as an EmbeddingMatrix holds them
+        rows = np.eye(3)
+        rows[1, 1] = -1e39
+        for queries, reference in [(np.eye(3), rows), (rows, np.eye(3))]:
+            with pytest.raises(NonFiniteError, match="1e\\+39 overflows float32"):
+                search_queries(queries, reference, k=1)
+        with pytest.raises(NonFiniteError, match="1e\\+39 overflows float32"):
+            pairwise_similarity([1e39, 0.0], [1.0, 0.0], "euclidean")
+
+    def test_zero_width_rows_are_a_dimension_error(self):
+        with pytest.raises(DimensionMismatchError, match="embedding width"):
+            pairwise_similarity([], [])
+        with pytest.raises(DimensionMismatchError, match="embedding width"):
+            search_queries(np.zeros((2, 0)), np.zeros((3, 0)), k=1)
+
 
 class TestNeighborListIO:
     def test_json_round_trip(self, tmp_path):
