@@ -9,18 +9,21 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import FairauditError, IntegrityError, NonFiniteError, ParseError
+from .errors import (DimensionMismatchError, FairauditError, IntegrityError, NonFiniteError,
+                     ParseError)
 
 _FLOAT32_OVERFLOW = 2.0**128 - 2.0**103  # the least magnitude that rounds to inf as float32
 # float32 entries base64-encoded at a time by write_json: 4 bytes each and a
 # multiple of 3 entries, so a piece encodes without padding
 _PIECE_ELEMS = 3 << 14
 _UNIT_ELEMS = 1 << 17  # float64 entries made unit vectors at a time by unit_rows
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def canonical_json(obj) -> str:
-    """Stable JSON encoding: sorted keys, compact separators, UTF-8 text."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    """Stable JSON encoding: sorted keys, compact separators, UTF-8 text; the data of
+    a ``stream_array`` value is its base64 text."""
+    return "".join(_json_pieces(obj))
 
 
 def write_json(path, obj) -> None:
@@ -42,11 +45,11 @@ def _json_pieces(obj):
     elif isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
         yield "{"
         for i, (key, value) in enumerate(sorted(obj.items())):
-            yield f"{',' if i else ''}{canonical_json(key)}:"
+            yield f"{',' if i else ''}{_ENCODER.encode(key)}:"
             yield from _json_pieces(value)
         yield "}"
     else:
-        yield canonical_json(obj)
+        yield _ENCODER.encode(obj)
 
 
 def read_json(path):
@@ -169,9 +172,12 @@ def check_float32(arr: np.ndarray) -> None:
 
 
 def float32_rows(arr, what: str) -> np.ndarray:
-    """``arr`` as C-contiguous float32, ``arr`` itself when it is that already. A
-    value that float32 cannot hold, a NaN or an inf is a NonFiniteError naming ``what``."""
+    """``arr`` as C-contiguous float32, ``arr`` itself when it is that already. An
+    array that is not 2-D is a DimensionMismatchError, and a value that float32
+    cannot hold, a NaN or an inf a NonFiniteError, naming ``what``."""
     arr = np.asarray(arr)
+    if arr.ndim != 2:
+        raise DimensionMismatchError(2, arr.ndim, f"{what} axis count")
     check_float32(arr)  # before the cast, so the value can be named
     rows = np.ascontiguousarray(arr, dtype=np.float32)
     if rows.size and not np.isfinite([rows.min(), rows.max()]).all():  # NaN reaches both
@@ -179,19 +185,11 @@ def float32_rows(arr, what: str) -> np.ndarray:
     return rows
 
 
-def encode_array(arr: np.ndarray) -> dict:
-    """Shape header plus base64 little-endian float32 data (lossy in the last bits)."""
-    check_float32(arr)
-    return {
-        "shape": list(arr.shape),
-        "data": base64.b64encode(np.ascontiguousarray(arr, dtype="<f4").tobytes()).decode(),
-    }
-
-
 class _Float32Data:
-    """``encode_array``'s base64 data, encoded ``_PIECE_ELEMS`` entries at a time.
-    Each piece but the last holds a multiple of 3 bytes, so it encodes without
-    padding and the pieces join to the text of the whole."""
+    """The base64 text of an array's little-endian float32 bytes, encoded
+    ``_PIECE_ELEMS`` entries at a time. Each piece but the last holds a multiple of
+    3 bytes, so it encodes without padding and the pieces join to the text of the
+    whole."""
 
     def __init__(self, arr: np.ndarray):
         check_float32(arr)
@@ -204,12 +202,14 @@ class _Float32Data:
 
 
 def stream_array(arr: np.ndarray) -> dict:
-    """``encode_array(arr)``, but ``write_json`` encodes and writes the data in pieces."""
+    """Shape header plus base64 little-endian float32 data (lossy in the last bits),
+    which ``write_json`` encodes and writes in pieces. A value that float32 cannot
+    hold is a NonFiniteError here, before any file is opened."""
     return {"shape": list(arr.shape), "data": _Float32Data(arr)}
 
 
 def decode_array(obj: dict) -> np.ndarray:
-    """``encode_array``'s inverse: the blob's float32 values, read-only; a NaN or
+    """``stream_array``'s inverse: the blob's float32 values, read-only; a NaN or
     infinite value is a ValueError."""
     raw = base64.b64decode(typed(obj, "data", str), validate=True)
     arr = np.frombuffer(raw, dtype="<f4").reshape(typed(obj, "shape", list))

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._util import decode_array, encode_array, typed
+from .._util import decode_array, stream_array, typed
 from ..errors import DimensionMismatchError, TrainingError
 
 _PARAM_SHAPES = (
@@ -76,14 +76,14 @@ class BiRnnClassifier:
                     params[name] = rng.uniform(-bound, bound, shape)
             self.params = params
 
-    def to_dict(self, encode=encode_array) -> dict:
+    def to_dict(self) -> dict:
         return {
             "input_dim": self.input_dim,
             "hidden_dim": self.hidden_dim,
             "head_dim": self.head_dim,
             "steps": self.steps,
             "seed": self.seed,
-            "weights": {name: encode(arr) for name, arr in self.params.items()},
+            "weights": {name: stream_array(arr) for name, arr in self.params.items()},
         }
 
     @classmethod

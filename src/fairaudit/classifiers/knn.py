@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._util import decode_array, encode_array, typed
+from .._util import decode_array, stream_array, typed
 from ..dataset import DecisionVector
 from ..embed import EmbeddingMatrix
 from ..errors import AlignmentError, SizeError
@@ -30,11 +30,11 @@ class KnnClassifier:
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}; expected one of {METRICS}")
 
-    def to_dict(self, encode=encode_array) -> dict:
+    def to_dict(self) -> dict:
         return {
             "k": self.k,
             "metric": self.metric,
-            "reference": encode(self.reference),
+            "reference": stream_array(self.reference),
             "labels": [int(v) for v in self.labels],
             "reference_ids": list(self.reference_ids),
         }

@@ -98,8 +98,7 @@ class BoostedStumps:
     def rounds(self) -> int:
         return len(self.stumps)
 
-    def to_dict(self, encode=None) -> dict:
-        """The rule list; ``encode``, which encodes the other families' arrays, is unused."""
+    def to_dict(self) -> dict:
         return {
             "base_score": self.base_score,
             "learning_rate": self.learning_rate,
@@ -347,9 +346,9 @@ def _best_split(blocks, gh: np.ndarray, gh_total: complex, lam: float, n_feature
     finite: the cases where that argmax lands on a non-finite value.
     """
     best = None  # (gain, scan key, rows, left sum, total)
-    # reg_lambda=0 with saturated probabilities divides by zero; the NaN or
-    # inf that results stops boosting, as intended
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # reg_lambda=0 with saturated probabilities divides by zero, or by so small an
+    # h that a gain overflows; the NaN or inf that results stops boosting, as intended
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for block in blocks:
             features, order, split_at, _, zero_col, zero_skip = block
             if not split_at.size:

@@ -23,13 +23,16 @@ and its candidates.
 Screen error. The screen reads float32 copies of the rows the kernel scores: unit
 rows for cosine, and for euclidean each field's rows times the power of two ``c``
 (exact) that brings its largest magnitude into [1/2, 1), so nothing overflows
-(cosine: c = 1). Per field of width d < 2**22, let ``S = |q|^2 + max |r|^2`` of the
-copies, ``u = 2**-24``, ``eps = 2u``, ``t = 2**-149`` the least float32 subnormal.
-Rounding to float32 moves an entry x by at most ``u|x| + t``, so a dot product of
-the copies moves by at most about ``u S + (d + S) t``; a float32 dot product of
-length d, any order, is within ``d u |q||r| / (1 - d u) + d t / 2`` of exact
-(Higham, *Accuracy and Stability of Numerical Algorithms*, 2.1 and 3.1), and the
-float64 kernel's own error is 2**29 times smaller. So, with room to spare:
+(cosine: c = 1). Per field of width d < 2**22, let ``S = max |q|^2 + max |r|^2`` of
+the copies, each maximum over the rows of the selection (a self-search: every row;
+a query search: the query tile, and the reference), so S bounds ``|q|^2 + |r|^2``
+of every pair in either orientation; ``u = 2**-24``, ``eps = 2u``, and ``t =
+2**-149`` the least float32 subnormal. Rounding to float32 moves an entry x by at
+most ``u|x| + t``, so a dot product of the copies moves by at most about ``u S +
+(d + S) t``; a float32 dot product of length d, any order, is within ``d u |q||r| /
+(1 - d u) + d t / 2`` of exact (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2.1 and 3.1), and the float64 kernel's own error is 2**29 times
+smaller. So, with room to spare:
 
 - cosine: ``|screen - kernel| <= e = (d + 8) eps S + 8 d t``, magnitude ``m = S + e``.
 - euclidean: the GEMM form is within ``E = (d + 8) eps S + 4 d t`` of ``|q - r|^2`` of
@@ -42,10 +45,10 @@ float64 kernel's own error is 2**29 times smaller. So, with room to spare:
 Fields add in units of ``1 / C``, ``C = min_f c_f``, with float32 weights ``fl(w_f C /
 (c_f W))``. Weighting and adding in float32 and in the kernel's float64, and the
 float32 steps below, add at most ``(F + 2) eps m_f`` per field, and underflow ``2 t
-(1 + m_f)`` per field and ``2 F C 2**-1074``: so each query row has ``delta =
-sum_f w_f C / (c_f W) (e_f + (F + 2) eps m_f) + ...`` and each euclidean entry a
-radius ``R = sum_f fl(w_f C / (c_f W)) r_f(D_f)``, computed in float32 from E raised
-by ``(F + 8) eps`` (cosine: R = 0).
+(1 + m_f)`` per field and ``2 F C 2**-1074``: so a selection has one ``delta =
+sum_f w_f C / (c_f W) (e_f + (F + 2) eps m_f) + ...``, and each euclidean entry a
+radius ``R = sum_f fl(w_f C / (c_f W)) r_f(D_f)``, computed in float32 from the
+field's one E, raised by ``(F + 8) eps`` (cosine: R = 0).
 
 Selection. Every column's exact score lies within ``screen +- (R + delta)``. With
 ``s_k`` the k-th largest ``screen - R`` of a row (``-inf`` on its own column if self
@@ -65,10 +68,10 @@ Self-search (one array as queries and reference) screens only the tiles on and
 above the diagonal and uses each entry off the diagonal twice: for its row, and
 transposed for its column. Transposed, the entry screens the same pair with the
 roles of the two rows swapped. The GEMM bound holds for any summation order, and
-``S`` takes the largest norm of all rows, so it bounds the entry for either row;
-the transposed radius ``R`` uses the column row's ``(E, sqrt(E))`` and its delta
-the column row's own. So tile size, BLAS threads and k change no score, top-k is a
-prefix of top-K, and no buffer is N x N.
+``S`` bounds the pair in either orientation, so the entry's ``R`` and the one delta
+hold for the column row too: the transposed radius is the row radius transposed.
+So tile size, BLAS threads and k change no score, top-k is a prefix of top-K, and
+no buffer is N x N.
 """
 
 from __future__ import annotations
@@ -179,26 +182,17 @@ def _scale(metric: str, *blocks: np.ndarray) -> float:
 class _Rows(NamedTuple):
     """One field's float32 rows and, for cosine, the norms from :func:`unit_rows`,
     which make them the unit rows the pair kernel scores (``norms`` None: the kernel
-    scores the rows as they are); their float32 screen copy, the copy's squared
-    norms, summed in float64, and for euclidean query rows the squared-distance
-    error ``(E, sqrt(E))`` of each row."""
+    scores the rows as they are); their float32 screen copy and the copy's squared
+    norms, summed in float64."""
 
     rows: np.ndarray
     norms: np.ndarray | None
     low: np.ndarray | None
     sq: np.ndarray | None
-    error: tuple[np.ndarray, np.ndarray] | None = None
 
     def part(self, start: int, stop: int) -> "_Rows":
         """Rows ``start:stop``, a view."""
-        def cut(x):
-            return None if x is None else x[start:stop]
-
-        def pair(x):
-            return None if x is None else (cut(x[0]), cut(x[1]))
-
-        return _Rows(cut(self.rows), cut(self.norms), cut(self.low), cut(self.sq),
-                     pair(self.error))
+        return _Rows(*(None if x is None else x[start:stop] for x in self))
 
 
 def _gather(field: _Rows, index: np.ndarray) -> np.ndarray:
@@ -223,72 +217,62 @@ def _field(data: np.ndarray, metric: str, scale: float) -> _Rows:
     return _Rows(data, norms, low, np.einsum("ij,ij->i", low, low, dtype=np.float64))
 
 
-def _radius(dist, sq_error, coef: np.float32):
-    """``coef * r(D)`` of each distance (module docstring) from the squared-distance
-    error ``(E, sqrt(E))`` of the row it is in."""
-    e_sq, root = sq_error
-    radius = np.maximum(dist, root[:, None])
-    np.divide(e_sq[:, None], radius, out=radius)
-    radius *= coef
-    return radius
-
-
-def _screen(q: _Rows, ref: _Rows, metric: str, coef: np.float32, mirror: bool):
+def _screen(q: _Rows, ref: _Rows, metric: str, coef: np.float32, sq_error):
     """One field's weighted float32 GEMM scores of the rows ``q`` against the rows
-    ``ref`` and, for euclidean, the weighted radii of the ``q`` rows and, if
-    ``mirror``, of the ``ref`` rows (their transpose, in the tile's layout)."""
+    ``ref`` and, for euclidean, the radius ``coef * r(D)`` of each (module docstring)
+    from the field's float32 squared-distance error ``(E, sqrt(E))``."""
     gemm = q.low @ ref.low.T
     if metric == "cosine":
         if coef != 1:  # exactly 1: one field
             gemm *= coef
-        return gemm, []
+        return gemm, None
     gemm *= -2.0
     gemm += ref.sq.astype(np.float32)
     gemm += q.sq.astype(np.float32)[:, None]
     np.sqrt(np.maximum(gemm, 0.0, out=gemm), out=gemm)
-    radii = [_radius(gemm, q.error, coef)]
-    if mirror:
-        radii.append(_radius(gemm.T, ref.error, coef).T)
+    e_sq, root = sq_error
+    radius = np.maximum(gemm, root)
+    np.divide(e_sq, radius, out=radius)
+    radius *= coef
     gemm *= -coef
-    return gemm, radii
+    return gemm, radius
 
 
-def _tile_screen(q, ref, coefs, metric: str, mirror: bool):
-    """One tile's screen, summed over fields, and for euclidean its radii (see
-    :func:`_screen`)."""
-    screen, radii = None, []
-    for qf, rf, coef in zip(q, ref, coefs):
-        part, parts = _screen(qf, rf, metric, coef, mirror)
+def _tile_screen(q, ref, coefs, sq_errors, metric: str):
+    """One tile's screen and, for euclidean, its radius (None for cosine), each
+    summed over fields (see :func:`_screen`)."""
+    screen = radius = None
+    for qf, rf, coef, sq_error in zip(q, ref, coefs, sq_errors):
+        part, part_radius = _screen(qf, rf, metric, coef, sq_error)
         screen = part if screen is None else np.add(screen, part, out=screen)
-        radii = [np.add(r, p, out=r) for r, p in zip(radii, parts)] if radii else parts
-        del part, parts  # before the next field's GEMM
-    return screen, radii
+        radius = part_radius if radius is None else np.add(radius, part_radius, out=radius)
+        del part, part_radius  # before the next field's GEMM
+    return screen, radius
 
 
-def _field_error(q_sq, ref_sq_max, metric: str, d: int, n_fields: int):
-    """Per query row, one field's error terms (module docstring): the constant
-    bound ``e``, the magnitude ``m`` and, for euclidean, float32 ``(E, sqrt(E))``
-    with E raised and sqrt(E) lowered so that the float32 radius stays a bound."""
-    s = q_sq + ref_sq_max
+def _field_error(s, metric: str, d: int, n_fields: int):
+    """One field's error terms (module docstring) for the bound ``S`` of a selection:
+    the constant bound ``e``, the magnitude ``m`` and, for euclidean, float32 ``(E,
+    sqrt(E))`` with E raised and sqrt(E) lowered so that the float32 radius stays a
+    bound."""
     if metric == "cosine":
         e = (d + 8) * _EPS * s + 8 * d * _TINY
         return e, s + e, None
     e_sq = (d + 8) * _EPS * s + 4 * d * _TINY
     e = 2 * _EPS * np.sqrt(s) + _EPS * np.sqrt(e_sq) + 2 * np.sqrt(d) * _TINY
-    sq_error = (
-        (e_sq * (1 + (n_fields + 8) * _EPS)).astype(np.float32),
-        (np.sqrt(e_sq) * (1 - 8 * _EPS)).astype(np.float32),
-    )
+    sq_error = (np.float32(e_sq * (1 + (n_fields + 8) * _EPS)),
+                np.float32(np.sqrt(e_sq) * (1 - 8 * _EPS)))
     return e, 2 * np.sqrt(s) + 2 * (e + np.sqrt(e_sq)), sq_error
 
 
 def _bounds(q, ref, weights, scales, total, metric: str, d: int):
-    """Per query row of a block, delta, and per field the euclidean ``(E, sqrt(E))``
-    (module docstring)."""
+    """The delta of a selection of the rows ``q`` against the rows ``ref``, and per
+    field the euclidean ``(E, sqrt(E))``, from ``S = max |q|^2 + max |r|^2`` (module
+    docstring)."""
     common, n_fields = min(scales), len(weights)
     delta, sq_errors = 2 * n_fields * common * _TINY64, []
     for qf, rf, w, c in zip(q, ref, weights, scales):
-        e, m, sq_error = _field_error(qf.sq, rf.sq.max(), metric, d, n_fields)
+        e, m, sq_error = _field_error(qf.sq.max() + rf.sq.max(), metric, d, n_fields)
         delta = delta + w * (common / c) / total * (e + (n_fields + 2) * _EPS * m)
         delta = delta + 2 * _TINY * (1 + m)
         sq_errors.append(sq_error)
@@ -301,19 +285,19 @@ class _Selection:
     so far, the least of which is the running ``s_k``, and per tile the entries
     ``(row, column, screen + R)`` whose upper bound still reaches ``s_k - 2 delta``."""
 
-    def __init__(self, delta: np.ndarray, k: int, tile: int):
-        self.best = np.full((len(delta), k), -np.inf, np.float32)
+    def __init__(self, n_rows: int, delta: np.float64, k: int, tile: int):
+        self.best = np.full((n_rows, k), -np.inf, np.float32)
         self.margin = 2.0 * delta
         self.tile = tile
         self.kept: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def _pruned(self, rows, cols, upper):
-        keep = upper >= self.best[rows, 0] - self.margin[rows]
+        keep = upper >= np.subtract(self.best[rows, 0], self.margin, dtype=np.float64)
         return rows[keep], cols[keep], upper[keep]
 
     def add(self, row0: int, col0: int, screen, radius=None, diagonal=None) -> None:
         """Fold in the tile ``screen`` of rows ``row0 + i`` and columns ``col0 + j``
-        and its radii (consumed); ``diagonal`` holds its excluded entries, if any."""
+        and its radius (consumed); ``diagonal`` holds its excluded entries, if any."""
         n, width = screen.shape
         k = self.best.shape[1]
         best = self.best[row0 : row0 + n]
@@ -329,7 +313,7 @@ class _Selection:
             best[at : at + step] = part[:, width:]
             del part
         upper = screen if radius is None else np.add(screen, radius, out=radius)
-        keep = upper >= (best[:, 0] - self.margin[row0 : row0 + n])[:, None]
+        keep = upper >= np.subtract(best[:, 0], self.margin, dtype=np.float64)[:, None]
         if diagonal is not None:  # an infinite delta reaches the excluded entries too
             keep[diagonal] = False
         rows, cols = np.nonzero(keep)
@@ -366,7 +350,7 @@ def _tile_shape(width: int, n_fields: int, metric: str, symmetric: bool, block):
     _BLOCK_ELEMS`` bytes; then as many columns as the budget allows, for
     self-search at least as many as rows."""
     # float32 tiles alive at once: the screen, one field's part of it if there are
-    # two, and for euclidean the radii of the rows (and of the columns, self-search)
+    # two, for euclidean their radii, and a self-search's copy of the transposed radius
     live = min(n_fields, 2) * (1 if metric == "cosine" else 2) + (symmetric and metric != "cosine")
     elems = max(1, 2 * _BLOCK_ELEMS // live)
     rows = block or math.isqrt(elems)
@@ -457,10 +441,9 @@ def search(
     ref = [_field(reference[:, f], metric, c) for f, c in zip(fields, scales)]
     # field weights of the screen, which is in units of 1 / min(scales)
     coefs = [np.float32(w * (min(scales) / c) / total) for w, c in zip(used, scales)]
-    if symmetric:  # one selection and one delta for every row, from the largest norm
-        delta, errors = _bounds(ref, ref, used, scales, total, metric, d)
-        ref = [f._replace(error=e) for f, e in zip(ref, errors)]
-        selection = _Selection(delta, k, tile)
+    if symmetric:  # one selection and one bound for every row
+        delta, sq_errors = _bounds(ref, ref, used, scales, total, metric, d)
+        selection = _Selection(n_q, delta, k, tile)
     neighbors = np.empty((n_q, k), dtype=np.int64)
     scores = np.empty((n_q, k), dtype=np.float64)
     for start in range(0, n_q, tile):
@@ -469,23 +452,21 @@ def search(
             q, at = [f.part(start, stop) for f in ref], start
         else:
             q = [_field(queries[start:stop, f], metric, c) for f, c in zip(fields, scales)]
-            delta, errors = _bounds(q, ref, used, scales, total, metric, d)
-            q = [f._replace(error=e) for f, e in zip(q, errors)]
-            selection, at = _Selection(delta, k, tile), 0
+            delta, sq_errors = _bounds(q, ref, used, scales, total, metric, d)
+            selection, at = _Selection(stop - start, delta, k, tile), 0
         for left in range(at, n_ref, tile_cols):
             right = min(left + tile_cols, n_ref)
-            mirror = symmetric and right > stop  # columns past the rows: used transposed too
-            screen, radii = _tile_screen(q, [f.part(left, right) for f in ref], coefs, metric,
-                                         mirror)
+            screen, radius = _tile_screen(q, [f.part(left, right) for f in ref], coefs, sq_errors,
+                                          metric)
             diagonal = _diagonal(start, stop, left, right) if exclude_diagonal else None
             if diagonal is not None:
                 screen[diagonal] = -np.inf
-            selection.add(at, left, screen, radii[0] if radii else None, diagonal)
-            if mirror:
-                cut = max(left, stop)
+            if symmetric and right > stop:  # columns past the rows, used transposed too
+                cut = max(left, stop)  # added first: add consumes the radius it is given
                 selection.add(cut, start, screen[:, cut - left :].T,
-                              *(r[:, cut - left :].T for r in radii[1:]))
-            del screen, radii  # before the next tile's GEMM
+                              None if radius is None else radius[:, cut - left :].T.copy())
+            selection.add(at, left, screen, radius, diagonal)
+            del screen, radius  # before the next tile's GEMM
         q = [f._replace(low=None, sq=None) for f in q]  # the float32 query rows are done
         neighbors[start:stop], scores[start:stop] = _rescore(
             q, ref, used, total, *selection.take(at, at + stop - start), k, metric)

@@ -1,5 +1,7 @@
 """Retrieval kNN and boosted stumps."""
 
+import base64
+import json
 import tracemalloc
 import warnings
 
@@ -198,7 +200,7 @@ class TestKnnSerialization:
 
 class TestStreamedModelFile:
     """``save_model`` writes array data in pieces; the file keeps the bytes of
-    the one-shot encoding."""
+    the one-shot encoding, and ``canonical_json`` gives the same text."""
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 12])
     @pytest.mark.parametrize("piece_elems", [3, 6, 3 << 14])
@@ -209,8 +211,13 @@ class TestStreamedModelFile:
         clf = fit_knn(rng.standard_normal((n, 4)), rng.integers(0, 2, n), k=1)
         save_model(clf, tmp_path / "knn.json")
         envelope = {"format": "fairaudit-model", "version": 1, "family": "knn"}
-        want = canonical_json({**envelope, "model": clf.to_dict()}) + "\n"
+        reference = {"shape": [n, 4],
+                     "data": base64.b64encode(clf.reference.astype("<f4").tobytes()).decode()}
+        body = {"k": clf.k, "metric": clf.metric, "reference": reference,
+                "labels": [int(v) for v in clf.labels], "reference_ids": list(clf.reference_ids)}
+        want = json.dumps({**envelope, "model": body}, sort_keys=True, separators=(",", ":")) + "\n"
         assert (tmp_path / "knn.json").read_bytes() == want.encode("utf-8")
+        assert canonical_json({**envelope, "model": clf.to_dict()}) + "\n" == want
         assert np.array_equal(load_model(tmp_path / "knn.json").reference,
                               clf.reference.astype(np.float32))
 

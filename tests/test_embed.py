@@ -350,6 +350,11 @@ class TestPersistence:
         with pytest.raises(IntegrityError, match=r"\['A'\]"):
             EmbeddingMatrix(np.zeros((3, 10)), 2, FIELD_ORDER, ("A", "B", "A"))
 
+    @pytest.mark.parametrize("shape", [(3,), (1, 1, 3), ()])
+    def test_matrix_refuses_data_that_is_not_2d(self, shape):
+        with pytest.raises(DimensionMismatchError, match=f"expected 2, got {len(shape)}"):
+            EmbeddingMatrix(np.ones(shape, np.float32), 1, ("a",), ("x", "y", "z"))
+
     @pytest.mark.parametrize("dim_per_field", [0, -1])
     def test_matrix_refuses_a_field_width_below_one(self, dim_per_field):
         with pytest.raises(ValueError, match=f"dim_per_field must be >= 1, got {dim_per_field}"):

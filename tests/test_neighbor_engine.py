@@ -264,6 +264,54 @@ def test_extreme_rows_equal_the_oracle(data, metric, weights, exclude_self, draw
         assert np.array_equal(scores, want_scores)
 
 
+def scaled_rows(rows, shifts):
+    """``rows`` as float32, each times ``2**shift`` unless that would take it to
+    2**126 or above, where it stays as it is."""
+    scaled = rows * np.ldexp(1.0, shifts)[:, None]
+    fits = (np.abs(scaled) < 2.0**126).all(axis=1)
+    return np.where(fits[:, None], scaled, rows).astype(np.float32)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_fields=st.sampled_from([1, 3]),
+    metric=st.sampled_from(["cosine", "euclidean"]),
+    extreme=st.booleans(),
+    self_search=st.booleans(),
+    draw=st.data(),
+)
+def test_every_screened_entry_is_within_its_bound(n_fields, metric, extreme, self_search, draw):
+    """Over one tile that covers every row, each entry of the screen lies within
+    ``R + delta`` of its exact score in the screen's units (``C = min_f c_f`` times
+    the weighted mean of the pair-kernel scores), as a self-search also uses it
+    transposed. A bound too tight fails here even where no top-k changes."""
+    rows = draw.draw(tie_heavy(n_fields, extreme))
+    shifts = st.lists(st.integers(-20, 20), min_size=len(rows), max_size=len(rows))
+    data = scaled_rows(rows, draw.draw(shifts))
+    queries = data if self_search else scaled_rows(rows, draw.draw(shifts))
+    weights = np.ones(1) if n_fields == 1 else simindex.check_field_weights(draw.draw(
+        st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.floats(1e-3, 1e3)),
+                 min_size=3, max_size=3).filter(any)), 3)
+    d = data.shape[1] // n_fields
+    used, total = weights[weights > 0], weights.sum()
+    fields = [slice(f * d, (f + 1) * d) for f in np.flatnonzero(weights)]
+    scales = [simindex._scale(metric, queries[:, f], data[:, f]) for f in fields]
+    ref = [simindex._field(data[:, f], metric, c) for f, c in zip(fields, scales)]
+    q = ref if self_search else [simindex._field(queries[:, f], metric, c)
+                                 for f, c in zip(fields, scales)]
+    coefs = [np.float32(w * (min(scales) / c) / total) for w, c in zip(used, scales)]
+    delta, sq_errors = simindex._bounds(q, ref, used, scales, total, metric, d)
+    screen, radius = simindex._tile_screen(q, ref, coefs, sq_errors, metric)
+    score = 0.0
+    for f, w in zip(fields, used):
+        score = score + w * pair_kernel_scores(queries[:, f], data[:, f], metric)
+    score = min(scales) * (score / total)
+    radius = np.zeros(screen.shape) if radius is None else radius.astype(np.float64)
+    assert (np.abs(screen - score) <= radius + delta).all()
+    if self_search:
+        assert (np.abs(screen.T - score) <= radius.T + delta).all()
+
+
 @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
 def test_float64_rows_score_as_their_float32_rounding(metric):
     """Every search reads float32 rows: float64 rows score bit for bit as their

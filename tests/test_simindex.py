@@ -275,6 +275,15 @@ class TestSearchQueries:
         with pytest.raises(DimensionMismatchError, match="embedding width"):
             search_queries(np.zeros((2, 0)), np.zeros((3, 0)), k=1)
 
+    @pytest.mark.parametrize("queries, reference", [
+        (np.ones(3), np.ones((4, 3))),
+        (np.ones((2, 1, 3)), np.ones((4, 3))),
+        (np.ones((2, 3)), np.ones(3)),
+    ])
+    def test_rows_that_are_not_2d_are_a_dimension_error(self, queries, reference):
+        with pytest.raises(DimensionMismatchError, match="axis count mismatch: expected 2"):
+            search_queries(queries, reference, k=1)
+
 
 class TestNeighborListIO:
     def test_json_round_trip(self, tmp_path):

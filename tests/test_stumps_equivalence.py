@@ -213,7 +213,7 @@ def assert_same_model_at_budget(x, y, block_elems, reg_lambda, learning_rate, ro
     config = TrainConfig(rounds=rounds, learning_rate=learning_rate, reg_lambda=reg_lambda)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stumps, "_BLOCK_ELEMS", block_elems)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             assert_same_model(x, y, config, oracle)
 
 
@@ -239,20 +239,27 @@ def test_sparse_matrix_at_default_budget():
     assert model.rounds == 40
 
 
-def test_saturated_probabilities_without_regularization_stop_silently():
+@pytest.mark.parametrize("x, y, config", [
     # separable rows drive p to 0 or 1 and h to 0, so with reg_lambda=0 a gain
-    # divides 0 by 0; boosting stops there, and the library prints no warning
-    x = np.array([[0.0], [1.0], [2.0], [3.0]])
-    y = np.array([0, 0, 1, 1])
-    config = TrainConfig(rounds=60, learning_rate=1.0, reg_lambda=0.0)
+    # divides 0 by 0
+    ([[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1],
+     TrainConfig(rounds=60, learning_rate=1.0, reg_lambda=0.0)),
+    # a large step leaves h so small that a gain overflows to inf
+    ([[-2, -1], [-2, -1], [-2, -1], [-1, -2], [-1, -1], [-2, -1], [-2, 1], [-2, -1], [-2, -1],
+      [-2, 1]], [0, 0, 0, 1, 0, 1, 0, 1, 1, 0],
+     TrainConfig(reg_lambda=0.0, learning_rate=4.0, rounds=4)),
+])
+def test_saturated_probabilities_without_regularization_stop_silently(x, y, config):
+    # boosting stops at the NaN or infinite gain, and the library prints no warning
+    x, y = np.array(x, dtype=np.float64), np.array(y)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         model = train_stumps(x, y, config)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         oracle = lump_train_stumps(x, y, config)
     assert model.stumps == oracle.stumps
     assert model.train_loss == oracle.train_loss
-    assert model.rounds < 60
+    assert model.rounds < config.rounds
 
 
 ONE32 = np.float32(1.0)
