@@ -136,12 +136,13 @@ def naming(path):
         raise
 
 
-def unit_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+def unit_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Write the unit vector of each vector along the last axis of ``rows`` (float32
-    values, in any float dtype) into ``out`` (of the same shape, any float dtype) and
-    return the norm that made it one, per vector. ``rows`` is read about
-    ``_UNIT_ELEMS`` entries at a time, each chunk copied to float64 once (its exact
-    values), normed, divided and stored; no result depends on the chunking.
+    values, in any float dtype) into ``out`` (of the same shape, any float dtype;
+    None: write nothing) and return the norm that made it one, per vector. ``rows``
+    is read about ``_UNIT_ELEMS`` entries at a time, each chunk copied to float64
+    once (its exact values), normed, divided and stored; no result depends on the
+    chunking.
 
     The squares of a float32 value neither overflow nor underflow in float64, so
     each vector is the plain division by its float64 norm. A zero vector gets
@@ -153,8 +154,9 @@ def unit_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
         part = np.linalg.norm(chunk, axis=-1)
         part[part == 0] = 1.0
         norms[at : at + step] = part
-        chunk /= part[..., None]
-        out[at : at + step] = chunk
+        if out is not None:
+            chunk /= part[..., None]
+            out[at : at + step] = chunk
     return norms
 
 

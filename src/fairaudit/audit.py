@@ -26,12 +26,13 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import canonical_json, derive_seeds, parsing, typed, write_json
+from ._util import canonical_json, derive_seeds, parsing, positions, typed, write_json
 from .classifiers import (
     KnnClassifier,
     TrainConfig,
     birnn_train,
     knn_predict,
+    knn_vote,
     save_model,
     train_stumps,
 )
@@ -60,15 +61,17 @@ from .fairness import AVERAGING_MODES, METRIC_NAMES, classification_metrics, con
 from .simindex import (
     METRICS,
     NeighborList,
+    Selection,
     check_field_weights,
     check_k,
     knn_batched,
     knn_feature_reranked,
     neighbors_to_dict,
+    search,
 )
 
 # The stage functions and the learner table below look up their layer calls
-# (embed_corpus, train_stumps, knn_feature_reranked, ...) in this module's
+# (embed_corpus, train_stumps, search, ...) in this module's
 # globals at call time, so wrapping those names here (as the traced benchmark
 # run does) reaches every such call of the audit pipeline, the CLI and each
 # search trial.
@@ -409,11 +412,13 @@ def run_audit(corpus_path, config: AuditConfig | None = None, out_dir=None) -> A
     )
     truth, decisions = _stage("labels", lambda: _labels(profiles, config.target_stage))
     models, search_logs = _stage("train", lambda: _train(config, seeds, matrix, truth, split))
-    decisions.update(_stage("predict", lambda: {
+    knn = models.get(LEARNERS["knn"].source)
+    decisions.update(_stage("predict", lambda: {  # the kNN's come from the neighbor pass
         source: predict_decisions(model, matrix) for source, model in models.items()
+        if model is not knn
     }))
-    rows, structures = _stage(
-        "score", lambda: score_sources(config, profiles, matrix, split, truth, decisions)
+    rows, structures, decisions = _stage(
+        "score", lambda: score_sources(config, profiles, matrix, split, truth, decisions, knn)
     )
     report = _stage(
         "score", lambda: AuditReport(rows, _metadata(config, profiles, corpus_sha256, seeds))
@@ -459,9 +464,11 @@ def score_sources(
     split: SplitAssignment,
     truth: DecisionVector,
     decisions: dict[str, DecisionVector],
-) -> tuple[tuple[ReportRow, ...], dict[str, NeighborList]]:
-    """The report rows of ``config.sources`` and the neighbor structure of each
-    consistency stage.
+    knn: KnnClassifier | None = None,
+) -> tuple[tuple[ReportRow, ...], dict[str, NeighborList], dict[str, DecisionVector]]:
+    """The report rows of ``config.sources``, the neighbor structure of each
+    consistency stage, and ``decisions`` with the decisions of the kNN model ``knn``
+    (if any) for every row of ``matrix`` added.
 
     P/R/F1/A compare a source's decisions with ``truth`` over the ids of
     ``config.metrics_split`` that it covers. C at a stage is taken over the
@@ -469,7 +476,8 @@ def score_sources(
     ``config.consistency_split``), on a k-NN structure built on exactly those
     rows; a source that leaves any of them undecided gets no cell there. With
     ``consistency_cells="stage"`` a human row gets only its own stage's cell. A
-    stage's structure is returned when a cell used it.
+    stage's structure is returned when a cell used it. One :func:`neighbor_pass`
+    finds the structures and the kNN's neighbors.
     """
 
     def scope(name: str) -> set[str]:
@@ -481,37 +489,76 @@ def score_sources(
         stage: tuple(p.id for p in profiles if stage in p.labels and p.id in consistency_scope)
         for stage in CONSISTENCY_STAGES
     }
-    structures: dict[tuple[str, ...], NeighborList] = {}
+    covered = {source: set(vector.index_order) for source, vector in decisions.items()}
+    if knn is not None:
+        covered[LEARNERS["knn"].source] = set(matrix.index_order)
+    cells = {
+        source: [stage for stage in CONSISTENCY_STAGES
+                 if (config.consistency_cells == "all" or source in (f"human:{stage}",
+                                                                    *MODEL_SOURCES))
+                 and covered[source].issuperset(populations[stage])
+                 and len(populations[stage]) >= config.k + 1]
+        for source in config.sources if source in covered
+    }
+    needed = list(dict.fromkeys(populations[stage] for stages in cells.values() for stage in stages))
+    structures, knn_decisions = neighbor_pass(matrix, config, needed, knn)
+    if knn_decisions is not None:
+        decisions = {**decisions, knn_decisions.source: knn_decisions}
     rows = []
     for source in config.sources:
         vector = decisions.get(source)
         if vector is None:
             rows.append(ReportRow(source))
             continue
-        cells = {}
-        covered = set(vector.index_order)
-        ids = [pid for pid in matrix.index_order if pid in metrics_scope and pid in covered]
+        row = {}
+        covered_ids = covered[source]
+        ids = [pid for pid in matrix.index_order if pid in metrics_scope and pid in covered_ids]
         if ids:
             metrics = classification_metrics(vector.take(ids), truth.take(ids), config.averaging)
-            cells.update({name: getattr(metrics, name) for name in METRIC_NAMES})
-        for stage in CONSISTENCY_STAGES:
-            if config.consistency_cells == "stage" and source not in (
-                f"human:{stage}", *MODEL_SOURCES
-            ):
-                continue
+            row.update({name: getattr(metrics, name) for name in METRIC_NAMES})
+        for stage in cells[source]:
             stage_ids = populations[stage]
-            if not covered.issuperset(stage_ids) or len(stage_ids) < config.k + 1:
-                continue
-            if stage_ids not in structures:
-                structures[stage_ids] = neighbor_structure(matrix.take(stage_ids), config)
-            cells[f"c_{stage.lower()}"] = consistency(
+            row[f"c_{stage.lower()}"] = consistency(
                 vector.take(stage_ids), structures[stage_ids]
             ).score
-        rows.append(ReportRow(source, **cells))
+        rows.append(ReportRow(source, **row))
     stage_structures = {
         stage: structures[ids] for stage, ids in populations.items() if ids in structures
     }
-    return tuple(rows), stage_structures
+    return tuple(rows), stage_structures, decisions
+
+
+def neighbor_pass(
+    matrix: EmbeddingMatrix,
+    config: AuditConfig,
+    populations: list[tuple[str, ...]],
+    knn: KnnClassifier | None = None,
+) -> tuple[dict[tuple[str, ...], NeighborList], DecisionVector | None]:
+    """``(structures, decisions)`` from one :func:`search` over ``matrix``: for each of
+    ``populations`` (ids), the structure that ``neighbor_structure`` gives over those
+    rows, and the decisions that ``predict_decisions`` gives for every row with the
+    kNN model ``knn``, whose reference rows are rows of ``matrix`` (None without a
+    model). The model's neighbors are taken among its reference rows in their order,
+    so ties go to the earlier one, as in its own search."""
+    weights = check_field_weights(config.field_weights, len(matrix.field_order)) \
+        if config.rerank else None
+    selections = []
+    for ids in populations:
+        rows = np.array(positions(matrix.index_order, ids))
+        selections.append(Selection(config.k, weights, rows, rows, exclude_self=True))
+    if knn is not None:
+        if knn.metric != config.metric:
+            raise ValueError(f"the kNN model's metric {knn.metric!r} is not {config.metric!r}")
+        selections.append(Selection(knn.k, cols=positions(matrix.index_order, knn.reference_ids)))
+    found = search(matrix.data, matrix.data, selections, config.metric) if selections else []
+    structures = {
+        ids: NeighborList(config.k, neighbors, scores, config.metric, True, ids)
+        for ids, (neighbors, scores) in zip(populations, found)
+    }
+    if knn is None:
+        return structures, None
+    values = knn_vote(knn.labels, found[-1][0], knn.k)
+    return structures, DecisionVector(LEARNERS["knn"].source, values, matrix.index_order)
 
 
 def _metadata(

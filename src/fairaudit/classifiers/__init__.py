@@ -9,7 +9,7 @@ from .birnn import (
     gradient_check,
 )
 from .io import load_model, save_model
-from .knn import KnnClassifier, knn_predict
+from .knn import KnnClassifier, knn_predict, knn_vote
 from .search import TrainConfig
 from .stumps import BoostedStumps, Stump, train_stumps
 
@@ -25,6 +25,7 @@ __all__ = [
     "birnn_train",
     "gradient_check",
     "knn_predict",
+    "knn_vote",
     "load_model",
     "save_model",
     "train_stumps",

@@ -59,19 +59,22 @@ class KnnClassifier:
         return self
 
 
-def knn_predict(clf: KnnClassifier, queries: EmbeddingMatrix) -> DecisionVector:
-    """Majority vote among the k nearest training rows for each query.
+def knn_vote(labels: np.ndarray, neighbors: np.ndarray, k: int) -> np.ndarray:
+    """Majority vote of the ``labels`` of each row's ``k`` ``neighbors`` (nearest
+    first). A tied vote (possible only for even k) goes to the nearest neighbor's
+    label."""
+    votes = labels[neighbors]
+    ones = votes.sum(axis=1)
+    return np.where(ones * 2 == k, votes[:, 0], (ones * 2 > k).astype(np.int64))
 
-    A tied vote (possible only for even k) is broken by the single nearest
-    neighbor's label. A query identical to a training row retrieves that row
-    itself, so with k=1 it returns the row's own label.
+
+def knn_predict(clf: KnnClassifier, queries: EmbeddingMatrix) -> DecisionVector:
+    """Majority vote (:func:`knn_vote`) among the k nearest training rows for each
+    query. A query identical to a training row retrieves that row itself, so with
+    k=1 it returns the row's own label.
     """
     if clf.reference is None or clf.labels is None:
         raise SizeError("classifier has no reference data; call fit first")
     neighbors, _ = search_queries(queries.data, clf.reference, clf.k, clf.metric)
-    votes = clf.labels[neighbors]
-    ones = votes.sum(axis=1)
-    predictions = np.where(
-        ones * 2 == clf.k, votes[:, 0], (ones * 2 > clf.k).astype(np.int64)
-    )
-    return DecisionVector("model:knn", predictions, queries.index_order)
+    return DecisionVector("model:knn", knn_vote(clf.labels, neighbors, clf.k),
+                          queries.index_order)

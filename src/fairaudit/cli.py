@@ -194,6 +194,9 @@ def build_parser() -> _Parser:
     p.add_argument("--decisions", required=True)
     p.add_argument("--neighbors", required=True)
     p.add_argument("--k", type=int, default=None, help="expected k (checked against the file)")
+    p.add_argument("--stage", default=None,
+                   help="read this stage's structure of a run directory's neighbors.json, "
+                        "over the decisions of its ids")
     p.add_argument("--out", default=None, help="write the full result as JSON")
 
     p = sub.add_parser("metrics",
@@ -292,7 +295,10 @@ def _cmd_predict(args) -> int:
 
 def _cmd_consistency(args) -> int:
     decisions = load_decisions(args.decisions)
-    neighbors = load_neighbors(args.neighbors)
+    neighbors = load_neighbors(args.neighbors, args.stage)
+    if args.stage is not None:
+        with naming(args.decisions):  # a stage id that the decisions lack
+            decisions = decisions.take(neighbors.index_order)
     result = consistency(decisions, neighbors, args.k)
     print(f"{result.score:.4f}")
     if args.out:

@@ -7,7 +7,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
-from fairaudit import _util
+from fairaudit import _util, cli
 from fairaudit.audit import (
     ALL_SOURCES,
     HUMAN_SOURCES,
@@ -19,10 +19,11 @@ from fairaudit.audit import (
     compare_sources,
     embed_profiles,
     neighbor_structure,
+    predict_decisions,
     render_report,
     run_audit,
 )
-from fairaudit.classifiers import TrainConfig, io
+from fairaudit.classifiers import TrainConfig, io, load_model
 from fairaudit.dataset import (
     FIELD_ORDER,
     POSITIVE_LABEL,
@@ -43,7 +44,7 @@ from fairaudit.embed import (
 )
 from fairaudit.errors import IntegrityError, StageError
 from fairaudit.fairness import consistency
-from fairaudit.simindex import neighbors_from_dict
+from fairaudit.simindex import neighbors_from_dict, search_queries
 
 
 def make_corpus(tmp_path, n=120, seed=4, noise_sigma=0.25, bias_shift=None,
@@ -308,6 +309,46 @@ class TestRunAudit:
         assert len(profiles) > len(populations["AR"]) > len(populations["OF"])
         assert checked == 2 + 2 * len(MODEL_SOURCES)
         assert any(report.row(s).c_ar != report.row(s).c_of for s in MODEL_SOURCES)
+
+    @pytest.mark.parametrize("funnel, change", [
+        (False, {}), (True, {}), (False, {"rerank": False}), (False, {"metric": "euclidean"}),
+        (False, {"k": 4}),
+    ], ids=["default", "funnel", "no-rerank", "euclidean", "even-k"])
+    def test_knn_decisions_from_the_shared_pass_equal_the_saved_model_s(self, tmp_path, funnel,
+                                                                         change):
+        """run_audit takes the kNN's neighbors from the pass that finds the stage
+        structures, whole-row from field parts when the stages rerank; its decisions
+        equal those of the saved model's own search, ties and tied votes included."""
+        corpus = (make_funnel_corpus if funnel else make_corpus)(tmp_path)
+        out = tmp_path / "run"
+        config = small_config(**change)
+        run_audit(corpus, config, out_dir=out)
+        model = load_model(out / "models" / "knn.json")
+        ids = [p.id for p in load_corpus(corpus)]
+        matrix = ingest_embeddings(out / "embeddings.faem", ids, config.d)
+        want = predict_decisions(model, matrix)
+        assert load_decisions(out / "decisions_model_knn.json").to_dict() == want.to_dict()
+        if config.k % 2 == 0:  # some vote is tied, and goes to the nearest neighbor
+            votes = model.labels[search_queries(matrix.data, model.reference, 4)[0]]
+            assert (votes.sum(axis=1) == 2).any()
+
+    @pytest.mark.parametrize("funnel", [False, True], ids=["default", "funnel"])
+    def test_consistency_of_one_stage_of_a_run_directory_gives_its_cell(self, tmp_path, funnel):
+        """``fairaudit consistency --stage OF`` reads that stage of neighbors.json and
+        the decisions of its ids: each report's C(OF) cell, bit for bit."""
+        corpus = (make_funnel_corpus if funnel else make_corpus)(tmp_path)
+        out = tmp_path / "run"
+        report = run_audit(corpus, small_config(), out_dir=out)
+        for source in ("model:knn", "human:OF"):
+            name = source.replace(":", "_")
+            argv = ["consistency", "--decisions", str(out / f"decisions_{name}.json"),
+                    "--neighbors", str(out / "neighbors.json"), "--stage", "OF",
+                    "--out", str(tmp_path / f"{name}.json")]
+            assert cli.main(argv) == 0
+            got = json.loads((tmp_path / f"{name}.json").read_text())["score"]
+            assert got == report.row(source).c_of
+        argv[argv.index("OF")] = "SL"
+        assert cli.main(argv) == 2
 
     def test_a_source_that_leaves_a_population_undecided_gets_no_cell_there(self, tmp_path):
         profiles = [

@@ -24,7 +24,7 @@ OPTION_STRINGS = {
               "--patience", "--reg-lambda", "--rounds", "--search-trials", "--seed", "--splits",
               "--target", "--trials-out", "-h"],
     "predict": ["--d", "--embeddings", "--help", "--model", "--out", "-h"],
-    "consistency": ["--decisions", "--help", "--k", "--neighbors", "--out", "-h"],
+    "consistency": ["--decisions", "--help", "--k", "--neighbors", "--out", "--stage", "-h"],
     "metrics": ["--averaging", "--help", "--out", "--predicted", "--truth", "-h"],
     "audit": ["--averaging", "--batch-size", "--consistency-cells",
               "--consistency-split", "--corpus", "--d", "--embedder", "--embeddings", "--epochs",

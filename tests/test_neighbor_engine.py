@@ -21,13 +21,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairaudit import _util, embed_corpus, generate_synthetic_corpus, simindex
+from fairaudit import (AuditConfig, RaterConfig, _util, attach_stage_labels, embed_corpus,
+                       generate_synthetic_corpus, run_audit, save_corpus, simindex,
+                       simulate_raters)
 from fairaudit.embed import normalize_field_blocks
 from fairaudit.embed import EmbeddingMatrix
-from fairaudit.simindex import (knn_batched, knn_exact, knn_feature_reranked, pairwise_similarity,
-                                search_queries)
+from fairaudit.simindex import (Selection, knn_batched, knn_exact, knn_feature_reranked,
+                                pairwise_similarity, search_queries)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def search_one(queries, reference, k, metric, exclude_self, block=None, weights=None):
+    """:func:`simindex.search` with one selection of every row."""
+    selection = Selection(k, weights, exclude_self=exclude_self)
+    return simindex.search(queries, reference, [selection], metric, block)[0]
 
 
 def unit_rows(data):
@@ -156,23 +164,26 @@ def test_self_search_equals_the_search_of_a_copy(data, metric, weights, exclude_
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simindex, "_BLOCK_ELEMS", draw.draw(st.integers(1, 200)))
         patch.setattr(simindex, "_GATHER_ELEMS", draw.draw(st.integers(1, 40)))
-        mirrored = simindex.search(data, data, k, metric, exclude_self, block, weights)
-        plain = simindex.search(data.copy(), data, k, metric, exclude_self, block, weights)
+        mirrored = search_one(data, data, k, metric, exclude_self, block, weights)
+        plain = search_one(data.copy(), data, k, metric, exclude_self, block, weights)
     assert np.array_equal(mirrored[0], plain[0])
     assert np.array_equal(mirrored[1], plain[1])
 
 
-@pytest.mark.parametrize("metric, n_fields, block_elems, batch_size", [
-    ("cosine", 1, 50, None),  # 10 x 10 tiles
-    ("cosine", 3, 49, None),  # 7 x 7
-    ("euclidean", 1, 54, None),  # 6 x 6
-    ("euclidean", 3, 90, None),  # 6 x 6
-    ("cosine", 1, 1, 8),  # 8 x 8
+@pytest.mark.parametrize("metric, n_fields, block_elems, batch_size, audit", [
+    ("cosine", 1, 50, None, False),  # 10 x 10 tiles
+    ("cosine", 3, 49, None, False),  # 7 x 7
+    ("euclidean", 1, 54, None, False),  # 6 x 6
+    ("euclidean", 3, 90, None, False),  # 6 x 6
+    ("cosine", 1, 1, 8, False),  # 8 x 8
+    ("cosine", 5, 256, None, True),  # 16 x 16: the rerank and the kNN of run_audit
+    ("euclidean", 1, 400, None, True),  # 16 x 16: whole rows, without the rerank
 ])
 def test_self_search_screens_each_tile_pair_once(metric, n_fields, block_elems, batch_size,
-                                                 monkeypatch):
+                                                 audit, tmp_path, monkeypatch):
     """A self-search of N rows in T x T tiles runs ceil(N/T)(ceil(N/T)+1)/2 float32
-    GEMMs per field, not ceil(N/T)**2."""
+    GEMMs per field, not ceil(N/T)**2. In run_audit that one pass serves the stage
+    structure and the kNN's predictions, which run no GEMM of their own."""
     n = 47
     shapes = []
     screen = simindex._screen
@@ -184,7 +195,15 @@ def test_self_search_screens_each_tile_pair_once(metric, n_fields, block_elems, 
     monkeypatch.setattr(simindex, "_BLOCK_ELEMS", block_elems)
     monkeypatch.setattr(simindex, "_screen", counted)
     data = np.random.default_rng(5).standard_normal((n, 4 * n_fields))
-    if n_fields == 1:
+    if audit:
+        profiles, latents = generate_synthetic_corpus(n, 60, seed=3)
+        labels = simulate_raters(profiles, latents, RaterConfig(noise_sigma=0.25, seed=4))
+        save_corpus(attach_stage_labels(profiles, labels), tmp_path / "corpus.jsonl")
+        config = AuditConfig(d=4, k=3, metric=metric, rerank=n_fields > 1,
+                             sources=("human:AR", "human:OF", "model:knn"))
+        report = run_audit(tmp_path / "corpus.jsonl", config)
+        assert report.row("model:knn").c_of is not None
+    elif n_fields == 1:
         knn_batched(matrix_of(data), 3, metric, batch_size=batch_size)
     else:
         knn_feature_reranked(matrix_of(data, n_fields), 3, metric)
@@ -203,6 +222,74 @@ def rerank_oracle(data, k, metric, weights, exclude_self):
         if w:
             total = total + w * pair_kernel_scores(block, block, metric)
     return top_k(total / sum(weights), k, exclude_self)
+
+
+def selection_oracle(queries, reference, selection, metric):
+    """Every pair of the selection's query and reference rows scored as
+    :func:`rerank_oracle` scores it (whole rows: the pair kernel's score), its own
+    index left out if it excludes self, in a stable order over its reference rows."""
+    rows = np.arange(len(queries)) if selection.rows is None else np.asarray(selection.rows)
+    cols = np.arange(len(reference)) if selection.cols is None else np.asarray(selection.cols)
+    q, r = np.asarray(queries)[rows], np.asarray(reference)[cols]
+    if selection.weights is None:
+        scores = pair_kernel_scores(q, r, metric)
+    else:
+        weights, scores = selection.weights, 0.0
+        for qf, rf, w in zip(np.split(q, len(weights), axis=1), np.split(r, len(weights), axis=1),
+                             weights):
+            if w:
+                scores = scores + w * pair_kernel_scores(qf, rf, metric)
+        scores = scores / sum(weights)
+    if selection.exclude_self:
+        scores[rows[:, None] == cols[None, :]] = -np.inf
+    order = np.argsort(-scores, axis=1, kind="stable")[:, : selection.k]
+    return order, np.take_along_axis(scores, order, axis=1)
+
+
+@st.composite
+def selections(draw, n_q, n_ref, n_fields):
+    """One to four selections: whole rows or field weights, subsets of the query and
+    reference rows in any order, self excluded or not, any k they allow."""
+    chosen = []
+    for _ in range(draw(st.integers(1, 4))):
+        exclude = draw(st.booleans()) and n_ref > 1
+        rows = draw(st.permutations(range(n_q)))[: draw(st.integers(1, n_q))]
+        cols = draw(st.permutations(range(n_ref)))[: draw(st.integers(1 + exclude, n_ref))]
+        weights = None if n_fields == 1 or draw(st.booleans()) else simindex.check_field_weights(
+            draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=n_fields,
+                          max_size=n_fields).filter(any)), n_fields)
+        rows, cols = [None if draw(st.booleans()) else np.array(i)  # None: every row
+                      for i in (rows, cols)]
+        k = draw(st.integers(1, (n_ref if cols is None else len(cols)) - exclude))
+        chosen.append(Selection(k, weights, rows, cols, exclude))
+    return chosen
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=tie_heavy(n_fields=3),
+    n_fields=st.sampled_from([1, 3]),
+    metric=st.sampled_from(["cosine", "euclidean"]),
+    self_search=st.booleans(),
+    draw=st.data(),
+)
+def test_each_selection_of_a_pass_equals_its_own_search(data, n_fields, metric, self_search,
+                                                       draw):
+    """Whole-row and weighted selections of one pass, over row subsets and column
+    subsets in any order, self excluded or not, each give the neighbors and scores
+    of their own one-selection search and of the oracle, with ``==``: sharing the
+    field GEMMs of a tile changes no result."""
+    queries = data if self_search else data[::-1] * 2.0 ** draw.draw(st.integers(-2, 2))
+    chosen = draw.draw(selections(len(queries), len(data), n_fields))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simindex, "_BLOCK_ELEMS", draw.draw(st.integers(1, 200)))
+        patch.setattr(simindex, "_GATHER_ELEMS", draw.draw(st.integers(1, 40)))
+        together = simindex.search(queries, data, chosen, metric)
+        alone = [simindex.search(queries, data, [s], metric)[0] for s in chosen]
+    for selection, got, own in zip(chosen, together, alone):
+        want = selection_oracle(np.float32(queries), np.float32(data), selection, metric)
+        for a, b, c in zip(got, own, want):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
 @settings(max_examples=150, deadline=None)
@@ -253,10 +340,10 @@ def test_extreme_rows_equal_the_oracle(data, metric, weights, exclude_self, draw
         want_q = oracle(data[picks], data, k, metric, False)
         want_rerank = rerank_oracle(data, k, metric, weights, exclude_self)
         patch.setattr(simindex, "_BLOCK_ELEMS", draw.draw(st.integers(1, 200)))
-        got = simindex.search(data, data, k, metric, exclude_self)
+        got = search_one(data, data, k, metric, exclude_self)
         got_q = search_queries(data[picks], data, k, metric)
-        got_rerank = simindex.search(data, data, k, metric, exclude_self,
-                                     weights=simindex.check_field_weights(weights, 3))
+        got_rerank = search_one(data, data, k, metric, exclude_self,
+                                weights=simindex.check_field_weights(weights, 3))
     for (ids, scores), (want_ids, want_scores) in zip(
         [got, got_q, got_rerank], [want, want_q, want_rerank]
     ):
@@ -281,10 +368,13 @@ def scaled_rows(rows, shifts):
     draw=st.data(),
 )
 def test_every_screened_entry_is_within_its_bound(n_fields, metric, extreme, self_search, draw):
-    """Over one tile that covers every row, each entry of the screen lies within
-    ``R + delta`` of its exact score in the screen's units (``C = min_f c_f`` times
-    the weighted mean of the pair-kernel scores), as a self-search also uses it
-    transposed. A bound too tight fails here even where no top-k changes."""
+    """Over one tile that covers every row, each entry of a selection's screen lies
+    within ``R + delta`` of its exact score in the screen's units (``C = min_f c_f``
+    over the fields it uses, times the weighted mean of the field pair-kernel scores,
+    or the whole rows' score), as a self-search also uses it transposed. Over three
+    fields a weighted and a whole-row selection build their screens from the tile's
+    field GEMMs, alone or together. A bound too tight fails here even where no top-k
+    changes."""
     rows = draw.draw(tie_heavy(n_fields, extreme))
     shifts = st.lists(st.integers(-20, 20), min_size=len(rows), max_size=len(rows))
     data = scaled_rows(rows, draw.draw(shifts))
@@ -292,24 +382,37 @@ def test_every_screened_entry_is_within_its_bound(n_fields, metric, extreme, sel
     weights = np.ones(1) if n_fields == 1 else simindex.check_field_weights(draw.draw(
         st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.floats(1e-3, 1e3)),
                  min_size=3, max_size=3).filter(any)), 3)
+    kinds = ["weighted"] if n_fields == 1 else draw.draw(
+        st.sampled_from([["weighted"], ["whole"], ["weighted", "whole"]]))
+    whole = "whole" in kinds
     d = data.shape[1] // n_fields
-    used, total = weights[weights > 0], weights.sum()
-    fields = [slice(f * d, (f + 1) * d) for f in np.flatnonzero(weights)]
+    active = np.arange(n_fields) if whole else np.flatnonzero(weights)
+    fields = [slice(f * d, (f + 1) * d) for f in active]
     scales = [simindex._scale(metric, queries[:, f], data[:, f]) for f in fields]
-    ref = [simindex._field(data[:, f], metric, c) for f, c in zip(fields, scales)]
-    q = ref if self_search else [simindex._field(queries[:, f], metric, c)
-                                 for f, c in zip(fields, scales)]
-    coefs = [np.float32(w * (min(scales) / c) / total) for w, c in zip(used, scales)]
-    delta, sq_errors = simindex._bounds(q, ref, used, scales, total, metric, d)
-    screen, radius = simindex._tile_screen(q, ref, coefs, sq_errors, metric)
-    score = 0.0
-    for f, w in zip(fields, used):
-        score = score + w * pair_kernel_scores(queries[:, f], data[:, f], metric)
-    score = min(scales) * (score / total)
-    radius = np.zeros(screen.shape) if radius is None else radius.astype(np.float64)
-    assert (np.abs(screen - score) <= radius + delta).all()
-    if self_search:
-        assert (np.abs(screen.T - score) <= radius.T + delta).all()
+    ref = simindex._side(data, metric, fields, scales, whole)
+    q = ref if self_search else simindex._side(queries, metric, fields, scales, whole)
+    everyone = np.arange(len(data))
+    plans = []
+    for kind in kinds:
+        w = weights if kind == "weighted" else None
+        plans.append(simindex._Plan(Selection(1, w), everyone, everyone, len(data), len(data),
+                                    w, active, scales))
+        plans[-1].bound(q, slice(None), ref, metric, d)
+    for kind, plan, (screen, radius) in zip(kinds, plans,
+                                            simindex._tile_screens(q, ref, plans, metric)):
+        if kind == "whole":
+            score = min(scales) * pair_kernel_scores(queries, data, metric)
+        else:
+            score, used = 0.0, [(f, c) for f, c in zip(fields, scales)
+                                if weights[f.start // d] > 0]
+            for f, _ in used:
+                score = score + weights[f.start // d] * pair_kernel_scores(queries[:, f],
+                                                                           data[:, f], metric)
+            score = min(c for _, c in used) * (score / weights.sum())
+        radius = np.zeros(screen.shape) if radius is None else radius.astype(np.float64)
+        assert (np.abs(screen - score) <= radius + plan.delta).all()
+        if self_search:
+            assert (np.abs(screen.T - score) <= radius.T + plan.delta).all()
 
 
 @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
@@ -319,7 +422,7 @@ def test_float64_rows_score_as_their_float32_rounding(metric):
     x = np.random.default_rng(9).standard_normal((30, 12))
     x32 = matrix_of(x).data
     for got, want in [
-        (simindex.search(x, x, 4, metric, True), simindex.search(x32, x32, 4, metric, True)),
+        (search_one(x, x, 4, metric, True), search_one(x32, x32, 4, metric, True)),
         (search_queries(x[:7], x, 4, metric), search_queries(x32[:7], x32, 4, metric)),
     ]:
         assert np.array_equal(got[0], want[0])
@@ -382,11 +485,23 @@ def test_euclidean_near_duplicates_rank_by_their_true_distance():
     assert ids[0].tolist() == [4, 1, 3, 0, 2]
     assert scores[0].tolist() == [0.0, -(2.0**-20), -2 * 2.0**-20, -3 * 2.0**-20, -4 * 2.0**-20]
     rows = np.vstack([base, reference])
-    _, self_scores = simindex.search(rows, rows, 5, "euclidean", True)
+    _, self_scores = search_one(rows, rows, 5, "euclidean", True)
     assert self_scores[0].tolist() == scores[0].tolist()
 
 
-@pytest.mark.parametrize("call", ["knn_exact", "knn_feature_reranked", "search_queries"])
+def shared_pass(matrix, metric="cosine"):
+    """The pass of run_audit: a field-weighted self-search and whole-row neighbors of
+    every row among 80% of the rows, in shuffled order."""
+    n = matrix.n
+    train = np.random.default_rng(1).permutation(n)[: 4 * n // 5]
+    weights = simindex.check_field_weights(None, len(matrix.field_order))
+    return simindex.search(matrix.data, matrix.data, [
+        Selection(5, weights, exclude_self=True), Selection(5, cols=train)], metric)
+
+
+@pytest.mark.parametrize(
+    "call", ["knn_exact", "knn_feature_reranked", "search_queries", "shared pass"]
+)
 def test_no_n_by_n_buffer(call):
     n = 2000
     x = np.random.default_rng(0).standard_normal((n, 512))
@@ -395,6 +510,7 @@ def test_no_n_by_n_buffer(call):
         "knn_exact": (lambda: knn_exact(matrix, 5), 1),
         "knn_feature_reranked": (lambda: knn_feature_reranked(matrix, 5), 1),
         "search_queries": (lambda: search_queries(x[: n // 2], x, 5), 1.5),
+        "shared pass": (lambda: shared_pass(matrix), 1),
     }[call]
     tracemalloc.start()
     try:
@@ -409,7 +525,8 @@ def test_no_n_by_n_buffer(call):
 
 
 @pytest.mark.parametrize(
-    "call", ["knn_exact", "knn_feature_reranked", "search_queries", "euclidean rerank"]
+    "call", ["knn_exact", "knn_feature_reranked", "search_queries", "euclidean rerank",
+             "shared pass", "euclidean shared pass"]
 )
 def test_no_float64_copy_of_the_reference(call):
     """Pairs are scored from the caller's rows: beyond them a search holds a float32
@@ -422,6 +539,8 @@ def test_no_float64_copy_of_the_reference(call):
         "knn_feature_reranked": lambda: knn_feature_reranked(matrix, 5),
         "search_queries": lambda: search_queries(matrix.data[: n // 2], matrix.data, 5),
         "euclidean rerank": lambda: knn_feature_reranked(matrix, 5, "euclidean"),
+        "shared pass": lambda: shared_pass(matrix),
+        "euclidean shared pass": lambda: shared_pass(matrix, "euclidean"),
     }[call]
     tracemalloc.start()
     try:
