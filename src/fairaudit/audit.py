@@ -368,7 +368,8 @@ def neighbor_structure(matrix: EmbeddingMatrix, config: AuditConfig) -> Neighbor
 def training_rows(matrix: EmbeddingMatrix, truth: DecisionVector, split) -> tuple:
     """``(train, y_train, val, y_val)``: the split's train and validation rows of
     ``matrix`` and their ``truth`` values, the rows of ``train_family``.
-    Taken once for every family, since the kNN model keeps its train rows."""
+    Taken once for every family, since the kNN model keeps its train rows: views of
+    ``matrix`` when it holds each part as a contiguous run, as CLI ``train`` reads it."""
     return (
         matrix.take(split.train),
         truth.take(split.train).values,

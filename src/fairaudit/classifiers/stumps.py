@@ -42,10 +42,11 @@ last bit as a dense search's over the same candidates; with zeros only the
 summation order of the zero entries differs, so leaf values can move in
 their last bits while the candidate thresholds and the tie rule stay the
 same. The slot orders cover the nonzero entries only and are kept for the
-whole fit in one int32 array (4 bytes an entry, as many as float32 rows
-take), which each block views, as is the split index (int32, at most 255
-entries a feature); beyond them a round needs memory in proportion to one
-block, O(max(_BLOCK_ELEMS, N)). Rounds gather through the int32 indices
+whole fit in one array of the narrowest signed integer type that holds N
+(int16 up to 32,767 rows, 2 bytes an entry, half what float32 rows take;
+then int32), which each block views; the split index is int32 (at most 255
+entries a feature). Beyond them a round needs memory in proportion to one
+block, O(max(_BLOCK_ELEMS, N)). Rounds gather through the narrow indices
 with ``np.take(..., mode="clip")``, as fast as indexing with intp ones.
 """
 
@@ -189,7 +190,7 @@ def _feature_blocks(x: np.ndarray) -> list[tuple]:
     for its zero run (row index N, whose g and h are 0) where the zeros
     would sit. Features go into blocks longest first; a block's ``order`` is
     ``(w, L)``, padded with N, at most ``_BLOCK_ELEMS`` slots or one
-    feature, and a view of one int32 array that holds every block's (one
+    feature, and a view of one integer array that holds every block's (one
     allocation, sized from the layout, which goes back to the OS when the
     fit ends). ``split_at`` lists ``f * L + c`` for the candidate split points,
     the slots ``c`` whose value is below the next one's that
@@ -210,9 +211,9 @@ def _feature_blocks(x: np.ndarray) -> list[tuple]:
         width = max(1, _BLOCK_ELEMS // length)
         layout.append((features[i : i + width], length))
         i += width
-    # row indices up to N, the zero slot's, fit in int32 below 2**31 rows
+    # row indices up to N, the zero slot's, in the narrowest signed type that holds N
     store = np.empty(sum(f.size * length for f, length in layout),
-                     np.int32 if n < np.iinfo(np.int32).max else np.intp)
+                     next(t for t in (np.int16, np.int32, np.intp) if n <= np.iinfo(t).max))
     blocks = []
     at = 0
     for block, length in layout:
@@ -308,7 +309,7 @@ def _split_gains(block, gh: np.ndarray, gh_total: complex, lam: float):
     """Gain, left g+ih sum and total g+ih sum of each split of one block."""
     _, order, split_at, counts, zero_col, _ = block
     width, length = order.shape
-    sums = np.take(gh, order, mode="clip")  # as fast with int32 indices as gh[intp]
+    sums = np.take(gh, order, mode="clip")  # as fast with int16 or int32 indices as gh[intp]
     np.cumsum(sums, axis=1, out=sums)
     # a feature's splits before its zero slot, then from it on; the latter
     # lack the zero entries' sum, the lump gh_total - (nonzero sum)

@@ -16,7 +16,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from ._util import naming, read_json, write_json
+from ._util import naming, positions, read_json, write_json
 from .audit import (
     CHOICES,
     LEARNERS,
@@ -265,13 +265,15 @@ def _cmd_train(args) -> int:
         raise ValueError(f"--trials-out: family {args.family!r} is not searched{at}")
     config = _config(AuditConfig, args, embedder="ingest", normalize=False)
     profiles = load_corpus(args.corpus)
-    matrix = embed_profiles(profiles, config, config.seed)
     split = load_split(args.splits)
-    truth = binarize_labels(profiles, config.target_stage)
     with naming(args.splits):  # a split id that the corpus lacks
-        rows = training_rows(matrix, truth, split)
-    del matrix  # only the train and validation rows stay for the fit
-    model, trials = train_family(args.family, *rows, config)
+        fit = positions([p.id for p in profiles], split.train + split.validation)
+    # train, validation, then the rest in corpus order: the fit reads views of one matrix
+    chosen = set(fit)
+    profiles = [profiles[i] for i in fit] + [p for i, p in enumerate(profiles) if i not in chosen]
+    matrix = embed_profiles(profiles, config, config.seed)
+    truth = binarize_labels(profiles, config.target_stage)
+    model, trials = train_family(args.family, *training_rows(matrix, truth, split), config)
     save_model(model, args.out)
     print(f"wrote {args.family} model to {args.out}")
     if args.trials_out:

@@ -86,11 +86,18 @@ class EmbeddingMatrix:
 
     def take(self, ids) -> "EmbeddingMatrix":
         """The rows of ``ids``, in that order: the matrix itself if that is its order
-        (it is immutable)."""
-        if tuple(ids) == self.index_order:
+        (it is immutable), a read-only view of its rows if ``ids`` is a contiguous
+        ascending run of them, and a copy otherwise. A view keeps the whole of this
+        matrix's buffer alive for as long as it lives."""
+        ids = tuple(ids)
+        if ids == self.index_order:
             return self
-        data = self.data[positions(self.index_order, ids)]
-        return EmbeddingMatrix(data, self.dim_per_field, self.field_order, tuple(ids))
+        at = positions(self.index_order, ids)
+        if at and at == list(range(at[0], at[0] + len(at))):
+            data = self.data[at[0] : at[0] + len(at)]
+        else:
+            data = self.data[at]
+        return EmbeddingMatrix(data, self.dim_per_field, self.field_order, ids)
 
 
 def check_sizes(d: int, max_tokens: int | None) -> None:

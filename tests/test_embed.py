@@ -222,6 +222,20 @@ class TestEmbedCorpus:
         swapped = matrix.take(["B", "A"])
         assert np.array_equal(swapped.data, matrix.data[::-1])
 
+    @pytest.mark.parametrize("at, view", [
+        ([1, 2, 3], True), ([0], True), ([4, 5], True),
+        ([1, 3], False), ([3, 2], False), ([2, 3, 1], False), ([], False),
+    ])
+    def test_take_of_a_contiguous_run_is_a_read_only_view(self, at, view):
+        ids = tuple(f"P{i}" for i in range(6))
+        data = np.arange(6 * 10, dtype=np.float32).reshape(6, 10)
+        matrix = EmbeddingMatrix(data, 2, FIELD_ORDER, ids)
+        rows = matrix.take([ids[i] for i in at])
+        assert np.shares_memory(rows.data, matrix.data) == view
+        assert not rows.data.flags.writeable
+        assert np.array_equal(rows.data, matrix.data[at])
+        assert rows.index_order == tuple(ids[i] for i in at)
+
 
 class TestNormalizeFieldBlocks:
     def test_unit_blocks_unchanged(self):

@@ -110,6 +110,28 @@ def tie_heavy(draw, n_fields=1, extreme=False):
     return np.array(rows)
 
 
+@st.composite
+def wide_near_duplicates(draw, n_fields=1):
+    """Rows of 16 to 64 random entries a field, most a copy of an earlier row moved
+    by a few float32 ulps an entry or by about 1e-4 of it, so that the squared
+    distance of such a pair is a small difference of large float32 sums."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 10))
+    d = draw(st.sampled_from([16, 64])) * n_fields
+    rows = [rng.standard_normal(d)]
+    for _ in range(n - 1):
+        kind = draw(st.sampled_from(["new", "ulps", "relative", "relative"]))
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if kind == "new":
+            row = rng.standard_normal(d)
+        elif kind == "ulps":
+            row = row + rng.integers(-3, 4, d) * np.spacing(row.astype(np.float32))
+        else:
+            row = row * (1 + 1e-4 * rng.standard_normal(d))
+        rows.append(row)
+    return np.array(rows)
+
+
 def matrix_of(data, n_fields=1):
     d = data.shape[1] // n_fields
     return EmbeddingMatrix(data, d, tuple(f"f{i}" for i in range(n_fields)),
@@ -364,19 +386,24 @@ def scaled_rows(rows, shifts):
     n_fields=st.sampled_from([1, 3]),
     metric=st.sampled_from(["cosine", "euclidean"]),
     extreme=st.booleans(),
+    wide=st.booleans(),
     self_search=st.booleans(),
     draw=st.data(),
 )
-def test_every_screened_entry_is_within_its_bound(n_fields, metric, extreme, self_search, draw):
+def test_every_screened_entry_is_within_its_bound(n_fields, metric, extreme, wide, self_search,
+                                                  draw):
     """Over one tile that covers every row, each entry of a selection's screen lies
     within ``R + delta`` of its exact score in the screen's units (``C = min_f c_f``
     over the fields it uses, times the weighted mean of the field pair-kernel scores,
     or the whole rows' score), as a self-search also uses it transposed. Over three
     fields a weighted and a whole-row selection build their screens from the tile's
     field GEMMs, alone or together. A bound too tight fails here even where no top-k
-    changes."""
-    rows = draw.draw(tie_heavy(n_fields, extreme))
+    changes. Wide fields of near-duplicate rows (``wide``) make the float32 GEMM's
+    rounding matter."""
+    rows = draw.draw(wide_near_duplicates(n_fields) if wide else tie_heavy(n_fields, extreme))
     shifts = st.lists(st.integers(-20, 20), min_size=len(rows), max_size=len(rows))
+    if wide:  # one shift for every row keeps the near duplicates near
+        shifts = st.integers(-20, 20).map(lambda shift: [shift] * len(rows))
     data = scaled_rows(rows, draw.draw(shifts))
     queries = data if self_search else scaled_rows(rows, draw.draw(shifts))
     weights = np.ones(1) if n_fields == 1 else simindex.check_field_weights(draw.draw(

@@ -407,18 +407,35 @@ def test_dense_float32_search_keeps_one_int32_slot_per_entry():
     assert peak < 1.6 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the input"
 
 
-def test_every_block_order_is_a_view_of_one_int32_store():
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal((300, 40)) * (rng.random((300, 40)) < 0.5)
+def sparse_rows(seed, n, width):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, width)) * (rng.random((n, width)) < 0.5)
+
+
+# the zero slot's row index is N, so int16 holds N up to 32,767 rows
+@pytest.mark.parametrize("n, width, dtype", [
+    (300, 40, np.int16), (32_767, 2, np.int16), (32_768, 2, np.int32),
+])
+def test_every_block_order_is_a_view_of_one_store_of_the_narrowest_int(n, width, dtype):
+    x = sparse_rows(4, n, width)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stumps, "_BLOCK_ELEMS", 1000)
         blocks = stumps._feature_blocks(x)
     orders = [block[1] for block in blocks]
     assert len(orders) > 1
-    assert all(order.dtype == np.int32 for order in orders)
+    assert all(order.dtype == dtype for order in orders)
     store = orders[0].base
     assert store is not None and all(order.base is store for order in orders)
     assert store.size == sum(order.size for order in orders)
+    assert max(int(order.max()) for order in orders) == n  # the zero slot
+
+
+@pytest.mark.parametrize("n", [32_767, 32_768])
+def test_sparse_fit_at_the_edge_of_the_int16_store(n):
+    x = sparse_rows(6, n, 2)
+    y = (x[:, 0] + 0.5 * x[:, 1] > 0.2).astype(np.int64)
+    config = TrainConfig(rounds=4, learning_rate=0.3)
+    assert assert_same_model(x, y, config, binned_train_stumps).rounds == 4
 
 
 def test_search_memory_of_a_sparse_matrix_follows_its_nonzeros():
