@@ -64,8 +64,6 @@ from .simindex import (
     Selection,
     check_field_weights,
     check_k,
-    knn_batched,
-    knn_feature_reranked,
     neighbors_to_dict,
     search,
 )
@@ -356,15 +354,6 @@ def embed_profiles(profiles: list[Profile], config: AuditConfig, seed: int) -> E
                              config.normalize)
 
 
-def neighbor_structure(matrix: EmbeddingMatrix, config: AuditConfig) -> NeighborList:
-    """The k-NN structure ``config`` asks for over every row of ``matrix``."""
-    if config.rerank:
-        return knn_feature_reranked(
-            matrix, config.k, config.metric, field_weights=config.field_weights
-        )
-    return knn_batched(matrix, config.k, config.metric)
-
-
 def training_rows(matrix: EmbeddingMatrix, truth: DecisionVector, split) -> tuple:
     """``(train, y_train, val, y_val)``: the split's train and validation rows of
     ``matrix`` and their ``truth`` values, the rows of ``train_family``.
@@ -536,11 +525,13 @@ def neighbor_pass(
     knn: KnnClassifier | None = None,
 ) -> tuple[dict[tuple[str, ...], NeighborList], DecisionVector | None]:
     """``(structures, decisions)`` from one :func:`search` over ``matrix``: for each of
-    ``populations`` (ids), the structure that ``neighbor_structure`` gives over those
-    rows, and the decisions that ``predict_decisions`` gives for every row with the
-    kNN model ``knn``, whose reference rows are rows of ``matrix`` (None without a
-    model). The model's neighbors are taken among its reference rows in their order,
-    so ties go to the earlier one, as in its own search."""
+    ``populations`` (ids), the k-NN structure ``config`` asks for over those rows (each
+    row's ``config.k`` others, by the field-weighted similarity under
+    ``config.field_weights`` if ``config.rerank``, else by whole rows), and the
+    decisions that ``predict_decisions`` gives for every row with the kNN model
+    ``knn``, whose reference rows are rows of ``matrix`` (None without a model). The
+    model's neighbors are taken among its reference rows in their order, so ties go
+    to the earlier one, as in its own search."""
     weights = check_field_weights(config.field_weights, len(matrix.field_order)) \
         if config.rerank else None
     selections = []

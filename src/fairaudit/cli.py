@@ -23,7 +23,7 @@ from .audit import (
     AuditConfig,
     AuditReport,
     embed_profiles,
-    neighbor_structure,
+    neighbor_pass,
     predict_decisions,
     render_report,
     run_audit,
@@ -243,7 +243,8 @@ def _cmd_embed(args) -> int:
     save_embeddings(matrix, args.out)
     print(f"wrote {matrix.n}x{matrix.dim} matrix to {args.out}")
     if args.neighbors_out:
-        save_neighbors(neighbor_structure(matrix, config), args.neighbors_out)
+        [structure] = neighbor_pass(matrix, config, [matrix.index_order])[0].values()
+        save_neighbors(structure, args.neighbors_out)
         print(f"wrote k={config.k} neighbors to {args.neighbors_out}")
     return 0
 

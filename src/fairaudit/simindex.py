@@ -22,14 +22,16 @@ the rows is made. The kernel gathers the rows of the pairs it scores, as float64
 and, for cosine, divides them by the norms that :func:`~fairaudit._util.unit_rows`
 returned (for a field, when it wrote the float32 screen copy), which gives the bits
 of unit rows; a query row is divided once per rescore, unless its pairs fill more
-than one gather. For euclidean the screen copy is the rows times a power of two,
-taken in float64. Beyond the screen copies a search holds tiles of a fixed size and,
-per selection and row, k floats and its candidates.
+than one gather. For euclidean the screen copy is the rows times the pass's one
+power of two, taken in float64. Beyond the screen copies a search holds tiles of a
+fixed size and, per selection and row, k floats and its candidates.
 
 Screen error. The screen reads float32 copies of the rows the kernel scores: unit
-rows for cosine, and for euclidean each field's rows times the power of two ``c``
-(exact) that brings its largest magnitude into [1/2, 1), so nothing overflows
-(cosine: c = 1). Per field of width d < 2**22, let ``S = max |q|^2 + max |r|^2`` of
+rows for cosine, and for euclidean the rows times one power of two ``c`` (exact)
+that brings the largest magnitude of the fields the pass screens, over its query and
+reference rows, into [1/2, 1), so nothing overflows (cosine: c = 1). A field far
+below that magnitude loses low bits or underflows in its copy, which the terms in
+``t`` below cover. Per field of width d < 2**22, let ``S = max |q|^2 + max |r|^2`` of
 the copies, each maximum over the rows of the selection (a self-search: its query
 rows, and its reference rows; a query search: its rows of the query tile, and its
 reference rows), so S bounds ``|q|^2 + |r|^2`` of every pair in either orientation;
@@ -48,12 +50,11 @@ kernel's own error is 2**29 times smaller. So, with room to spare:
   kernel's, ``m = 2 sqrt S + 2 (e + sqrt E)``. The kernel's float64 squares of the
   differences of float32 values neither overflow nor underflow.
 
-Fields add in units of ``1 / C``, ``C = min_f c_f`` over the fields a selection
-uses, with float32 weights ``fl(w_f C / (c_f W))``. Weighting and adding in float32
-and in the kernel's float64, and the float32 steps below, add at most ``(F + 2) eps
-m_f`` per field, and underflow ``2 t (1 + m_f)`` per field and ``2 F C 2**-1074``: so
-a selection has one ``delta = sum_f w_f C / (c_f W) (e_f + (F + 2) eps m_f) + ...``,
-and each euclidean entry a radius ``R = sum_f fl(w_f C / (c_f W)) r_f(D_f)``,
+Fields add in units of ``1 / c`` with float32 weights ``fl(w_f / W)``. Weighting and
+adding in float32 and in the kernel's float64, and the float32 steps below, add at
+most ``(F + 2) eps m_f`` per field, and underflow ``2 t (1 + m_f)`` per field and ``2
+F c 2**-1074``: so a selection has one ``delta = sum_f w_f / W (e_f + (F + 2) eps m_f)
++ ...``, and each euclidean entry a radius ``R = sum_f fl(w_f / W) r_f(D_f)``,
 computed in float32 from the field's one E, raised by ``(F + 8) eps`` (cosine: R = 0).
 
 Whole rows from field parts. Over P > 1 fields a whole-row selection builds its
@@ -66,12 +67,11 @@ screen from the same field GEMMs, so no screen copy of whole rows is made.
   the two float32 products per field and the float32 sum of the P terms add at most
   ``(P + 8) eps m`` and underflow ``4 P t (1 + m)``, ``m = max_f m_f``: ``delta =
   max_f e_f + (P + 8) eps m + 4 P t (1 + m) + 2 P 2**-1074``, and R = 0.
-- euclidean: ``sum_f (C / c_f)^2 Q_f``, ``Q_f`` the field's GEMM form and each factor
-  a power of two that ldexp applies (rounding at most t / 2), is within ``E = sum_f
-  (C / c_f)^2 ((1 + P eps) E_f + (P + 1) eps S_f) + P t`` of the copies' whole
-  squared distance in units of C, since ``|Q_f| <= 2 S_f + E_f`` bounds each term of
-  the float32 sum. Its one square root D is then one field of width ``P d`` with that
-  E and ``S = sum_f (C / c_f)^2 S_f``: e, m and ``r(D)`` as above, with F = 1.
+- euclidean: the float32 sum ``sum_f Q_f`` of the fields' GEMM forms is within ``E =
+  sum_f ((1 + P eps) E_f + (P + 1) eps S_f) + P t`` of the copies' whole squared
+  distance, since ``|Q_f| <= 2 S_f + E_f`` bounds each term of the sum and ``P t`` its
+  underflow. Its one square root D is then one field of width ``P d`` with that E and
+  ``S = sum_f S_f``: e, m and ``r(D)`` as above, with F = 1.
 
 Selection. Every column's exact score lies within ``screen +- (R + delta)``. With
 ``s_k`` the k-th largest ``screen - R`` of a row (``-inf`` on its own column if self
@@ -154,10 +154,15 @@ class NeighborList:
             )
         if neighbors.shape[1] != self.k:
             raise AlignmentError(f"expected {self.k} columns, got {neighbors.shape[1]}")
+        index_order = tuple(self.index_order)
+        if len(index_order) != len(neighbors):
+            raise AlignmentError(f"{len(index_order)} ids for {len(neighbors)} neighbor rows")
+        outside = ((neighbors < 0) | (neighbors >= len(neighbors))).any(axis=1)
         ordered = np.sort(neighbors, axis=1)
         twice = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
         itself = (neighbors == np.arange(len(neighbors))[:, None]).any(axis=1)
-        for bad, what in ((twice, "names one neighbor twice"),
+        for bad, what in ((outside, f"names a row outside [0, {len(neighbors)})"),
+                          (twice, "names one neighbor twice"),
                           (itself & self.excludes_self, "names itself, though self is excluded")):
             if bad.any():
                 raise IntegrityError(f"neighbor row {int(np.argmax(bad))} {what}")
@@ -165,7 +170,7 @@ class NeighborList:
         scores.setflags(write=False)
         object.__setattr__(self, "neighbors", neighbors)
         object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "index_order", tuple(self.index_order))
+        object.__setattr__(self, "index_order", index_order)
 
     @property
     def n(self) -> int:
@@ -217,9 +222,9 @@ class Selection:
 
 
 def _scale(metric: str, *blocks: np.ndarray) -> float:
-    """The power of two, at most 2**148 for float32 rows, that brings a euclidean
-    field's largest magnitude into [1/2, 1) (a zero field: 1); 1 for cosine, whose
-    rows are unit rows."""
+    """The power of two, at most 2**148 for float32 rows, that brings the largest
+    magnitude of the euclidean ``blocks`` into [1/2, 1) (all zero: 1); 1 for cosine,
+    whose rows are unit rows."""
     if metric == "cosine":
         return 1.0
     top = max((max(b.max(), -b.min()) for b in blocks if b.size), default=0.0)
@@ -280,10 +285,10 @@ def _field(data: np.ndarray, metric: str, scale: float) -> _Rows:
     return _Rows(data, norms, low, np.einsum("ij,ij->i", low, low, dtype=np.float64))
 
 
-def _side(data: np.ndarray, metric: str, fields, scales, whole: bool) -> _Side:
-    """The :class:`_Side` of the rows ``data``: the ``fields`` (column slices) at their
-    ``scales``, and if ``whole``, what a whole-row selection over them needs."""
-    parts = [_field(data[:, f], metric, c) for f, c in zip(fields, scales)]
+def _side(data: np.ndarray, metric: str, fields, scale: float, whole: bool) -> _Side:
+    """The :class:`_Side` of the rows ``data``: the ``fields`` (column slices) at the
+    pass's ``scale``, and if ``whole``, what a whole-row selection over them needs."""
+    parts = [_field(data[:, f], metric, scale) for f in fields]
     if not whole:
         return _Side(parts, None, None)
     if metric == "euclidean":
@@ -309,15 +314,12 @@ def _screen(q: _Rows, ref: _Rows, metric: str) -> np.ndarray:
 
 def _times(part: np.ndarray, scale, out: np.ndarray) -> np.ndarray:
     """``part`` times ``scale`` in ``out`` (``part`` itself or another array of its
-    shape): a float32 factor, an int power of two that ldexp applies, or a pair of
-    float32 row and column factors."""
+    shape): a float32 factor, or a pair of float32 row and column factors."""
     if isinstance(scale, tuple):
         np.multiply(part, scale[0][:, None], out=out)
         return np.multiply(out, scale[1], out=out)
-    if out is part and scale == (0 if isinstance(scale, int) else 1):
+    if out is part and scale == 1:
         return part
-    if isinstance(scale, int):
-        return np.ldexp(part, scale, out=out)
     return np.multiply(part, scale, out=out)
 
 
@@ -345,8 +347,7 @@ def _tile_screens(q: _Side, ref: _Side, plans, metric: str) -> list:
             continue
         part = _screen(qf, rf, metric)
         for n, i in enumerate(whole):
-            scale = (q.shares[slot], ref.shares[slot]) if metric == "cosine" else \
-                plans[i].shift[slot]
+            scale = (q.shares[slot], ref.shares[slot]) if metric == "cosine" else 1
             fold(i, part, scale, n == len(whole) - 1 and not weighted)
         if weighted and metric != "cosine":  # the field's distance
             np.sqrt(np.maximum(part, 0.0, out=part), out=part)
@@ -544,7 +545,7 @@ class _Plan:
     selection and result."""
 
     def __init__(self, selection: Selection, rows, cols, n_q: int, n_ref: int, weights,
-                 active, scales):
+                 active, scale: float):
         self.k, self.exclude = selection.k, selection.exclude_self
         self.rows, self.cols = rows, cols
         self.row_at, self.col_at = _positions(rows, n_q), _positions(cols, n_ref)
@@ -554,16 +555,9 @@ class _Plan:
         else:
             self.used = [s for s, f in enumerate(active) if weights[f] > 0]
             self.weights = weights[weights > 0]
-        self.total = self.weights.sum()
-        self.scales = [scales[s] for s in self.used]
-        self.common = min(self.scales)
-        # the screen's factors: the field weights in units of 1 / common, or for
-        # whole euclidean rows the powers of two (common / c_f)^2 of the fields' squares
-        self.coef = {} if self.whole else {
-            s: np.float32(w * (self.common / c) / self.total)
-            for s, w, c in zip(self.used, self.weights, self.scales)}
-        self.shift = {s: 2 * round(math.log2(self.common / c))
-                      for s, c in zip(self.used, self.scales)} if self.whole else {}
+        self.total, self.scale = self.weights.sum(), scale
+        self.coef = {} if self.whole else {  # the screen's field weights
+            s: np.float32(w / self.total) for s, w in zip(self.used, self.weights)}
         self.sq_errors: dict = {}
         self.sq_error = self.delta = self.running = None
         self.neighbors = np.empty((len(rows), self.k), dtype=np.int64)
@@ -576,21 +570,19 @@ class _Plan:
              for f in self.used]
         n = len(self.used)
         if not self.whole:
-            delta = 2 * n * self.common * _TINY64
-            for slot, w, c, sf in zip(self.used, self.weights, self.scales, s):
+            delta = 2 * n * self.scale * _TINY64
+            for slot, w, sf in zip(self.used, self.weights, s):
                 e, m, self.sq_errors[slot] = _field_error(sf, metric, d, n)
-                delta = delta + w * (self.common / c) / self.total * (e + (n + 2) * _EPS * m)
+                delta = delta + w / self.total * (e + (n + 2) * _EPS * m)
                 delta = delta + 2 * _TINY * (1 + m)
         elif metric == "cosine":
             e, m = map(max, zip(*(_field_error(sf, metric, d, n)[:2] for sf in s)))
             delta = e + (n + 8) * _EPS * m + 4 * n * _TINY * (1 + m) + 2 * n * _TINY64
         else:
-            sizes = [2.0 ** self.shift[slot] for slot in self.used]
-            e_sq = n * _TINY + sum(z * ((1 + n * _EPS) * ((d + 8) * _EPS * sf + 4 * d * _TINY)
-                                        + (n + 1) * _EPS * sf) for z, sf in zip(sizes, s))
-            e, m, self.sq_error = _field_error(sum(map(np.multiply, sizes, s)), metric,
-                                               n * d, 1, e_sq)
-            delta = e + 3 * _EPS * m + 2 * _TINY * (1 + m) + 2 * n * self.common * _TINY64
+            e_sq = n * _TINY + sum((1 + n * _EPS) * ((d + 8) * _EPS * sf + 4 * d * _TINY)
+                                   + (n + 1) * _EPS * sf for sf in s)
+            e, m, self.sq_error = _field_error(sum(s), metric, n * d, 1, e_sq)
+            delta = e + 3 * _EPS * m + 2 * _TINY * (1 + m) + 2 * n * self.scale * _TINY64
         self.delta = delta
 
     def has(self, start: int, stop: int, left: int, right: int) -> bool:
@@ -704,12 +696,13 @@ def search(
     active = range(n_fields) if whole else np.flatnonzero(np.any([w > 0 for w in weights], 0))
     d = reference.shape[1] // n_fields
     fields = [slice(f * d, (f + 1) * d) for f in active]
-    scales = [_scale(metric, queries[:, f], reference[:, f]) for f in fields]
+    sides = (queries,) if symmetric else (queries, reference)
+    scale = _scale(metric, *(side[:, f] for side in sides for f in fields))
     n_q, n_ref = len(queries), len(reference)
-    plans = [_Plan(s, rows, cols, n_q, n_ref, w, active, scales)
+    plans = [_Plan(s, rows, cols, n_q, n_ref, w, active, scale)
              for s, (rows, cols), w in zip(selections, index, weights)]
     tile, tile_cols = _tile_shape(queries.shape[1], len(fields), metric, symmetric, block)
-    ref = _side(reference, metric, fields, scales, whole)
+    ref = _side(reference, metric, fields, scale, whole)
     if symmetric:  # one bound and one running selection each for the pass
         for plan in plans:
             plan.bound(ref, plan.rows, ref, metric, d)
@@ -719,7 +712,7 @@ def search(
         if symmetric:  # the tile's rows against the columns from its first row on
             q, at = ref.part(start, stop), start
         else:
-            q, at = _side(queries[start:stop], metric, fields, scales, whole), 0
+            q, at = _side(queries[start:stop], metric, fields, scale, whole), 0
             for plan in plans:
                 members = _members(*plan.row_at, start, stop)
                 if members is not None:

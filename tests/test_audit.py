@@ -18,7 +18,7 @@ from fairaudit.audit import (
     ReportRow,
     compare_sources,
     embed_profiles,
-    neighbor_structure,
+    neighbor_pass,
     predict_decisions,
     render_report,
     run_audit,
@@ -476,10 +476,11 @@ def test_default_hashed_rows_have_the_same_neighbors_without_the_rerank(seed):
     profiles, _ = generate_synthetic_corpus(870, 400, seed)
     config = AuditConfig(seed=seed)
     matrix = embed_profiles(profiles, config, _util.derive_seeds(seed, ("embed",))["embed"])
-    want = neighbor_structure(matrix, config).neighbors
+    everyone = [matrix.index_order]
+    [want] = neighbor_pass(matrix, config, everyone)[0].values()
     for change in ({"rerank": False}, {"rerank": False, "metric": "euclidean"}):
-        got = neighbor_structure(matrix, replace(config, **change)).neighbors
-        assert np.array_equal(got, want), change
+        [got] = neighbor_pass(matrix, replace(config, **change), everyone)[0].values()
+        assert np.array_equal(got.neighbors, want.neighbors), change
 
 
 class TestAuditConfig:

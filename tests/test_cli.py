@@ -416,16 +416,21 @@ class TestFrontEndsAgree:
     CONFIG = AuditConfig(d=8, seed=11, max_epochs=2, patience=2, rounds=10, hidden_dim=4,
                          head_dim=4)
 
-    def test_cli_stages_reproduce_the_audit(self, tmp_path, corpus, capsys):
+    @pytest.mark.parametrize("change, flags", [
+        ({}, []),
+        ({"metric": "euclidean"}, ["--metric", "euclidean"]),
+        ({"rerank": False}, ["--no-rerank"]),
+    ], ids=["weighted-cosine", "weighted-euclidean", "whole-rows"])
+    def test_cli_stages_reproduce_the_audit(self, tmp_path, corpus, capsys, change, flags):
         """CLI embed and split with the audit's derived seeds write the audit's
-        embeddings, split and AR neighbor structure."""
+        embeddings, split and AR neighbor structure, for each kind of selection."""
         run_dir = tmp_path / "run"
-        report = run_audit(corpus, self.CONFIG, run_dir)
+        report = run_audit(corpus, replace(self.CONFIG, **change), run_dir)
         seeds = report.metadata["derived_seeds"]
         emb, neighbors, splits = (tmp_path / n for n in ("e.faem", "n.json", "s.json"))
         code, _, err = run(capsys, "embed", "--corpus", str(corpus), "--d", "8",
                            "--seed", str(seeds["embed"]), "--out", str(emb),
-                           "--neighbors-out", str(neighbors))
+                           "--neighbors-out", str(neighbors), *flags)
         assert code == 0, err
         assert emb.read_bytes() == (run_dir / "embeddings.faem").read_bytes()
         stages = json.loads((run_dir / "neighbors.json").read_text())["stages"]

@@ -132,6 +132,25 @@ def wide_near_duplicates(draw, n_fields=1):
     return np.array(rows)
 
 
+def spread_fields(rows, shifts):
+    """``rows`` with field block f times ``2**shifts[f]`` in each row where that
+    keeps the block below 2**126 (elsewhere as it is), so fields lie far apart in
+    magnitude and one scale for a pass leaves a weak field's copies to underflow."""
+    rows = np.array(rows, dtype=np.float64)
+    d = rows.shape[1] // len(shifts)
+    for f, shift in enumerate(shifts):
+        block = rows[:, f * d : (f + 1) * d]
+        scaled = block * 2.0**shift
+        fits = (np.abs(scaled) < 2.0**126).all(axis=1)
+        block[fits] = scaled[fits]
+    return rows
+
+
+def field_shifts(n_fields):
+    """A power-of-two exponent per field, up to 2**+-120."""
+    return st.lists(st.integers(-120, 120), min_size=n_fields, max_size=n_fields)
+
+
 def matrix_of(data, n_fields=1):
     d = data.shape[1] // n_fields
     return EmbeddingMatrix(data, d, tuple(f"f{i}" for i in range(n_fields)),
@@ -346,14 +365,17 @@ def test_rerank_equals_a_stage_two_oracle(data, metric, weights, exclude_self, d
     weights=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-3, 1e3)),
                      min_size=3, max_size=3).filter(any),
     exclude_self=st.booleans(),
+    shifts=st.one_of(st.none(), field_shifts(3)),
     draw=st.data(),
 )
-def test_extreme_rows_equal_the_oracle(data, metric, weights, exclude_self, draw):
+def test_extreme_rows_equal_the_oracle(data, metric, weights, exclude_self, shifts, draw):
     """Rows near the float32 maximum, float32 subnormal rows and rows a few float32
-    ulps apart, whole rows and weighted fields: the float32 screen's bound covers
-    rounding, scaling and underflow, so the float64 kernel still decides every
-    score. The search reads the float64 arrays' float32 rounding, as the oracle
-    does."""
+    ulps apart, whole rows and weighted fields, and fields up to 2**+-120 apart
+    (``shifts``): the float32 screen's bound covers rounding, scaling and underflow,
+    so the float64 kernel still decides every score. The search reads the float64
+    arrays' float32 rounding, as the oracle does."""
+    if shifts is not None:
+        data = spread_fields(data, shifts)
     n = len(data)
     k = draw.draw(st.integers(1, n - 1 if exclude_self else n))
     picks = draw.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
@@ -387,20 +409,24 @@ def scaled_rows(rows, shifts):
     metric=st.sampled_from(["cosine", "euclidean"]),
     extreme=st.booleans(),
     wide=st.booleans(),
+    spread=st.booleans(),
     self_search=st.booleans(),
     draw=st.data(),
 )
-def test_every_screened_entry_is_within_its_bound(n_fields, metric, extreme, wide, self_search,
-                                                  draw):
+def test_every_screened_entry_is_within_its_bound(n_fields, metric, extreme, wide, spread,
+                                                  self_search, draw):
     """Over one tile that covers every row, each entry of a selection's screen lies
-    within ``R + delta`` of its exact score in the screen's units (``C = min_f c_f``
-    over the fields it uses, times the weighted mean of the field pair-kernel scores,
-    or the whole rows' score), as a self-search also uses it transposed. Over three
-    fields a weighted and a whole-row selection build their screens from the tile's
-    field GEMMs, alone or together. A bound too tight fails here even where no top-k
+    within ``R + delta`` of its exact score in the screen's units (the pass's one
+    scale ``c`` times the weighted mean of the field pair-kernel scores, or the whole
+    rows' score), as a self-search also uses it transposed. Over three fields a
+    weighted and a whole-row selection build their screens from the tile's field
+    GEMMs, alone or together. A bound too tight fails here even where no top-k
     changes. Wide fields of near-duplicate rows (``wide``) make the float32 GEMM's
-    rounding matter."""
+    rounding matter; fields up to 2**+-120 apart (``spread``) leave the copies of a
+    weak field to underflow at the pass's scale."""
     rows = draw.draw(wide_near_duplicates(n_fields) if wide else tie_heavy(n_fields, extreme))
+    if spread:
+        rows = spread_fields(rows, draw.draw(field_shifts(n_fields)))
     shifts = st.lists(st.integers(-20, 20), min_size=len(rows), max_size=len(rows))
     if wide:  # one shift for every row keeps the near duplicates near
         shifts = st.integers(-20, 20).map(lambda shift: [shift] * len(rows))
@@ -415,27 +441,27 @@ def test_every_screened_entry_is_within_its_bound(n_fields, metric, extreme, wid
     d = data.shape[1] // n_fields
     active = np.arange(n_fields) if whole else np.flatnonzero(weights)
     fields = [slice(f * d, (f + 1) * d) for f in active]
-    scales = [simindex._scale(metric, queries[:, f], data[:, f]) for f in fields]
-    ref = simindex._side(data, metric, fields, scales, whole)
-    q = ref if self_search else simindex._side(queries, metric, fields, scales, whole)
+    scale = simindex._scale(metric, *(side[:, f] for side in (queries, data) for f in fields))
+    ref = simindex._side(data, metric, fields, scale, whole)
+    q = ref if self_search else simindex._side(queries, metric, fields, scale, whole)
     everyone = np.arange(len(data))
     plans = []
     for kind in kinds:
         w = weights if kind == "weighted" else None
         plans.append(simindex._Plan(Selection(1, w), everyone, everyone, len(data), len(data),
-                                    w, active, scales))
+                                    w, active, scale))
         plans[-1].bound(q, slice(None), ref, metric, d)
     for kind, plan, (screen, radius) in zip(kinds, plans,
                                             simindex._tile_screens(q, ref, plans, metric)):
         if kind == "whole":
-            score = min(scales) * pair_kernel_scores(queries, data, metric)
+            score = scale * pair_kernel_scores(queries, data, metric)
         else:
-            score, used = 0.0, [(f, c) for f, c in zip(fields, scales)
-                                if weights[f.start // d] > 0]
-            for f, _ in used:
-                score = score + weights[f.start // d] * pair_kernel_scores(queries[:, f],
-                                                                           data[:, f], metric)
-            score = min(c for _, c in used) * (score / weights.sum())
+            score = 0.0
+            for f in fields:
+                if weights[f.start // d] > 0:
+                    score = score + weights[f.start // d] * pair_kernel_scores(
+                        queries[:, f], data[:, f], metric)
+            score = scale * (score / weights.sum())
         radius = np.zeros(screen.shape) if radius is None else radius.astype(np.float64)
         assert (np.abs(screen - score) <= radius + plan.delta).all()
         if self_search:

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairaudit.embed import EmbeddingMatrix
-from fairaudit.errors import DimensionMismatchError, NonFiniteError, ParseError, SizeError
+from fairaudit.errors import (AlignmentError, DimensionMismatchError, IntegrityError,
+                              NonFiniteError, ParseError, SizeError)
 from fairaudit.simindex import (
     NeighborList,
     knn_batched,
@@ -283,6 +284,21 @@ class TestSearchQueries:
     def test_rows_that_are_not_2d_are_a_dimension_error(self, queries, reference):
         with pytest.raises(DimensionMismatchError, match="axis count mismatch: expected 2"):
             search_queries(queries, reference, k=1)
+
+
+class TestNeighborListChecks:
+    """A structure names each neighbor by a row of its own ``index_order``."""
+
+    @pytest.mark.parametrize("outside", [-1, 3, 5])
+    def test_a_neighbor_outside_the_rows_is_an_integrity_error(self, outside):
+        with pytest.raises(IntegrityError, match=r"neighbor row 0 names a row outside \[0, 3\)"):
+            NeighborList(1, [[outside], [0], [1]], np.zeros((3, 1)), "cosine", True,
+                         ("a", "b", "c"))
+
+    @pytest.mark.parametrize("ids", [("a", "b"), ("a", "b", "c", "d")])
+    def test_ids_that_are_not_one_per_row_are_an_alignment_error(self, ids):
+        with pytest.raises(AlignmentError, match=f"{len(ids)} ids for 3 neighbor rows"):
+            NeighborList(1, [[1], [0], [1]], np.zeros((3, 1)), "cosine", True, ids)
 
 
 class TestNeighborListIO:
