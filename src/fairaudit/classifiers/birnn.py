@@ -264,8 +264,10 @@ def birnn_train(
         raise TrainingError("validation set is empty; early stopping needs one")
     if len(np.unique(y_train)) < 2:
         raise TrainingError("training labels contain a single class")
-    d = np.asarray(x_train).shape[2]
-    steps = np.asarray(x_train).shape[1]
+    x_train = np.asarray(x_train)
+    if x_train.ndim != 3:
+        raise DimensionMismatchError(3, x_train.ndim, "sequence batch axis count")
+    steps, d = x_train.shape[1:]
     clf = BiRnnClassifier(
         d, config.hidden_dim, config.head_dim, steps=steps, seed=config.seed
     )
@@ -274,8 +276,7 @@ def birnn_train(
     w_x, w_h = fused
     h = clf.hidden_dim
     clf.params.update(w_xf=w_x[:, :h], w_xb=w_x[:, h:], w_hf=w_h[:h, :h], w_hb=w_h[h:, h:])
-    x_train = clf._check_batch(x_train)
-    x_val = clf._check_batch(x_val)
+    x_val = clf._check_batch(x_val)  # x_train gave the model its shape
     rng = np.random.default_rng([config.seed, 1])
     stopper = EarlyStopper(config.patience)
     best_params = None

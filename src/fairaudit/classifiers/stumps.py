@@ -123,6 +123,8 @@ class BoostedStumps:
 
     def predict_margin(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
+        if x.ndim != 2:
+            raise DimensionMismatchError(2, x.ndim, "feature matrix axis count")
         width = 1 + max((s.feature for s in self.stumps), default=-1)
         if x.shape[1] < width:
             raise DimensionMismatchError(f"at least {width}", x.shape[1], "feature count")

@@ -269,9 +269,7 @@ def _cmd_train(args) -> int:
     split = load_split(args.splits)
     with naming(args.splits):  # a split id that the corpus lacks
         fit = positions([p.id for p in profiles], split.train + split.validation)
-    # train, validation, then the rest in corpus order: the fit reads views of one matrix
-    chosen = set(fit)
-    profiles = [profiles[i] for i in fit] + [p for i, p in enumerate(profiles) if i not in chosen]
+    profiles = [profiles[i] for i in fit]  # the fit reads views of one matrix
     matrix = embed_profiles(profiles, config, config.seed)
     truth = binarize_labels(profiles, config.target_stage)
     model, trials = train_family(args.family, *training_rows(matrix, truth, split), config)

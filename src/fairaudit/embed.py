@@ -257,11 +257,11 @@ def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
 
 
 def _read_faem(path, order=None) -> tuple[list[str], np.ndarray]:
-    """A ``.faem`` file whose magic bytes ``load_matrix_file`` has checked: its ids,
-    then its values read straight into one float32 array (not a memory map, which a
-    rewrite of the file in place would pull from under the rows). When the file
-    holds the unique ids of ``order``, each row is read into its place in that order,
-    through a buffer of about ``_READ_ELEMS`` entries."""
+    """A ``.faem`` file whose magic bytes ``load_matrix_file`` has checked: the ids and
+    rows that :func:`_places` picks, read straight into one float32 array (not a memory
+    map, which a rewrite of the file in place would pull from under the rows); in
+    another order than the file's, through a buffer of about ``_READ_ELEMS`` entries
+    that puts each row asked for in its place and drops the others."""
     with open(path, "rb") as fh:
         try:
             version, n, d_total = struct.unpack("<HQQ", fh.read(22)[4:])
@@ -277,8 +277,8 @@ def _read_faem(path, order=None) -> tuple[list[str], np.ndarray]:
             truncated = ParseError("truncated or corrupt matrix file: too few values")
             if os.fstat(fh.fileno()).st_size - fh.tell() < n * d_total * 4:
                 raise truncated  # before the array is made: a corrupt size is not allocated
-            data = np.empty((n, d_total), "<f4")
-            place = _places(ids, order)
+            ids, place = _places(ids, order)
+            data = np.empty((len(ids), d_total), "<f4")
             if place is None:
                 if fh.readinto(data) != data.nbytes:  # the file shrank while it was read
                     raise truncated
@@ -289,21 +289,27 @@ def _read_faem(path, order=None) -> tuple[list[str], np.ndarray]:
                 rows = buffer[: n - at]
                 if fh.readinto(rows) != rows.nbytes:
                     raise truncated
-                data[place[at : at + step]] = rows
+                part = place[at : at + step]
+                data[part[part >= 0]] = rows[part >= 0]
         except (struct.error, UnicodeDecodeError, ValueError, OverflowError) as exc:
             raise ParseError(f"truncated or corrupt matrix file: {exc}") from exc
-    return list(order), data
+    return ids, data
 
 
-def _places(ids, order):
-    """Where each of ``ids`` sits in ``order`` when the two hold the same unique ids
-    in different orders; else None, and the rows stay in the file's order."""
-    if order is None or list(ids) == list(order):
-        return None
-    unique = set(order)
-    if len(unique) != len(order) or len(ids) != len(order) or set(ids) != unique:
-        return None
-    return np.array(positions(order, ids), np.intp)
+def _places(ids: list[str], order) -> tuple[list[str], np.ndarray | None]:
+    """The ids to return (``order``; None: the file's ``ids``) and, unless they are
+    ``ids``, where each file row goes among them (-1: nowhere). A repeated id is an
+    IntegrityError, and an id of ``order`` that the file lacks an IdMismatchError."""
+    check_unique(ids, "embedding file")
+    order = ids if order is None else list(order)
+    if order == ids:
+        return ids, None
+    check_unique(order, "the ids asked for")
+    at = dict(zip(order, range(len(order))))
+    place = np.array([at.pop(pid, -1) for pid in ids], np.intp)
+    if at:  # the asked ids that no file id took
+        raise IdMismatchError(f"{len(at)} asked ids not in the file, e.g. {list(at)[:10]}")
+    return order, place
 
 
 def _read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
@@ -333,42 +339,32 @@ def _read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
 def load_matrix_file(path, order=None) -> tuple[list[str], np.ndarray]:
     """Read a stored matrix as ids and float32 rows, trying the binary format then the
     CSV fallback, whose values are rounded to float32 at read (one that float32
-    cannot hold is refused). When the file holds the unique ids of ``order``, the
-    rows come in that order, and so do the ids returned; a ``.faem`` file's rows
-    are read into their places, so no second copy of them is made."""
+    cannot hold is refused). With ``order``, the rows of its ids alone, in that order
+    (the file may hold others); a ``.faem`` file's rows are read into their places, so
+    no second copy of them is made. Errors of the ids (:func:`_places`) name the file."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
     with naming(path):
         if magic == _MAGIC:
             return _read_faem(path, order)
         ids, data = _read_csv_matrix(path)
-        place = _places(ids, order)
+        ids, place = _places(ids, order)
         if place is None:
             return ids, data
-        rows = np.empty_like(data)
-        rows[place] = data
-        return list(order), rows
+        rows = np.empty((len(ids), data.shape[1]), np.float32)
+        rows[place[place >= 0]] = data[place >= 0]
+        return ids, rows
 
 
 def ingest_embeddings(path, expected_ids, d: int, normalize: bool = False) -> EmbeddingMatrix:
-    """Load externally computed embeddings in the order of ``expected_ids``.
-    EmbeddingMatrix checks the width (``d`` per canonical field), the values and
-    the ids. Values are the file's float32 values, each field block made a unit
-    vector in place when ``normalize`` is set, with the bits
+    """Load externally computed embeddings of ``expected_ids``, in that order, from a
+    file that may hold other rows too. EmbeddingMatrix checks the width (``d`` per
+    canonical field) and the values. Values are the file's float32 values, each field
+    block made a unit vector in place when ``normalize`` is set, with the bits
     :func:`normalize_field_blocks` gives."""
-    expected_ids = tuple(expected_ids)
     ids, data = load_matrix_file(path, expected_ids)
     with naming(path):
         matrix = EmbeddingMatrix(data, d, FIELD_ORDER, ids)  # every check, on the file's values
-        if matrix.index_order != expected_ids:
-            stored, expected = set(ids), set(expected_ids)
-            if stored == expected:  # then expected_ids repeats an id
-                check_unique(expected_ids, "embedding matrix")
-            missing = [pid for pid in expected_ids if pid not in stored]
-            extra = [pid for pid in ids if pid not in expected]
-            raise IdMismatchError(
-                f"embedding ids do not match corpus: missing {missing[:10]}, extra {extra[:10]}"
-            )
     if not normalize:
         return matrix
     blocks = data.reshape(-1, d)

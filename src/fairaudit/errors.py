@@ -52,7 +52,7 @@ class DimensionMismatchError(FairauditError):
 
 
 class IdMismatchError(FairauditError):
-    """Stored profile ids do not match the expected id set."""
+    """An asked profile id is not among the stored ids."""
 
 
 class NonFiniteError(FairauditError):

@@ -705,8 +705,9 @@ def search(
     ref = _side(reference, metric, fields, scale, whole)
     if symmetric:  # one bound and one running selection each for the pass
         for plan in plans:
-            plan.bound(ref, plan.rows, ref, metric, d)
-            plan.running = _Running(n_q, 0, plan.delta, plan.k, tile)
+            if len(plan.rows):  # a selection of no rows has none
+                plan.bound(ref, plan.rows, ref, metric, d)
+                plan.running = _Running(n_q, 0, plan.delta, plan.k, tile)
     for start in range(0, n_q, tile):
         stop = min(start + tile, n_q)
         if symmetric:  # the tile's rows against the columns from its first row on

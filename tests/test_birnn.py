@@ -209,6 +209,14 @@ class TestTraining:
             with pytest.raises(TrainingError, match="after epoch 1$"):
                 birnn_train(x, y, xv, yv, self._config(learning_rate=1e200))
 
+    def test_rows_that_are_not_sequences_are_refused(self):
+        x, y = separable_sequences(40, 6, seed=0)
+        xv, yv = separable_sequences(10, 6, seed=1)
+        with pytest.raises(DimensionMismatchError, match="expected 3, got 2"):
+            birnn_train(x.reshape(40, -1), y, xv, yv, self._config())
+        with pytest.raises(DimensionMismatchError):
+            birnn_train(x, y, xv.reshape(10, -1), yv, self._config())
+
     def test_empty_validation_rejected(self):
         x, y = separable_sequences(40, 6, seed=0)
         with pytest.raises(TrainingError):

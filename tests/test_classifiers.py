@@ -20,7 +20,7 @@ from fairaudit.classifiers import (
 )
 from fairaudit.dataset import DecisionVector
 from fairaudit.embed import EmbeddingMatrix
-from fairaudit.errors import NonFiniteError, SizeError, TrainingError
+from fairaudit.errors import DimensionMismatchError, NonFiniteError, SizeError, TrainingError
 
 
 def matrix_of(data, ids=None):
@@ -158,6 +158,13 @@ class TestTrainStumps:
         y = np.array([1, 1, 1, 1, 1, 1, 0, 0])
         model = train_stumps(x, y, TrainConfig(rounds=1))
         assert model.base_score == pytest.approx(np.log(0.75 / 0.25), abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 1, 1), ()])
+    def test_predict_refuses_rows_that_are_not_2d(self, shape):
+        x, y = self._fixture()
+        model = train_stumps(x, y, TrainConfig(rounds=3, learning_rate=0.3))
+        with pytest.raises(DimensionMismatchError, match=f"expected 2, got {len(shape)}"):
+            model.predict(np.ones(shape))
 
     def test_serialization_round_trip(self, tmp_path):
         x, y = self._fixture()

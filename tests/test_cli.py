@@ -280,10 +280,8 @@ class TestPipelineChain:
         assert code == 0, err
         (matrix,), ((train_rows, val_rows),) = embedded, fits
         split = load_split(splits)
-        corpus_ids = [p.id for p in load_corpus(corpus)]
-        # train ids, validation ids, then every other corpus id in corpus order
-        assert matrix.index_order == split.train + split.validation + tuple(
-            pid for pid in corpus_ids if pid in split.test)
+        # train ids then validation ids: no test row is read
+        assert matrix.index_order == split.train + split.validation
         for rows, ids in ((train_rows, split.train), (val_rows, split.validation)):
             assert rows.index_order == ids
             assert np.shares_memory(rows.data, matrix.data) and not rows.data.flags.writeable
@@ -597,6 +595,25 @@ class TestDataErrorsNameTheFile:
         assert code == 2, err
         assert err.startswith(f"error: {path}: ") and "overflows float32" in err, err
         assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_embed_reads_the_corpus_rows_of_a_file(self, files, tmp_path, capsys, extra):
+        # a file that lacks a corpus id is refused; one that holds other ids too is read
+        ids, data = load_matrix_file(files["emb"])
+        rows = [(pid, row) for pid, row in zip(ids, data)][1 - extra :]
+        rows += [("stranger", data[0])] * extra
+        path, out = tmp_path / "part.csv", tmp_path / "out.faem"
+        path.write_text("".join(",".join([pid, *map(repr, row.tolist())]) + "\n"
+                                for pid, row in reversed(rows)))
+        code, _, err = run(capsys, "embed", "--corpus", str(files["corpus"]), "--embedder",
+                           "ingest", "--embeddings", str(path), "--d", "4", "--no-normalize",
+                           "--out", str(out))
+        if extra:
+            assert code == 0, err
+            assert out.read_bytes() == files["emb"].read_bytes()
+        else:
+            assert code == 2 and not out.exists()
+            assert err == f"error: {path}: 1 asked ids not in the file, e.g. {[ids[0]]}\n"
 
     def test_embed_can_rewrite_its_own_input(self, files, tmp_path, capsys):
         # the rows are read into memory, not mapped: truncating the file for the

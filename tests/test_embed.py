@@ -431,6 +431,65 @@ class TestPersistence:
         with pytest.raises(IntegrityError, match=r"\['P0'\]"):
             ingest_embeddings(tmp_path / "m.faem", ("P0", "P1", "P2", "P0"), 4)
 
+    @staticmethod
+    def _write(matrix, path):
+        """``matrix`` as a ``.faem`` file, or as a CSV file whose values read back
+        as the same float32 values."""
+        if path.suffix == ".faem":
+            save_embeddings(matrix, path)
+        else:
+            path.write_text("".join(",".join([pid, *map(repr, row.tolist())]) + "\n"
+                                    for pid, row in zip(matrix.index_order, matrix.data)))
+
+    @pytest.mark.parametrize("read_elems", [1, 7, 40, 1 << 17])
+    @pytest.mark.parametrize("suffix", [".faem", ".csv"])
+    def test_a_shuffled_superset_gives_the_asked_rows(self, tmp_path, monkeypatch, read_elems,
+                                                      suffix):
+        monkeypatch.setattr(embed, "_READ_ELEMS", read_elems)
+        rng = np.random.default_rng(12)
+        stored = EmbeddingMatrix(rng.standard_normal((13, 20), np.float32), 4, FIELD_ORDER,
+                                 tuple(f"P{i}" for i in rng.permutation(13)))
+        path = tmp_path / f"m{suffix}"
+        self._write(stored, path)
+        asked = tuple(f"P{i}" for i in rng.permutation(13)[:6])
+        want = stored.take(asked).data.view(np.uint32)
+        ids, data = load_matrix_file(path, asked)
+        assert ids == list(asked) and np.array_equal(data.view(np.uint32), want)
+        loaded = ingest_embeddings(path, asked, 4)
+        assert loaded.index_order == asked
+        assert np.array_equal(loaded.data.view(np.uint32), want)
+
+    @pytest.mark.parametrize("suffix", [".faem", ".csv"])
+    def test_an_asked_id_the_file_lacks_names_the_file(self, tmp_path, suffix):
+        path = tmp_path / f"m{suffix}"
+        self._write(self._matrix(), path)
+        for read in (lambda: load_matrix_file(path, ("P2", "nobody", "P0")),
+                     lambda: ingest_embeddings(path, ("P2", "nobody", "P0"), 4)):
+            with pytest.raises(IdMismatchError, match=r"\['nobody'\]") as info:
+                read()
+            assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("suffix", [".faem", ".csv"])
+    @pytest.mark.parametrize("asked", [None, ("A", "C"), ("B", "C"), ("C", "B", "A", "D")])
+    def test_a_repeated_file_id_is_refused_asked_or_not(self, tmp_path, suffix, asked):
+        path = tmp_path / f"m{suffix}"
+        self._write(EmbeddingMatrix(np.zeros((4, 5)), 1, FIELD_ORDER, ("A", "B", "D", "C")),
+                    path)
+        raw = path.read_bytes()
+        repeat = (b"\x01\x00\x00\x00D", b"\x01\x00\x00\x00A") if suffix == ".faem" else \
+            (b"D,", b"A,")
+        path.write_bytes(raw.replace(*repeat, 1))  # ids A, B, A, C
+        with pytest.raises(IntegrityError, match=r"\['A'\]$") as info:
+            load_matrix_file(path, asked)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("suffix", [".faem", ".csv"])
+    def test_a_repeated_asked_id_is_refused(self, tmp_path, suffix):
+        path = tmp_path / f"m{suffix}"
+        self._write(self._matrix(), path)
+        with pytest.raises(IntegrityError, match=r"\['P1'\]$"):
+            load_matrix_file(path, ("P1", "P0", "P1"))
+
     # the least magnitude that rounds to inf as float32
     OVERFLOW = 2.0**128 - 2.0**103
 

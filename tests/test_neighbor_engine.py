@@ -333,6 +333,22 @@ def test_each_selection_of_a_pass_equals_its_own_search(data, n_fields, metric, 
             assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@pytest.mark.parametrize("weights", [None, np.array([1.0, 0.0, 2.0])])
+def test_a_selection_of_no_query_rows_finds_nothing(metric, weights):
+    """A selection that names no query row gives (0, k) arrays, alone or beside a
+    full selection, which keeps the bits of its own search."""
+    data = np.random.default_rng(5).standard_normal((9, 6))
+    empty, full = Selection(2, weights, rows=np.array([], int)), Selection(3, weights)
+    for queries in (data, data[::-1].copy()):  # a self-search, then a query search
+        [alone] = simindex.search(queries, data, [empty], metric)
+        [none, got] = simindex.search(queries, data, [empty, full], metric)
+        want = simindex.search(queries, data, [full], metric)[0]
+        for a in (*alone, *none):
+            assert a.shape == (0, 2)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     data=tie_heavy(n_fields=3),
