@@ -57,7 +57,7 @@ def read_json(path):
         try:
             return json.load(fh)
         except ValueError as exc:  # invalid JSON or invalid UTF-8
-            raise ParseError(f"{path}: {exc}") from exc
+            raise ParseError(str(exc)) from exc
 
 
 def write_jsonl(path, records) -> None:
@@ -126,14 +126,15 @@ def parsing(what: str, line: int | None = None):
 
 @contextmanager
 def naming(path):
-    """Name ``path`` in a data error that its content raises (parse errors name it
-    already); the error keeps its type."""
+    """Name ``path`` in every data error raised while its file is read; the error
+    keeps its type, and text that is not UTF-8 is a ParseError."""
     try:
         yield
     except FairauditError as exc:
-        if not isinstance(exc, ParseError):
-            exc.args = (f"{path}: {exc}",)
+        exc.args = (f"{path}: {exc}",)
         raise
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def unit_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -220,7 +221,16 @@ def decode_array(obj: dict) -> np.ndarray:
     return arr
 
 
+# Every seed name, in spawn order: a name's seed is the master seed's child at the
+# name's place here. Append only, so that no name's seed moves; the audit's come first.
+SEED_NAMES = ("embed", "split", "stumps", "birnn", "search")
+
+
 def derive_seeds(master: int, names: tuple[str, ...]) -> dict[str, int]:
-    """Derive one independent child seed per name from a master seed."""
-    children = np.random.SeedSequence(master).spawn(len(names))
-    return {name: int(child.generate_state(1)[0]) for name, child in zip(names, children)}
+    """One independent child seed of a master seed per name of ``SEED_NAMES``, the same
+    whichever other names are asked for; another name is a ValueError."""
+    unknown = [name for name in names if name not in SEED_NAMES]
+    if unknown:
+        raise ValueError(f"unknown seed names {unknown}; expected names of {SEED_NAMES}")
+    children = np.random.SeedSequence(master).spawn(len(SEED_NAMES))
+    return {name: int(children[SEED_NAMES.index(name)].generate_state(1)[0]) for name in names}

@@ -325,14 +325,13 @@ class AuditReport:
         return {"rows": [r.to_dict() for r in self.rows], "metadata": self.metadata}
 
     @classmethod
-    def from_dict(cls, obj: dict, what: str = "report") -> "AuditReport":
-        """Cells absent from a row, or null, are missing values; ``what`` names
-        the artifact in a parse error."""
+    def from_dict(cls, obj: dict) -> "AuditReport":
+        """Cells absent from a row, or null, are missing values."""
 
         def cell(row: dict, column: str) -> float | None:
             return None if row.get(column) is None else typed(row, column, (int, float))
 
-        with parsing(what):
+        with parsing("report"):
             rows = tuple(
                 ReportRow(typed(r, "source", str), *[cell(r, c) for c in _REPORT_COLUMNS])
                 for r in typed(obj, "rows", list)

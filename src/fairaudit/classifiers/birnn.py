@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._util import decode_array, stream_array, typed
-from ..errors import DimensionMismatchError, TrainingError
+from ..errors import AlignmentError, DimensionMismatchError, TrainingError
 
 _PARAM_SHAPES = (
     ("w_xf", lambda d, h, m: (d, h)),
@@ -267,6 +267,9 @@ def birnn_train(
     x_train = np.asarray(x_train)
     if x_train.ndim != 3:
         raise DimensionMismatchError(3, x_train.ndim, "sequence batch axis count")
+    for x, y, what in ((x_train, y_train, "training"), (x_val, y_val, "validation")):
+        if y.shape != (len(x),):
+            raise AlignmentError(f"{what} labels of shape {y.shape} for {len(x)} rows")
     steps, d = x_train.shape[1:]
     clf = BiRnnClassifier(
         d, config.hidden_dim, config.head_dim, steps=steps, seed=config.seed

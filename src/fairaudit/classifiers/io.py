@@ -28,8 +28,8 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    obj = read_json(path)
-    with naming(path), parsing(f"model {path}"):
+    with naming(path), parsing("model"):
+        obj = read_json(path)
         if typed(obj, "format", str) != _FORMAT or typed(obj, "version", int) != _VERSION:
             raise ValueError(f"not a version-{_VERSION} {_FORMAT} file")
         family = typed(obj, "family", str)

@@ -10,7 +10,7 @@ from .._util import decode_array, stream_array, typed
 from ..dataset import DecisionVector
 from ..embed import EmbeddingMatrix
 from ..errors import AlignmentError, SizeError
-from ..simindex import METRICS, check_k, search_queries
+from ..simindex import METRICS, Selection, check_k, search
 
 
 @dataclass
@@ -75,6 +75,6 @@ def knn_predict(clf: KnnClassifier, queries: EmbeddingMatrix) -> DecisionVector:
     """
     if clf.reference is None or clf.labels is None:
         raise SizeError("classifier has no reference data; call fit first")
-    neighbors, _ = search_queries(queries.data, clf.reference, clf.k, clf.metric)
+    [(neighbors, _)] = search(queries.data, clf.reference, [Selection(clf.k)], clf.metric)
     return DecisionVector("model:knn", knn_vote(clf.labels, neighbors, clf.k),
                           queries.index_order)

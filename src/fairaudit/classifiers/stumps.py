@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._util import typed
-from ..errors import DimensionMismatchError, TrainingError
+from ..errors import AlignmentError, DimensionMismatchError, TrainingError
 
 _CLAMP = 1e-12
 # Slots (features x longest feature) per block of the split search. It bounds the
@@ -381,8 +381,10 @@ def train_stumps(x: np.ndarray, y: np.ndarray, config) -> BoostedStumps:
     as it is (float32 rows are not copied); its values are compared in float64."""
     x = np.asarray(x)
     y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValueError(f"x {x.shape} and y {y.shape} are not aligned")
+    if x.ndim != 2:
+        raise DimensionMismatchError(2, x.ndim, "feature matrix axis count")
+    if y.shape != (len(x),):
+        raise AlignmentError(f"labels of shape {y.shape} for {len(x)} rows")
     n, n_features = x.shape
     if n < 2:
         raise TrainingError(f"need at least 2 training rows, got {n}")

@@ -326,7 +326,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = AuditReport.from_dict(read_json(args.report), f"report {args.report}")
+    with naming(args.report):
+        report = AuditReport.from_dict(read_json(args.report))
     text = render_report(report, args.format)
     if args.out:
         Path(args.out).write_text(text)
@@ -360,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except SystemExit as exc:  # argparse --help / --version
         return int(exc.code or 0)
-    except (FairauditError, OSError, UnicodeDecodeError) as exc:  # bad or missing data
+    except (FairauditError, OSError) as exc:  # bad or missing data
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # plain argument misuse, as errors.py defines it

@@ -123,8 +123,8 @@ class DecisionVector:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict, what: str = "decisions") -> "DecisionVector":
-        with parsing(what):
+    def from_dict(cls, obj: dict) -> "DecisionVector":
+        with parsing("decisions"):
             values = np.array(typed_list(obj, "values", int), dtype=np.int64)
             return cls(typed(obj, "source", str), values, tuple(typed_list(obj, "index_order", str)))
 
@@ -159,8 +159,8 @@ class SplitAssignment:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict, what: str = "splits") -> "SplitAssignment":
-        with parsing(what):
+    def from_dict(cls, obj: dict) -> "SplitAssignment":
+        with parsing("splits"):
             parts = [tuple(typed_list(obj, key, str)) for key in ("train", "validation", "test")]
             ratios = tuple(float(r) for r in typed_list(obj, "ratios", (int, float)))
             return cls(*parts, typed(obj, "seed", int), ratios)
@@ -263,21 +263,22 @@ def load_corpus(path, format: str | None = None) -> list[Profile]:
     The format is inferred from the extension unless given explicitly. A CSV
     row reads as the JSONL record of its nonempty cells.
     """
-    if _corpus_format(path, format) == "jsonl":
-        profiles = [_profile_from_record(obj, line_no) for line_no, obj in read_jsonl(path)]
-    else:
-        profiles = []
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or "id" not in header:
-                raise ParseError("CSV must have a header row including 'id'", 1)
-            for line, row in _csv_rows(reader):
-                record = {key: value for key, value in zip(header, row)
-                          if value and key in _COLUMNS}
-                record["labels"] = {key: record.pop(key) for key in _LABEL_KEYS if key in record}
-                profiles.append(_profile_from_record(record, line))
     with naming(path):
+        if _corpus_format(path, format) == "jsonl":
+            profiles = [_profile_from_record(obj, line_no) for line_no, obj in read_jsonl(path)]
+        else:
+            profiles = []
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header is None or "id" not in header:
+                    raise ParseError("CSV must have a header row including 'id'", 1)
+                for line, row in _csv_rows(reader):
+                    record = {key: value for key, value in zip(header, row)
+                              if value and key in _COLUMNS}
+                    record["labels"] = {key: record.pop(key) for key in _LABEL_KEYS
+                                        if key in record}
+                    profiles.append(_profile_from_record(record, line))
         check_unique([p.id for p in profiles], "corpus")
     return profiles
 
@@ -455,7 +456,7 @@ def save_split(split: SplitAssignment, path) -> None:
 
 def load_split(path) -> SplitAssignment:
     with naming(path):
-        return SplitAssignment.from_dict(read_json(path), f"splits {path}")
+        return SplitAssignment.from_dict(read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -526,13 +527,13 @@ def save_latents(latents: dict[str, LatentRecord], path) -> None:
 
 def load_latents(path) -> dict[str, LatentRecord]:
     records = []
-    for line_no, obj in read_jsonl(path):
-        with parsing(f"latents {path}", line_no):
-            records.append((typed(obj, "id", str), LatentRecord(
-                float(typed(obj, "q", (int, float))), typed(obj, "group", int),
-                _field_q(obj),
-            )))
     with naming(path):
+        for line_no, obj in read_jsonl(path):
+            with parsing("latents", line_no):
+                records.append((typed(obj, "id", str), LatentRecord(
+                    float(typed(obj, "q", (int, float))), typed(obj, "group", int),
+                    _field_q(obj),
+                )))
         check_unique([pid for pid, _ in records], "latents")
     return dict(records)
 
@@ -592,4 +593,4 @@ def save_decisions(vector: DecisionVector, path) -> None:
 
 def load_decisions(path) -> DecisionVector:
     with naming(path):
-        return DecisionVector.from_dict(read_json(path), f"decisions {path}")
+        return DecisionVector.from_dict(read_json(path))

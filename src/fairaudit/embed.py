@@ -341,10 +341,10 @@ def load_matrix_file(path, order=None) -> tuple[list[str], np.ndarray]:
     CSV fallback, whose values are rounded to float32 at read (one that float32
     cannot hold is refused). With ``order``, the rows of its ids alone, in that order
     (the file may hold others); a ``.faem`` file's rows are read into their places, so
-    no second copy of them is made. Errors of the ids (:func:`_places`) name the file."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
+    no second copy of them is made. Every data error names the file."""
     with naming(path):
+        with open(path, "rb") as fh:
+            magic = fh.read(4)
         if magic == _MAGIC:
             return _read_faem(path, order)
         ids, data = _read_csv_matrix(path)

@@ -389,24 +389,22 @@ def _field_error(s, metric: str, d: int, n_fields: int, e_sq=None):
 
 class _Running:
     """The running selection of a plan over rows cut into tiles of ``tile`` rows
-    (module docstring, "Selection"): per row from ``base`` the k largest lower bounds
-    ``screen - R`` seen so far, the least of which is the running ``s_k``, and per
-    tile the entries ``(row, column, screen + R)`` whose upper bound still reaches
-    ``s_k - 2 delta``; a column is a place in the selection's reference rows."""
+    (module docstring, "Selection"): per row the k largest lower bounds ``screen - R``
+    seen so far, the least of which is the running ``s_k``, and per tile the entries
+    ``(row, column, screen + R)`` whose upper bound still reaches ``s_k - margin``,
+    ``margin`` twice the delta of the bound that screened them; a column is a place in
+    the selection's reference rows."""
 
-    def __init__(self, n_rows: int, base: int, delta: np.float64, k: int, tile: int):
+    def __init__(self, n_rows: int, k: int, tile: int):
         self.best = np.full((n_rows, k), -np.inf, np.float32)
-        self.base = base
-        self.margin = 2.0 * delta
         self.tile = tile
         self.kept: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def _pruned(self, rows, cols, upper):
-        keep = upper >= np.subtract(self.best[rows - self.base, 0], self.margin,
-                                    dtype=np.float64)
+    def _pruned(self, rows, cols, upper, margin):
+        keep = upper >= np.subtract(self.best[rows, 0], margin, dtype=np.float64)
         return rows[keep], cols[keep], upper[keep]
 
-    def add(self, rows, cols, screen, radius=None, diagonal=None) -> None:
+    def add(self, rows, cols, screen, margin, radius=None, diagonal=None) -> None:
         """Fold in the tile ``screen`` of the rows ``rows`` (ascending) by the columns
         ``cols`` and its radius (consumed); ``diagonal`` holds its excluded entries,
         if any."""
@@ -414,8 +412,7 @@ class _Running:
             screen[diagonal] = -np.inf
         n, width = screen.shape
         k = self.best.shape[1]
-        at = rows - self.base
-        span = slice(at[0], at[-1] + 1) if at[-1] - at[0] == n - 1 else at
+        span = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == n - 1 else rows
         best = self.best[span]
         step = max(1, _GATHER_ELEMS // (width + k))
         for a in range(0, n, step):  # the k best of the old k and the lower bounds
@@ -431,7 +428,7 @@ class _Running:
         if not isinstance(span, slice):
             self.best[span] = best
         upper = screen if radius is None else np.add(screen, radius, out=radius)
-        keep = upper >= np.subtract(best[:, 0], self.margin, dtype=np.float64)[:, None]
+        keep = upper >= np.subtract(best[:, 0], margin, dtype=np.float64)[:, None]
         if diagonal is not None:  # an infinite delta reaches the excluded entries too
             keep[diagonal] = False
         i, j = np.nonzero(keep)
@@ -444,12 +441,12 @@ class _Running:
             new = (i[a:b], j[a:b], values[a:b])
             old = self.kept.get(t)
             self.kept[t] = new if old is None else self._pruned(
-                *(np.concatenate(pair) for pair in zip(old, new)))
+                *(np.concatenate(pair) for pair in zip(old, new)), margin)
 
-    def take(self, start: int) -> tuple[np.ndarray, np.ndarray]:
+    def take(self, start: int, margin) -> tuple[np.ndarray, np.ndarray]:
         """Rows (sorted) and columns of the entries of the tile from row ``start`` that
         the final ``s_k`` keeps, as the tile's last use."""
-        rows, cols, _ = self._pruned(*self.kept.pop(start // self.tile))
+        rows, cols, _ = self._pruned(*self.kept.pop(start // self.tile), margin)
         order = np.argsort(rows, kind="stable")
         return rows[order], cols[order]
 
@@ -603,7 +600,7 @@ class _Plan:
             at = slice(cut - left, None) if isinstance(rows, slice) else rows + (cut - left)
             part = _sub(radius, cols, at)
             self.running.add(_global(rows, cut, right), places, _sub(screen, cols, at).T,
-                             None if part is None else part.T.copy())
+                             2 * self.delta, None if part is None else part.T.copy())
         if not self.has(start, stop, left, right):
             return
         rows, _ = _members(*self.row_at, start, stop)
@@ -613,8 +610,8 @@ class _Plan:
         if self.exclude and max(start, left) < min(stop, right):
             _, i, j = np.intersect1d(rows_at, cols_at, assume_unique=True, return_indices=True)
             diagonal = (i, j) if len(i) else None
-        self.running.add(rows_at, places, _sub(screen, rows, cols), _sub(radius, rows, cols),
-                         diagonal)
+        self.running.add(rows_at, places, _sub(screen, rows, cols), 2 * self.delta,
+                         _sub(radius, rows, cols), diagonal)
 
     def finish(self, q: _Side, ref: _Side, start: int, stop: int, metric: str) -> None:
         """Rescore the selection's candidates of the query rows ``start:stop`` (``q``)
@@ -623,7 +620,7 @@ class _Plan:
         if members is None:
             return
         local, places = members
-        rows, cols = self.running.take(start)
+        rows, cols = self.running.take(start, 2 * self.delta)
         rows = rows - start
         found = np.zeros(len(rows))
         kernel = [(q.whole, ref.whole)] if self.whole else \
@@ -703,22 +700,20 @@ def search(
              for s, (rows, cols), w in zip(selections, index, weights)]
     tile, tile_cols = _tile_shape(queries.shape[1], len(fields), metric, symmetric, block)
     ref = _side(reference, metric, fields, scale, whole)
-    if symmetric:  # one bound and one running selection each for the pass
-        for plan in plans:
-            if len(plan.rows):  # a selection of no rows has none
-                plan.bound(ref, plan.rows, ref, metric, d)
-                plan.running = _Running(n_q, 0, plan.delta, plan.k, tile)
+    for plan in plans:  # one running selection each for the pass
+        plan.running = _Running(n_q, plan.k, tile)
+        if symmetric and len(plan.rows):  # and one bound (a selection of no rows has none)
+            plan.bound(ref, plan.rows, ref, metric, d)
     for start in range(0, n_q, tile):
         stop = min(start + tile, n_q)
         if symmetric:  # the tile's rows against the columns from its first row on
             q, at = ref.part(start, stop), start
-        else:
+        else:  # one bound each per row tile
             q, at = _side(queries[start:stop], metric, fields, scale, whole), 0
             for plan in plans:
                 members = _members(*plan.row_at, start, stop)
                 if members is not None:
                     plan.bound(q, members[0], ref, metric, d)
-                    plan.running = _Running(stop - start, start, plan.delta, plan.k, tile)
         for left in range(at, n_ref, tile_cols):
             right = min(left + tile_cols, n_ref)
             users = [p for p in plans if p.has(start, stop, left, right) or symmetric
@@ -777,16 +772,6 @@ def knn_batched(
     [(neighbors, scores)] = search(matrix.data, matrix.data,
                                    [Selection(k, exclude_self=exclude_self)], metric, batch_size)
     return NeighborList(k, neighbors, scores, metric, exclude_self, matrix.index_order)
-
-
-def search_queries(
-    queries: np.ndarray,
-    reference: np.ndarray,
-    k: int,
-    metric: str = "cosine",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k reference rows for arbitrary query vectors (no self-exclusion)."""
-    return search(queries, reference, [Selection(k)], metric)[0]
 
 
 def knn_feature_reranked(
@@ -862,7 +847,7 @@ def load_neighbors(path, stage: str | None = None) -> NeighborList:
     """The structure in the file ``path``; with ``stage``, that stage's structure of
     a run directory's neighbors.json."""
     with naming(path):
-        obj, what = read_json(path), f"neighbors {path}"
+        obj, what = read_json(path), "neighbors"
         if stage is not None:
             with parsing(what):
                 stages = typed(obj, "stages", dict)

@@ -20,8 +20,8 @@ from fairaudit.classifiers import (
     save_model,
     train_stumps,
 )
-from fairaudit._util import read_json, write_json
-from fairaudit.audit import AuditReport, ReportRow
+from fairaudit._util import naming, read_json, write_json
+from fairaudit.audit import AuditConfig, AuditReport, ReportRow
 from fairaudit.cli import main
 from fairaudit.dataset import (
     FIELD_ORDER,
@@ -34,7 +34,7 @@ from fairaudit.dataset import (
 )
 from fairaudit.embed import EmbeddingMatrix, load_matrix_file, save_embeddings
 from fairaudit.errors import FairauditError, IntegrityError, ParseError
-from fairaudit.fairness import consistency
+from fairaudit.fairness import METRIC_NAMES, classification_metrics, consistency
 from fairaudit.simindex import load_neighbors
 
 D = 2  # dimensions per field; rows are 5 * D wide
@@ -150,7 +150,9 @@ def test_dropped_or_retyped_key_is_a_parse_error(family, data):
 
 
 def load_report(path):
-    return AuditReport.from_dict(read_json(path))
+    """The report at ``path``, read as CLI ``report`` reads it."""
+    with naming(path):
+        return AuditReport.from_dict(read_json(path))
 
 
 # kind -> (file name, loader, CLI command reading the file at ``path`` from ``root``)
@@ -259,6 +261,21 @@ def test_consistency_out_holds_the_printed_score_and_every_gap(artifacts, tmp_pa
     assert len(result["per_profile_gap"]) == result["n"] == 30
     truth = load_decisions(artifacts / "truth.json")
     assert result["score"] == consistency(truth, load_neighbors(artifacts / "nn.json")).score
+
+
+def test_metrics_out_holds_the_printed_metrics(artifacts, tmp_path, capsys):
+    truth = load_decisions(artifacts / "truth.json")
+    values = truth.values.copy()
+    values[:7] = 1 - values[:7]
+    predicted, out = tmp_path / "predicted.json", tmp_path / "metrics.json"
+    save_decisions(DecisionVector("model:knn", values, truth.index_order), predicted)
+    assert main(["metrics", "--predicted", str(predicted), "--truth",
+                 str(artifacts / "truth.json"), "--out", str(out)]) == 0
+    result = read_json(out)
+    want = classification_metrics(load_decisions(predicted), truth, AuditConfig().averaging)
+    assert result == want.to_dict() and sum(result["confusion"].values()) == 30
+    assert capsys.readouterr().out == " ".join(
+        f"{name}={result[name]:.4f}" for name in METRIC_NAMES) + "\n"
 
 
 def test_unknown_neighbor_id_is_an_integrity_error(artifacts, tmp_path, capsys):

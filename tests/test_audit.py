@@ -23,10 +23,11 @@ from fairaudit.audit import (
     render_report,
     run_audit,
 )
-from fairaudit.classifiers import TrainConfig, io, load_model
+from fairaudit.classifiers import KnnClassifier, TrainConfig, io, load_model
 from fairaudit.dataset import (
     FIELD_ORDER,
     POSITIVE_LABEL,
+    DecisionVector,
     RaterConfig,
     attach_stage_labels,
     generate_synthetic_corpus,
@@ -44,7 +45,7 @@ from fairaudit.embed import (
 )
 from fairaudit.errors import IntegrityError, StageError
 from fairaudit.fairness import consistency
-from fairaudit.simindex import neighbors_from_dict, search_queries
+from fairaudit.simindex import Selection, neighbors_from_dict, search
 
 
 def make_corpus(tmp_path, n=120, seed=4, noise_sigma=0.25, bias_shift=None,
@@ -329,7 +330,8 @@ class TestRunAudit:
         want = predict_decisions(model, matrix)
         assert load_decisions(out / "decisions_model_knn.json").to_dict() == want.to_dict()
         if config.k % 2 == 0:  # some vote is tied, and goes to the nearest neighbor
-            votes = model.labels[search_queries(matrix.data, model.reference, 4)[0]]
+            [(neighbors, _)] = search(matrix.data, model.reference, [Selection(4)], "cosine")
+            votes = model.labels[neighbors]
             assert (votes.sum(axis=1) == 2).any()
 
     @pytest.mark.parametrize("funnel", [False, True], ids=["default", "funnel"])
@@ -483,6 +485,24 @@ def test_default_hashed_rows_have_the_same_neighbors_without_the_rerank(seed):
         assert np.array_equal(got.neighbors, want.neighbors), change
 
 
+def test_neighbor_pass_refuses_a_knn_model_of_another_metric():
+    ids = ("A", "B", "C")
+    matrix = EmbeddingMatrix(np.eye(3), 3, ("f0",), ids)
+    knn = KnnClassifier(1, "euclidean").fit(matrix, DecisionVector("truth", [0, 1, 0], ids))
+    with pytest.raises(ValueError, match="the kNN model's metric 'euclidean' is not 'cosine'"):
+        neighbor_pass(matrix, AuditConfig(rerank=False), [ids], knn)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_seed_name_draws_the_same_seed_whatever_else_is_asked(seed):
+    every = _util.derive_seeds(seed, _util.SEED_NAMES)
+    for name in _util.SEED_NAMES:
+        assert _util.derive_seeds(seed, (name,)) == {name: every[name]}
+    assert len(set(every.values())) == len(every)
+    with pytest.raises(ValueError, match="'bootstrap'"):
+        _util.derive_seeds(seed, ("split", "bootstrap"))
+
+
 class TestAuditConfig:
     @pytest.mark.parametrize("values, message", [
         ({"d": 1}, "d must be >= 2"),
@@ -497,6 +517,7 @@ class TestAuditConfig:
         ({"embedder": "ingest", "embeddings_path": "e.faem", "d": 0}, "d must be >= 1"),
         ({"target_stage": "XX"}, "unknown stage 'XX'"),
         ({"stratify_on": "XX"}, "unknown stage 'XX'"),
+        ({"sources": ("model:xgb",)}, "unknown sources \\['model:xgb'\\]"),
     ])
     def test_stage_checks_run_at_construction(self, values, message):
         with pytest.raises(ValueError, match=message):

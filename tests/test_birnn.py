@@ -19,7 +19,7 @@ from fairaudit.classifiers import (
 )
 from fairaudit import random_search
 from fairaudit.audit import LEARNERS
-from fairaudit.errors import DimensionMismatchError, TrainingError
+from fairaudit.errors import AlignmentError, DimensionMismatchError, TrainingError
 
 
 def hand_rolled_forward(params, x):
@@ -217,6 +217,14 @@ class TestTraining:
         with pytest.raises(DimensionMismatchError):
             birnn_train(x, y, xv.reshape(10, -1), yv, self._config())
 
+    def test_labels_that_are_not_one_per_row_are_refused(self):
+        x, y = separable_sequences(6, 6, seed=0)
+        xv, yv = separable_sequences(2, 6, seed=1)
+        with pytest.raises(AlignmentError, match="training labels of shape \\(5,\\) for 6 rows"):
+            birnn_train(x, y[:5], xv, yv, self._config())
+        with pytest.raises(AlignmentError, match="validation labels of shape \\(3,\\) for 2"):
+            birnn_train(x, y, xv, np.append(yv, 0), self._config())
+
     def test_empty_validation_rejected(self):
         x, y = separable_sequences(40, 6, seed=0)
         with pytest.raises(TrainingError):
@@ -322,6 +330,12 @@ class TestRandomSearch:
         x, y = separable_sequences(120, 6, seed=0)
         xv, yv = separable_sequences(50, 6, seed=1)
         return x, y, xv, yv
+
+    def test_empty_search_space_is_refused(self):
+        x, y, xv, yv = self._data()
+        config = TrainConfig(search_trials=2, search_space={})
+        with pytest.raises(ValueError, match="search space must be nonempty"):
+            random_search("birnn", x, y, xv, yv, config)
 
     def test_single_trial_returns_its_model(self):
         x, y, xv, yv = self._data()

@@ -20,7 +20,8 @@ from fairaudit.classifiers import (
 )
 from fairaudit.dataset import DecisionVector
 from fairaudit.embed import EmbeddingMatrix
-from fairaudit.errors import DimensionMismatchError, NonFiniteError, SizeError, TrainingError
+from fairaudit.errors import (AlignmentError, DimensionMismatchError, NonFiniteError, SizeError,
+                              TrainingError)
 
 
 def matrix_of(data, ids=None):
@@ -165,6 +166,16 @@ class TestTrainStumps:
         model = train_stumps(x, y, TrainConfig(rounds=3, learning_rate=0.3))
         with pytest.raises(DimensionMismatchError, match=f"expected 2, got {len(shape)}"):
             model.predict(np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 1, 1)])
+    def test_train_refuses_rows_that_are_not_2d(self, shape):
+        with pytest.raises(DimensionMismatchError, match=f"expected 2, got {len(shape)}"):
+            train_stumps(np.ones(shape), [0, 1, 0, 1], TrainConfig(rounds=1))
+
+    @pytest.mark.parametrize("labels", [[0, 1, 0], [0, 1, 0, 1, 1], [[0], [1], [0], [1]]])
+    def test_train_refuses_labels_that_are_not_one_per_row(self, labels):
+        with pytest.raises(AlignmentError, match="for 4 rows"):
+            train_stumps(np.ones((4, 2)), labels, TrainConfig(rounds=1))
 
     def test_serialization_round_trip(self, tmp_path):
         x, y = self._fixture()

@@ -659,6 +659,42 @@ class TestDataErrorsNameTheFile:
         assert err.startswith(f"error: {path}: duplicate ids in "), err
         assert err.endswith(": ['A']\n") and len(err.splitlines()) == 1, err
 
+    @pytest.mark.parametrize("kind", ["jsonl corpus", "csv corpus", "undecodable corpus",
+                                      "faem", "csv matrix", "splits", "decisions", "neighbors",
+                                      "model", "report"])
+    def test_malformed_file_is_named_first(self, files, tmp_path, capsys, kind):
+        """Whatever a loader finds wrong in a file, the one-line error starts with it."""
+        emb = files["emb"].read_bytes()
+        name, content = {
+            "jsonl corpus": ("c.jsonl", b"[1]\n"),
+            "csv corpus": ("c.csv", b"gcea,type\r\nt,Offered\r\n"),
+            "undecodable corpus": ("c.jsonl", b'{"id": "P1", "gcea": "a \xff b"}\n'),
+            "faem": ("e.faem", emb[:4] + b"\x02\x00" + emb[6:]),  # format version 2
+            "csv matrix": ("e.csv", b"A,0.5,0.5\nB,0.5,x\n"),
+            "model": ("m.json", b'{"format": "fairaudit-model"}\n'),
+        }.get(kind, (f"{kind}.json", b'{"seed": 0, "source": "x", "k": 1, "rows": 3}\n'))
+        path, out = tmp_path / name, str(tmp_path / "out")
+        path.write_bytes(content)
+        decisions = tmp_path / "d.json"
+        write_json(decisions, {"source": "x", "index_order": ["A"], "values": [1]})
+        argv = {
+            "splits": ["train", "--family", "knn", "--corpus", files["corpus"], "--embeddings",
+                       files["emb"], "--splits", path, "--d", "4", "--out", out],
+            "decisions": ["metrics", "--predicted", path, "--truth", decisions],
+            "neighbors": ["consistency", "--decisions", decisions, "--neighbors", path],
+            "model": ["predict", "--model", path, "--embeddings", files["emb"], "--d", "4",
+                      "--out", out],
+            "report": ["report", "--report", path],
+        }.get(kind)
+        if kind.endswith("corpus"):
+            argv = ["split", "--corpus", path, "--out", out]
+        elif argv is None:  # a matrix file
+            argv = ["predict", "--model", files["model"], "--embeddings", path, "--d", "1",
+                    "--out", out]
+        code, _, err = run(capsys, *map(str, argv))
+        assert code == 2, err
+        assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1, err
+
     def test_split_id_the_corpus_lacks_names_the_split_file(self, files, tmp_path, capsys):
         split = json.loads(files["splits"].read_text())
         split["train"][0] = "nobody"

@@ -195,7 +195,7 @@ class TestLoadCorpus:
         path.write_text(text, encoding="utf-8", newline="")
         with pytest.raises(ParseError) as info:
             load_corpus(path)
-        assert str(info.value) == message
+        assert str(info.value) == f"{path}: {message}"
 
     def test_null_text_falsy_combined_and_null_labels_read_as_absent(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -398,6 +398,14 @@ class TestSyntheticCorpus:
                            {"id": "P1", "q": 0.5, "group": 1, "field_q": FIELD_Q, key: value}])
         with pytest.raises(ParseError, match=f"line 2.*'{key}'"):
             load_latents(path)
+
+    @pytest.mark.parametrize("content", [b"[1\n", b'{"id": "P0"}\n', b'"\xff"\n'])
+    def test_malformed_latents_error_starts_with_the_file(self, tmp_path, content):
+        path = tmp_path / "l.jsonl"
+        path.write_bytes(content)
+        with pytest.raises(ParseError) as info:
+            load_latents(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_repeated_latent_id_is_an_integrity_error_naming_the_file(self, tmp_path):
         path = tmp_path / "l.jsonl"

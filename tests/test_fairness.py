@@ -126,6 +126,10 @@ class TestConsistencyGap:
         with pytest.raises(AlignmentError):
             consistency_gap(self._result(0.5, k=5), self._result(0.5, k=3))
 
+    def test_mismatched_n_rejected(self):
+        with pytest.raises(AlignmentError, match="over n=100 vs n=90 profiles"):
+            consistency_gap(self._result(0.5), self._result(0.5, n=90))
+
 
 def naive_metrics(predicted, truth, averaging):
     """Counting oracle: every quantity from first principles."""

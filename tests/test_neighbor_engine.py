@@ -27,7 +27,7 @@ from fairaudit import (AuditConfig, RaterConfig, _util, attach_stage_labels, emb
 from fairaudit.embed import normalize_field_blocks
 from fairaudit.embed import EmbeddingMatrix
 from fairaudit.simindex import (Selection, knn_batched, knn_exact, knn_feature_reranked,
-                                pairwise_similarity, search_queries)
+                                pairwise_similarity)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -180,7 +180,7 @@ def test_every_search_equals_the_oracle(data, metric, exclude_self, draw):
                     knn_batched(matrix, k, metric, exclude_self, batch_size=block)):
             assert np.array_equal(got.neighbors, want[0])
             assert np.array_equal(got.scores, want[1])
-        got_q = search_queries(queries, data, k, metric)
+        got_q = search_one(queries, data, k, metric, False)
     assert np.array_equal(got_q[0], want_q[0])
     assert np.array_equal(got_q[1], want_q[1])
 
@@ -349,6 +349,13 @@ def test_a_selection_of_no_query_rows_finds_nothing(metric, weights):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def test_selections_over_different_field_counts_are_refused():
+    data = np.random.default_rng(5).standard_normal((9, 6))
+    selections = [Selection(2, np.ones(2)), Selection(2, np.ones(3))]
+    with pytest.raises(ValueError, match=r"selections weigh different field blocks: \[2, 3\]"):
+        simindex.search(data, data, selections, "cosine")
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     data=tie_heavy(n_fields=3),
@@ -401,7 +408,7 @@ def test_extreme_rows_equal_the_oracle(data, metric, weights, exclude_self, shif
         want_rerank = rerank_oracle(data, k, metric, weights, exclude_self)
         patch.setattr(simindex, "_BLOCK_ELEMS", draw.draw(st.integers(1, 200)))
         got = search_one(data, data, k, metric, exclude_self)
-        got_q = search_queries(data[picks], data, k, metric)
+        got_q = search_one(data[picks], data, k, metric, False)
         got_rerank = search_one(data, data, k, metric, exclude_self,
                                 weights=simindex.check_field_weights(weights, 3))
     for (ids, scores), (want_ids, want_scores) in zip(
@@ -492,7 +499,7 @@ def test_float64_rows_score_as_their_float32_rounding(metric):
     x32 = matrix_of(x).data
     for got, want in [
         (search_one(x, x, 4, metric, True), search_one(x32, x32, 4, metric, True)),
-        (search_queries(x[:7], x, 4, metric), search_queries(x32[:7], x32, 4, metric)),
+        (search_one(x[:7], x, 4, metric, False), search_one(x32[:7], x32, 4, metric, False)),
     ]:
         assert np.array_equal(got[0], want[0])
         assert got[1].tobytes() == want[1].tobytes()
@@ -535,7 +542,7 @@ def test_top_k_is_a_prefix_of_top_K(data, metric, weights, draw):
     for search in (
         lambda k: astuple(knn_feature_reranked(matrix, k, metric, field_weights=weights)),
         lambda k: astuple(knn_exact(matrix, k, metric)),
-        lambda k: search_queries(data[::-1], data, k, metric),
+        lambda k: search_one(data[::-1], data, k, metric, False),
     ):
         for first_k, of_large in zip(search(k), search(big)):
             assert np.array_equal(of_large[:, :k], first_k)
@@ -550,7 +557,7 @@ def test_euclidean_near_duplicates_rank_by_their_true_distance():
     reference = np.tile(base, (5, 1))
     reference[np.arange(5), np.arange(5)] += steps
     assert np.array_equal(reference.astype(np.float32), reference)
-    ids, scores = search_queries(base[None], reference, 5, "euclidean")
+    ids, scores = search_one(base[None], reference, 5, "euclidean", False)
     assert ids[0].tolist() == [4, 1, 3, 0, 2]
     assert scores[0].tolist() == [0.0, -(2.0**-20), -2 * 2.0**-20, -3 * 2.0**-20, -4 * 2.0**-20]
     rows = np.vstack([base, reference])
@@ -569,7 +576,7 @@ def shared_pass(matrix, metric="cosine"):
 
 
 @pytest.mark.parametrize(
-    "call", ["knn_exact", "knn_feature_reranked", "search_queries", "shared pass"]
+    "call", ["knn_exact", "knn_feature_reranked", "query search", "shared pass"]
 )
 def test_no_n_by_n_buffer(call):
     n = 2000
@@ -578,7 +585,7 @@ def test_no_n_by_n_buffer(call):
     run, unit_row_copies = {
         "knn_exact": (lambda: knn_exact(matrix, 5), 1),
         "knn_feature_reranked": (lambda: knn_feature_reranked(matrix, 5), 1),
-        "search_queries": (lambda: search_queries(x[: n // 2], x, 5), 1.5),
+        "query search": (lambda: search_one(x[: n // 2], x, 5, "cosine", False), 1.5),
         "shared pass": (lambda: shared_pass(matrix), 1),
     }[call]
     tracemalloc.start()
@@ -594,7 +601,7 @@ def test_no_n_by_n_buffer(call):
 
 
 @pytest.mark.parametrize(
-    "call", ["knn_exact", "knn_feature_reranked", "search_queries", "euclidean rerank",
+    "call", ["knn_exact", "knn_feature_reranked", "query search", "euclidean rerank",
              "shared pass", "euclidean shared pass"]
 )
 def test_no_float64_copy_of_the_reference(call):
@@ -606,7 +613,8 @@ def test_no_float64_copy_of_the_reference(call):
     run = {
         "knn_exact": lambda: knn_exact(matrix, 5),
         "knn_feature_reranked": lambda: knn_feature_reranked(matrix, 5),
-        "search_queries": lambda: search_queries(matrix.data[: n // 2], matrix.data, 5),
+        "query search": lambda: search_one(matrix.data[: n // 2], matrix.data, 5, "cosine",
+                                           False),
         "euclidean rerank": lambda: knn_feature_reranked(matrix, 5, "euclidean"),
         "shared pass": lambda: shared_pass(matrix),
         "euclidean shared pass": lambda: shared_pass(matrix, "euclidean"),
@@ -704,7 +712,7 @@ def test_pair_kernel_gathers_a_query_row_once(metric, monkeypatch):
     got = knn_feature_reranked(matrix, 3, metric)
     want = rerank_oracle(matrix.data, 3, metric, [1.0, 1.0, 1.0], True)
     assert np.array_equal(got.neighbors, want[0]) and np.array_equal(got.scores, want[1])
-    got = search_queries(data[:25, :d], data[:, :d], 3, metric)
+    got = search_one(data[:25, :d], data[:, :d], 3, metric, False)
     want = oracle(data[:25, :d], data[:, :d], 3, metric, False)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert len(straddling) > 6 and sum(straddling) > 0  # several tiles; fixed-size chunks split rows

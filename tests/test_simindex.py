@@ -12,13 +12,14 @@ from fairaudit.errors import (AlignmentError, DimensionMismatchError, IntegrityE
                               NonFiniteError, ParseError, SizeError)
 from fairaudit.simindex import (
     NeighborList,
+    Selection,
     knn_batched,
     knn_exact,
     knn_feature_reranked,
     load_neighbors,
     pairwise_similarity,
     save_neighbors,
-    search_queries,
+    search,
 )
 
 
@@ -249,7 +250,7 @@ class TestSearchQueries:
     def test_query_identical_to_reference_row(self):
         rng = np.random.default_rng(0)
         reference = rng.standard_normal((10, 6))
-        neighbors, scores = search_queries(reference[3:4], reference, k=1)
+        neighbors, scores = search(reference[3:4], reference, [Selection(1)], "cosine")[0]
         assert neighbors[0, 0] == 3
         assert scores[0, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -258,7 +259,7 @@ class TestSearchQueries:
         reference = np.eye(3)
         reference[1, 1] = np.nan
         with pytest.raises(NonFiniteError):
-            search_queries(np.eye(3), reference, k=1)
+            search(np.eye(3), reference, [Selection(1)], "cosine")
 
     def test_a_value_float32_cannot_hold_is_refused(self):
         # the search reads float32 rows, as an EmbeddingMatrix holds them
@@ -266,7 +267,7 @@ class TestSearchQueries:
         rows[1, 1] = -1e39
         for queries, reference in [(np.eye(3), rows), (rows, np.eye(3))]:
             with pytest.raises(NonFiniteError, match="1e\\+39 overflows float32"):
-                search_queries(queries, reference, k=1)
+                search(queries, reference, [Selection(1)], "cosine")
         with pytest.raises(NonFiniteError, match="1e\\+39 overflows float32"):
             pairwise_similarity([1e39, 0.0], [1.0, 0.0], "euclidean")
 
@@ -274,7 +275,7 @@ class TestSearchQueries:
         with pytest.raises(DimensionMismatchError, match="embedding width"):
             pairwise_similarity([], [])
         with pytest.raises(DimensionMismatchError, match="embedding width"):
-            search_queries(np.zeros((2, 0)), np.zeros((3, 0)), k=1)
+            search(np.zeros((2, 0)), np.zeros((3, 0)), [Selection(1)], "cosine")
 
     @pytest.mark.parametrize("queries, reference", [
         (np.ones(3), np.ones((4, 3))),
@@ -283,7 +284,7 @@ class TestSearchQueries:
     ])
     def test_rows_that_are_not_2d_are_a_dimension_error(self, queries, reference):
         with pytest.raises(DimensionMismatchError, match="axis count mismatch: expected 2"):
-            search_queries(queries, reference, k=1)
+            search(queries, reference, [Selection(1)], "cosine")
 
 
 class TestNeighborListChecks:
