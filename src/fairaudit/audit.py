@@ -56,7 +56,7 @@ from .embed import (
     ingest_embeddings,
     save_embeddings,
 )
-from .errors import IntegrityError, StageError, TrainingError
+from .errors import IntegrityError, SizeError, StageError, TrainingError
 from .fairness import AVERAGING_MODES, METRIC_NAMES, classification_metrics, consistency
 from .simindex import (
     METRICS,
@@ -95,6 +95,8 @@ class Learner:
 
 
 def _fit_knn(train, y_train, val, y_val, config):
+    if config.k > train.n:  # refused here, so no model is kept that every search refuses
+        raise SizeError(f"k={config.k} out of range [1, {train.n}] for {train.n} reference rows")
     truth = DecisionVector("truth", y_train, train.index_order)
     return KnnClassifier(config.k, config.metric).fit(train, truth)
 
@@ -353,11 +355,22 @@ def embed_profiles(profiles: list[Profile], config: AuditConfig, seed: int) -> E
                              config.normalize)
 
 
+def split_order(profiles: list[Profile], split: SplitAssignment,
+                parts=("train", "validation", "test")) -> list[Profile]:
+    """The profiles of ``split``'s ``parts``, part after part, each in the split's
+    order: the order to embed them in, so that ``training_rows`` takes views. A
+    split id that ``profiles`` lacks is an IntegrityError."""
+    subsets = split.subsets()
+    at = positions([p.id for p in profiles], [pid for part in parts for pid in subsets[part]])
+    return [profiles[i] for i in at]
+
+
 def training_rows(matrix: EmbeddingMatrix, truth: DecisionVector, split) -> tuple:
     """``(train, y_train, val, y_val)``: the split's train and validation rows of
     ``matrix`` and their ``truth`` values, the rows of ``train_family``.
     Taken once for every family, since the kNN model keeps its train rows: views of
-    ``matrix`` when it holds each part as a contiguous run, as CLI ``train`` reads it."""
+    ``matrix`` when it holds each part as a contiguous run, as it does in
+    ``split_order``."""
     return (
         matrix.take(split.train),
         truth.take(split.train).values,
@@ -395,15 +408,18 @@ def run_audit(corpus_path, config: AuditConfig | None = None, out_dir=None) -> A
     corpus_sha256, profiles = _stage("load", lambda: (
         hashlib.sha256(Path(corpus_path).read_bytes()).hexdigest(), load_corpus(corpus_path)
     ))
-    matrix = _stage("embed", lambda: embed_profiles(profiles, config, seeds["embed"]))
+    ids = tuple(p.id for p in profiles)  # the order of embeddings.faem and each decisions file
     split = _stage(
         "split", lambda: split_corpus(profiles, config.ratios, seeds["split"], config.stratify_on)
     )
+    # the one matrix, in split order: every family fits on views of its rows
+    matrix = _stage("embed", lambda: embed_profiles(split_order(profiles, split), config,
+                                                    seeds["embed"]))
     truth, decisions = _stage("labels", lambda: _labels(profiles, config.target_stage))
     models, search_logs = _stage("train", lambda: _train(config, seeds, matrix, truth, split))
     knn = models.get(LEARNERS["knn"].source)
     decisions.update(_stage("predict", lambda: {  # the kNN's come from the neighbor pass
-        source: predict_decisions(model, matrix) for source, model in models.items()
+        source: predict_decisions(model, matrix).take(ids) for source, model in models.items()
         if model is not knn
     }))
     rows, structures, decisions = _stage(
@@ -414,7 +430,7 @@ def run_audit(corpus_path, config: AuditConfig | None = None, out_dir=None) -> A
     )
     if out_dir is not None:
         _stage("write", lambda: _write_run_dir(
-            out_dir, report, config, corpus_path, matrix, split, models, search_logs,
+            out_dir, report, config, corpus_path, matrix, ids, split, models, search_logs,
             structures, decisions,
         ))
     return report
@@ -457,10 +473,11 @@ def score_sources(
 ) -> tuple[tuple[ReportRow, ...], dict[str, NeighborList], dict[str, DecisionVector]]:
     """The report rows of ``config.sources``, the neighbor structure of each
     consistency stage, and ``decisions`` with the decisions of the kNN model ``knn``
-    (if any) for every row of ``matrix`` added.
+    (if any) for every profile added, in the order of ``profiles``.
 
-    P/R/F1/A compare a source's decisions with ``truth`` over the ids of
-    ``config.metrics_split`` that it covers. C at a stage is taken over the
+    ``matrix`` holds the rows of ``profiles`` in any order. P/R/F1/A compare a
+    source's decisions with ``truth`` over the ids of ``config.metrics_split`` that it
+    covers, in the order of ``profiles``. C at a stage is taken over the
     stage's whole population (the profiles that carry its label, within
     ``config.consistency_split``), on a k-NN structure built on exactly those
     rows; a source that leaves any of them undecided gets no cell there. With
@@ -469,8 +486,10 @@ def score_sources(
     finds the structures and the kNN's neighbors.
     """
 
+    ids = tuple(p.id for p in profiles)
+
     def scope(name: str) -> set[str]:
-        return set(matrix.index_order if name == "full" else split.subsets()[name])
+        return set(ids if name == "full" else split.subsets()[name])
 
     metrics_scope = scope(config.metrics_split)
     consistency_scope = scope(config.consistency_split)
@@ -480,7 +499,7 @@ def score_sources(
     }
     covered = {source: set(vector.index_order) for source, vector in decisions.items()}
     if knn is not None:
-        covered[LEARNERS["knn"].source] = set(matrix.index_order)
+        covered[LEARNERS["knn"].source] = set(ids)
     cells = {
         source: [stage for stage in CONSISTENCY_STAGES
                  if (config.consistency_cells == "all" or source in (f"human:{stage}",
@@ -492,7 +511,7 @@ def score_sources(
     needed = list(dict.fromkeys(populations[stage] for stages in cells.values() for stage in stages))
     structures, knn_decisions = neighbor_pass(matrix, config, needed, knn)
     if knn_decisions is not None:
-        decisions = {**decisions, knn_decisions.source: knn_decisions}
+        decisions = {**decisions, knn_decisions.source: knn_decisions.take(ids)}
     rows = []
     for source in config.sources:
         vector = decisions.get(source)
@@ -501,9 +520,10 @@ def score_sources(
             continue
         row = {}
         covered_ids = covered[source]
-        ids = [pid for pid in matrix.index_order if pid in metrics_scope and pid in covered_ids]
-        if ids:
-            metrics = classification_metrics(vector.take(ids), truth.take(ids), config.averaging)
+        scored = [pid for pid in ids if pid in metrics_scope and pid in covered_ids]
+        if scored:
+            metrics = classification_metrics(vector.take(scored), truth.take(scored),
+                                             config.averaging)
             row.update({name: getattr(metrics, name) for name in METRIC_NAMES})
         for stage in cells[source]:
             stage_ids = populations[stage]
@@ -512,7 +532,8 @@ def score_sources(
             ).score
         rows.append(ReportRow(source, **row))
     stage_structures = {
-        stage: structures[ids] for stage, ids in populations.items() if ids in structures
+        stage: structures[members] for stage, members in populations.items()
+        if members in structures
     }
     return tuple(rows), stage_structures, decisions
 
@@ -598,15 +619,15 @@ def _write_run_dir(out_dir, *artifacts) -> None:
 
 
 def _write_run_files(
-    out: Path, report, config, corpus_path, matrix, split, models, search_logs, structures,
-    decisions,
+    out: Path, report, config, corpus_path, matrix, ids, split, models, search_logs,
+    structures, decisions,
 ) -> None:
     (out / "models").mkdir(parents=True)
     write_json(out / "config.json", {
         **asdict(config), "derived_seeds": report.metadata["derived_seeds"]
     })
     (out / "corpus.sha256").write_text(f"{report.metadata['corpus_sha256']}  {corpus_path}\n")
-    save_embeddings(matrix, out / "embeddings.faem")
+    save_embeddings(matrix, out / "embeddings.faem", ids)  # in corpus order
     save_split(split, out / "splits.json")
     for source, model in models.items():
         save_model(model, out / "models" / f"{source.split(':', 1)[1]}.json")

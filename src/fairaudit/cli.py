@@ -16,7 +16,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from ._util import naming, positions, read_json, write_json
+from ._util import naming, read_json, write_json
 from .audit import (
     CHOICES,
     LEARNERS,
@@ -28,6 +28,7 @@ from .audit import (
     render_report,
     run_audit,
     searches,
+    split_order,
     train_family,
     training_rows,
 )
@@ -240,10 +241,11 @@ def _cmd_embed(args) -> int:
     config = _config(AuditConfig, args)  # a rejected value exits 1 before --out is written
     profiles = load_corpus(args.corpus)
     matrix = embed_profiles(profiles, config, args.seed)
+    if args.neighbors_out:  # before either file: a k the corpus cannot serve writes neither
+        [structure] = neighbor_pass(matrix, config, [matrix.index_order])[0].values()
     save_embeddings(matrix, args.out)
     print(f"wrote {matrix.n}x{matrix.dim} matrix to {args.out}")
     if args.neighbors_out:
-        [structure] = neighbor_pass(matrix, config, [matrix.index_order])[0].values()
         save_neighbors(structure, args.neighbors_out)
         print(f"wrote k={config.k} neighbors to {args.neighbors_out}")
     return 0
@@ -268,8 +270,7 @@ def _cmd_train(args) -> int:
     profiles = load_corpus(args.corpus)
     split = load_split(args.splits)
     with naming(args.splits):  # a split id that the corpus lacks
-        fit = positions([p.id for p in profiles], split.train + split.validation)
-    profiles = [profiles[i] for i in fit]  # the fit reads views of one matrix
+        profiles = split_order(profiles, split, ("train", "validation"))  # no test row is read
     matrix = embed_profiles(profiles, config, config.seed)
     truth = binarize_labels(profiles, config.target_stage)
     model, trials = train_family(args.family, *training_rows(matrix, truth, split), config)

@@ -34,7 +34,7 @@ _VERSION = 1
 # entries of the texts hashed and scattered at a time, a text counting its d float64
 # bucket entries and its tokens; bounds the working memory
 _CHUNK_ENTRIES = 1 << 18
-_READ_ELEMS = 1 << 17  # entries read at a time into a reordering buffer
+_READ_ELEMS = 1 << 17  # entries read or written at a time through a reordering buffer
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,18 +242,34 @@ def normalize_field_blocks(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
 # persistence
 
 
-def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
+def save_embeddings(matrix: EmbeddingMatrix, path, order=None) -> None:
     """Write the binary matrix format (float32, little-endian); the rows go in one
-    write of ``matrix.data``, which on a little-endian machine is no copy."""
+    write of ``matrix.data``, which on a little-endian machine is no copy. With
+    ``order``, the file holds ``matrix.take(order)``: the rows of its ids, in that
+    order, gathered through a buffer of about ``_READ_ELEMS`` entries, so no second
+    matrix is made."""
+    ids = matrix.index_order if order is None else tuple(order)
+    at = None
+    if ids != matrix.index_order:
+        check_unique(ids, "the ids asked for")
+        at = positions(matrix.index_order, ids)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<H", _VERSION))
-        fh.write(struct.pack("<QQ", matrix.n, matrix.dim))
-        for pid in matrix.index_order:
+        fh.write(struct.pack("<QQ", len(ids), matrix.dim))
+        for pid in ids:
             raw = pid.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
-        fh.write(matrix.data.astype("<f4", copy=False))
+        if at is None:
+            fh.write(matrix.data.astype("<f4", copy=False))
+            return
+        step = max(1, _READ_ELEMS // max(1, matrix.dim))
+        buffer = np.empty((min(step, len(at)), matrix.dim), "<f4")
+        for start in range(0, len(at), step):
+            rows = buffer[: len(at) - start]
+            np.take(matrix.data, at[start : start + step], axis=0, out=rows)
+            fh.write(rows)
 
 
 def _read_faem(path, order=None) -> tuple[list[str], np.ndarray]:

@@ -2,12 +2,14 @@
 
 import json
 import shutil
+import tracemalloc
 from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
 from fairaudit import _util, cli
+from fairaudit import audit as audit_module
 from fairaudit.audit import (
     ALL_SOURCES,
     HUMAN_SOURCES,
@@ -33,6 +35,7 @@ from fairaudit.dataset import (
     generate_synthetic_corpus,
     load_corpus,
     load_decisions,
+    load_split,
     save_corpus,
     simulate_raters,
 )
@@ -418,6 +421,86 @@ class TestRunAudit:
         assert set(log) == {"model:gbstumps", "model:birnn"}
         assert len(log["model:gbstumps"]) == 2
         assert calls == {"train_stumps": 2, "birnn_train": 2}
+
+    def test_a_knn_k_beyond_the_train_rows_fails_at_train(self, tmp_path):
+        # 96 of the 120 profiles are train rows; each stage's 120 rows could serve k=100
+        with pytest.raises(StageError, match=r"^\[train\] k=100 out of range \[1, 96\] "
+                                             r"for 96 reference rows$"):
+            run_audit(make_corpus(tmp_path), small_config(k=100))
+
+
+class TestOneSplitOrderedMatrix:
+    """run_audit embeds the profiles in split order, so every family fits on views of
+    its one matrix, and still writes embeddings.faem and the decisions files in corpus
+    order."""
+
+    @staticmethod
+    def capture(monkeypatch):
+        """The matrices that ``embed_profiles`` returns, and ``(train, val, model)`` of
+        each ``train_family`` call by family, as the audit module's globals make them."""
+        embedded, fits = [], {}
+        embed, train = audit_module.embed_profiles, audit_module.train_family
+
+        def embed_profiles(*args):
+            embedded.append(embed(*args))
+            return embedded[-1]
+
+        def train_family(family, train_rows, y_train, val_rows, y_val, config):
+            model, trials = train(family, train_rows, y_train, val_rows, y_val, config)
+            fits[family] = (train_rows, val_rows, model)
+            return model, trials
+
+        monkeypatch.setattr(audit_module, "embed_profiles", embed_profiles)
+        monkeypatch.setattr(audit_module, "train_family", train_family)
+        return embedded, fits
+
+    def test_every_family_fits_on_views_of_the_audit_matrix(self, tmp_path, monkeypatch):
+        embedded, fits = self.capture(monkeypatch)
+        out = tmp_path / "run"
+        run_audit(make_corpus(tmp_path), small_config(), out)
+        (matrix,), split = embedded, load_split(out / "splits.json")
+        assert matrix.index_order == split.train + split.validation + split.test
+        assert set(fits) == set(LEARNERS)
+        for family, (train_rows, val_rows, _) in fits.items():
+            for rows, ids in ((train_rows, split.train), (val_rows, split.validation)):
+                assert rows.index_order == ids, family
+                assert np.shares_memory(rows.data, matrix.data), family
+                assert not rows.data.flags.writeable, family
+        knn = fits["knn"][2]
+        assert knn.reference_ids == split.train
+        assert np.shares_memory(knn.reference, matrix.data)
+
+    def test_run_directory_files_keep_corpus_order(self, tmp_path, monkeypatch):
+        embedded, _ = self.capture(monkeypatch)
+        corpus, out = make_corpus(tmp_path), tmp_path / "run"
+        run_audit(corpus, small_config(), out)
+        ids = tuple(p.id for p in load_corpus(corpus))
+        (matrix,) = embedded
+        assert matrix.index_order != ids
+        expected = tmp_path / "expected.faem"
+        save_embeddings(matrix.take(ids), expected)
+        assert (out / "embeddings.faem").read_bytes() == expected.read_bytes()
+        for source in MODEL_SOURCES:
+            path = out / f"decisions_{source.replace(':', '_')}.json"
+            assert load_decisions(path).index_order == ids, source
+
+    # peak traced memory over the matrix's bytes (N=1000, d=768, every source): the
+    # parent, which embedded in corpus order and so copied the train rows out of the
+    # matrix and kept the copy in the kNN model, read 3.40 (3.44 under pytest); fits
+    # on views read 2.60. The peak is the neighbor pass's.
+    def test_audit_memory_holds_one_matrix(self, tmp_path, monkeypatch):
+        embedded, _ = self.capture(monkeypatch)
+        corpus = make_corpus(tmp_path, n=1000, seed=3, rater_seed=4)
+        config = small_config(d=768, seed=2, max_epochs=1, patience=1, rounds=3, hidden_dim=4,
+                              head_dim=4)
+        tracemalloc.start()
+        try:
+            run_audit(corpus, config, tmp_path / "run")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        (matrix,) = embedded
+        assert peak < 3.0 * matrix.data.nbytes, f"peak {peak / matrix.data.nbytes:.2f}x the matrix"
 
 
 def bits(data):

@@ -168,6 +168,32 @@ class TestRejectedValues:
         assert message in err
         assert not (tmp_path / "e.faem").exists()
 
+    def test_embed_k_the_corpus_cannot_serve_writes_neither_file(self, tmp_path, capsys):
+        corpus, emb, neighbors = tmp_path / "c.jsonl", tmp_path / "e.faem", tmp_path / "n.json"
+        code, _, err = run(capsys, "synth", "--n", "60", "--seed", "1",
+                           "--out-corpus", str(corpus))
+        assert code == 0, err
+        code, _, err = run(capsys, "embed", "--corpus", str(corpus), "--d", "8", "--k", "100",
+                           "--neighbors-out", str(neighbors), "--out", str(emb))
+        assert code == 2, err
+        assert err == "error: k=100 out of range [1, 59] for 60 reference rows\n"
+        assert not emb.exists() and not neighbors.exists()
+
+    def test_train_refuses_a_knn_k_beyond_its_train_rows(self, tmp_path, corpus, capsys):
+        emb, splits, model = tmp_path / "e.faem", tmp_path / "s.json", tmp_path / "m.json"
+        assert run(capsys, "embed", "--corpus", str(corpus), "--d", "8", "--out", str(emb))[0] == 0
+        assert run(capsys, "split", "--corpus", str(corpus), "--out", str(splits))[0] == 0
+        train = ["train", "--family", "knn", "--corpus", str(corpus), "--embeddings", str(emb),
+                 "--splits", str(splits), "--d", "8", "--out", str(model)]
+        code, _, err = run(capsys, *train, "--k", "73")  # 72 of the 90 profiles are train rows
+        assert code == 2, err
+        assert err == "error: k=73 out of range [1, 72] for 72 reference rows\n"
+        assert not model.exists()
+        code, _, err = run(capsys, *train, "--k", "72")
+        assert code == 0, err
+        assert run(capsys, "predict", "--model", str(model), "--embeddings", str(emb), "--d", "8",
+                   "--out", str(tmp_path / "p.json"))[0] == 0
+
     @pytest.mark.parametrize("flags", [
         ["--epochs", "2", "--patience", "5"], ["--search-trials", "0"], ["--batch-size", "0"],
         # values a pipeline stage checks, by the stage's own check function

@@ -1,4 +1,5 @@
-"""scripts/compare_runs.py: a tree compared with itself writes the same bytes."""
+"""scripts/compare_runs.py: a tree compared with itself writes the same bytes, and
+each run's peak resident set is printed."""
 
 import re
 import subprocess
@@ -17,8 +18,10 @@ def test_a_tree_against_itself_writes_the_same_bytes():
     src = str(ROOT / "src")
     done = compare_runs(src, src, "--workloads", "audit-paper", "--seeds", "1")
     assert done.returncode == 0, done.stderr
-    same = re.fullmatch(r"audit-paper seed 1: 0 of (\d+) files differ\n", done.stdout)
+    same = re.fullmatch(r"audit-paper seed 1: 0 of (\d+) files differ; "
+                        r"peak (\d+\.\d) MB old, (\d+\.\d) MB new\n", done.stdout)
     assert same and int(same[1]) > 10, done.stdout
+    assert all(10 < float(peak) < 1000 for peak in same.groups()[1:]), done.stdout
 
 
 def test_an_unknown_workload_is_a_usage_error():

@@ -459,6 +459,38 @@ class TestPersistence:
         assert loaded.index_order == asked
         assert np.array_equal(loaded.data.view(np.uint32), want)
 
+    @pytest.mark.parametrize("read_elems", [1, 7, 40, 1 << 17])
+    def test_a_write_in_another_order_gives_the_bytes_of_the_taken_rows(self, tmp_path,
+                                                                        monkeypatch, read_elems):
+        monkeypatch.setattr(embed, "_READ_ELEMS", read_elems)
+        rng = np.random.default_rng(13)
+        matrix = EmbeddingMatrix(rng.standard_normal((13, 20), np.float32), 4, FIELD_ORDER,
+                                 tuple(f"P{i}" for i in range(13)))
+        want, got = tmp_path / "want.faem", tmp_path / "got.faem"
+        for order in (tuple(f"P{i}" for i in rng.permutation(13)), ("P3", "P1"),
+                      matrix.index_order, ()):
+            save_embeddings(matrix.take(order), want)
+            save_embeddings(matrix, got, order)
+            assert got.read_bytes() == want.read_bytes(), order
+        for order, message in ((("P1", "P1"), r"\['P1'\]"), (("P1", "Q"), "ids not found")):
+            with pytest.raises(IntegrityError, match=message):
+                save_embeddings(matrix, tmp_path / "refused.faem", order)
+        assert not (tmp_path / "refused.faem").exists()
+
+    def test_a_write_in_another_order_holds_no_second_matrix(self, tmp_path):
+        data = np.random.default_rng(14).standard_normal((1000, 5 * 768), np.float32)
+        matrix = EmbeddingMatrix(data, 768, FIELD_ORDER, tuple(f"P{i}" for i in range(1000)))
+        order = matrix.index_order[::-1]
+        tracemalloc.start()
+        try:
+            save_embeddings(matrix, tmp_path / "m.faem", order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * data.nbytes, f"peak {peak / data.nbytes:.2f}x the matrix"
+        ids, rows = load_matrix_file(tmp_path / "m.faem")
+        assert ids == list(order) and np.array_equal(rows, data[::-1])
+
     @pytest.mark.parametrize("suffix", [".faem", ".csv"])
     def test_an_asked_id_the_file_lacks_names_the_file(self, tmp_path, suffix):
         path = tmp_path / f"m{suffix}"
