@@ -21,6 +21,7 @@ import os
 import shutil
 import tempfile
 from dataclasses import asdict, dataclass, fields, replace
+from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Callable
 
@@ -283,6 +284,8 @@ class AuditConfig(TrainConfig):
         unknown = [s for s in self.sources if s not in ALL_SOURCES]
         if unknown:
             raise ValueError(f"unknown sources {unknown}; expected among {ALL_SOURCES}")
+        if len(set(self.sources)) < len(self.sources):
+            raise ValueError(f"sources {self.sources} name a source more than once")
         # what the pipeline stages check, by their own checks, before any data is read
         if self.embedder == "hash":
             check_sizes(self.d, self.max_tokens)
@@ -395,13 +398,15 @@ def run_audit(corpus_path, config: AuditConfig | None = None, out_dir=None) -> A
     splits.json, models/*.json, neighbors.json (each stage's structure that a
     consistency cell used, human-only audits included), and
     report.{json,csv,md}. Nothing is written until the whole pipeline has
-    succeeded, so partial reports never appear. The files are written into a
-    hidden sibling directory first. When ``out_dir`` is missing or empty, that
-    directory then replaces it in one rename; an existing non-empty ``out_dir``
-    has its files of the same names overwritten and keeps the others, unless a
-    file would replace a directory or land under a non-directory: then the write
-    fails before any file is replaced. A failed write leaves ``out_dir`` as it
-    was and removes the sibling.
+    succeeded, so partial reports never appear. A run directory holds one run.
+    The files are written into a hidden sibling directory first, which is then
+    renamed into place when ``out_dir`` is missing or empty. When ``out_dir`` is
+    a prior run directory (``config.json`` and ``report.json`` as regular files,
+    and no top-level entry but the names a run writes), the new run replaces it
+    whole, so none of the prior run's files remain. Any other ``out_dir`` that
+    exists and is not empty is refused with IntegrityError (``[write]``). A
+    failed write or a refusal leaves ``out_dir`` as it was and removes the
+    sibling.
     """
     config = config or AuditConfig()
     seeds = derive_seeds(config.seed, ("embed", "split", "stumps", "birnn", "search"))
@@ -601,21 +606,33 @@ def _write_run_dir(out_dir, *artifacts) -> None:
     try:
         tree = staging / "run"  # made by mkdir, so it gets the usual permissions
         _write_run_files(tree, *artifacts)
-        if out.is_dir() and any(out.iterdir()):
-            files = [path for path in sorted(tree.rglob("*")) if path.is_file()]
-            targets = [out / path.relative_to(tree) for path in files]
-            for target in targets:
-                if target.is_dir():
-                    raise IsADirectoryError(f"cannot replace the directory {target}")
-                if target.parent.exists() and not target.parent.is_dir():
-                    raise NotADirectoryError(f"not a directory: {target.parent}")
-            for path, target in zip(files, targets):
-                target.parent.mkdir(exist_ok=True)
-                os.replace(path, target)
-        else:
+        prior = staging / "prior"  # a replaced run, removed with the staging directory
+        if out.exists() and (not out.is_dir() or any(out.iterdir())):
+            if not _is_run_dir(out):
+                raise IntegrityError(f"{out} is neither empty nor a run directory; left as it was")
+            os.replace(out, prior)
+        try:
             os.replace(tree, out)
+        except OSError:
+            if prior.exists():
+                os.replace(prior, out)
+            raise
     finally:
         shutil.rmtree(staging, ignore_errors=True)
+
+
+# every top-level name a run writes: a directory holding only these is a run that
+# a later run may replace whole, and any other name marks data not to delete
+_RUN_ENTRIES = ("config.json", "corpus.sha256", "embeddings.faem", "splits.json",
+                "neighbors.json", "report.*", "decisions_*.json", "models")
+
+
+def _is_run_dir(path: Path) -> bool:
+    return (
+        (path / "config.json").is_file() and (path / "report.json").is_file()
+        and all(any(fnmatchcase(entry.name, name) for name in _RUN_ENTRIES)
+                for entry in path.iterdir())
+    )
 
 
 def _write_run_files(

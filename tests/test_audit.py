@@ -1,9 +1,12 @@
 """End-to-end audit orchestration, comparison, and report rendering."""
 
 import json
-import shutil
+import os
+import runpy
 import tracemalloc
 from dataclasses import asdict, fields, replace
+from fnmatch import fnmatchcase
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +52,9 @@ from fairaudit.embed import (
 from fairaudit.errors import IntegrityError, StageError
 from fairaudit.fairness import consistency
 from fairaudit.simindex import Selection, neighbors_from_dict, search
+
+rundir_digest_main = runpy.run_path(
+    str(Path(__file__).resolve().parents[1] / "scripts" / "rundir_digest.py"))["main"]
 
 
 def make_corpus(tmp_path, n=120, seed=4, noise_sigma=0.25, bias_shift=None,
@@ -111,6 +117,11 @@ def tree_bytes(root):
         p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
         for p in root.rglob("*")
     }
+
+
+def snapshot(path):
+    """``tree_bytes(path)`` of a directory, a file's bytes otherwise."""
+    return tree_bytes(path) if path.is_dir() else path.read_bytes()
 
 
 def small_config(**kwargs):
@@ -253,45 +264,76 @@ class TestRunAudit:
             run_audit(corpus, config, out_dir=out)
         assert not out.parent.exists()  # no run directory, no hidden sibling
 
-    def test_existing_run_dir(self, tmp_path, monkeypatch):
+    def test_a_rerun_replaces_the_prior_run_whole(self, tmp_path):
         corpus = make_corpus(tmp_path)
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        run_audit(corpus, small_config(), out_dir=empty)
-        assert (empty / "models" / "gbstumps.json").exists()
+        out, fresh = tmp_path / "runs" / "out", tmp_path / "fresh"
+        out.mkdir(parents=True)  # an empty directory receives a run
+        run_audit(corpus, small_config(seed=1, search_trials=2), out_dir=out)
+        assert (out / "models" / "search_log.json").exists()
+        second = small_config(seed=2, sources=HUMAN_SOURCES)
+        run_audit(corpus, second, out_dir=out)
+        run_audit(corpus, second, out_dir=fresh)
+        assert sorted(tree_bytes(out)) == sorted(tree_bytes(fresh))
+        assert not list(out.rglob("search_log.json"))
+        assert not list(out.glob("decisions_model_*.json"))
+        assert rundir_digest_main([str(out), str(fresh)]) == 0
+        assert [p.name for p in out.parent.iterdir()] == ["out"]
 
-        kept = tmp_path / "kept"
-        (kept / "models").mkdir(parents=True)
-        (kept / "notes.txt").write_text("mine")
-        (kept / "report.md").write_text("old")
-        run_audit(corpus, small_config(), out_dir=kept)
-        assert (kept / "notes.txt").read_text() == "mine"
-        assert (kept / "report.md").read_text() == (empty / "report.md").read_text()
-        assert (kept / "models" / "gbstumps.json").exists()
+    def test_every_entry_a_run_writes_is_a_run_entry(self, tmp_path):
+        out = tmp_path / "run"
+        run_audit(make_corpus(tmp_path), small_config(search_trials=2), out_dir=out)
+        entries = sorted(p.name for p in out.iterdir())
+        assert {"models", "decisions_model_knn.json", "report.md"} <= set(entries)
+        for name in entries:
+            assert any(fnmatchcase(name, entry) for entry in audit_module._RUN_ENTRIES), name
 
-        (kept / "report.md").write_text("old")
-        monkeypatch.setattr("fairaudit.audit.render_report", lambda *a: 1 / 0)
-        with pytest.raises(StageError, match=r"\[write\]"):
-            run_audit(corpus, small_config(), out_dir=kept)
-        assert (kept / "report.md").read_text() == "old"
-        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".")) == []
-
-    @pytest.mark.parametrize("conflict", ["models", "report.md"])
-    def test_target_conflict_fails_before_any_file_moves(self, tmp_path, conflict):
+    @pytest.mark.parametrize("kind", ["not-a-run", "no-report", "stray-file", "regular-file"])
+    def test_an_out_dir_that_is_not_a_run_is_refused_and_kept(self, tmp_path, kind):
         corpus = make_corpus(tmp_path)
-        kept = tmp_path / "runs" / "kept"
-        run_audit(corpus, small_config(), out_dir=kept)
-        if conflict == "models":
-            shutil.rmtree(kept / "models")
-            (kept / "models").write_text("mine")
+        out = tmp_path / "runs" / "out"
+        if kind == "regular-file":
+            out.parent.mkdir()
+            out.write_text("mine")
+        elif kind == "not-a-run":
+            (out / "models").mkdir(parents=True)
+            (out / "notes.txt").write_text("mine")
+            (out / "report.md").write_text("old")
         else:
-            (kept / "report.md").unlink()
-            (kept / "report.md").mkdir()
-        before = tree_bytes(kept)
+            run_audit(corpus, small_config(), out_dir=out)
+            if kind == "no-report":
+                (out / "report.json").unlink()
+            else:
+                (out / "notes.txt").write_text("mine")
+        before = snapshot(out)
+        with pytest.raises(StageError, match=r"\[write\].*neither empty nor a run directory"):
+            run_audit(corpus, small_config(seed=8), out_dir=out)
+        assert snapshot(out) == before
+        assert [p.name for p in out.parent.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize("failing", ["a file", "the rename-in"])
+    def test_a_failed_write_puts_the_prior_run_back(self, tmp_path, monkeypatch, failing):
+        corpus = make_corpus(tmp_path)
+        out = tmp_path / "runs" / "out"
+        run_audit(corpus, small_config(), out_dir=out)
+        before = snapshot(out)
+        moved, real_replace = [], os.replace
+
+        def fail_rename_in(src, dst):
+            if Path(dst) == out and Path(src).name == "run":
+                raise OSError("rename failed")
+            moved.append(Path(src))
+            real_replace(src, dst)
+
+        if failing == "a file":
+            monkeypatch.setattr(audit_module, "render_report", lambda *a: 1 / 0)
+        else:
+            monkeypatch.setattr(os, "replace", fail_rename_in)
         with pytest.raises(StageError, match=r"\[write\]"):
-            run_audit(corpus, small_config(seed=8), out_dir=kept)
-        assert tree_bytes(kept) == before
-        assert [p.name for p in kept.parent.iterdir()] == ["kept"]
+            run_audit(corpus, small_config(seed=8), out_dir=out)
+        if failing == "the rename-in":
+            assert moved[0] == out  # the prior run had been moved aside
+        assert snapshot(out) == before
+        assert [p.name for p in out.parent.iterdir()] == ["out"]
 
     def test_human_only_audit_writes_its_neighbor_structures(self, tmp_path):
         corpus = make_corpus(tmp_path)
@@ -601,6 +643,7 @@ class TestAuditConfig:
         ({"target_stage": "XX"}, "unknown stage 'XX'"),
         ({"stratify_on": "XX"}, "unknown stage 'XX'"),
         ({"sources": ("model:xgb",)}, "unknown sources \\['model:xgb'\\]"),
+        ({"sources": ("human:AR", "human:AR")}, "name a source more than once"),
     ])
     def test_stage_checks_run_at_construction(self, values, message):
         with pytest.raises(ValueError, match=message):

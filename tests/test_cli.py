@@ -2,8 +2,10 @@
 
 import base64
 import json
+import runpy
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,9 @@ from fairaudit.dataset import (
     save_split,
 )
 from fairaudit.embed import EmbeddingMatrix, load_matrix_file, save_embeddings
+
+rundir_digest_main = runpy.run_path(
+    str(Path(__file__).resolve().parents[1] / "scripts" / "rundir_digest.py"))["main"]
 
 
 def run(capsys, *argv):
@@ -780,6 +785,25 @@ class TestAuditCommand:
         for name in ("config.json", "embeddings.faem", "splits.json", "neighbors.json",
                      "report.csv", "report.md", "corpus.sha256"):
             assert (tmp_path / "run1" / name).exists()
+
+    def test_a_rerun_replaces_the_prior_run_and_a_stray_file_is_refused(self, tmp_path, corpus,
+                                                                        capsys):
+        args = ["audit", "--corpus", str(corpus), "--d", "8", "--epochs", "2", "--patience", "2",
+                "--rounds", "8", "--hidden-dim", "4", "--head-dim", "4"]
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        code, _, err = run(capsys, *args, "--seed", "1", "--search-trials", "2", "--out", str(out))
+        assert code == 0, err
+        assert (out / "models" / "search_log.json").exists()
+        for run_dir in (out, fresh):
+            code, _, err = run(capsys, *args, "--seed", "2", "--out", str(run_dir))
+            assert code == 0, err
+        assert rundir_digest_main([str(out), str(fresh)]) == 0
+        (out / "notes.txt").write_text("mine")
+        before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+        code, _, err = run(capsys, *args, "--seed", "3", "--out", str(out))
+        assert code == 2
+        assert "[write]" in err and "neither empty nor a run directory" in err
+        assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
 
     def test_report_rendering_from_run(self, tmp_path, corpus, capsys):
         run_dir = tmp_path / "run"

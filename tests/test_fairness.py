@@ -84,7 +84,7 @@ class TestConsistency:
             consistency(decisions([], []), nl)
 
     @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(2, 40), k=st.integers(1, 5), seed=st.integers(0, 2**31 - 1))
+    @given(n=st.integers(2, 40), k=st.integers(1, 11), seed=st.integers(0, 2**31 - 1))
     def test_bounds_and_flip_symmetry(self, n, k, seed):
         rng = np.random.default_rng(seed)
         k = min(k, n - 1)
@@ -99,7 +99,17 @@ class TestConsistency:
         flipped = consistency(decisions(1 - values, ids), nl)
         assert 0.0 <= result.score <= 1.0
         assert np.all((result.per_profile_gap >= 0) & (result.per_profile_gap <= 1))
-        assert result.score == pytest.approx(flipped.score, abs=1e-12)
+        assert abs(result.score - flipped.score) <= 1e-15
+
+    def test_flipping_every_decision_can_move_c_by_one_rounding(self):
+        # fl(1/3) != 1 - fl(2/3): a gap of 1/3 and its flipped gap round apart
+        ids = [f"P{i}" for i in range(5)]
+        nl = neighbor_list([[j for j in range(5) if j != i][:3] for i in range(5)], ids)
+        values = np.array([1, 0, 0, 0, 0])
+        result = consistency(decisions(values, ids), nl)
+        flipped = consistency(decisions(1 - values, ids), nl)
+        assert result.score != flipped.score
+        assert abs(result.score - flipped.score) <= 1e-15
 
 
 class TestConsistencyGap:
