@@ -4,11 +4,14 @@
 For each workload and seed, the inputs are built once under OLD_SRC with
 ``perfbench.workloads.make_inputs``. Then, under each tree in a fresh process,
 an audit workload runs ``run_audit`` and cli-ingest runs the ``cli_steps``
-chain. The two output directories are compared with ``rundir_digest``:
-every file that differs, or exists on one side only, is printed. Each summary
-line also gives both runs' peak resident set (``ru_maxrss`` of the run's own
-process, in MB of 2^20 bytes), so one operation's peak is read in a fresh
-process.
+chain. Besides the benchmark's workloads, two variants of audit-paper run the
+searches it does not: ``audit-paper-norerank`` (``rerank=False``: one
+whole-row field, which the cosine screen copies) and ``audit-paper-euclidean``
+(``metric="euclidean"``). The two output directories are compared with
+``rundir_digest``: every file that differs, or exists on one side only, is
+printed. Each summary line also gives both runs' peak resident set
+(``ru_maxrss`` of the run's own process, in MB of 2^20 bytes), so one
+operation's peak is read in a fresh process.
 
     python scripts/compare_runs.py OLD_SRC NEW_SRC [--workloads W,...] [--seeds 1,2,3]
 
@@ -20,17 +23,27 @@ and 2 if an input build or a run fails. Nothing under ``perfbench/`` is written.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from rundir_digest import file_digests
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-WORKLOADS = ("audit-paper", "audit-scale", "cli-ingest")
+sys.path.insert(0, str(PERFBENCH))
+import workloads  # noqa: E402
+
+_PAPER = workloads.WORKLOADS["audit-paper"]
+SPECS = {**workloads.WORKLOADS, **{
+    name: replace(_PAPER, name=name, audit_config={**_PAPER.audit_config, **change})
+    for name, change in (("audit-paper-norerank", {"rerank": False}),
+                         ("audit-paper-euclidean", {"metric": "euclidean"}))}}
+WORKLOADS = tuple(SPECS)
 
 # One step in a fresh process: build a workload's inputs, or run its operation and
 # print the process's peak resident set in MB.
@@ -38,8 +51,8 @@ _CHILD = """
 import contextlib, resource, sys
 from pathlib import Path
 import workloads
-action, name, seed, data, out = sys.argv[1:]
-spec, seed, data = workloads.WORKLOADS[name], int(seed), Path(data)
+action, spec, seed, data, out = sys.argv[1:]
+spec, seed, data = workloads.Workload.from_json(spec), int(seed), Path(data)
 if action == "inputs":
     workloads.make_inputs(spec, seed, data)
     sys.exit()
@@ -59,7 +72,8 @@ def _step(src: Path, action: str, name: str, seed: int, data: Path, out: Path) -
     stderr if it fails."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(PERFBENCH)]),
                PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run([sys.executable, "-c", _CHILD, action, name, str(seed), str(data),
+    spec = json.dumps(asdict(SPECS[name]))
+    done = subprocess.run([sys.executable, "-c", _CHILD, action, spec, str(seed), str(data),
                            str(out)], env=env, cwd=data.parent, capture_output=True, text=True)
     if done.returncode:
         raise StepFailed(f"{action} under {src} failed:\n{done.stderr.strip()}")

@@ -27,18 +27,25 @@ from pathlib import Path
 
 
 def file_digests(run_dir: Path) -> dict[str, str]:
-    """SHA-256 of every file under ``run_dir``, by its relative POSIX path."""
+    """SHA-256 of every file under ``run_dir``, by its relative POSIX path. Files
+    other than ``report.json`` and ``corpus.sha256`` are read 1 MiB at a time, so
+    digesting a large run directory does not raise this process's peak, which a
+    child process it starts afterwards inherits as its own ``ru_maxrss``."""
     digests = {}
     for path in sorted(p for p in run_dir.rglob("*") if p.is_file()):
         name = path.relative_to(run_dir).as_posix()
-        data = path.read_bytes()
+        digest = hashlib.sha256()
         if name == "report.json":
-            report = json.loads(data)
+            report = json.loads(path.read_bytes())
             report["metadata"].pop("timestamp", None)
-            data = json.dumps(report, sort_keys=True).encode()
+            digest.update(json.dumps(report, sort_keys=True).encode())
         elif name == "corpus.sha256":
-            data = data.split()[0]
-        digests[name] = hashlib.sha256(data).hexdigest()
+            digest.update(path.read_bytes().split()[0])
+        else:
+            with open(path, "rb") as fh:
+                for chunk in iter(lambda: fh.read(1 << 20), b""):
+                    digest.update(chunk)
+        digests[name] = digest.hexdigest()
     return digests
 
 

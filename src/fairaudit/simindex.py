@@ -20,19 +20,26 @@ Memory. Every search reads float32 rows, checked by the rule an
 a matrix's rows as they are, other rows rounded to float32 once; no float64 copy of
 the rows is made. The kernel gathers the rows of the pairs it scores, as float64,
 and, for cosine, divides them by the norms that :func:`~fairaudit._util.unit_rows`
-returned (for a field, when it wrote the float32 screen copy), which gives the bits
-of unit rows; a query row is divided once per rescore, unless its pairs fill more
-than one gather. For euclidean the screen copy is the rows times the pass's one
-power of two, taken in float64. Beyond the screen copies a search holds tiles of a
+returned for the field, which gives the bits of unit rows; a query row is divided
+once per rescore, unless its pairs fill more than one gather. The screen reads a
+cosine field in place when every row's norm is within ``rho_max = 2**-16`` of 1
+(a zero row counts, its stored norm being 1): every hashed field, and every field
+of a normalized ingest. Each other field gets a float32 screen copy, one matrix
+more over all of them: for cosine its unit rows, divided by the norms already
+taken (rows not normalized on ingest, and the one whole-row field of a search
+without field weights), and for euclidean every field, the rows times the pass's
+one power of two, taken in float64. Beyond those copies a search holds tiles of a
 fixed size and, per selection and row, k floats and its candidates.
 
-Screen error. The screen reads float32 copies of the rows the kernel scores: unit
-rows for cosine, and for euclidean the rows times one power of two ``c`` (exact)
-that brings the largest magnitude of the fields the pass screens, over its query and
-reference rows, into [1/2, 1), so nothing overflows (cosine: c = 1). A field far
-below that magnitude loses low bits or underflows in its copy, which the terms in
-``t`` below cover. Per field of width d < 2**22, let ``S = max |q|^2 + max |r|^2`` of
-the copies, each maximum over the rows of the selection (a self-search: its query
+Screen error. The screen reads float32 rows near those the kernel scores: for
+cosine the stored rows, if their norms are within rho_max of 1, else their unit
+rows rounded to float32 (a copy); for euclidean a copy of the rows times one power
+of two ``c`` (exact) that brings the largest magnitude of the fields the pass
+screens, over its query and reference rows, into [1/2, 1), so nothing overflows
+(cosine: c = 1). A field far below that magnitude loses low bits or underflows in
+its copy, which the terms in ``t`` below cover. Per field of width d < 2**22, let
+``S = max |q|^2 + max |r|^2`` of the rows the screen reads, each maximum over the
+rows of the selection (a self-search: its query
 rows, and its reference rows; a query search: its rows of the query tile, and its
 reference rows), so S bounds ``|q|^2 + |r|^2`` of every pair in either orientation;
 ``u = 2**-24``, ``eps = 2u``, and ``t = 2**-149`` the least float32 subnormal.
@@ -43,6 +50,10 @@ length d, any order, is within ``d u |q||r| / (1 - d u) + d t / 2`` of exact (Hi
 kernel's own error is 2**29 times smaller. So, with room to spare:
 
 - cosine: ``|screen - kernel| <= e = (d + 8) eps S + 8 d t``, magnitude ``m = S + e``.
+  A field read in place screens ``x_q . x_r = n_q n_r (kernel)`` with ``n`` the
+  norms the kernel divides by, so with ``rho`` the largest ``|n - 1|`` over the
+  selection's query rows and over its reference rows (0 for a copy), e and m each
+  gain ``((1 + rho_q)(1 + rho_r) - 1)(1 + 8 eps)``, in :meth:`_Plan.bound`.
 - euclidean: the GEMM form is within ``E = (d + 8) eps S + 4 d t`` of ``|q - r|^2`` of
   the copies. As ``|sqrt a - sqrt b| <= |a - b| / (sqrt a + sqrt b)``, a screened
   distance D is within ``r(D) = (1 + u) E / max(D, sqrt E)`` plus ``e = 2 eps sqrt S +
@@ -63,7 +74,8 @@ screen from the same field GEMMs, so no screen copy of whole rows is made.
 - cosine: with ``a_if = |x_if| / |x_i|`` (0 for an empty field), the cosine of whole
   rows is ``sum_f a_if a_jf g_f(i, j)`` exactly, ``g_f`` the field cosine, for any
   rows. As ``sum_f a_if^2 = 1``, ``sum_f a_if a_jf <= 1`` (Cauchy-Schwarz), so the
-  field GEMMs' errors add to at most ``max_f e_f``. Rounding each ``a`` to float32,
+  field GEMMs' errors add to at most ``max_f e_f``, each ``e_f`` with its in-place
+  term. Rounding each ``a`` to float32,
   the two float32 products per field and the float32 sum of the P terms add at most
   ``(P + 8) eps m`` and underflow ``4 P t (1 + m)``, ``m = max_f m_f``: ``delta =
   max_f e_f + (P + 8) eps m + 4 P t (1 + m) + 2 P 2**-1074``, and R = 0.
@@ -202,6 +214,9 @@ _GATHER_ELEMS = 1 << 17
 # float32's eps and least subnormal, float64's least subnormal (module docstring)
 _EPS, _TINY = float(np.finfo(np.float32).eps), float(np.finfo(np.float32).smallest_subnormal)
 _TINY64 = float(np.finfo(np.float64).smallest_subnormal)
+# The largest |norm - 1| of the rows of a cosine field that the screen reads in
+# place, without a unit copy (module docstring, "Screen error").
+_RHO_MAX = 2.0**-16
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,8 +249,10 @@ def _scale(metric: str, *blocks: np.ndarray) -> float:
 class _Rows(NamedTuple):
     """One field's float32 rows and, for cosine, the norms from :func:`unit_rows`,
     which make them the unit rows the pair kernel scores (``norms`` None: the kernel
-    scores the rows as they are); their float32 screen copy and the copy's squared
-    norms, summed in float64 (None for the whole rows of a whole-row kernel)."""
+    scores the rows as they are); the float32 rows the screen reads, ``rows``
+    itself for a cosine field of near-unit rows and else a copy (:func:`_field`),
+    and their squared norms, summed in float64 (None for the whole rows of a
+    whole-row kernel)."""
 
     rows: np.ndarray
     norms: np.ndarray | None
@@ -245,6 +262,13 @@ class _Rows(NamedTuple):
     def part(self, start: int, stop: int) -> "_Rows":
         """Rows ``start:stop``, a view."""
         return _Rows(*(None if x is None else x[start:stop] for x in self))
+
+    def deviation(self, index) -> float:
+        """The largest ``|norm - 1|`` of the rows ``index`` if the screen reads the
+        rows in place, else 0 (module docstring, "Screen error")."""
+        if not np.may_share_memory(self.low, self.rows):
+            return 0.0
+        return float(np.abs(self.norms[index] - 1.0).max(initial=0.0))
 
 
 class _Side(NamedTuple):
@@ -273,15 +297,23 @@ def _gather(field: _Rows, index: np.ndarray) -> np.ndarray:
 
 
 def _field(data: np.ndarray, metric: str, scale: float) -> _Rows:
-    """The rows of one field, a view of ``data``, and their float32 screen copy: for
-    cosine the unit rows that :func:`unit_rows` writes, for euclidean the rows times
-    ``scale``, multiplied in float64 (``scale`` may exceed float32)."""
-    low = np.empty(data.shape, np.float32)
+    """The rows of one field, a view of ``data``, and the float32 rows its screen
+    reads: for cosine, ``data`` itself if every row's norm is within ``_RHO_MAX`` of
+    1 (a zero row's stored norm is 1), else the unit rows that :func:`unit_rows`
+    would write, divided by the norms it returned; for euclidean the rows times
+    ``scale``, multiplied in float64 (``scale`` may exceed float32). A copy is
+    divided or multiplied in float64 and rounded to float32 once."""
     if metric == "cosine":
-        norms = unit_rows(data, low)
+        norms = unit_rows(data)
+        if np.abs(norms - 1.0).max(initial=0.0) <= _RHO_MAX:
+            low = data
+        else:
+            low = np.divide(data, norms[:, None], out=np.empty(data.shape, np.float32),
+                            dtype=np.float64, casting="same_kind")
     else:
         norms = None
-        np.multiply(data, scale, out=low, dtype=np.float64, casting="same_kind")
+        low = np.multiply(data, scale, out=np.empty(data.shape, np.float32),
+                          dtype=np.float64, casting="same_kind")
     return _Rows(data, norms, low, np.einsum("ij,ij->i", low, low, dtype=np.float64))
 
 
@@ -371,13 +403,14 @@ def _tile_screens(q: _Side, ref: _Side, plans, metric: str) -> list:
     return list(zip(screens, radii))
 
 
-def _field_error(s, metric: str, d: int, n_fields: int, e_sq=None):
+def _field_error(s, metric: str, d: int, n_fields: int, e_sq=None, norm_term=0.0):
     """One field's error terms (module docstring) for the bound ``S`` of a selection:
-    the constant bound ``e``, the magnitude ``m`` and, for euclidean, float32 ``(E,
-    sqrt(E))`` with E (by default the GEMM form's) raised and sqrt(E) lowered so that
-    the float32 radius stays a bound."""
+    the constant bound ``e`` (for cosine, plus ``norm_term`` for rows read in place),
+    the magnitude ``m`` and, for euclidean, float32 ``(E, sqrt(E))`` with E (by
+    default the GEMM form's) raised and sqrt(E) lowered so that the float32 radius
+    stays a bound."""
     if metric == "cosine":
-        e = (d + 8) * _EPS * s + 8 * d * _TINY
+        e = (d + 8) * _EPS * s + 8 * d * _TINY + norm_term
         return e, s + e, None
     if e_sq is None:
         e_sq = (d + 8) * _EPS * s + 4 * d * _TINY
@@ -565,15 +598,18 @@ class _Plan:
         ``q_rows`` of ``q`` against the selection's reference rows of ``ref``."""
         s = [q.fields[f].sq[q_rows].max() + ref.fields[f].sq[self.cols].max()
              for f in self.used]
+        terms = [((1 + q.fields[f].deviation(q_rows)) * (1 + ref.fields[f].deviation(self.cols))
+                  - 1) * (1 + 8 * _EPS) for f in self.used]
         n = len(self.used)
         if not self.whole:
             delta = 2 * n * self.scale * _TINY64
-            for slot, w, sf in zip(self.used, self.weights, s):
-                e, m, self.sq_errors[slot] = _field_error(sf, metric, d, n)
+            for slot, w, sf, term in zip(self.used, self.weights, s, terms):
+                e, m, self.sq_errors[slot] = _field_error(sf, metric, d, n, norm_term=term)
                 delta = delta + w / self.total * (e + (n + 2) * _EPS * m)
                 delta = delta + 2 * _TINY * (1 + m)
         elif metric == "cosine":
-            e, m = map(max, zip(*(_field_error(sf, metric, d, n)[:2] for sf in s)))
+            e, m = map(max, zip(*(_field_error(sf, metric, d, n, norm_term=term)[:2]
+                                  for sf, term in zip(s, terms))))
             delta = e + (n + 8) * _EPS * m + 4 * n * _TINY * (1 + m) + 2 * n * _TINY64
         else:
             e_sq = n * _TINY + sum((1 + n * _EPS) * ((d + 8) * _EPS * sf + 4 * d * _TINY)

@@ -526,10 +526,11 @@ class TestOneSplitOrderedMatrix:
             path = out / f"decisions_{source.replace(':', '_')}.json"
             assert load_decisions(path).index_order == ids, source
 
-    # peak traced memory over the matrix's bytes (N=1000, d=768, every source): the
-    # parent, which embedded in corpus order and so copied the train rows out of the
-    # matrix and kept the copy in the kNN model, read 3.40 (3.44 under pytest); fits
-    # on views read 2.60. The peak is the neighbor pass's.
+    # peak traced memory over the matrix's bytes (N=1000, d=768, every source): with a
+    # float32 unit copy of every field for the neighbor pass it read 2.60, the copy
+    # 1.0 of that; a screen that reads the hashed (unit) field blocks in place reads
+    # about 1.69. Embedding in corpus order, which copied the train rows out of the
+    # matrix for the kNN model, read 3.40 before that.
     def test_audit_memory_holds_one_matrix(self, tmp_path, monkeypatch):
         embedded, _ = self.capture(monkeypatch)
         corpus = make_corpus(tmp_path, n=1000, seed=3, rater_seed=4)
@@ -542,7 +543,7 @@ class TestOneSplitOrderedMatrix:
         finally:
             tracemalloc.stop()
         (matrix,) = embedded
-        assert peak < 3.0 * matrix.data.nbytes, f"peak {peak / matrix.data.nbytes:.2f}x the matrix"
+        assert peak < 2.0 * matrix.data.nbytes, f"peak {peak / matrix.data.nbytes:.2f}x the matrix"
 
 
 def bits(data):

@@ -24,6 +24,14 @@ def test_a_tree_against_itself_writes_the_same_bytes():
     assert all(10 < float(peak) < 1000 for peak in same.groups()[1:]), done.stdout
 
 
+def test_the_no_rerank_variant_runs_and_passes_the_workload_checks():
+    src = str(ROOT / "src")
+    done = compare_runs(src, src, "--workloads", "audit-paper-norerank", "--seeds", "1")
+    assert done.returncode == 0, done.stderr
+    assert re.fullmatch(r"audit-paper-norerank seed 1: 0 of \d+ files differ; "
+                        r"peak \d+\.\d MB old, \d+\.\d MB new\n", done.stdout), done.stdout
+
+
 def test_an_unknown_workload_is_a_usage_error():
     src = str(ROOT / "src")
     done = compare_runs(src, src, "--workloads", "audit-huge")

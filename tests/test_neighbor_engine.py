@@ -132,6 +132,29 @@ def wide_near_duplicates(draw, n_fields=1):
     return np.array(rows)
 
 
+@st.composite
+def near_unit_rows(draw, n_fields=1):
+    """Rows whose field blocks are unit rows as ``_util.unit_rows`` rounds them to
+    float32, each field's rows times ``1 +- 2**-17`` (within rho_max of unit norm,
+    read in place by a cosine screen) or ``1 +- 2**-15`` (copied) or as they are,
+    some blocks zero and some rows a copy of an earlier row."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 10))
+    d = draw(st.sampled_from([1, 2, 4, 16]))
+    blocks = []
+    for step in draw(st.lists(st.sampled_from([0.0, 2.0**-17, 2.0**-15]), min_size=n_fields,
+                              max_size=n_fields)):
+        block = np.empty((n, d), np.float32)
+        _util.unit_rows(rng.standard_normal((n, d)), block)
+        block = np.float32(block * (1 + step * rng.choice([-1.0, 1.0], (n, 1))))
+        block[rng.random(n) < 0.2] = 0.0
+        blocks.append(block)
+    rows = np.hstack(blocks).astype(np.float64)
+    for i in np.flatnonzero(rng.random(n) < 0.3)[1:]:
+        rows[i] = rows[rng.integers(0, i)]
+    return rows
+
+
 def spread_fields(rows, shifts):
     """``rows`` with field block f times ``2**shifts[f]`` in each row where that
     keeps the block below 2**126 (elsewhere as it is), so fields lie far apart in
@@ -431,12 +454,12 @@ def scaled_rows(rows, shifts):
     n_fields=st.sampled_from([1, 3]),
     metric=st.sampled_from(["cosine", "euclidean"]),
     extreme=st.booleans(),
-    wide=st.booleans(),
+    kind=st.sampled_from(["tie_heavy", "wide", "near_unit"]),
     spread=st.booleans(),
     self_search=st.booleans(),
     draw=st.data(),
 )
-def test_every_screened_entry_is_within_its_bound(n_fields, metric, extreme, wide, spread,
+def test_every_screened_entry_is_within_its_bound(n_fields, metric, extreme, kind, spread,
                                                   self_search, draw):
     """Over one tile that covers every row, each entry of a selection's screen lies
     within ``R + delta`` of its exact score in the screen's units (the pass's one
@@ -446,13 +469,18 @@ def test_every_screened_entry_is_within_its_bound(n_fields, metric, extreme, wid
     GEMMs, alone or together. A bound too tight fails here even where no top-k
     changes. Wide fields of near-duplicate rows (``wide``) make the float32 GEMM's
     rounding matter; fields up to 2**+-120 apart (``spread``) leave the copies of a
-    weak field to underflow at the pass's scale."""
-    rows = draw.draw(wide_near_duplicates(n_fields) if wide else tie_heavy(n_fields, extreme))
-    if spread:
+    weak field to underflow at the pass's scale; fields of rows near unit norm
+    (``near_unit``, neither spread nor shifted) are read in place by a cosine screen
+    unless their norms stray beyond rho_max."""
+    rows = draw.draw({"wide": wide_near_duplicates(n_fields), "near_unit": near_unit_rows(
+        n_fields)}.get(kind, tie_heavy(n_fields, extreme)))
+    if spread and kind != "near_unit":
         rows = spread_fields(rows, draw.draw(field_shifts(n_fields)))
     shifts = st.lists(st.integers(-20, 20), min_size=len(rows), max_size=len(rows))
-    if wide:  # one shift for every row keeps the near duplicates near
+    if kind == "wide":  # one shift for every row keeps the near duplicates near
         shifts = st.integers(-20, 20).map(lambda shift: [shift] * len(rows))
+    elif kind == "near_unit":
+        shifts = st.just([0] * len(rows))
     data = scaled_rows(rows, draw.draw(shifts))
     queries = data if self_search else scaled_rows(rows, draw.draw(shifts))
     weights = np.ones(1) if n_fields == 1 else simindex.check_field_weights(draw.draw(

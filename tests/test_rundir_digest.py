@@ -83,3 +83,25 @@ def test_more_than_two_arguments_exit_2(tmp_path):
     done = subprocess.run([sys.executable, str(SCRIPT), *[str(tmp_path)] * 3],
                           capture_output=True, text=True)
     assert done.returncode == 2
+
+
+DIGEST_CHILD = """
+import hashlib, sys, tracemalloc
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from rundir_digest import file_digests
+run = Path(sys.argv[2])
+tracemalloc.start()
+digests = file_digests(run)
+print(tracemalloc.get_traced_memory()[1])
+assert digests == {"embeddings.faem": hashlib.sha256((run / "embeddings.faem").read_bytes()).hexdigest()}
+"""
+
+
+def test_a_large_file_is_digested_without_reading_it_whole(tmp_path):
+    """A child process inherits its parent's peak resident set as its own
+    ``ru_maxrss``, so compare_runs.py must not read a whole run-directory file."""
+    (tmp_path / "embeddings.faem").write_bytes(bytes(range(256)) * (1 << 16))  # 16 MiB
+    done = subprocess.run([sys.executable, "-c", DIGEST_CHILD, str(SCRIPT.parent), str(tmp_path)],
+                          capture_output=True, text=True, check=True)
+    assert int(done.stdout) < 4 << 20, f"peak {int(done.stdout) >> 20} MiB"

@@ -1,12 +1,14 @@
 """Similarity, exact/batched k-NN, and feature-reranked retrieval."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairaudit import _util, simindex
 from fairaudit.embed import EmbeddingMatrix
 from fairaudit.errors import (AlignmentError, DimensionMismatchError, IntegrityError,
                               NonFiniteError, ParseError, SizeError)
@@ -285,6 +287,126 @@ class TestSearchQueries:
     def test_rows_that_are_not_2d_are_a_dimension_error(self, queries, reference):
         with pytest.raises(DimensionMismatchError, match="axis count mismatch: expected 2"):
             search(queries, reference, [Selection(1)], "cosine")
+
+
+def unit_oracle(x):
+    """Float64 unit rows of the float32 rows ``x``; zero rows stay zero."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+    return x / np.where(norms == 0, 1.0, norms)
+
+
+def cosine_oracle(queries, reference, selection):
+    """Brute-force float64 ranking of one cosine selection: every pair scored by the
+    row-wise dot product of unit rows (of each field, weighted and added in field
+    order, or of the whole rows), its own index left out if it excludes self, ties by
+    the place among the selection's reference rows."""
+    rows = np.arange(len(queries)) if selection.rows is None else selection.rows
+    cols = np.arange(len(reference)) if selection.cols is None else selection.cols
+    weights = [1.0] if selection.weights is None else selection.weights
+    i, j = np.divmod(np.arange(len(rows) * len(cols)), len(cols))
+    scores = 0.0
+    for q, r, w in zip(np.split(queries[rows], len(weights), axis=1),
+                       np.split(reference[cols], len(weights), axis=1), weights):
+        if w:
+            scores = scores + w * np.einsum("ij,ij->i", unit_oracle(q)[i], unit_oracle(r)[j])
+    scores = (scores / sum(weights)).reshape(len(rows), len(cols))
+    if selection.exclude_self:
+        scores[rows[:, None] == cols[None, :]] = -np.inf
+    order = np.argsort(-scores, axis=1, kind="stable")[:, : selection.k]
+    return order, np.take_along_axis(scores, order, axis=1)
+
+
+# How far each kind of field block's rows lie from unit norm: unit rows as
+# unit_rows writes them, and unit rows times 1 +- 2**-17 (read in place) or
+# 1 +- 2**-15 (beyond rho_max = 2**-16: copied).
+NORM_STEPS = {"unit": 0.0, "near": 2.0**-17, "far": 2.0**-15}
+
+
+@st.composite
+def field_blocks(draw, n_fields, d):
+    """Float32 rows of ``n_fields`` blocks of width ``d``, each block of one kind of
+    ``NORM_STEPS``, some rows' blocks zero and some rows a copy of an earlier row;
+    and the kinds."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 12))
+    kinds = draw(st.lists(st.sampled_from(sorted(NORM_STEPS)), min_size=n_fields,
+                          max_size=n_fields))
+    blocks = []
+    for kind in kinds:
+        block = np.empty((n, d), np.float32)
+        _util.unit_rows(rng.standard_normal((n, d)), block)
+        sign = rng.choice([-1.0, 1.0], (n, 1))
+        block = (block * (1 + sign * NORM_STEPS[kind])).astype(np.float32)
+        block[rng.random(n) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+        blocks.append(block)
+    data = np.hstack(blocks)
+    for i in np.flatnonzero(rng.random(n) < 0.2)[1:]:
+        data[i] = data[rng.integers(0, i)]
+    return data, kinds
+
+
+class TestScreenInPlace:
+    """The screen reads a cosine field in place when its rows' norms are within
+    rho_max of 1, and else a unit copy; either way neighbors and scores are the
+    float64 oracle's, with ``==``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.sampled_from([3, 8, 24]), self_search=st.booleans(), draw=st.data())
+    def test_both_screen_paths_equal_the_oracle(self, d, self_search, draw):
+        reference, ref_kinds = draw.draw(field_blocks(3, d))
+        queries, q_kinds = (reference, ref_kinds) if self_search else draw.draw(
+            field_blocks(3, d))
+        weights = simindex.check_field_weights(draw.draw(st.lists(
+            st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=3, max_size=3).filter(any)), 3)
+        n = len(reference)
+        cols = np.array(draw.draw(st.permutations(range(n)))[: draw.draw(st.integers(2, n))])
+        chosen = [Selection(draw.draw(st.integers(1, n - 1)), weights, exclude_self=self_search),
+                  Selection(draw.draw(st.integers(1, len(cols) - 1)), cols=cols,
+                            exclude_self=self_search)]
+        field, results = simindex._field, []
+        for rho_max in (simindex._RHO_MAX, -1.0):  # each as it reads, then every field copied
+            taken = []
+
+            def recorded(data, metric, scale):
+                rows = field(data, metric, scale)
+                taken.append((data.any(), np.shares_memory(rows.low, data)))
+                return rows
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(simindex, "_field", recorded)
+                patch.setattr(simindex, "_RHO_MAX", rho_max)
+                got = search(queries, reference, chosen, "cosine")
+            # one call per field of the reference, then of the one query tile
+            kinds = ref_kinds + ([] if self_search else q_kinds)
+            assert len(taken) == len(kinds)
+            for kind, (nonzero, in_place) in zip(kinds, taken):
+                assert in_place == (rho_max > 0 and (kind != "far" or not nonzero))
+            for selection, (neighbors, scores) in zip(chosen, got):
+                want = cosine_oracle(queries, reference, selection)
+                assert np.array_equal(neighbors, want[0]) and np.array_equal(scores, want[1])
+            results.append(got)
+        for a, b in zip(*results):
+            assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    def test_a_pass_over_unit_fields_holds_no_copy_of_them(self):
+        """Five unit fields of 768 entries, N=2000: one pass of a weighted and a
+        whole-row selection peaks well below the matrix's bytes (a unit copy of
+        every field was one matrix more)."""
+        rng = np.random.default_rng(0)
+        n, d = 2000, 768
+        data = np.empty((n, 5 * d), np.float32)
+        for f in range(5):
+            _util.unit_rows(rng.standard_normal((n, d)), data[:, f * d : (f + 1) * d])
+        weights = simindex.check_field_weights(None, 5)
+        chosen = [Selection(5, weights, exclude_self=True), Selection(5, cols=np.arange(0, n, 2))]
+        tracemalloc.start()
+        try:
+            search(data, data, chosen, "cosine")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * data.nbytes, f"peak {peak / data.nbytes:.2f}x the matrix"
 
 
 class TestNeighborListChecks:
