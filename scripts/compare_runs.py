@@ -7,11 +7,15 @@ an audit workload runs ``run_audit`` and cli-ingest runs the ``cli_steps``
 chain. Besides the benchmark's workloads, two variants of audit-paper run the
 searches it does not: ``audit-paper-norerank`` (``rerank=False``: one
 whole-row field, which the cosine screen copies) and ``audit-paper-euclidean``
-(``metric="euclidean"``). The two output directories are compared with
-``rundir_digest``: every file that differs, or exists on one side only, is
-printed. Each summary line also gives both runs' peak resident set
-(``ru_maxrss`` of the run's own process, in MB of 2^20 bytes), so one
-operation's peak is read in a fresh process.
+(``metric="euclidean"``). Each process runs the operation twice, into two
+directories. The output directories are compared with ``rundir_digest``: every
+file that differs between the trees' first runs, or exists on one side only, is
+printed, and so is every file of a tree's second run that differs from its
+first ("old rerun: PATH"). Each summary line also gives the peak resident set
+of each tree's process (``ru_maxrss``, in MB of 2^20 bytes) after its first and
+after its second run: the first is one operation's peak in a fresh process,
+and the rise to the second is what a process that runs operations back to back
+(as the benchmark's client does) keeps from the first.
 
     python scripts/compare_runs.py OLD_SRC NEW_SRC [--workloads W,...] [--seeds 1,2,3]
 
@@ -45,8 +49,8 @@ SPECS = {**workloads.WORKLOADS, **{
                          ("audit-paper-euclidean", {"metric": "euclidean"}))}}
 WORKLOADS = tuple(SPECS)
 
-# One step in a fresh process: build a workload's inputs, or run its operation and
-# print the process's peak resident set in MB.
+# One step in a fresh process: build a workload's inputs, or run its operation twice,
+# into OUT and OUT-again, printing the process's peak resident set in MB after each.
 _CHILD = """
 import contextlib, resource, sys
 from pathlib import Path
@@ -57,9 +61,11 @@ if action == "inputs":
     workloads.make_inputs(spec, seed, data)
     sys.exit()
 run = workloads.run_audit_op if spec.kind == "audit" else workloads.run_cli_op
-result = run(spec, seed, data, Path(out), lambda *_: contextlib.nullcontext())
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
-sys.exit("; ".join(result.failures) or None)
+for out in (Path(out), Path(out + "-again")):
+    result = run(spec, seed, data, out, lambda *_: contextlib.nullcontext())
+    if result.failures:
+        sys.exit("; ".join(result.failures))
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
 
 
@@ -80,19 +86,25 @@ def _step(src: Path, action: str, name: str, seed: int, data: Path, out: Path) -
     return done.stdout
 
 
+def _differ(a: dict, b: dict) -> list[str]:
+    return sorted(path for path in a.keys() | b.keys() if a.get(path) != b.get(path))
+
+
 def compare(old_src: Path, new_src: Path, name: str, seed: int, work: Path):
     """The number of files the two trees wrote for one workload and seed, the files
-    that differ, and each run's peak resident set in MB."""
+    that differ (a tree's second run against its first, "SIDE rerun: PATH"), and
+    each tree's peaks in MB after its first and its second run."""
     data = work / "data"
     data.mkdir(parents=True)
     _step(old_src, "inputs", name, seed, data, data)
-    digests, peaks = [], []
+    digests, differ, peaks = [], [], []
     for side, src in (("old", old_src), ("new", new_src)):
-        peaks.append(float(_step(src, "run", name, seed, data, work / side).split()[-1]))
-        digests.append(file_digests(work / side))
+        peaks.append([float(mb) for mb in _step(src, "run", name, seed, data, work / side).split()])
+        first, again = file_digests(work / side), file_digests(work / f"{side}-again")
+        differ += [f"{side} rerun: {path}" for path in _differ(first, again)]
+        digests.append(first)
     old, new = digests
-    differ = sorted(path for path in old.keys() | new.keys() if old.get(path) != new.get(path))
-    return len(old.keys() | new.keys()), differ, peaks
+    return len(old.keys() | new.keys()), _differ(old, new) + differ, peaks
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -116,15 +128,17 @@ def main(argv: list[str] | None = None) -> int:
             for seed in seeds:
                 work = Path(tmp) / f"{name}-{seed}"
                 try:
-                    files, differ, (old_mb, new_mb) = compare(*srcs, name, seed, work)
+                    files, differ, ((old_mb, old_again), (new_mb, new_again)) = compare(
+                        *srcs, name, seed, work)
                 except StepFailed as exc:
                     print(f"{name} seed {seed}: {exc}", file=sys.stderr)
                     return 2
                 print(f"{name} seed {seed}: {len(differ)} of {files} files differ; "
-                      f"peak {old_mb:.1f} MB old, {new_mb:.1f} MB new")
+                      f"peak {old_mb:.1f} then {old_again:.1f} MB old, "
+                      f"{new_mb:.1f} then {new_again:.1f} MB new")
                 print("".join(f"  {path}\n" for path in differ), end="")
                 differ_any |= bool(differ)
-                shutil.rmtree(work)  # a cli-ingest seed leaves about 300 MB
+                shutil.rmtree(work)  # a cli-ingest seed leaves about 500 MB
     return 1 if differ_any else 0
 
 

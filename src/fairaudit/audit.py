@@ -47,6 +47,7 @@ from .dataset import (
     check_ratios,
     check_stage,
     load_corpus,
+    load_corpus_labels,
     save_split,
     split_corpus,
 )
@@ -86,6 +87,7 @@ class Learner:
     AuditConfig (kNN reads its ``k`` and ``metric``); ``predict(model, x)``
     returns one decision per viewed row. ``space`` is the family's default
     search space for ``random_search``; None for a family that is not searched.
+    ``fit_reads_validation`` says whether ``fit`` reads ``x_val`` and ``y_val``.
     """
 
     source: str
@@ -93,6 +95,7 @@ class Learner:
     fit: Callable
     predict: Callable
     space: dict | None = None
+    fit_reads_validation: bool = False
 
 
 def _fit_knn(train, y_train, val, y_val, config):
@@ -119,6 +122,7 @@ LEARNERS = {
         lambda model, x: model.predict(x),
         {"learning_rate": (0.02, 0.5), "hidden_dim": [16, 32, 64], "head_dim": [8, 16, 32],
          "batch_size": [16, 32, 64]},
+        fit_reads_validation=True,  # early stopping
     ),
 }
 
@@ -348,6 +352,13 @@ class AuditReport:
 # stages shared by run_audit and the CLI
 
 
+def read_corpus(path, config: AuditConfig) -> list:
+    """The corpus at ``path`` as ``embed_profiles`` reads it under ``config``: Profiles
+    with their text for the hashing embedder, and for ingest, which hashes nothing,
+    ProfileLabels (``load_corpus_labels``: ids, labels and outcomes alone)."""
+    return (load_corpus if config.embedder == "hash" else load_corpus_labels)(path)
+
+
 def embed_profiles(profiles: list[Profile], config: AuditConfig, seed: int) -> EmbeddingMatrix:
     """The rows every stage reads, float32 values as embeddings.faem stores them:
     hashed with the stage seed ``seed`` (each field block a unit vector), or
@@ -411,7 +422,8 @@ def run_audit(corpus_path, config: AuditConfig | None = None, out_dir=None) -> A
     config = config or AuditConfig()
     seeds = derive_seeds(config.seed, ("embed", "split", "stumps", "birnn", "search"))
     corpus_sha256, profiles = _stage("load", lambda: (
-        hashlib.sha256(Path(corpus_path).read_bytes()).hexdigest(), load_corpus(corpus_path)
+        hashlib.sha256(Path(corpus_path).read_bytes()).hexdigest(),
+        read_corpus(corpus_path, config),
     ))
     ids = tuple(p.id for p in profiles)  # the order of embeddings.faem and each decisions file
     split = _stage(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -25,6 +25,7 @@ from .audit import (
     embed_profiles,
     neighbor_pass,
     predict_decisions,
+    read_corpus,
     render_report,
     run_audit,
     searches,
@@ -38,7 +39,7 @@ from .dataset import (
     attach_stage_labels,
     binarize_labels,
     generate_synthetic_corpus,
-    load_corpus,
+    load_corpus_labels,
     load_decisions,
     load_split,
     save_corpus,
@@ -239,7 +240,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_embed(args) -> int:
     config = _config(AuditConfig, args)  # a rejected value exits 1 before --out is written
-    profiles = load_corpus(args.corpus)
+    profiles = read_corpus(args.corpus, config)
     matrix = embed_profiles(profiles, config, args.seed)
     if args.neighbors_out:  # before either file: a k the corpus cannot serve writes neither
         [structure] = neighbor_pass(matrix, config, [matrix.index_order])[0].values()
@@ -253,7 +254,7 @@ def _cmd_embed(args) -> int:
 
 def _cmd_split(args) -> int:
     config = _config(AuditConfig, args)
-    profiles = load_corpus(args.corpus)
+    profiles = load_corpus_labels(args.corpus)
     split = split_corpus(profiles, config.ratios, config.seed, config.stratify_on)
     save_split(split, args.out)
     print(
@@ -267,8 +268,10 @@ def _cmd_train(args) -> int:
         at = f" at --search-trials {args.search_trials}" if LEARNERS[args.family].space else ""
         raise ValueError(f"--trials-out: family {args.family!r} is not searched{at}")
     config = _config(AuditConfig, args, embedder="ingest", normalize=False)
-    profiles = load_corpus(args.corpus)
+    profiles = load_corpus_labels(args.corpus)  # nothing is hashed
     split = load_split(args.splits)
+    if not (searches(args.family, args.search_trials) or LEARNERS[args.family].fit_reads_validation):
+        split = replace(split, validation=())  # unread, so the embeddings need not hold them
     with naming(args.splits):  # a split id that the corpus lacks
         profiles = split_order(profiles, split, ("train", "validation"))  # no test row is read
     matrix = embed_profiles(profiles, config, config.seed)

@@ -90,6 +90,17 @@ class Profile:
         object.__setattr__(self, "fields", filled)
 
 
+@dataclass(frozen=True)
+class ProfileLabels:
+    """A profile read without its text fields (``load_corpus_labels``): what the
+    steps that hash no text read. Splits and label binarization take it as they
+    take a Profile; the hashing embedder refuses it."""
+
+    id: str
+    labels: dict[str, str]
+    outcome: str | None
+
+
 @dataclass(frozen=True, eq=False)
 class DecisionVector:
     """Binary decisions from one source, aligned to an explicit id order."""
@@ -207,7 +218,9 @@ class RaterConfig:
 # corpus I/O
 
 
-def _profile_from_record(obj: dict, line: int) -> Profile:
+def _checked_record(obj: dict, line: int) -> tuple:
+    """``(id, fields, labels, outcome)`` of one corpus record, after every check of
+    its keys and values; a failed check is a ParseError naming ``line``."""
     if not isinstance(obj, dict):
         raise ParseError("record is not an object", line)
     pid = obj.get("id")
@@ -233,7 +246,7 @@ def _profile_from_record(obj: dict, line: int) -> Profile:
     if outcome is not None and not isinstance(outcome, str):
         raise ParseError("'type' must be a string", line)
     stages = dict(zip(_LABEL_KEYS, STAGES))
-    return Profile(pid, fields, {stages.get(k, k): v for k, v in labels.items()}, outcome)
+    return pid, fields, {stages.get(k, k): v for k, v in labels.items()}, outcome
 
 
 def _corpus_format(path, format: str | None) -> str:
@@ -257,6 +270,25 @@ def _csv_rows(reader):
             yield line, row
 
 
+def _corpus_records(path, format: str | None):
+    """``_checked_record`` of each record of a corpus file, in file order, one at a
+    time: the file's only reader. A CSV row reads as the JSONL record of its
+    nonempty cells."""
+    if _corpus_format(path, format) == "jsonl":
+        for line, obj in read_jsonl(path):
+            yield _checked_record(obj, line)
+        return
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or "id" not in header:
+            raise ParseError("CSV must have a header row including 'id'", 1)
+        for line, row in _csv_rows(reader):
+            record = {key: value for key, value in zip(header, row) if value and key in _COLUMNS}
+            record["labels"] = {key: record.pop(key) for key in _LABEL_KEYS if key in record}
+            yield _checked_record(record, line)
+
+
 def load_corpus(path, format: str | None = None) -> list[Profile]:
     """Load profiles from JSONL or CSV, in file order.
 
@@ -264,23 +296,19 @@ def load_corpus(path, format: str | None = None) -> list[Profile]:
     row reads as the JSONL record of its nonempty cells.
     """
     with naming(path):
-        if _corpus_format(path, format) == "jsonl":
-            profiles = [_profile_from_record(obj, line_no) for line_no, obj in read_jsonl(path)]
-        else:
-            profiles = []
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                reader = csv.reader(fh)
-                header = next(reader, None)
-                if header is None or "id" not in header:
-                    raise ParseError("CSV must have a header row including 'id'", 1)
-                for line, row in _csv_rows(reader):
-                    record = {key: value for key, value in zip(header, row)
-                              if value and key in _COLUMNS}
-                    record["labels"] = {key: record.pop(key) for key in _LABEL_KEYS
-                                        if key in record}
-                    profiles.append(_profile_from_record(record, line))
+        profiles = [Profile(*record) for record in _corpus_records(path, format)]
         check_unique([p.id for p in profiles], "corpus")
     return profiles
+
+
+def load_corpus_labels(path, format: str | None = None) -> list[ProfileLabels]:
+    """``load_corpus`` without the text: the same checks and errors, and each
+    record's id, labels and outcome alone, for the steps that hash no text."""
+    with naming(path):
+        records = [ProfileLabels(pid, labels, outcome)
+                   for pid, _, labels, outcome in _corpus_records(path, format)]
+        check_unique([r.id for r in records], "corpus")
+    return records
 
 
 def _profile_to_record(p: Profile) -> dict:

@@ -218,8 +218,13 @@ def embed_corpus(
 ) -> EmbeddingMatrix:
     """Embed every profile with the hashing embedder, one block per field:
     :func:`hash_embed_field` of each field rounded to float32, with each distinct
-    gram hashed once."""
+    gram hashed once. A record read without its text (``ProfileLabels``) is a
+    TypeError, never embedded as empty text."""
     check_sizes(d, max_tokens)
+    textless = [p.id for p in profiles if not isinstance(p, Profile)]
+    if textless:
+        raise TypeError(f"{len(textless)} records hold no text to hash (read them with "
+                        f"load_corpus), e.g. {textless[:3]}")
     texts = (profile.fields[name] for profile in profiles for name in FIELD_ORDER)
     data = _hash_embed(texts, np.zeros((len(profiles) * len(FIELD_ORDER), d), np.float32),
                        seed, max_tokens)

@@ -435,6 +435,22 @@ class TestRunAudit:
         assert report.metadata["embedder"] == "ingest"
         assert len(report.rows) == 6
 
+    def test_an_ingest_audit_reads_no_text(self, tmp_path, monkeypatch):
+        # it writes the run directory that reading the whole profiles wrote
+        corpus = make_corpus(tmp_path)
+        save_embeddings(embed_corpus(load_corpus(corpus), d=16, seed=5), tmp_path / "ext.faem")
+        config = small_config(embedder="ingest", embeddings_path=str(tmp_path / "ext.faem"))
+        with monkeypatch.context() as patch:
+            patch.setattr(audit_module, "load_corpus_labels", load_corpus)
+            run_audit(corpus, config, tmp_path / "with-text")
+
+        def refuse(path):
+            raise AssertionError("the text of an ingest audit's corpus was read")
+
+        monkeypatch.setattr(audit_module, "load_corpus", refuse)
+        run_audit(corpus, config, tmp_path / "no-text")
+        assert rundir_digest_main([str(tmp_path / "with-text"), str(tmp_path / "no-text")]) == 0
+
     def test_no_rerank_option(self, tmp_path):
         corpus = make_corpus(tmp_path)
         report = run_audit(corpus, small_config(rerank=False))

@@ -287,8 +287,9 @@ class TestPipelineChain:
         assert run(capsys, "predict", "--model", str(model), "--embeddings", str(emb),
                    "--d", "8", "--out", str(out_path))[0] == 0
 
+    @pytest.mark.parametrize("family", ["stumps", "birnn"])
     def test_train_fits_on_views_of_one_split_ordered_matrix(self, tmp_path, corpus, capsys,
-                                                              monkeypatch):
+                                                              monkeypatch, family):
         emb, splits = tmp_path / "e.faem", tmp_path / "s.json"
         run(capsys, "embed", "--corpus", str(corpus), "--d", "8", "--out", str(emb))
         run(capsys, "split", "--corpus", str(corpus), "--out", str(splits))
@@ -305,17 +306,19 @@ class TestPipelineChain:
 
         monkeypatch.setattr(cli_module, "embed_profiles", embed_profiles)
         monkeypatch.setattr(cli_module, "train_family", train_family)
-        code, _, err = run(capsys, "train", "--family", "stumps", "--corpus", str(corpus),
+        code, _, err = run(capsys, "train", "--family", family, "--corpus", str(corpus),
                            "--embeddings", str(emb), "--splits", str(splits), "--d", "8",
-                           "--rounds", "2", "--out", str(tmp_path / "m.json"))
+                           "--rounds", "2", "--epochs", "1", "--patience", "1", "--hidden-dim",
+                           "4", "--head-dim", "4", "--out", str(tmp_path / "m.json"))
         assert code == 0, err
         (matrix,), ((train_rows, val_rows),) = embedded, fits
         split = load_split(splits)
-        # train ids then validation ids: no test row is read
-        assert matrix.index_order == split.train + split.validation
-        for rows, ids in ((train_rows, split.train), (val_rows, split.validation)):
-            assert rows.index_order == ids
-            assert np.shares_memory(rows.data, matrix.data) and not rows.data.flags.writeable
+        # train ids, then the validation ids if the fit reads them: no other row is read
+        validation = split.validation if family == "birnn" else ()
+        assert matrix.index_order == split.train + validation
+        for rows, ids in ((train_rows, split.train), (val_rows, validation)):
+            assert rows.index_order == ids and not rows.data.flags.writeable
+            assert np.shares_memory(rows.data, matrix.data) == bool(ids)
 
     def test_train_with_search_trials(self, tmp_path, corpus, capsys):
         emb = tmp_path / "e.faem"
@@ -388,11 +391,12 @@ class TestTrainOnSplitOrder:
         save_model(train_family(family, *rows, config)[0], expected)
         assert out.read_bytes() == expected.read_bytes()
 
-    # peak traced memory over the matrix's bytes: the parent, which copied the train
-    # and validation rows out of the full matrix, read 2.29 (stumps), 2.12 (birnn)
-    # and 2.12 (knn); fits on views read 1.99, 1.36 and 1.29
-    @pytest.mark.parametrize("family, bound", [("stumps", 2.15), ("birnn", 1.75),
-                                               ("knn", 1.75)])
+    # peak traced memory over the matrix's bytes: copies of the train and validation
+    # rows out of the full matrix read 2.29 (stumps), 2.12 (birnn) and 2.12 (knn);
+    # fits on views of them 1.86, 1.24 and 1.16; reading no text, and no validation
+    # rows for the families whose fit does not read them, 1.60, 1.09 and 0.91
+    @pytest.mark.parametrize("family, bound", [("stumps", 1.7), ("birnn", 1.15),
+                                               ("knn", 1.0)])
     def test_train_memory_stays_near_one_matrix(self, tmp_path, capsys, family, bound):
         corpus, splits, emb = tmp_path / "c.jsonl", tmp_path / "s.json", tmp_path / "e.faem"
         run(capsys, "synth", "--n", "1000", "--seed", "3", "--out-corpus", str(corpus))
@@ -613,6 +617,38 @@ class TestDataErrorsNameTheFile:
         assert code == 2, err
         assert err.startswith(f"error: {path}: "), err
         assert ("duplicate ids" if matrix == "dup" else "width mismatch") in err
+
+    @pytest.mark.parametrize("family, trials, exit_code", [
+        ("knn", 1, 0), ("stumps", 1, 0), ("birnn", 1, 2), ("stumps", 2, 2),
+    ])
+    def test_train_reads_validation_rows_only_when_it_uses_them(self, files, tmp_path, capsys,
+                                                                family, trials, exit_code):
+        # a search scores its trials on the validation rows and the BiRNN stops early on
+        # them; any other fit trains from a file that lacks them, as from the whole file
+        validation = set(load_split(files["splits"]).validation)
+        ids, data = load_matrix_file(files["emb"])
+        keep = [i for i, pid in enumerate(ids) if pid not in validation]
+        path = tmp_path / "no-validation.faem"
+        save_embeddings(EmbeddingMatrix(data[keep], 4, FIELD_ORDER, tuple(ids[i] for i in keep)),
+                        path)
+        results = []
+        for emb in (path, files["emb"]):
+            out = tmp_path / f"m{len(results)}.json"
+            code, _, err = run(capsys, "train", "--family", family,
+                               "--corpus", str(files["corpus"]), "--embeddings", str(emb),
+                               "--splits", str(files["splits"]), "--d", "4",
+                               "--search-trials", str(trials), "--rounds", "2", "--epochs", "1",
+                               "--patience", "1", "--hidden-dim", "4", "--head-dim", "4",
+                               "--out", str(out))
+            results.append((code, err, out))
+        (code, err, out), (full_code, full_err, full_out) = results
+        assert full_code == 0, full_err
+        assert code == exit_code, err
+        if exit_code:
+            assert err.startswith(f"error: {path}: {len(validation)} asked ids not in the file")
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == full_out.read_bytes()
 
     def test_value_float32_cannot_hold_names_the_file(self, files, tmp_path, capsys):
         ids, data = load_matrix_file(files["emb"])

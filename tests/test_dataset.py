@@ -8,17 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairaudit import dataset
+from fairaudit.cli import main as cli_main
 from fairaudit.dataset import (
     FIELD_ORDER,
     STAGES,
     DecisionVector,
     LatentRecord,
     Profile,
+    ProfileLabels,
     RaterConfig,
     attach_stage_labels,
     binarize_labels,
     generate_synthetic_corpus,
     load_corpus,
+    load_corpus_labels,
     load_decisions,
     load_latents,
     load_split,
@@ -90,6 +94,25 @@ class TestProfile:
             Profile("", {"GCEA": "x"})
 
 
+@pytest.fixture(params=["load_corpus", "load_corpus_labels", "cli split"])
+def reject(request, tmp_path, capsys):
+    """``reject(path, kind)``: the message with which one read of a corpus file refuses
+    it. Either loader must raise a ``kind``; CLI split, which reads no text, must exit
+    2 with the one-line "error: <message>"."""
+
+    def reject(path, kind=ParseError) -> str:
+        if request.param == "cli split":
+            code = cli_main(["split", "--corpus", str(path), "--out", str(tmp_path / "s.json")])
+            err = capsys.readouterr().err
+            assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+            return err[len("error: ") : -1]
+        with pytest.raises(kind) as info:
+            getattr(dataset, request.param)(path)
+        return str(info.value)
+
+    return reject
+
+
 class TestLoadCorpus:
     def test_three_records_in_file_order(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -103,20 +126,18 @@ class TestLoadCorpus:
         (profile,) = load_corpus(path)
         assert profile.fields["Combined"] == "g1\ng2\np\nl"
 
-    def test_duplicate_id_cites_offender(self, tmp_path):
+    def test_duplicate_id_cites_offender(self, tmp_path, reject):
         path = tmp_path / "c.jsonl"
         records = [{"id": f"A{i}", "gcea": "t"} for i in range(7)]
         records[1]["id"] = "A1"
         records[6]["id"] = "A1"
         write_jsonl(path, records)
-        with pytest.raises(IntegrityError, match="A1"):
-            load_corpus(path)
+        assert reject(path, IntegrityError) == f"{path}: duplicate ids in corpus: ['A1']"
 
-    def test_malformed_record_names_line(self, tmp_path):
+    def test_malformed_record_names_line(self, tmp_path, reject):
         path = tmp_path / "c.jsonl"
         path.write_text('{"id": "A", "gcea": "t"}\nnot json\n')
-        with pytest.raises(ParseError, match="line 2"):
-            load_corpus(path)
+        assert reject(path) == f"{path}: line 2: invalid JSON (Expecting value)"
 
     def test_unknown_stage_preserved_verbatim(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -149,6 +170,17 @@ class TestLoadCorpus:
         save_corpus(load_corpus(first), second)
         assert first.read_bytes() == second.read_bytes()
         assert load_corpus(second) == profiles
+
+    @pytest.mark.parametrize("name", ["c.jsonl", "c.csv"])
+    def test_the_read_without_text_keeps_ids_labels_and_outcomes(self, tmp_path, name):
+        profiles = [make_profile("A", labels={"SL": "Shortlisted", "AR": "Not Recommended"},
+                                 outcome="Offered"),
+                    make_profile("B", PIQ="line one\nline two"),
+                    make_profile("C", "", Leadership="l", labels={"OF": "Offered"})]
+        save_corpus(profiles, tmp_path / name)
+        assert load_corpus_labels(tmp_path / name) == [
+            ProfileLabels(p.id, p.labels, p.outcome) for p in profiles
+        ]
 
     @pytest.mark.parametrize("name", ["c.jsonl", "c.csv"])
     def test_labels_saved_under_one_key_are_rejected(self, tmp_path, name):
@@ -190,12 +222,10 @@ class TestLoadCorpus:
         ("c.csv", "id,gcea\r\nA,t\r\n\r\n,u\r\n", "line 4: missing or empty 'id'"),
         ("c.csv", "id,gcea,combined\r\nA,,\r\n", "line 2: record 'A' carries no text fields"),
     ])
-    def test_parse_rule_names_its_message_and_line(self, tmp_path, name, text, message):
+    def test_parse_rule_names_its_message_and_line(self, tmp_path, name, text, message, reject):
         path = tmp_path / name
         path.write_text(text, encoding="utf-8", newline="")
-        with pytest.raises(ParseError) as info:
-            load_corpus(path)
-        assert str(info.value) == f"{path}: {message}"
+        assert reject(path) == f"{path}: {message}"
 
     def test_null_text_falsy_combined_and_null_labels_read_as_absent(self, tmp_path):
         path = tmp_path / "c.jsonl"

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 from fairaudit import _util, embed
 from fairaudit._util import check_float32
 from fairaudit.audit import AuditConfig, embed_profiles
-from fairaudit.dataset import FIELD_ORDER, Profile, generate_synthetic_corpus
+from fairaudit.dataset import (
+    FIELD_ORDER,
+    Profile,
+    ProfileLabels,
+    generate_synthetic_corpus,
+)
 from fairaudit.embed import (
     EmbeddingMatrix,
     embed_corpus,
@@ -153,6 +158,14 @@ class TestEmbedCorpus:
 
     def test_empty_corpus(self):
         assert embed_corpus([], d=8, seed=0).data.shape == (0, 40)
+
+    def test_records_read_without_text_are_refused(self):
+        # hashing them as empty text would give zero rows without a word
+        records = [*self._profiles(), ProfileLabels("C", {}, "Offered")]
+        with pytest.raises(TypeError, match=r"1 records hold no text to hash .*\['C'\]"):
+            embed_corpus(records, d=8)
+        with pytest.raises(TypeError, match="no text to hash"):
+            embed_profiles(records, AuditConfig(d=8), seed=0)
 
     def test_chunk_size_does_not_change_result(self, monkeypatch):
         # where the texts are cut into chunks is the one thing that could move a bit

@@ -13,9 +13,13 @@ every real split point (``exact_splits``), or at most 255 per feature
 (``quantile_splits``, the trainer's rule written one column at a time).
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -405,6 +409,33 @@ def test_dense_float32_search_keeps_one_int32_slot_per_entry():
         tracemalloc.stop()
     assert model.rounds == 3
     assert peak < 1.6 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the input"
+
+
+# Two fits of a dense float32 matrix in one fresh process, printing ru_maxrss (KiB on
+# Linux) after each. At 4800 x 3840 (cli-ingest's train rows) an N x D bool mask is
+# 17.6 MiB: glibc maps the first one and frees it back, which raises its mmap threshold
+# above that size, so from the second fit on it comes from the heap and its pages stay.
+TWO_FITS_CHILD = """
+import resource
+import numpy as np
+from fairaudit.classifiers import TrainConfig, train_stumps
+x = np.random.default_rng(0).standard_normal((4800, 3840), dtype=np.float32)
+y = (x[:, 0] > 0).astype(np.int64)
+for _ in range(2):
+    train_stumps(x, y, TrainConfig(rounds=1))
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+def test_a_second_dense_fit_keeps_the_peak_of_the_first():
+    # setup counts nonzeros a tile of rows at a time; a whole-matrix count grew the
+    # peak by 16.6 MiB on the second fit
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", TWO_FITS_CHILD], env=env, check=True,
+                          capture_output=True, text=True)
+    first, second = map(float, done.stdout.split())
+    assert second - first < 3.0, f"peak {first:.1f} MiB after one fit, {second:.1f} after two"
 
 
 def sparse_rows(seed, n, width):
